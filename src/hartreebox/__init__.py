@@ -13,8 +13,9 @@ from .spectral import (Grid, SpectralField, TraceField, convolve,
                        field_to_csv, frac_apply, from_spectral, refine,
                        sobolev_form, to_spectral)
 from .model import (EnergyReport, KernelSpec, ModelParams, NonlinearitySpec,
-                    PotentialSpec, SolverSettings, F_eval, energy, f_eval,
-                    gradient, interaction, nehari_scale, quadratic_form)
+                    PotentialSpec, SolverSettings, F_eval, df_eval, energy,
+                    f_eval, gradient, interaction, nehari_scale,
+                    quadratic_form)
 from .solver import (GroundStateResult, compare_levels, gaussian_bump,
                      linf_refinement_check, multistart, solve_asymptotic,
                      solve_ground)

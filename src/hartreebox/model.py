@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import BracketError, DiagnosticError, DomainError, NumericError
 from .profile import BesselProfile
-from .spectral import Grid, TraceField, convolve, sobolev_form
+from .spectral import (Grid, TraceField, apply_multiplier,
+                       convolution_multiplier, sobolev_form)
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +34,11 @@ class NonlinearitySpec:
     Kinds:
       log_linear  -- f(t) = t ln(1+t); theta bounds its polynomial growth.
       pure_power  -- f(t) = t^(theta-1).
-      user_table  -- f sampled on a positive grid, interpolated log-log;
-                     F by cumulative trapezoid.
+      user_table  -- f sampled on a positive grid, interpolated linearly
+                     between the samples (np.interp), zero below the first
+                     sample, and continued past the last one by the power
+                     law through the last two samples; F by cumulative
+                     trapezoid.
     """
 
     kind: str = "log_linear"
@@ -90,14 +94,51 @@ def F_eval(spec: NonlinearitySpec, t):
     return out if out.ndim else float(out)
 
 
+def df_eval(spec: NonlinearitySpec, t):
+    """f'(t), vectorized; zero on t < 0.
+
+    log_linear: ln(1+t) + t/(1+t); pure_power: (theta-1) t^(theta-2);
+    user_table: the slope of the linear interpolant on each sample
+    interval, and the derivative of the power-law tail past the table.
+    """
+    t = np.asarray(t, dtype=float)
+    pos = np.maximum(t, 0.0)
+    if spec.kind == "log_linear":
+        out = np.log1p(pos) + pos / (1.0 + pos)
+    elif spec.kind == "pure_power":
+        out = (spec.theta - 1.0) * pos ** (spec.theta - 2.0)
+    else:
+        out = _table_df(spec, pos)
+    return out if out.ndim else float(out)
+
+
+def _tail_power(tt: np.ndarray, ff: np.ndarray) -> float:
+    """Exponent of the power law through the last two table samples."""
+    return np.log(ff[-1] / max(ff[-2], 1e-300)) / np.log(tt[-1] / tt[-2])
+
+
 def _table_f(spec: NonlinearitySpec, pos: np.ndarray) -> np.ndarray:
     tt, ff = spec.table[:, 0], spec.table[:, 1]
     out = np.interp(pos, tt, ff, left=0.0)
     # extend past the table with the last local power law
     hi = pos > tt[-1]
     if np.any(hi):
-        p = np.log(ff[-1] / max(ff[-2], 1e-300)) / np.log(tt[-1] / tt[-2])
-        out = np.where(hi, ff[-1] * (pos / tt[-1]) ** p, out)
+        out = np.where(hi, ff[-1] * (pos / tt[-1]) ** _tail_power(tt, ff),
+                       out)
+    return out
+
+
+def _table_df(spec: NonlinearitySpec, pos: np.ndarray) -> np.ndarray:
+    tt, ff = spec.table[:, 0], spec.table[:, 1]
+    slopes = np.diff(ff) / np.diff(tt)
+    seg = np.searchsorted(tt, pos, side="right") - 1
+    inside = (seg >= 0) & (seg < len(tt) - 1)
+    out = np.where(inside, slopes[np.clip(seg, 0, len(slopes) - 1)], 0.0)
+    hi = pos > tt[-1]
+    if np.any(hi):
+        p = _tail_power(tt, ff)
+        out = np.where(hi, p * ff[-1] / tt[-1] * (pos / tt[-1]) ** (p - 1.0),
+                       out)
     return out
 
 
@@ -110,7 +151,7 @@ def _table_F(spec: NonlinearitySpec, pos: np.ndarray) -> np.ndarray:
     out = np.interp(pos, nodes, cum)
     hi = pos > tt[-1]
     if np.any(hi):
-        p = np.log(ff[-1] / max(ff[-2], 1e-300)) / np.log(tt[-1] / tt[-2])
+        p = _tail_power(tt, ff)
         tail = ff[-1] * tt[-1] / (p + 1.0) * ((pos / tt[-1]) ** (p + 1.0)
                                               - 1.0)
         out = np.where(hi, cum[-1] + tail, out)
@@ -268,8 +309,12 @@ class ModelParams:
         return self.kernel.sample(self.grid)
 
     @cached_property
-    def kernel_field(self) -> TraceField:
-        return TraceField(self.grid, self.kernel_values)
+    def kernel_spectrum(self) -> np.ndarray:
+        """Multiplier of g -> W * g, transformed once per parameter set."""
+        spec = convolution_multiplier(TraceField(self.grid,
+                                                 self.kernel_values))
+        spec.flags.writeable = False
+        return spec
 
     @property
     def v0(self) -> float:
@@ -284,8 +329,6 @@ class ModelParams:
             raise DomainError(f"profile built for sigma={profile.sigma}, "
                               f"params use sigma={self.sigma}")
         v0 = self.v0 * profile.kappa
-        if v0 >= min(1.0, self.m ** 2) * profile.kappa:
-            raise DomainError("V0 must stay below min{1,m^2} kappa")
         if float(np.min(self.potential_values)) + v0 < 0.0:
             raise DomainError("potential violates the coercivity bound "
                               "min V + V0 >= 0")
@@ -316,20 +359,25 @@ def quadratic_form(u: TraceField, params: ModelParams,
     return _check_finite(form + pot, "quadratic form")
 
 
+def _convolve_kernel(params: ModelParams, g: np.ndarray) -> np.ndarray:
+    """W * g on the grid, from the kernel spectrum cached on params."""
+    return apply_multiplier(params.kernel_spectrum, g, "convolve")
+
+
 def interaction(u: TraceField, params: ModelParams) -> float:
     """Psi(u) = 1/2 int (W * F(u)) F(u)."""
-    Fu = TraceField(u.grid, F_eval(params.nonlinearity, u.values))
-    conv = convolve(params.kernel_field, Fu)
-    val = 0.5 * conv.inner(Fu)
+    Fu = F_eval(params.nonlinearity, u.values)
+    conv = _convolve_kernel(params, Fu)
+    val = 0.5 * u.grid.cell_volume * np.sum(conv * Fu)
     return _check_finite(val, "interaction")
 
 
 def interaction_pairing(u: TraceField, params: ModelParams) -> float:
     """<Psi'(u), u> = int (W * F(u)) f(u) u."""
-    Fu = TraceField(u.grid, F_eval(params.nonlinearity, u.values))
-    conv = convolve(params.kernel_field, Fu)
-    fu = f_eval(params.nonlinearity, u.values)
-    val = u.grid.cell_volume * np.sum(conv.values * fu * u.values)
+    nl = params.nonlinearity
+    conv = _convolve_kernel(params, F_eval(nl, u.values))
+    fu = f_eval(nl, u.values)
+    val = u.grid.cell_volume * np.sum(conv * fu * u.values)
     return _check_finite(val, "interaction pairing")
 
 
@@ -349,26 +397,59 @@ def gradient(u: TraceField, params: ModelParams,
     kappa (m^2 - Lap)^sigma u + V u - (W * F(u)) f(u)."""
     if u.grid != params.grid:
         raise DomainError("field grid does not match params grid")
-    mult = u.grid.multiplier(params.m, params.sigma)
-    lin = profile.kappa * np.fft.ifftn(mult * np.fft.fftn(u.values)).real
-    Fu = TraceField(u.grid, F_eval(params.nonlinearity, u.values))
-    conv = convolve(params.kernel_field, Fu)
-    fu = f_eval(params.nonlinearity, u.values)
-    vals = lin + params.potential_values * u.values - conv.values * fu
+    nl = params.nonlinearity
+    lin = profile.kappa * apply_multiplier(
+        u.grid.multiplier(params.m, params.sigma), u.values, "gradient")
+    conv = _convolve_kernel(params, F_eval(nl, u.values))
+    fu = f_eval(nl, u.values)
+    vals = lin + params.potential_values * u.values - conv * fu
     if not np.all(np.isfinite(vals)):
         raise NumericError("non-finite value in gradient")
     return TraceField(u.grid, vals)
 
 
 def nehari_phi(t: float, u: TraceField, params: ModelParams,
-               quad: float) -> float:
-    """phi(t) = <I'(tu), tu>/t = t*Q(u) - (1/t) <Psi'(tu), tu>."""
-    return t * quad - interaction_pairing(t * u, params) / t
+               quad: float) -> tuple[float, float]:
+    """phi(t) = <I'(tu), tu>/t = t*Q(u) - (1/t) <Psi'(tu), tu>, and phi'(t).
+
+    With v = tu, and W even so that int (W * a) b = int a (W * b),
+    phi'(t) = Q(u) - (int (W * (f(v) v)) f(v) v
+                      + int (W * F(v)) f'(v) v^2) / t^2.
+    """
+    nl = params.nonlinearity
+    v = t * u.values
+    fv = f_eval(nl, v)
+    conv = _convolve_kernel(params, F_eval(nl, v))
+    dv = u.grid.cell_volume
+    pairing = _check_finite(dv * np.sum(conv * fv * v), "interaction pairing")
+    fvv = fv * v
+    slope = _check_finite(
+        dv * (np.sum(_convolve_kernel(params, fvv) * fvv)
+              + np.sum(conv * df_eval(nl, v) * v * v)),
+        "Nehari derivative")
+    return t * quad - pairing / t, quad - slope / t ** 2
+
+
+# Projection window, and the residual |phi(t)| / (t Q(u)) below which the
+# Newton iteration stops; 1e-13 sits two orders above the rounding noise of
+# the interaction sums, so the root is found to about 1e-13 relative.
+_T_MIN, _T_MAX = 1e-6, 1e6
+_NEWTON_RTOL = 1e-13
 
 
 def nehari_scale(u: TraceField, params: ModelParams,
                  profile: BesselProfile) -> float:
-    """Unique t > 0 with I'(t u) orthogonal to the ray, i.e. phi(t) = 0."""
+    """Unique t > 0 with I'(t u) orthogonal to the ray, i.e. phi(t) = 0.
+
+    Safeguarded Newton iteration on the analytic phi', started at t = 1:
+    descent iterates are perturbations of fields already on the manifold,
+    so the root is near 1.  Under (f3) phi(t)/t is strictly decreasing, so
+    phi > 0 below the root and phi <= 0 above it, and every evaluation
+    moves one end of a bracket [lo, hi] around the root.  Until both ends
+    are known, the open end grows by doubling or halving inside
+    [1e-6, 1e6]; a Newton step that leaves the bracket is replaced by
+    bisection.
+    """
     if not np.any(u.values > 0.0):
         raise DomainError("Nehari projection undefined: field has no "
                           "positive part")
@@ -383,42 +464,38 @@ def nehari_scale(u: TraceField, params: ModelParams,
         return float((quad / (2.0 * nl.theta * psi))
                      ** (1.0 / (2.0 * nl.theta - 2.0)))
 
-    # bracket: phi > 0 for small t (superlinearity), < 0 for large t (AR)
-    t_grid = np.logspace(-6, 6, 49)
-    phi_prev, t_prev = None, None
-    bracket = None
-    for t in t_grid:
-        val = nehari_phi(t, u, params, quad)
-        if phi_prev is not None and phi_prev > 0.0 >= val:
-            bracket = (t_prev, t)
+    lo = hi = None                      # phi(lo) > 0 >= phi(hi)
+    t, best_t, best_res = 1.0, 1.0, np.inf
+    for _ in range(100):
+        phi, dphi = nehari_phi(t, u, params, quad)
+        res = abs(phi) / (t * quad)
+        if res < best_res:
+            best_t, best_res = t, res
+        if res < _NEWTON_RTOL:
             break
-        phi_prev, t_prev = val, t
-    if bracket is None:
-        raise BracketError("no sign change of the Nehari function on "
-                           "[1e-6, 1e6]")
-
-    from scipy.optimize import brentq
-    t_u = brentq(lambda t: nehari_phi(t, u, params, quad),
-                 bracket[0], bracket[1], xtol=1e-300, rtol=8.9e-16)
-    # Newton polish; the residual |<I'(tu), tu>| is measured against the
-    # quadratic scale of the projected field, t^2 Q.  Keep only improving
-    # steps: near the root the finite-difference slope sits at the noise
-    # floor of the interaction sum.
-    best_t, best_val = t_u, abs(nehari_phi(t_u, u, params, quad))
-    for _ in range(3):
-        val = nehari_phi(t_u, u, params, quad)
-        if abs(val) < 1e-12 * t_u * quad:
+        if phi > 0.0:
+            lo = t
+        else:
+            hi = t
+        if (lo is not None and lo >= _T_MAX) or (hi is not None
+                                                 and hi <= _T_MIN):
+            raise BracketError("no sign change of the Nehari function on "
+                               "[1e-6, 1e6]")
+        if hi is None:                  # root above lo: double
+            a, b = lo, min(2.0 * lo, _T_MAX)
+            fallback = b
+        elif lo is None:                # root below hi: halve
+            a, b = max(0.5 * hi, _T_MIN), hi
+            fallback = a
+        else:
+            a, b = lo, hi
+            fallback = 0.5 * (lo + hi)
+        step = t - phi / dphi if dphi < 0.0 else np.nan
+        t_next = step if a < step < b else fallback
+        if t_next in (lo, hi):          # the bracket cannot shrink further
             break
-        h = 1e-7 * t_u
-        dval = (nehari_phi(t_u + h, u, params, quad)
-                - nehari_phi(t_u - h, u, params, quad)) / (2.0 * h)
-        if dval == 0.0:
-            break
-        t_u -= val / dval
-        cand = abs(nehari_phi(t_u, u, params, quad))
-        if cand < best_val:
-            best_t, best_val = t_u, cand
-    if best_val >= 1e-10 * best_t * quad:
+        t = t_next
+    if best_res >= 1e-10:
         raise DiagnosticError("Nehari root residual exceeds 1e-10 of the "
                               "quadratic scale")
     return float(best_t)

@@ -19,7 +19,8 @@ from .errors import ConvergenceError, DomainError, VerificationError
 from .model import (ModelParams, energy, gradient, nehari_scale,
                     quadratic_form)
 from .profile import BesselProfile
-from .spectral import Grid, TraceField, refine, sobolev_form
+from .spectral import (Grid, TraceField, apply_multiplier, refine,
+                       sobolev_form)
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
     prev_vals = prev_precond_grad = None
 
     for it in range(1, settings.max_iter + 1):
-        precond_grad = np.fft.ifftn(precond * np.fft.fftn(g.values)).real
+        precond_grad = apply_multiplier(precond, g.values, "preconditioner")
         direction = TraceField(u.grid, -precond_grad)
         slope = g.inner(direction)          # negative: SPD preconditioner
 

@@ -22,6 +22,9 @@ import numpy as np
 from .errors import DomainError, NumericError
 
 _BIN_MAGIC = 0x46584248  # "HBXF" little-endian
+# Format 1 stored L as round(L * 1e6), which lost digits (10/3 read back as
+# 3.333333) and read L < 5e-7 back as 0; format 2 stores L's float64 bits.
+_BIN_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -97,9 +100,23 @@ class Grid:
         mesh = np.meshgrid(*([f] * self.dim), indexing="ij")
         return sum(x ** 2 for x in mesh)
 
+    @cached_property
+    def _multipliers(self) -> dict:
+        return {}
+
     def multiplier(self, m: float, sigma: float) -> np.ndarray:
-        """(m^2 + 4 pi^2 |xi|^2)^sigma on the frequency lattice."""
-        return (m ** 2 + 4.0 * np.pi ** 2 * self.xi_sq) ** sigma
+        """(m^2 + 4 pi^2 |xi|^2)^sigma on the frequency lattice.
+
+        Computed once per (m, sigma) and grid; the array is read-only
+        because every caller shares it.
+        """
+        key = (float(m), float(sigma))
+        mult = self._multipliers.get(key)
+        if mult is None:
+            mult = (m ** 2 + 4.0 * np.pi ** 2 * self.xi_sq) ** sigma
+            mult.flags.writeable = False
+            self._multipliers[key] = mult
+        return mult
 
 
 @dataclass(frozen=True)
@@ -182,8 +199,16 @@ def from_spectral(s: SpectralField) -> TraceField:
     return TraceField(s.grid, values)
 
 
-def _real_ifft(grid: Grid, coeffs: np.ndarray, what: str) -> np.ndarray:
-    out = np.fft.ifftn(coeffs)
+def apply_multiplier(mult: np.ndarray, values: np.ndarray,
+                     what: str) -> np.ndarray:
+    """Apply the Fourier multiplier `mult` (FFT lattice order) to a real
+    grid array: ifftn(mult * fftn(values)), which must come out real.
+
+    Every multiplier and periodic convolution in the package goes through
+    here.  `what` names the caller in the NumericError raised when the
+    imaginary residue exceeds 1e-10 of the field scale.
+    """
+    out = np.fft.ifftn(mult * np.fft.fftn(values))
     scale = np.max(np.abs(out.real)) or 1.0
     if np.max(np.abs(out.imag)) > 1e-10 * scale:
         raise NumericError(f"{what}: imaginary residue exceeds 1e-10 of the "
@@ -201,9 +226,8 @@ def frac_apply(h: TraceField, sigma: float, m: float) -> TraceField:
         raise DomainError("sigma out of (0,1]")
     if m <= 0.0:
         raise DomainError("m must be positive")
-    mult = h.grid.multiplier(m, sigma)
-    return TraceField(h.grid, _real_ifft(h.grid, mult * np.fft.fftn(h.values),
-                                         "frac_apply"))
+    return TraceField(h.grid, apply_multiplier(h.grid.multiplier(m, sigma),
+                                               h.values, "frac_apply"))
 
 
 def spectral_weights(h: TraceField) -> np.ndarray:
@@ -242,9 +266,13 @@ def convolve(kernel: TraceField, g: TraceField) -> TraceField:
     """Periodic convolution with cell-volume scaling: the discrete analogue
     of int kernel(y - w) g(w) dw."""
     _check_same_grid(kernel.grid, g.grid)
-    coeffs = np.fft.fftn(kernel.values) * np.fft.fftn(g.values)
-    values = _real_ifft(g.grid, coeffs, "convolve") * g.grid.cell_volume
-    return TraceField(g.grid, values)
+    return TraceField(g.grid, apply_multiplier(convolution_multiplier(kernel),
+                                               g.values, "convolve"))
+
+
+def convolution_multiplier(kernel: TraceField) -> np.ndarray:
+    """cell_volume * FFT(kernel): the multiplier of g -> kernel * g."""
+    return kernel.grid.cell_volume * np.fft.fftn(kernel.values)
 
 
 def refine(h: TraceField, n_new: int) -> TraceField:
@@ -307,8 +335,9 @@ def field_from_csv(path) -> TraceField:
 
 def field_to_binary(h: TraceField, path) -> None:
     g = h.grid
-    header = np.array([_BIN_MAGIC, g.dim, g.n, round(g.L * 1e6), 1, 0, 0, 0],
+    header = np.array([_BIN_MAGIC, g.dim, g.n, 0, _BIN_FORMAT, 0, 0, 0],
                       dtype="<i8")
+    header[3:4] = np.array([g.L], dtype="<f8").view("<i8")
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
         fh.write(h.values.astype("<f8").ravel(order="C").tobytes())
@@ -317,12 +346,19 @@ def field_to_binary(h: TraceField, path) -> None:
 def field_from_binary(path) -> TraceField:
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < 64 or (len(raw) - 64) % 8:
+        raise DomainError(f"{path}: truncated field binary")
     header = np.frombuffer(raw[:64], dtype="<i8")
-    if len(header) < 8 or header[0] != _BIN_MAGIC:
+    if header[0] != _BIN_MAGIC:
         raise DomainError(f"{path}: bad magic in field binary header")
-    if header[4] != 1:
-        raise DomainError(f"{path}: unsupported dtype tag {header[4]}")
-    grid = Grid(int(header[1]), header[3] / 1e6, int(header[2]))
+    if header[4] == 1:
+        raise DomainError(f"{path}: field binary format 1 stores L rounded "
+                          "to 1e-6 and is no longer read; write the field "
+                          "again")
+    if header[4] != _BIN_FORMAT:
+        raise DomainError(f"{path}: unsupported format tag {header[4]}")
+    L = float(header[3:4].view("<f8")[0])
+    grid = Grid(int(header[1]), L, int(header[2]))
     vals = np.frombuffer(raw[64:], dtype="<f8")
     if vals.size != grid.n ** grid.dim:
         raise DomainError(f"{path}: truncated field binary")

@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad as quadrature
+from scipy.optimize import brentq
 
-from hartreebox.errors import DomainError
+import hartreebox.model as model_mod
+import hartreebox.solver as solver_mod
+from hartreebox.errors import BracketError, DomainError
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
-                              PotentialSpec, SolverSettings, F_eval, energy,
-                              f_eval, gradient, interaction,
+                              PotentialSpec, SolverSettings, F_eval, df_eval,
+                              energy, f_eval, gradient, interaction,
                               interaction_pairing, nehari_scale,
                               quadratic_form)
+from hartreebox.solver import random_seed_field, solve_ground
 from hartreebox.spectral import TraceField
+
+from test_acceptance import ground_params
 
 LOG_LINEAR = NonlinearitySpec("log_linear", 2.5)
 PURE_POWER = NonlinearitySpec("pure_power", 2.5)
@@ -93,6 +99,21 @@ def test_user_table_tracks_samples():
                        rtol=1e-3)
     ref = F_eval(LOG_LINEAR, 1.0)
     assert abs(F_eval(spec, 1.0) - ref) < 1e-2 * ref
+
+
+TABLE_T = np.linspace(0.05, 4.0, 40)
+USER_TABLE = NonlinearitySpec("user_table", 2.5, table=np.column_stack(
+    [TABLE_T, f_eval(LOG_LINEAR, TABLE_T)]))
+
+
+@pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER, USER_TABLE])
+def test_derivative_matches_central_difference(spec):
+    # probes between table nodes, and past the table end for its tail
+    t = np.concatenate([0.5 * (TABLE_T[1:] + TABLE_T[:-1]), [5.0, 9.0]])
+    h = 1e-6
+    fd = (f_eval(spec, t + h) - f_eval(spec, t - h)) / (2 * h)
+    assert np.allclose(df_eval(spec, t), fd, rtol=1e-7, atol=1e-9)
+    assert df_eval(spec, -1.0) == 0.0
 
 
 def test_nonlinearity_validation():
@@ -221,6 +242,55 @@ def test_nehari_fixed_point_and_scaling(profile_half, rng):
     for c in (0.5, 2.0):
         got = nehari_scale(c * u, params, profile_half)
         assert abs(got - t_u / c) < 1e-8 * t_u / c
+
+
+def oracle_nehari_scale(u, params, profile):
+    """Dense log scan plus brentq on phi(t) = t Q - <Psi'(tu), tu>/t."""
+    quad = quadratic_form(u, params, profile)
+
+    def phi(t):
+        return t * quad - interaction_pairing(t * u, params) / t
+
+    ts = np.logspace(-6, 6, 481)
+    vals = [phi(t) for t in ts]
+    k = next(i for i in range(len(ts) - 1) if vals[i] > 0.0 >= vals[i + 1])
+    return brentq(phi, ts[k], ts[k + 1], xtol=1e-300, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+def test_nehari_scale_matches_oracle(profile_half, rng, c):
+    params = small_params()
+    u = c * bump(params, rng)
+    want = oracle_nehari_scale(u, params, profile_half)
+    assert abs(nehari_scale(u, params, profile_half) - want) < 1e-12 * want
+
+
+@pytest.mark.parametrize("c", [1e-7, 1e7])
+def test_nehari_scale_root_outside_window(profile_half, rng, c):
+    # the root scales like 1/c and leaves [1e-6, 1e6]
+    params = small_params()
+    with pytest.raises(BracketError, match="no sign change"):
+        nehari_scale(c * bump(params, rng), params, profile_half)
+
+
+def test_nehari_evaluations_per_projection(profile_half, monkeypatch):
+    params = ground_params()
+    counts = {"phi": 0, "projections": 0}
+    phi, scale = model_mod.nehari_phi, solver_mod.nehari_scale
+
+    def counted_phi(*args):
+        counts["phi"] += 1
+        return phi(*args)
+
+    def counted_scale(*args):
+        counts["projections"] += 1
+        return scale(*args)
+
+    monkeypatch.setattr(model_mod, "nehari_phi", counted_phi)
+    monkeypatch.setattr(solver_mod, "nehari_scale", counted_scale)
+    solve_ground(params, profile_half, random_seed_field(params, 11))
+    assert counts["projections"] > 100
+    assert counts["phi"] <= 8 * counts["projections"]
 
 
 def test_nehari_pure_power_closed_form(profile_half, rng):

@@ -226,6 +226,31 @@ def test_field_binary_roundtrip(tmp_path, rng):
     assert np.array_equal(back.values, h.values)
 
 
+@pytest.mark.parametrize("L", [10.0 / 3.0, 4e-7])
+def test_field_binary_roundtrip_keeps_L_exact(tmp_path, rng, L):
+    g = Grid(2, L, 8)
+    h = TraceField(g, rng.standard_normal(g.shape))
+    path = tmp_path / "field.bin"
+    field_to_binary(h, path)
+    back = field_from_binary(path)
+    assert back.grid == g
+    assert np.array_equal(back.values, h.values)
+
+
+def test_field_binary_rejects_old_format_and_ragged_size(tmp_path, rng):
+    g = Grid(1, 1.0, 8)
+    path = tmp_path / "field.bin"
+    field_to_binary(TraceField(g, rng.standard_normal(8)), path)
+    raw = path.read_bytes()
+    old = np.array([0x46584248, 1, 8, 1000000, 1, 0, 0, 0], dtype="<i8")
+    path.write_bytes(old.tobytes() + raw[64:])
+    with pytest.raises(DomainError, match="format 1"):
+        field_from_binary(path)
+    path.write_bytes(raw[:-3])
+    with pytest.raises(DomainError, match="truncated"):
+        field_from_binary(path)
+
+
 def test_field_io_rejects_corruption(tmp_path, rng):
     g = Grid(1, 1.0, 8)
     h = TraceField(g, rng.standard_normal(8))
