@@ -8,10 +8,9 @@ from .errors import (BracketError, ConfigError, ConvergenceError,
                      NumericError, VerificationError)
 from .profile import (BesselProfile, build_profile, eval_profile,
                       ode_residual, profile_from_csv, profile_to_csv)
-from .spectral import (Grid, SpectralField, TraceField, convolve,
-                       field_from_binary, field_from_csv, field_to_binary,
-                       field_to_csv, frac_apply, from_spectral, refine,
-                       sobolev_form, to_spectral)
+from .spectral import (Grid, TraceField, convolve, field_from_binary,
+                       field_from_csv, field_to_binary, field_to_csv,
+                       frac_apply, refine, sobolev_form)
 from .model import (EnergyReport, KernelSpec, ModelParams, NonlinearitySpec,
                     PotentialSpec, SolverSettings, F_eval, df_eval, energy,
                     f_eval, gradient, interaction, nehari_scale,

@@ -3,11 +3,15 @@ structural checks attached to it.
 
 The extension of h is diagonal in frequency: per lattice mode,
 u-hat(x, xi) = h-hat(xi) * Phi(c x) with c = sqrt(m^2 + 4 pi^2 |xi|^2).
-Everything here evaluates that representation on a graded x-mesh
-x_j = x_max (j/K_x)^3 (dense near the degenerate boundary) and then checks
-it against independent discretizations: graded-quadrature energy vs. the
-spectral quadratic form, finite-difference Neumann traces vs. the fractional
-multiplier, and the sup-norm decay law in x.
+`lift` keeps it in that form on a graded x-mesh x_j = x_max (j/K_x)^3
+(dense near the degenerate boundary): the half-lattice spectrum rfftn(h),
+the |k|^2 class of every mode, and Phi(x_j c) once per distinct rate c.
+The checks then compare it against independent discretizations, per rate
+class where they can: graded-quadrature energy vs. the spectral quadratic
+form, finite-difference Neumann traces vs. the fractional multiplier, and
+the sup-norm decay law in x.  Only sup_y |u(x, .)| needs physical space;
+it is transformed a few x-nodes at a time, so no check holds an array of
+(K_x + 1) n^N values.
 """
 
 from __future__ import annotations
@@ -15,44 +19,99 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DiagnosticError, DomainError, NumericError, \
     VerificationError
 from .profile import BesselProfile, eval_profile, small_s_energy_integral
-from .spectral import Grid, TraceField, sobolev_form, spectral_weights
+from .spectral import Grid, TraceField, sobolev_form
+
+# (x, y) points per inverse transform in ExtensionField.sup_abs: about
+# 20 MB of transform buffers, whatever the grid
+_CHUNK_POINTS = 1 << 19
 
 
 @dataclass(frozen=True)
 class ExtensionField:
-    """Field u(x, y) sampled on x_nodes x grid; weight_exponent = 1-2 sigma."""
+    """Extension u(x, y) of a trace on x_nodes x grid, held mode-wise.
+
+    spectrum is rfftn(h) on the half lattice, mode_class the index of each
+    half-lattice mode's |k|^2 among the distinct values, rates the rate c
+    of each class and profile_table[j, u] = Phi(x_nodes[j] rates[u]), so
+    u-hat(x_j, k) = profile_table[j, mode_class[k]] spectrum[k].
+    weight_exponent = 1 - 2 sigma.
+    """
 
     grid: Grid
     x_nodes: np.ndarray
-    values: np.ndarray
     weight_exponent: float
+    spectrum: np.ndarray
+    mode_class: np.ndarray
+    rates: np.ndarray
+    profile_table: np.ndarray
 
     def __post_init__(self):
         x = np.asarray(self.x_nodes, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        spec = np.asarray(self.spectrum, dtype=complex)
+        cls = np.asarray(self.mode_class, dtype=np.intp)
+        rates = np.asarray(self.rates, dtype=float)
+        table = np.asarray(self.profile_table, dtype=float)
         if x.ndim != 1 or np.any(np.diff(x) <= 0) or x[0] < 0:
             raise DomainError("x_nodes must be increasing and nonnegative")
-        if v.shape != (x.size,) + self.grid.shape:
-            raise DomainError("values shape does not match x_nodes x grid")
-        if not np.all(np.isfinite(v)):
+        half = self.grid.shape[:-1] + (self.grid.n // 2 + 1,)
+        if spec.shape != half or cls.shape != half:
+            raise DomainError("spectrum or mode_class shape does not match "
+                              "the grid's half lattice")
+        if rates.ndim != 1 or table.shape != (x.size, rates.size):
+            raise DomainError("profile_table shape does not match "
+                              "x_nodes x rates")
+        if cls.min() < 0 or cls.max() >= rates.size:
+            raise DomainError("mode_class indexes past the rates")
+        if not (np.all(np.isfinite(spec)) and np.all(np.isfinite(table))):
             raise NumericError("extension field contains non-finite values")
-        object.__setattr__(self, "x_nodes", x)
-        object.__setattr__(self, "values", v)
+        for name, value in (("x_nodes", x), ("spectrum", spec),
+                            ("mode_class", cls), ("rates", rates),
+                            ("profile_table", table)):
+            object.__setattr__(self, name, value)
 
     @property
     def sigma(self) -> float:
         return 0.5 * (1.0 - self.weight_exponent)
 
+    def values(self, rows) -> np.ndarray:
+        """u(x_j, y) at the x-nodes x_nodes[rows] (an index or a slice),
+        shape x_nodes[rows].shape + grid.shape."""
+        coeffs = self.profile_table[rows][..., self.mode_class] * self.spectrum
+        return np.fft.irfftn(coeffs, s=self.grid.shape,
+                             axes=tuple(range(-self.grid.dim, 0)))
+
+    @cached_property
+    def sup_abs(self) -> np.ndarray:
+        """sup_y |u(x_j, .)| at every x-node, transformed in x-chunks of
+        about _CHUNK_POINTS points."""
+        rows = max(1, _CHUNK_POINTS // self.grid.n ** self.grid.dim)
+        axes = tuple(range(1, self.grid.dim + 1))
+        sup = np.empty(self.x_nodes.size)
+        for j in range(0, sup.size, rows):
+            sup[j:j + rows] = np.max(
+                np.abs(self.values(slice(j, j + rows))), axis=axes)
+        sup.flags.writeable = False
+        return sup
+
 
 def graded_nodes(x_max: float, K_x: int) -> np.ndarray:
     """x_j = x_max (j/K_x)^3, j = 0..K_x; cubic grading toward x = 0."""
     return x_max * (np.arange(K_x + 1) / K_x) ** 3
+
+
+def _half_lattice_ksq(grid: Grid) -> np.ndarray:
+    """Integer |k|^2 (k = 2L xi) at every mode of the rfftn half lattice."""
+    k_sq = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.int64) ** 2
+    k_half_sq = np.arange(grid.n // 2 + 1, dtype=np.int64) ** 2
+    axes = [k_sq] * (grid.dim - 1) + [k_half_sq]
+    return sum(np.meshgrid(*axes, indexing="ij", sparse=True))
 
 
 def lift(h: TraceField, profile: BesselProfile, m: float,
@@ -67,15 +126,57 @@ def lift(h: TraceField, profile: BesselProfile, m: float,
     if K_x < 8:
         raise DomainError("K_x too small")
     grid = h.grid
-    c = np.sqrt(grid.multiplier(m, 1.0))
-    hhat = np.fft.fftn(h.values)
+    k_sq = _half_lattice_ksq(grid)
+    class_k_sq, mode_class = np.unique(k_sq, return_inverse=True)
+    xi_sq = class_k_sq / (2.0 * grid.L) ** 2
+    rates = np.sqrt(m ** 2 + 4.0 * np.pi ** 2 * xi_sq)
     x = graded_nodes(x_max, K_x)
-    # Phi on the outer product of x-nodes and mode rates, in one evaluation
-    phi = eval_profile(profile, np.multiply.outer(x, c))[0]
-    coeffs = phi * hhat[np.newaxis, ...]
-    values = np.fft.ifftn(coeffs, axes=tuple(range(1, grid.dim + 1))).real
-    return ExtensionField(grid=grid, x_nodes=x, values=values,
-                          weight_exponent=1.0 - 2.0 * profile.sigma)
+    # Phi once per (x-node, distinct rate)
+    table = eval_profile(profile, np.multiply.outer(x, rates))[0]
+    return ExtensionField(grid=grid, x_nodes=x,
+                          weight_exponent=1.0 - 2.0 * profile.sigma,
+                          spectrum=np.fft.rfftn(h.values),
+                          mode_class=mode_class.reshape(k_sq.shape),
+                          rates=rates, profile_table=table)
+
+
+def _mode_power(ext: ExtensionField) -> tuple[np.ndarray, np.ndarray]:
+    """Plancherel summands |h-hat|^2 dxi^N per half-lattice mode, and the
+    number of full-lattice modes each one stands for (2 off the
+    self-conjugate planes of the last axis, whose partners it omits)."""
+    g = ext.grid
+    power = np.abs(ext.spectrum) ** 2 * (g.box_volume / g.n ** (2 * g.dim))
+    count = np.full(power.shape, 2.0)
+    count[..., 0] = 1.0
+    count[..., g.n // 2] = 1.0
+    return power, count
+
+
+def _extension_energy(ext: ExtensionField, profile: BesselProfile) -> float:
+    """int_0^x_max int (|grad u|^2 + m^2 u^2) x^(1-2 sigma) dy dx.
+
+    Finite differences in x and spectral derivatives in y on the graded
+    mesh; by Parseval both parts are sums over rate classes weighted by the
+    class's spectral mass, and np.gradient, being linear, acts on the
+    profile table alone.  The analytic series for Phi supplies the [0, x_1]
+    head, where the weight is singular or zero.
+    """
+    sigma = profile.sigma
+    x = ext.x_nodes
+    c = ext.rates
+    power, count = _mode_power(ext)
+    mass = np.bincount(ext.mode_class.ravel(), weights=(power * count).ravel(),
+                       minlength=c.size)
+
+    y_part = (ext.profile_table ** 2 * c ** 2) @ mass
+    x_part = np.gradient(ext.profile_table, x, axis=0) ** 2 @ mass
+    integrand = (y_part[1:] + x_part[1:]) * x[1:] ** (1.0 - 2.0 * sigma)
+    body = np.trapezoid(integrand, x[1:])
+
+    c1s = profile.d_sigma / (2.0 * sigma)
+    head = float(np.sum(mass * c ** (2.0 * sigma)
+                        * small_s_energy_integral(c * x[1], sigma, c1s)))
+    return body + head
 
 
 def energy_identity_check(h: TraceField, ext: ExtensionField,
@@ -83,42 +184,12 @@ def energy_identity_check(h: TraceField, ext: ExtensionField,
                           rtol: float = 0.01) -> float:
     """Weighted extension energy vs. the spectral quadratic form.
 
-    The left side integrates (|grad u|^2 + m^2 u^2) x^(1-2 sigma) with
-    finite differences in x and spectral derivatives in y on the graded
-    mesh; the analytic series for Phi supplies the [0, x_1] head where the
-    weight is singular.  The right side is sobolev_form(h).  Returns the
-    relative discrepancy and asserts it is below rtol.
+    The left side is the graded-mesh quadrature of the weighted Dirichlet
+    energy of ext; the right side is sobolev_form(h).  Returns the relative
+    discrepancy and asserts it is below rtol.
     """
-    sigma = profile.sigma
-    grid = ext.grid
-    x = ext.x_nodes
-    axes = tuple(range(1, grid.dim + 1))
-    dxi = grid.box_volume / grid.n ** (2 * grid.dim)
-
-    # y-part per x-node, spectrally: sum (m^2 + 4 pi^2 xi^2)|u-hat|^2 dxi
-    coeffs = np.fft.fftn(ext.values, axes=axes)
-    mult = grid.multiplier(m, 1.0)
-    y_part = np.sum(np.abs(coeffs) ** 2 * mult[np.newaxis, ...],
-                    axis=axes) * dxi
-
-    # x-part by second-order finite differences on the nonuniform mesh
-    du = np.gradient(ext.values, x, axis=0)
-    x_part = np.sum(du ** 2, axis=axes) * grid.cell_volume
-
-    # x = 0 is excluded: the weight is singular or zero there and the
-    # [0, x_1] head is handled analytically below
-    integrand = (y_part[1:] + x_part[1:]) * x[1:] ** (1.0 - 2.0 * sigma)
-    body = np.trapezoid(integrand, x[1:])
-
-    # analytic head on [0, x_1] per mode, via the series of Phi
-    c = np.sqrt(grid.multiplier(m, 1.0))
-    weights = spectral_weights(h)
-    c1s = profile.d_sigma / (2.0 * sigma)
-    head = float(np.sum(weights * c ** (2.0 * sigma)
-                        * small_s_energy_integral(c * x[1], sigma, c1s)))
-
-    lhs = body + head
-    rhs = sobolev_form(h, sigma, m, profile)
+    lhs = _extension_energy(ext, profile)
+    rhs = sobolev_form(h, profile.sigma, m, profile)
     if not np.isfinite(lhs):
         raise NumericError("extension energy quadrature is non-finite")
     if rhs == 0.0:
@@ -138,59 +209,71 @@ def _effective_abscissa(x1: float, x2: float, sigma: float) -> float:
     return val ** (1.0 / (2 * sigma - 1.0))
 
 
-def dtn_check(h: TraceField, ext: ExtensionField, profile: BesselProfile,
-              m: float, rtol: float = 0.02, mass_floor: float = 1e-6
-              ) -> float:
-    """Neumann trace -x^(1-2 sigma) du/dx at x -> 0 vs. the multiplier.
+def _neumann_trace(ext: ExtensionField, profile: BesselProfile,
+                   mass_floor: float):
+    """The one Neumann-trace estimator behind dtn_check and dtn.csv.
 
-    Per retained mode the finite-difference estimate (with power-adapted
-    abscissae and one Richardson step at order 2-2 sigma) must match
-    d_sigma c^(2 sigma) h-hat within rtol.  Returns the worst relative
-    error over modes carrying at least mass_floor of the spectral mass.
+    Over the half-lattice modes carrying at least mass_floor of the
+    spectral mass (none for a zero field), -x^(1-2 sigma) du/dx from
+    two-point slopes at power-adapted abscissae, extrapolated to x -> 0 by
+    one Richardson step at order 2-2 sigma.  Returns (mask, estimate,
+    target = d_sigma c^(2 sigma) h-hat, relative error, monotone), where
+    monotone says whether the first three slope estimates approach their
+    limit without the growing, direction-flipping increments of an x-mesh
+    too coarse for the boundary layer.
     """
     sigma = profile.sigma
-    grid = ext.grid
     x = ext.x_nodes
-    if x.size < 4 or x[0] != 0.0:
-        raise DomainError("extension mesh must start at 0 with >= 4 nodes")
-    axes = tuple(range(1, grid.dim + 1))
+    if x.size < 5 or x[0] != 0.0:
+        raise DomainError("extension mesh must start at 0 with >= 5 nodes")
+    power, count = _mode_power(ext)
+    mask = (power >= mass_floor * float(np.sum(power * count))) & (power > 0)
+    hhat = ext.spectrum[mask]
+    cls = ext.mode_class[mask]
+    target = profile.d_sigma * ext.rates[cls] ** (2.0 * sigma) * hhat
 
-    weights = spectral_weights(h)
-    total = float(np.sum(weights))
-    if total == 0.0:
-        return 0.0
-    mask = weights >= mass_floor * total
-
-    hhat = np.fft.fftn(h.values)[mask]
-    c = np.sqrt(grid.multiplier(m, 1.0))[mask]
-    target = profile.d_sigma * c ** (2.0 * sigma) * hhat
-
-    # mode coefficients at the four smallest positive nodes
-    coeffs = np.fft.fftn(ext.values[:5], axes=axes)[:, mask]
+    # Phi at the five smallest nodes; differencing the real profile before
+    # scaling by h-hat keeps the O(x_1^(2 sigma)) increments free of the
+    # spectrum's rounding
+    phi = ext.profile_table[:5, cls]
     ests, xeffs = [], []
     for j in range(1, 4):
-        x1, x2 = x[j], x[j + 1]
-        xe = _effective_abscissa(x1, x2, sigma)
-        slope = (coeffs[j + 1] - coeffs[j]) / (x2 - x1)
+        xe = _effective_abscissa(x[j], x[j + 1], sigma)
+        slope = (phi[j + 1] - phi[j]) / (x[j + 1] - x[j]) * hhat
         ests.append(-xe ** (1.0 - 2.0 * sigma) * slope)
         xeffs.append(xe)
 
-    # the estimates approach the limit at order 2-2 sigma, so successive
-    # increments should shrink; growing increments that also flip direction
-    # mean the grading is too coarse for the boundary layer
     d1 = np.abs(ests[1] - ests[0])
     d2 = np.abs(ests[2] - ests[1])
     flip = np.real((ests[1] - ests[0]) * np.conj(ests[2] - ests[1])) < 0
     scale = np.abs(target) + 1e-300
     noisy = (d1 < 1e-9 * scale) | (d2 < 1e-9 * scale)
-    if np.any(flip & (d2 > d1) & ~noisy):
-        raise DiagnosticError("Neumann-trace extrapolation non-monotone; "
-                              "use a denser x-grading (larger K_x)")
+    monotone = not np.any(flip & (d2 > d1) & ~noisy)
 
     p = 2.0 - 2.0 * sigma
     r1, r2 = xeffs[0] ** p, xeffs[1] ** p
     extrap = ests[0] + (ests[0] - ests[1]) * r1 / (r2 - r1)
-    err = float(np.max(np.abs(extrap - target) / np.abs(target)))
+    rel = np.abs(extrap - target) / np.abs(target)
+    return mask, extrap, target, rel, monotone
+
+
+def dtn_check(h: TraceField, ext: ExtensionField, profile: BesselProfile,
+              m: float, rtol: float = 0.02, mass_floor: float = 1e-6
+              ) -> float:
+    """Neumann trace -x^(1-2 sigma) du/dx at x -> 0 vs. the multiplier.
+
+    Per mode carrying at least mass_floor of the spectral mass, the
+    extrapolated finite-difference estimate must match d_sigma c^(2 sigma)
+    h-hat within rtol.  Returns the worst relative error (0 for a zero
+    field), the largest rel_error that dtn_report_to_csv writes.  The
+    estimate reads the spectrum and rates that lift(h, profile, m) stored
+    in ext.
+    """
+    _, _, _, rel, monotone = _neumann_trace(ext, profile, mass_floor)
+    if not monotone:
+        raise DiagnosticError("Neumann-trace extrapolation non-monotone; "
+                              "use a denser x-grading (larger K_x)")
+    err = float(np.max(rel, initial=0.0))
     if err >= rtol:
         raise VerificationError(
             f"Neumann trace off by {err:.2%} (allowed {rtol:.0%})")
@@ -218,8 +301,7 @@ def decay_fit(ext: ExtensionField, h_norm: float, m: float,
     """
     sigma = ext.sigma
     x = ext.x_nodes
-    sup = np.max(np.abs(ext.values),
-                 axis=tuple(range(1, ext.values.ndim)))
+    sup = ext.sup_abs
     if np.all(sup == 0.0):
         return DecayFitReport(rate=m, poly_exp=sigma - 0.5, residual=0.0,
                               window=(2.0 / m, float(x[-1])),
@@ -275,7 +357,7 @@ def decay_report_to_csv(ext: ExtensionField, report: DecayFitReport,
                         h_norm: float, m: float, path) -> None:
     sigma = ext.sigma
     x = ext.x_nodes
-    sup = np.max(np.abs(ext.values), axis=tuple(range(1, ext.values.ndim)))
+    sup = ext.sup_abs
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "sup_abs", "envelope"])
@@ -288,34 +370,16 @@ def decay_report_to_csv(ext: ExtensionField, report: DecayFitReport,
 def dtn_report_to_csv(h: TraceField, ext: ExtensionField,
                       profile: BesselProfile, m: float, path,
                       mass_floor: float = 1e-6) -> None:
-    """Per-mode table of the extrapolated Neumann trace vs. its target."""
-    sigma = profile.sigma
-    grid = ext.grid
-    x = ext.x_nodes
-    axes = tuple(range(1, grid.dim + 1))
-    weights = spectral_weights(h)
-    total = float(np.sum(weights)) or 1.0
-    mask = weights >= mass_floor * total
-    hhat = np.fft.fftn(h.values)[mask]
-    c = np.sqrt(grid.multiplier(m, 1.0))[mask]
-    target = profile.d_sigma * c ** (2.0 * sigma) * hhat
-    coeffs = np.fft.fftn(ext.values[:5], axes=axes)[:, mask]
-    ests, xeffs = [], []
-    for j in range(1, 3):
-        xe = _effective_abscissa(x[j], x[j + 1], sigma)
-        slope = (coeffs[j + 1] - coeffs[j]) / (x[j + 1] - x[j])
-        ests.append(-xe ** (1.0 - 2.0 * sigma) * slope)
-        xeffs.append(xe)
-    p = 2.0 - 2.0 * sigma
-    r1, r2 = xeffs[0] ** p, xeffs[1] ** p
-    extrap = ests[0] + (ests[0] - ests[1]) * r1 / (r2 - r1)
-    xi_sq = grid.xi_sq[mask]
+    """Per-mode table of the extrapolated Neumann trace vs. its target:
+    one row per half-lattice mode that dtn_check judges (a mode's
+    conjugate partner has the conjugate estimate and the same error)."""
+    mask, extrap, target, rel, _ = _neumann_trace(ext, profile, mass_floor)
+    xi_abs = np.sqrt(_half_lattice_ksq(ext.grid)[mask]) / (2.0 * ext.grid.L)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["xi_abs", "estimate_re", "estimate_im",
                     "target_re", "target_im", "rel_error"])
-        for q, e, t in zip(np.sqrt(xi_sq), extrap, target):
+        for q, e, t, r in zip(xi_abs, extrap, target, rel):
             w.writerow([repr(float(q)), repr(float(e.real)),
                         repr(float(e.imag)), repr(float(t.real)),
-                        repr(float(t.imag)),
-                        repr(float(abs(e - t) / abs(t)))])
+                        repr(float(t.imag)), repr(float(r))])

@@ -34,11 +34,11 @@ class NonlinearitySpec:
     Kinds:
       log_linear  -- f(t) = t ln(1+t); theta bounds its polynomial growth.
       pure_power  -- f(t) = t^(theta-1).
-      user_table  -- f sampled on a positive grid, interpolated linearly
-                     between the samples (np.interp), zero below the first
-                     sample, and continued past the last one by the power
-                     law through the last two samples; F by cumulative
-                     trapezoid.
+      user_table  -- f sampled on a positive grid, piecewise linear
+                     through (0, 0) and the samples, and continued past
+                     the last one by the power law through the last two
+                     samples; F is its exact primitive (piecewise
+                     quadratic on the table).
     """
 
     kind: str = "log_linear"
@@ -98,8 +98,9 @@ def df_eval(spec: NonlinearitySpec, t):
     """f'(t), vectorized; zero on t < 0.
 
     log_linear: ln(1+t) + t/(1+t); pure_power: (theta-1) t^(theta-2);
-    user_table: the slope of the linear interpolant on each sample
-    interval, and the derivative of the power-law tail past the table.
+    user_table: the slope of each linear piece, from (0, 0) to the first
+    sample and between samples, and the derivative of the power-law tail
+    past the table.
     """
     t = np.asarray(t, dtype=float)
     pos = np.maximum(t, 0.0)
@@ -117,9 +118,22 @@ def _tail_power(tt: np.ndarray, ff: np.ndarray) -> float:
     return np.log(ff[-1] / max(ff[-2], 1e-300)) / np.log(tt[-1] / tt[-2])
 
 
+def _table_pieces(spec: NonlinearitySpec, pos: np.ndarray):
+    """The piecewise-linear f through (0, 0) and the samples: breakpoints,
+    values there, slopes between them, and the segment holding each point
+    (the last one at and past the table end, where the tail takes over)."""
+    nodes = np.concatenate([[0.0], spec.table[:, 0]])
+    vals = np.concatenate([[0.0], spec.table[:, 1]])
+    slopes = np.diff(vals) / np.diff(nodes)
+    seg = np.clip(np.searchsorted(nodes, pos, side="right") - 1,
+                  0, slopes.size - 1)
+    return nodes, vals, slopes, seg
+
+
 def _table_f(spec: NonlinearitySpec, pos: np.ndarray) -> np.ndarray:
     tt, ff = spec.table[:, 0], spec.table[:, 1]
-    out = np.interp(pos, tt, ff, left=0.0)
+    nodes, vals, slopes, seg = _table_pieces(spec, pos)
+    out = vals[seg] + slopes[seg] * (pos - nodes[seg])
     # extend past the table with the last local power law
     hi = pos > tt[-1]
     if np.any(hi):
@@ -130,10 +144,9 @@ def _table_f(spec: NonlinearitySpec, pos: np.ndarray) -> np.ndarray:
 
 def _table_df(spec: NonlinearitySpec, pos: np.ndarray) -> np.ndarray:
     tt, ff = spec.table[:, 0], spec.table[:, 1]
-    slopes = np.diff(ff) / np.diff(tt)
-    seg = np.searchsorted(tt, pos, side="right") - 1
-    inside = (seg >= 0) & (seg < len(tt) - 1)
-    out = np.where(inside, slopes[np.clip(seg, 0, len(slopes) - 1)], 0.0)
+    _, _, slopes, seg = _table_pieces(spec, pos)
+    # f vanishes on t <= 0, and so does f' (pos = 0 there)
+    out = np.where(pos > 0.0, slopes[seg], 0.0)
     hi = pos > tt[-1]
     if np.any(hi):
         p = _tail_power(tt, ff)
@@ -144,11 +157,12 @@ def _table_df(spec: NonlinearitySpec, pos: np.ndarray) -> np.ndarray:
 
 def _table_F(spec: NonlinearitySpec, pos: np.ndarray) -> np.ndarray:
     tt, ff = spec.table[:, 0], spec.table[:, 1]
-    nodes = np.concatenate([[0.0], tt])
-    vals = np.concatenate([[0.0], ff])
+    nodes, vals, slopes, seg = _table_pieces(spec, pos)
+    # integral of f up to each breakpoint (trapezoids are exact on lines)
     cum = np.concatenate([[0.0], np.cumsum(np.diff(nodes)
                                            * 0.5 * (vals[1:] + vals[:-1]))])
-    out = np.interp(pos, nodes, cum)
+    d = pos - nodes[seg]
+    out = cum[seg] + vals[seg] * d + 0.5 * slopes[seg] * d ** 2
     hi = pos > tt[-1]
     if np.any(hi):
         p = _tail_power(tt, ff)

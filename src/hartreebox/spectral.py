@@ -163,40 +163,9 @@ class TraceField:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients of a field, FFT lattice order."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        c = self.coeffs
-        flipped = np.conj(_reverse_lattice(c))
-        scale = np.max(np.abs(c)) or 1.0
-        return bool(np.max(np.abs(c - flipped)) <= tol * scale)
-
-
-def _reverse_lattice(c: np.ndarray) -> np.ndarray:
-    """Coefficients at -xi for an FFT-ordered array."""
-    out = c
-    for ax in range(c.ndim):
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return out
-
-
 def _check_same_grid(a: Grid, b: Grid) -> None:
     if a != b:
         raise DomainError(f"grid mismatch: {a} vs {b}")
-
-
-def to_spectral(h: TraceField) -> SpectralField:
-    return SpectralField(h.grid, h.grid.cell_volume * np.fft.fftn(h.values))
-
-
-def from_spectral(s: SpectralField) -> TraceField:
-    values = np.fft.ifftn(s.coeffs).real / s.grid.cell_volume
-    return TraceField(s.grid, values)
 
 
 def apply_multiplier(mult: np.ndarray, values: np.ndarray,

@@ -1,14 +1,21 @@
 """Weighted half-space extension: lift, energy and trace identities, decay."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hartreebox.errors import DomainError, VerificationError
-from hartreebox.extension import (DecayFitReport, ExtensionField, decay_fit,
+from hartreebox.extension import (DecayFitReport, ExtensionField,
+                                  _effective_abscissa, _extension_energy,
+                                  _neumann_trace, decay_fit,
                                   decay_report_to_csv, dtn_check,
                                   dtn_report_to_csv, energy_identity_check,
                                   graded_nodes, lift, trace_inequality_check)
-from hartreebox.spectral import Grid, TraceField, frac_apply
+from hartreebox.profile import eval_profile, small_s_energy_integral
+from hartreebox.spectral import (Grid, TraceField, frac_apply,
+                                 spectral_weights)
 
 from conftest import SIGMAS
 
@@ -31,14 +38,14 @@ def test_lift_recovers_trace_at_zero(profiles, rng):
     for sigma in SIGMAS:
         ext = lift(h, profiles[sigma], 1.0, x_max=12.0, K_x=200)
         assert ext.x_nodes[0] == 0.0
-        assert np.max(np.abs(ext.values[0] - h.values)) < 1e-10
+        assert np.max(np.abs(ext.values(0) - h.values)) < 1e-10
 
 
 def test_lift_zero_field(profile_half):
     g = Grid(1, 5.0, 32)
     z = TraceField(g, np.zeros(32))
     ext = lift(z, profile_half, 1.0)
-    assert np.all(ext.values == 0.0)
+    assert np.all(ext.values(slice(None)) == 0.0)
 
 
 def test_lift_single_mode_closed_form(profile_half):
@@ -50,7 +57,7 @@ def test_lift_single_mode_closed_form(profile_half):
     ext = lift(h, profile_half, m, x_max=12.0, K_x=150)
     c = np.sqrt(m ** 2 + 4 * np.pi ** 2 * xi ** 2)
     want = np.exp(-c * ext.x_nodes)[:, None] * h.values[None, :]
-    assert np.max(np.abs(ext.values - want)) < 1e-7
+    assert np.max(np.abs(ext.values(slice(None)) - want)) < 1e-7
 
 
 def test_lift_is_linear(profiles, rng):
@@ -60,7 +67,9 @@ def test_lift_is_linear(profiles, rng):
     ea = lift(a, p, 1.0, x_max=11.0, K_x=100)
     eb = lift(b, p, 1.0, x_max=11.0, K_x=100)
     eab = lift(a + b, p, 1.0, x_max=11.0, K_x=100)
-    assert np.max(np.abs(eab.values - ea.values - eb.values)) < 1e-10
+    every = slice(None)
+    assert np.max(np.abs(eab.values(every) - ea.values(every)
+                         - eb.values(every))) < 1e-10
 
 
 def test_lift_validation(profile_half):
@@ -84,10 +93,14 @@ def test_graded_nodes_shape():
 
 def test_extension_field_validation():
     g = Grid(1, 5.0, 32)
+    modes = dict(spectrum=np.zeros(17, complex), mode_class=np.zeros(17, int),
+                 rates=np.ones(1))
     with pytest.raises(DomainError, match="increasing"):
-        ExtensionField(g, np.array([0.0, 2.0, 1.0]), np.zeros((3, 32)), 0.0)
+        ExtensionField(g, np.array([0.0, 2.0, 1.0]), 0.0,
+                       profile_table=np.zeros((3, 1)), **modes)
     with pytest.raises(DomainError, match="shape"):
-        ExtensionField(g, np.array([0.0, 1.0]), np.zeros((3, 32)), 0.0)
+        ExtensionField(g, np.array([0.0, 1.0]), 0.0,
+                       profile_table=np.zeros((3, 1)), **modes)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +163,8 @@ def test_dtn_requires_boundary_node(profile_half):
     g = Grid(1, 5.0, 32)
     h = TraceField(g, np.ones(32))
     ext = lift(h, profile_half, 1.0, K_x=100)
-    shifted = ExtensionField(g, ext.x_nodes[1:], ext.values[1:],
-                             ext.weight_exponent)
+    shifted = replace(ext, x_nodes=ext.x_nodes[1:],
+                      profile_table=ext.profile_table[1:])
     with pytest.raises(DomainError, match="start at 0"):
         dtn_check(h, shifted, profile_half, 1.0)
 
@@ -186,7 +199,7 @@ def test_decay_sup_monotone_single_mode(profile_half):
     g = Grid(1, 5.0, 64)
     h = TraceField(g, np.cos(np.pi * g.axis / g.L))
     ext = lift(h, profile_half, 1.0, x_max=12.0, K_x=200)
-    sup = np.max(np.abs(ext.values), axis=1)
+    sup = ext.sup_abs
     assert np.all(np.diff(sup) < 0)
 
 
@@ -204,7 +217,7 @@ def test_decay_envelope_holds_on_window(profiles, rng):
     ext = lift(h, p, 1.0, x_max=12.0, K_x=300)
     rep = decay_fit(ext, h.norm_lq(np.inf), 1.0)
     x = ext.x_nodes
-    sup = np.max(np.abs(ext.values), axis=1)
+    sup = ext.sup_abs
     sel = (x >= rep.window[0]) & (x <= rep.window[1]) & (sup > 0)
     env = (rep.envelope_const * h.norm_lq(np.inf)
            * x[sel] ** (p.sigma - 0.5) * np.exp(-1.0 * x[sel]))
@@ -257,3 +270,125 @@ def test_report_csvs(tmp_path, profiles, rng):
     dtn_report_to_csv(h, ext, p, 1.0, n_path)
     head = n_path.read_text().splitlines()[0]
     assert head.startswith("xi_abs,")
+
+
+def test_dtn_csv_reports_the_checked_estimates(tmp_path, profiles, rng):
+    # the verdict and the table come from the same estimator
+    p = profiles[0.7]
+    h = random_nd_field(rng, 3, 8)
+    ext = lift(h, p, 1.0, x_max=12.0, K_x=400)
+    path = tmp_path / "dtn.csv"
+    dtn_report_to_csv(h, ext, p, 1.0, path)
+    rows = path.read_text().splitlines()[1:]
+    assert max(float(r.split(",")[-1]) for r in rows) \
+        == dtn_check(h, ext, p, 1.0)
+
+
+def test_dtn_zero_field_has_no_modes(tmp_path, profile_half):
+    g = Grid(1, 5.0, 32)
+    z = TraceField(g, np.zeros(32))
+    ext = lift(z, profile_half, 1.0)
+    assert dtn_check(z, ext, profile_half, 1.0) == 0.0
+    path = tmp_path / "dtn.csv"
+    dtn_report_to_csv(z, ext, profile_half, 1.0, path)
+    assert len(path.read_text().splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Mode-wise checks against the materialized extension
+
+def random_nd_field(rng, dim, n, L=5.0):
+    """Random smooth periodic field with algebraically decaying spectrum."""
+    g = Grid(dim, L, n)
+    k = np.sqrt(g.xi_sq) * 2.0 * L
+    coeffs = (rng.standard_normal(g.shape)
+              + 1j * rng.standard_normal(g.shape)) / (1.0 + k) ** 2
+    vals = np.fft.ifftn(coeffs).real
+    return TraceField(g, vals / np.max(np.abs(vals)))
+
+
+def dense_extension(h, p, m, x):
+    """u(x_j, y) materialized: Phi at every (x-node, lattice mode), then an
+    inverse FFT per node.  The oracle's transforms run in extended precision:
+    in float64 the FFT round trip leaves rounding of eps max|h-hat| on every
+    mode, which the Neumann slopes over x_2 - x_1 ~ 1e-6 amplify past 1e-7
+    of a weak mode's target at sigma = 0.7."""
+    g = h.grid
+    phi = eval_profile(p, np.multiply.outer(x, np.sqrt(g.multiplier(m, 1.0))))
+    hhat = np.fft.fftn(h.values.astype(np.longdouble))
+    return np.fft.ifftn(phi[0].astype(np.longdouble) * hhat,
+                        axes=tuple(range(1, g.dim + 1))).real
+
+
+def dense_energy(h, values, x, p, m):
+    """Extension energy from the materialized field: spectral y-derivatives
+    after an FFT per node, np.gradient in x, the analytic [0, x_1] head."""
+    g = h.grid
+    sigma = p.sigma
+    axes = tuple(range(1, g.dim + 1))
+    coeffs = np.fft.fftn(values, axes=axes)
+    y_part = (np.sum(np.abs(coeffs) ** 2 * g.multiplier(m, 1.0), axis=axes)
+              * g.box_volume / g.n ** (2 * g.dim))
+    x_part = (np.sum(np.gradient(values, x, axis=0) ** 2, axis=axes)
+              * g.cell_volume)
+    body = np.trapezoid((y_part[1:] + x_part[1:])
+                        * x[1:] ** (1.0 - 2.0 * sigma), x[1:])
+    c = np.sqrt(g.multiplier(m, 1.0))
+    head = np.sum(spectral_weights(h) * c ** (2.0 * sigma)
+                  * small_s_energy_integral(c * x[1], sigma,
+                                            p.d_sigma / (2.0 * sigma)))
+    return body + head
+
+
+def dense_neumann(h, values, x, p):
+    """Richardson-extrapolated Neumann trace per lattice mode from FFTs of
+    the materialized field at the smallest nodes."""
+    sigma = p.sigma
+    coeffs = np.fft.fftn(values[:4], axes=tuple(range(1, h.grid.dim + 1)))
+    ests, xeffs = [], []
+    for j in (1, 2):
+        xe = _effective_abscissa(x[j], x[j + 1], sigma)
+        slope = (coeffs[j + 1] - coeffs[j]) / (x[j + 1] - x[j])
+        ests.append(-xe ** (1.0 - 2.0 * sigma) * slope)
+        xeffs.append(xe)
+    r1, r2 = (xe ** (2.0 - 2.0 * sigma) for xe in xeffs)
+    return ests[0] + (ests[0] - ests[1]) * r1 / (r2 - r1)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_modewise_checks_match_dense_extension(profiles, sigma, dim, n, rng):
+    p = profiles[sigma]
+    h = random_nd_field(rng, dim, n)
+    ext = lift(h, p, 1.0, x_max=12.0, K_x=400)
+    x = ext.x_nodes
+    values = dense_extension(h, p, 1.0, x)
+
+    want = dense_energy(h, values, x, p, 1.0)
+    assert abs(_extension_energy(ext, p) - want) <= 1e-12 * want
+
+    sup = np.max(np.abs(values), axis=tuple(range(1, dim + 1)))
+    assert np.all(np.abs(ext.sup_abs - sup) <= 1e-12 * sup)
+
+    mask, est, target, _, _ = _neumann_trace(ext, p, 1e-6)
+    weights = spectral_weights(h)
+    half = (Ellipsis, slice(0, n // 2 + 1))
+    assert np.array_equal(mask, (weights >= 1e-6 * weights.sum())[half])
+    dense = dense_neumann(h, values, x, p)[half][mask]
+    assert np.all(np.abs(est - dense) <= 1e-7 * np.abs(target))
+
+
+def test_lift_and_checks_memory_bounded(profile_half):
+    # 3D n = 32, K_x = 400: the materialized extension alone is 105 MB
+    g = Grid(3, 10.0, 32)
+    h = TraceField(g, np.exp(-g.radius_sq / 4.0))
+    tracemalloc.start()
+    try:
+        ext = lift(h, profile_half, 1.0, K_x=400)
+        energy_identity_check(h, ext, profile_half, 1.0)
+        dtn_check(h, ext, profile_half, 1.0)
+        decay_fit(ext, h.norm_l2(), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20

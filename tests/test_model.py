@@ -116,6 +116,22 @@ def test_derivative_matches_central_difference(spec):
     assert df_eval(spec, -1.0) == 0.0
 
 
+def test_user_table_primitive_and_slope_below_first_sample():
+    # f is linear from (0, 0) to the first sample, so F' = f and f' = df
+    # hold on (0, t_1) as well as inside the table and in the tail
+    t = np.linspace(0.5, 4.0, 8)
+    spec = NonlinearitySpec("user_table", 2.5, table=np.column_stack(
+        [t, t ** 1.5]))
+    probe = np.concatenate([[0.1, 0.25, 0.4], 0.5 * (t[1:] + t[:-1]),
+                            [5.0, 9.0]])
+    h = 1e-6
+    dF = (F_eval(spec, probe + h) - F_eval(spec, probe - h)) / (2 * h)
+    df = (f_eval(spec, probe + h) - f_eval(spec, probe - h)) / (2 * h)
+    assert np.allclose(dF, f_eval(spec, probe), rtol=1e-7, atol=1e-9)
+    assert np.allclose(df, df_eval(spec, probe), rtol=1e-7, atol=1e-9)
+    assert abs(f_eval(spec, 0.25) - 0.5 ** 1.5 / 2) < 1e-15
+
+
 def test_nonlinearity_validation():
     with pytest.raises(DomainError):
         NonlinearitySpec("cubic")

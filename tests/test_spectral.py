@@ -6,8 +6,8 @@ import pytest
 from hartreebox.errors import DomainError, NumericError
 from hartreebox.spectral import (Grid, TraceField, convolve, field_from_binary,
                                  field_from_csv, field_to_binary, field_to_csv,
-                                 frac_apply, from_spectral, refine,
-                                 sobolev_form, spectral_weights, to_spectral)
+                                 frac_apply, refine, sobolev_form,
+                                 spectral_weights)
 
 
 def dense_frac_apply(h, sigma, m):
@@ -149,15 +149,6 @@ def test_grid_mismatch(rng):
     b = TraceField(Grid(1, 2.0, 8), rng.standard_normal(8))
     with pytest.raises(DomainError, match="grid mismatch"):
         convolve(a, b)
-
-
-def test_spectral_roundtrip(rng):
-    g = Grid(2, 2.0, 8)
-    h = TraceField(g, rng.standard_normal(g.shape))
-    s = to_spectral(h)
-    assert s.is_hermitian()
-    back = from_spectral(s)
-    assert np.max(np.abs(back.values - h.values)) < 1e-12
 
 
 def test_refine_band_limited_exact():
