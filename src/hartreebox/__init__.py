@@ -13,8 +13,7 @@ from .spectral import (Grid, TraceField, convolve, field_from_binary,
                        frac_apply, refine, sobolev_form)
 from .model import (EnergyReport, KernelSpec, ModelParams, NonlinearitySpec,
                     PotentialSpec, SolverSettings, F_eval, df_eval, energy,
-                    f_eval, gradient, interaction, nehari_scale,
-                    quadratic_form)
+                    f_eval, gradient, nehari_scale, quadratic_form)
 from .solver import (GroundStateResult, compare_levels, gaussian_bump,
                      linf_refinement_check, multistart, solve_asymptotic,
                      solve_ground)

@@ -85,15 +85,20 @@ def cmd_solve(args) -> int:
     seed = cfg.seed if args.seed is None else args.seed
     seeds = [seed, seed + 1, seed + 2]
 
-    best, results = multistart(cfg.params, prof, seeds,
-                               threads=args.threads)
+    iters_path = os.path.join(args.out, "iterations.csv")
+    try:
+        best, results = multistart(cfg.params, prof, seeds,
+                                   threads=args.threads)
+        c_star, c_inf, margin = compare_levels(cfg.params, prof, best.u)
+    except ConvergenceError as exc:
+        # the trace of the solve that failed, for diagnosis
+        history_to_csv(exc.history, iters_path)
+        raise
     levels = [r.level for r in results]
     spread = (max(levels) - min(levels)) / abs(min(levels))
-    c_star, c_inf, margin = compare_levels(cfg.params, prof, best.u)
 
     field_path = os.path.join(args.out, "ground_state.csv")
     field_to_csv(best.u, field_path)
-    iters_path = os.path.join(args.out, "iterations.csv")
     history_to_csv(best.history, iters_path)
     report = {
         "level": best.level, "nehari_residual": best.nehari_residual,

@@ -22,13 +22,16 @@ class NumericError(HartreeboxError, ArithmeticError):
 
 
 class ConvergenceError(HartreeboxError, RuntimeError):
-    """An iteration exhausted its budget; carries the last residuals."""
+    """An iteration exhausted its budget; carries the last residuals and
+    the iteration history, in the rows of GroundStateResult.history."""
 
-    def __init__(self, message, nehari_residual=None, grad_residual=None, iters=None):
+    def __init__(self, message, nehari_residual=None, grad_residual=None,
+                 iters=None, history=()):
         super().__init__(message)
         self.nehari_residual = nehari_residual
         self.grad_residual = grad_residual
         self.iters = iters
+        self.history = history
 
 
 class VerificationError(HartreeboxError, RuntimeError):

@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import BracketError, DiagnosticError, DomainError, NumericError
 from .profile import BesselProfile
-from .spectral import (Grid, TraceField, apply_multiplier,
-                       convolution_multiplier, sobolev_form)
+from .spectral import (Grid, TraceField, _kappa_value, apply_multiplier,
+                       convolution_multiplier, half_lattice_form,
+                       multiply_spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +351,10 @@ class ModelParams:
 
 # ---------------------------------------------------------------------------
 # Energy, first variation, Nehari projection
+#
+# One evaluation core serves the public functions and the solver: it forms
+# rfftn(v), F(v), W * F(v) and f(v) once per field v and derives Q, the
+# sigma-form, Psi, I and the gradient from them.
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -364,13 +369,46 @@ def _check_finite(value: float, component: str) -> float:
     return float(value)
 
 
-def quadratic_form(u: TraceField, params: ModelParams,
-                   profile: BesselProfile) -> float:
-    """Q(u) = kappa * sum multiplier |hat u|^2 dxi + int V u^2."""
-    form = sobolev_form(u, params.sigma, params.m, profile)
-    pot = u.grid.cell_volume * np.sum(params.potential_values
-                                      * u.values ** 2)
-    return _check_finite(form + pot, "quadratic form")
+@dataclass(frozen=True)
+class _Evaluation:
+    """The core's terms at one field v: its half-lattice spectrum rfftn(v),
+    the sigma-form kappa <(m^2 - Lap)^sigma v, v>, Q(v), Psi(v) and the
+    L^2 gradient of Psi, (W * F(v)) f(v)."""
+
+    values: np.ndarray
+    spectrum: np.ndarray
+    form: float
+    quad: float
+    psi: float
+    psi_grad: np.ndarray
+
+    @property
+    def level(self) -> float:
+        """I(v) = Q(v)/2 - Psi(v)."""
+        return 0.5 * self.quad - self.psi
+
+    def gradient(self, params: ModelParams,
+                 profile: BesselProfile) -> np.ndarray:
+        """kappa (m^2 - Lap)^sigma v + V v - (W * F(v)) f(v): one inverse
+        transform, of the spectrum already at hand."""
+        lin = profile.kappa * multiply_spectrum(
+            params.grid.multiplier(params.m, params.sigma), self.spectrum,
+            self.values.shape, "gradient")
+        vals = lin + params.potential_values * self.values - self.psi_grad
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("non-finite value in gradient")
+        return vals
+
+
+def _quad_terms(params: ModelParams, profile: BesselProfile,
+                values: np.ndarray, spectrum: np.ndarray):
+    """(sigma-form, Q) of the field `values` with rfftn `spectrum`."""
+    kappa = _kappa_value(profile, params.sigma)
+    form = kappa * half_lattice_form(
+        params.grid, params.grid.multiplier(params.m, params.sigma), spectrum)
+    pot = params.grid.cell_volume * np.sum(params.potential_values
+                                           * values ** 2)
+    return form, _check_finite(form + pot, "quadratic form")
 
 
 def _convolve_kernel(params: ModelParams, g: np.ndarray) -> np.ndarray:
@@ -378,31 +416,52 @@ def _convolve_kernel(params: ModelParams, g: np.ndarray) -> np.ndarray:
     return apply_multiplier(params.kernel_spectrum, g, "convolve")
 
 
-def interaction(u: TraceField, params: ModelParams) -> float:
-    """Psi(u) = 1/2 int (W * F(u)) F(u)."""
-    Fu = F_eval(params.nonlinearity, u.values)
-    conv = _convolve_kernel(params, Fu)
-    val = 0.5 * u.grid.cell_volume * np.sum(conv * Fu)
-    return _check_finite(val, "interaction")
-
-
-def interaction_pairing(u: TraceField, params: ModelParams) -> float:
-    """<Psi'(u), u> = int (W * F(u)) f(u) u."""
+def _nonlinear_terms(params: ModelParams, values: np.ndarray):
+    """(F(v), W * F(v), f(v)) at v = values: two transforms."""
     nl = params.nonlinearity
-    conv = _convolve_kernel(params, F_eval(nl, u.values))
-    fu = f_eval(nl, u.values)
-    val = u.grid.cell_volume * np.sum(conv * fu * u.values)
-    return _check_finite(val, "interaction pairing")
+    F = F_eval(nl, values)
+    return F, _convolve_kernel(params, F), f_eval(nl, values)
+
+
+def _interaction(params: ModelParams, F: np.ndarray,
+                 conv: np.ndarray) -> float:
+    """Psi = 1/2 int (W * F) F."""
+    return _check_finite(0.5 * params.grid.cell_volume * np.sum(conv * F),
+                         "interaction")
+
+
+def _assemble(params, values, spectrum, form, quad, F, conv,
+              f) -> _Evaluation:
+    """The core at v from rfftn(v), its (sigma-form, Q) and (F(v),
+    W * F(v), f(v))."""
+    return _Evaluation(values, spectrum, form, quad,
+                       _interaction(params, F, conv), conv * f)
+
+
+def _evaluate(values: np.ndarray, params: ModelParams,
+              profile: BesselProfile) -> _Evaluation:
+    """The core at v = values, from three transforms."""
+    spectrum = np.fft.rfftn(values)
+    return _assemble(params, values, spectrum,
+                     *_quad_terms(params, profile, values, spectrum),
+                     *_nonlinear_terms(params, values))
+
+
+def quadratic_form(u: TraceField, params: ModelParams,
+                   profile: BesselProfile) -> float:
+    """Q(u) = kappa * sum multiplier |hat u|^2 dxi + int V u^2."""
+    return _quad_terms(params, profile, u.values, np.fft.rfftn(u.values))[1]
 
 
 def energy(u: TraceField, params: ModelParams,
            profile: BesselProfile) -> EnergyReport:
-    """I(u) = Q(u)/2 - Psi(u), componentwise."""
+    """I(u) = Q(u)/2 - Psi(u), componentwise, with Psi(u) = 1/2 int
+    (W * F(u)) F(u)."""
     if u.grid != params.grid:
         raise DomainError("field grid does not match params grid")
-    quad = 0.5 * quadratic_form(u, params, profile)
-    psi = interaction(u, params)
-    return EnergyReport(quad=quad, interaction=psi, total=quad - psi)
+    ev = _evaluate(u.values, params, profile)
+    return EnergyReport(quad=0.5 * ev.quad, interaction=ev.psi,
+                        total=ev.level)
 
 
 def gradient(u: TraceField, params: ModelParams,
@@ -411,29 +470,24 @@ def gradient(u: TraceField, params: ModelParams,
     kappa (m^2 - Lap)^sigma u + V u - (W * F(u)) f(u)."""
     if u.grid != params.grid:
         raise DomainError("field grid does not match params grid")
-    nl = params.nonlinearity
-    lin = profile.kappa * apply_multiplier(
-        u.grid.multiplier(params.m, params.sigma), u.values, "gradient")
-    conv = _convolve_kernel(params, F_eval(nl, u.values))
-    fu = f_eval(nl, u.values)
-    vals = lin + params.potential_values * u.values - conv * fu
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("non-finite value in gradient")
-    return TraceField(u.grid, vals)
+    return TraceField(u.grid,
+                      _evaluate(u.values, params, profile).gradient(params,
+                                                                    profile))
 
 
 def nehari_phi(t: float, u: TraceField, params: ModelParams,
-               quad: float) -> tuple[float, float]:
+               quad: float) -> tuple[float, float, tuple]:
     """phi(t) = <I'(tu), tu>/t = t*Q(u) - (1/t) <Psi'(tu), tu>, and phi'(t).
 
     With v = tu, and W even so that int (W * a) b = int a (W * b),
     phi'(t) = Q(u) - (int (W * (f(v) v)) f(v) v
                       + int (W * F(v)) f'(v) v^2) / t^2.
+    Returns (phi, phi', (F(v), W * F(v), f(v))), the last for the core.
     """
     nl = params.nonlinearity
     v = t * u.values
-    fv = f_eval(nl, v)
-    conv = _convolve_kernel(params, F_eval(nl, v))
+    terms = _nonlinear_terms(params, v)
+    _, conv, fv = terms
     dv = u.grid.cell_volume
     pairing = _check_finite(dv * np.sum(conv * fv * v), "interaction pairing")
     fvv = fv * v
@@ -441,7 +495,7 @@ def nehari_phi(t: float, u: TraceField, params: ModelParams,
         dv * (np.sum(_convolve_kernel(params, fvv) * fvv)
               + np.sum(conv * df_eval(nl, v) * v * v)),
         "Nehari derivative")
-    return t * quad - pairing / t, quad - slope / t ** 2
+    return t * quad - pairing / t, quad - slope / t ** 2, terms
 
 
 # Projection window, and the residual |phi(t)| / (t Q(u)) below which the
@@ -451,40 +505,46 @@ _T_MIN, _T_MAX = 1e-6, 1e6
 _NEWTON_RTOL = 1e-13
 
 
-def nehari_scale(u: TraceField, params: ModelParams,
-                 profile: BesselProfile) -> float:
-    """Unique t > 0 with I'(t u) orthogonal to the ray, i.e. phi(t) = 0.
+def _project(u: TraceField, params: ModelParams,
+             profile: BesselProfile) -> tuple[float, _Evaluation]:
+    """The Nehari scale t of u and the core at v = t u.
 
-    Safeguarded Newton iteration on the analytic phi', started at t = 1:
-    descent iterates are perturbations of fields already on the manifold,
-    so the root is near 1.  Under (f3) phi(t)/t is strictly decreasing, so
-    phi > 0 below the root and phi <= 0 above it, and every evaluation
-    moves one end of a bracket [lo, hi] around the root.  Until both ends
-    are known, the open end grows by doubling or halving inside
-    [1e-6, 1e6]; a Newton step that leaves the bracket is replaced by
-    bisection.
+    rfftn(t u) = t rfftn(u) and Q(t u) = t^2 Q(u) come from u's own
+    transform; F(v), W * F(v) and f(v) from the projection's closed form or
+    its best Newton evaluation, so v costs no transform of its own.
     """
     if not np.any(u.values > 0.0):
         raise DomainError("Nehari projection undefined: field has no "
                           "positive part")
-    quad = quadratic_form(u, params, profile)
+    spectrum = np.fft.rfftn(u.values)
+    form, quad = _quad_terms(params, profile, u.values, spectrum)
 
     nl = params.nonlinearity
     if nl.kind == "pure_power":
-        # I(tu) = t^2 Q/2 - t^(2 theta) Psi(u): the stationary t in closed form
-        psi = interaction(u, params)
+        # I(tu) = t^2 Q/2 - t^(2 theta) Psi(u): the stationary t in closed
+        # form; F(tu) = t^theta F(u), so W * F scales the same way, and
+        # f(tu) = t^(theta-1) f(u) (the arrays are this call's own, scaled
+        # in place)
+        F, conv, f = _nonlinear_terms(params, u.values)
+        psi = _interaction(params, F, conv)
         if psi <= 0:
             raise BracketError("interaction vanishes on this ray")
-        return float((quad / (2.0 * nl.theta * psi))
-                     ** (1.0 / (2.0 * nl.theta - 2.0)))
+        t = float((quad / (2.0 * nl.theta * psi))
+                  ** (1.0 / (2.0 * nl.theta - 2.0)))
+        F *= t ** nl.theta
+        conv *= t ** nl.theta
+        f *= t ** (nl.theta - 1.0)
+        spectrum *= t
+        return t, _assemble(params, t * u.values, spectrum, t * t * form,
+                            t * t * quad, F, conv, f)
 
     lo = hi = None                      # phi(lo) > 0 >= phi(hi)
-    t, best_t, best_res = 1.0, 1.0, np.inf
+    t, best_t, best_res, best_terms = 1.0, 1.0, np.inf, None
     for _ in range(100):
-        phi, dphi = nehari_phi(t, u, params, quad)
+        phi, dphi, terms = nehari_phi(t, u, params, quad)
         res = abs(phi) / (t * quad)
         if res < best_res:
-            best_t, best_res = t, res
+            best_t, best_res, best_terms = t, res, terms
         if res < _NEWTON_RTOL:
             break
         if phi > 0.0:
@@ -512,4 +572,23 @@ def nehari_scale(u: TraceField, params: ModelParams,
     if best_res >= 1e-10:
         raise DiagnosticError("Nehari root residual exceeds 1e-10 of the "
                               "quadratic scale")
-    return float(best_t)
+    t = float(best_t)
+    spectrum *= t
+    return t, _assemble(params, t * u.values, spectrum, t * t * form,
+                        t * t * quad, *best_terms)
+
+
+def nehari_scale(u: TraceField, params: ModelParams,
+                 profile: BesselProfile) -> float:
+    """Unique t > 0 with I'(t u) orthogonal to the ray, i.e. phi(t) = 0.
+
+    Safeguarded Newton iteration on the analytic phi', started at t = 1:
+    descent iterates are perturbations of fields already on the manifold,
+    so the root is near 1.  Under (f3) phi(t)/t is strictly decreasing, so
+    phi > 0 below the root and phi <= 0 above it, and every evaluation
+    moves one end of a bracket [lo, hi] around the root.  Until both ends
+    are known, the open end grows by doubling or halving inside
+    [1e-6, 1e6]; a Newton step that leaves the bracket is replaced by
+    bisection.  For pure_power the root is in closed form.
+    """
+    return _project(u, params, profile)[0]

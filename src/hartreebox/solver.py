@@ -16,11 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, VerificationError
-from .model import (ModelParams, energy, gradient, nehari_scale,
-                    quadratic_form)
+from .model import ModelParams, _project
 from .profile import BesselProfile
-from .spectral import (Grid, TraceField, apply_multiplier, refine,
-                       sobolev_form)
+from .spectral import Grid, TraceField, apply_multiplier, refine
 
 
 @dataclass(frozen=True)
@@ -44,11 +42,11 @@ def gaussian_bump(grid: Grid, amplitude: float = 1.0, width: float = 1.0,
     return TraceField(grid, amplitude * np.exp(-r2 / width ** 2))
 
 
-def _residuals(u, params, profile):
-    quad = quadratic_form(u, params, profile)
-    g = gradient(u, params, profile)
-    nehari = abs(g.inner(u))
-    return quad, g, nehari, g.norm_l2()
+def _residuals(u, ev, params, profile):
+    """Gradient at u, from the core's terms ev at u, and the Nehari and
+    gradient residuals."""
+    g = TraceField(u.grid, ev.gradient(params, profile))
+    return g, abs(g.inner(u)), g.norm_l2()
 
 
 def solve_ground(params: ModelParams, profile: BesselProfile,
@@ -68,11 +66,11 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
                                                             params.sigma)
                      + params.potential.V_inf)
 
-    u = nehari_scale(seed_field, params, profile) * seed_field
-    level = energy(u, params, profile).total
-    quad, g, nehari, gnorm = _residuals(u, params, profile)
-    beta = np.sqrt(sobolev_form(u, params.sigma, params.m, profile))
-    history = [(0, level, nehari, gnorm, 0.0)]
+    _, ev = _project(seed_field, params, profile)
+    u = TraceField(params.grid, ev.values)
+    g, nehari, gnorm = _residuals(u, ev, params, profile)
+    beta = np.sqrt(ev.form)
+    history = [(0, ev.level, nehari, gnorm, 0.0)]
     flat, stalled = 0, 0
     prev_vals = prev_precond_grad = None
 
@@ -83,51 +81,54 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
 
         # Barzilai-Borwein trial step: adapts to the local curvature and
         # lets nearly flat modes (e.g. translation drift at A = 0) move in
-        # steps far larger than 1; Armijo backtracking keeps it safe
+        # steps far larger than 1; Armijo backtracking keeps it safe.  With
+        # s.y <= 0 (negative curvature along the last step, as when sliding
+        # down such a mode) the step is the largest allowed, as in the
+        # spectral projected gradient method (Birgin, Martinez & Raydan,
+        # SIAM J. Optim. 10, 2000)
         step = settings.step
         if prev_vals is not None:
             s_diff = u.values - prev_vals
             y_diff = precond_grad - prev_precond_grad
             sy = float(np.sum(s_diff * y_diff))
+            step = 1e4 * settings.step
             if sy > 0.0:
                 step = float(np.clip(np.sum(s_diff * s_diff) / sy,
-                                     1e-2 * settings.step,
-                                     1e4 * settings.step))
+                                     1e-2 * settings.step, step))
         accepted = False
         for _ in range(40):
             trial = u + step * direction
             if not np.any(trial.values > 0.0):
                 step *= 0.5
                 continue
-            t = nehari_scale(trial, params, profile)
-            cand = t * trial
-            cand_level = energy(cand, params, profile).total
-            if cand_level <= level + 1e-4 * step * slope:
+            _, cand = _project(trial, params, profile)
+            if cand.level <= ev.level + 1e-4 * step * slope:
                 accepted = True
                 break
             step *= 0.5
 
         if accepted:
             prev_vals, prev_precond_grad = u.values, precond_grad
-            prev_level = level
-            u, level = cand, cand_level
-            quad, g, nehari, gnorm = _residuals(u, params, profile)
-            beta = min(beta, np.sqrt(sobolev_form(u, params.sigma, params.m,
-                                                  profile)))
-            history.append((it, level, nehari, gnorm, step))
-            rel_change = abs(level - prev_level) / max(abs(level), 1e-300)
+            prev_level = ev.level
+            u, ev = TraceField(u.grid, cand.values), cand
+            g, nehari, gnorm = _residuals(u, ev, params, profile)
+            beta = min(beta, np.sqrt(ev.form))
+            history.append((it, ev.level, nehari, gnorm, step))
+            rel_change = abs(ev.level - prev_level) / max(abs(ev.level),
+                                                          1e-300)
             flat = flat + 1 if rel_change < 1e-10 else 0
             stalled = 0
         else:
             prev_vals = prev_precond_grad = None   # restart the step memory
-            history.append((it, level, nehari, gnorm, 0.0))
+            history.append((it, ev.level, nehari, gnorm, 0.0))
             stalled += 1
             flat += 1
 
-        if nehari < settings.tol * quad and flat >= 5:
+        if nehari < settings.tol * ev.quad and flat >= 5:
             return GroundStateResult(
-                u=u, level=level, nehari_residual=nehari, grad_residual=gnorm,
-                iters=it, min_value=float(np.min(u.values)), beta=float(beta),
+                u=u, level=ev.level, nehari_residual=nehari,
+                grad_residual=gnorm, iters=it,
+                min_value=float(np.min(u.values)), beta=float(beta),
                 history=tuple(history))
         if stalled >= 10:
             break
@@ -135,7 +136,8 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
     raise ConvergenceError(
         f"no convergence in {len(history) - 1} iterations "
         f"(nehari_residual={nehari:.3e}, grad_residual={gnorm:.3e})",
-        nehari_residual=nehari, grad_residual=gnorm, iters=len(history) - 1)
+        nehari_residual=nehari, grad_residual=gnorm, iters=len(history) - 1,
+        history=tuple(history))
 
 
 def asymptotic_params(params: ModelParams) -> ModelParams:

@@ -9,6 +9,10 @@ that scaling Plancherel reads
 
 exactly, and the fractional operator (m^2 - Lap)^sigma is the diagonal
 multiplier (m^2 + 4 pi^2 |xi|^2)^sigma.
+
+Fields are real, so every multiplier lives on the rfftn half lattice: the
+full lattice with the last axis cut to 0..n/2.  The modes dropped there are
+the complex conjugates of modes kept.
 """
 
 from __future__ import annotations
@@ -95,9 +99,11 @@ class Grid:
 
     @cached_property
     def xi_sq(self):
-        """|xi|^2 on the FFT-ordered frequency lattice."""
-        f = np.fft.fftfreq(self.n, d=2.0 * self.L / self.n)
-        mesh = np.meshgrid(*([f] * self.dim), indexing="ij")
+        """|xi|^2 on the rfftn half lattice."""
+        d = 2.0 * self.L / self.n
+        axes = ([np.fft.fftfreq(self.n, d=d)] * (self.dim - 1)
+                + [np.fft.rfftfreq(self.n, d=d)])
+        mesh = np.meshgrid(*axes, indexing="ij")
         return sum(x ** 2 for x in mesh)
 
     @cached_property
@@ -105,7 +111,7 @@ class Grid:
         return {}
 
     def multiplier(self, m: float, sigma: float) -> np.ndarray:
-        """(m^2 + 4 pi^2 |xi|^2)^sigma on the frequency lattice.
+        """(m^2 + 4 pi^2 |xi|^2)^sigma on the rfftn half lattice.
 
         Computed once per (m, sigma) and grid; the array is read-only
         because every caller shares it.
@@ -170,19 +176,26 @@ def _check_same_grid(a: Grid, b: Grid) -> None:
 
 def apply_multiplier(mult: np.ndarray, values: np.ndarray,
                      what: str) -> np.ndarray:
-    """Apply the Fourier multiplier `mult` (FFT lattice order) to a real
-    grid array: ifftn(mult * fftn(values)), which must come out real.
+    """Apply the Fourier multiplier `mult` (rfftn half lattice) to a real
+    grid array: irfftn(mult * rfftn(values)).
 
     Every multiplier and periodic convolution in the package goes through
-    here.  `what` names the caller in the NumericError raised when the
-    imaginary residue exceeds 1e-10 of the field scale.
+    here or, when rfftn(values) is already at hand, through
+    multiply_spectrum.
     """
-    out = np.fft.ifftn(mult * np.fft.fftn(values))
-    scale = np.max(np.abs(out.real)) or 1.0
-    if np.max(np.abs(out.imag)) > 1e-10 * scale:
-        raise NumericError(f"{what}: imaginary residue exceeds 1e-10 of the "
-                           "field scale")
-    return out.real
+    return multiply_spectrum(mult, np.fft.rfftn(values), values.shape, what)
+
+
+def multiply_spectrum(mult: np.ndarray, spectrum: np.ndarray, shape,
+                      what: str) -> np.ndarray:
+    """irfftn(mult * spectrum) on a grid of the given shape.  `what` names
+    the caller in the NumericError raised when `mult` is not on the half
+    lattice of `spectrum`."""
+    if mult.shape != spectrum.shape:
+        raise NumericError(f"{what}: multiplier of shape {mult.shape} is not "
+                           f"on the half lattice {spectrum.shape}")
+    return np.fft.irfftn(mult * spectrum, s=shape,
+                         axes=tuple(range(len(shape))))
 
 
 def frac_apply(h: TraceField, sigma: float, m: float) -> TraceField:
@@ -199,11 +212,16 @@ def frac_apply(h: TraceField, sigma: float, m: float) -> TraceField:
                                                h.values, "frac_apply"))
 
 
-def spectral_weights(h: TraceField) -> np.ndarray:
-    """|hat(h)(xi_k)|^2 * dxi^N, i.e. the summands of the Plancherel sum."""
-    g = h.grid
-    return (np.abs(np.fft.fftn(h.values)) ** 2
-            * g.box_volume / g.n ** (2 * g.dim))
+def half_lattice_form(grid: Grid, mult: np.ndarray,
+                      spectrum: np.ndarray) -> float:
+    """sum_k mult |hat(h)(xi_k)|^2 dxi^N over the full lattice, from the
+    half-lattice spectrum rfftn(h) and an even multiplier: a mode counts
+    twice, for itself and its conjugate partner, except on the last-axis
+    planes 0 and n/2, which hold their partners and count once."""
+    terms = mult * (spectrum.real ** 2 + spectrum.imag ** 2)
+    total = 2.0 * np.sum(terms) - np.sum(terms[..., 0]) \
+        - np.sum(terms[..., -1])
+    return float(total * grid.box_volume / grid.n ** (2 * grid.dim))
 
 
 def sobolev_form(h: TraceField, sigma: float, m: float, kappa) -> float:
@@ -217,8 +235,8 @@ def sobolev_form(h: TraceField, sigma: float, m: float, kappa) -> float:
     if m <= 0.0:
         raise DomainError("m must be positive")
     kval = _kappa_value(kappa, sigma)
-    return float(kval * np.sum(h.grid.multiplier(m, sigma)
-                               * spectral_weights(h)))
+    return kval * half_lattice_form(h.grid, h.grid.multiplier(m, sigma),
+                                    np.fft.rfftn(h.values))
 
 
 def _kappa_value(kappa, sigma: float) -> float:
@@ -240,8 +258,8 @@ def convolve(kernel: TraceField, g: TraceField) -> TraceField:
 
 
 def convolution_multiplier(kernel: TraceField) -> np.ndarray:
-    """cell_volume * FFT(kernel): the multiplier of g -> kernel * g."""
-    return kernel.grid.cell_volume * np.fft.fftn(kernel.values)
+    """cell_volume * rfftn(kernel): the multiplier of g -> kernel * g."""
+    return kernel.grid.cell_volume * np.fft.rfftn(kernel.values)
 
 
 def refine(h: TraceField, n_new: int) -> TraceField:

@@ -122,6 +122,10 @@ def test_iteration_budget_exits_3(tmp_path, capsys):
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "no convergence" in capsys.readouterr().err
+    # the failed solve's trace: the start and two iterations
+    rows = (tmp_path / "o" / "iterations.csv").read_text().splitlines()
+    assert rows[0] == "iter,energy,nehari_residual,grad_residual,step"
+    assert [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2"]
 
 
 def test_corrupted_field_exits_1(tmp_path, capsys):

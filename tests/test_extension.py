@@ -14,10 +14,10 @@ from hartreebox.extension import (DecayFitReport, ExtensionField,
                                   dtn_report_to_csv, energy_identity_check,
                                   graded_nodes, lift, trace_inequality_check)
 from hartreebox.profile import eval_profile, small_s_energy_integral
-from hartreebox.spectral import (Grid, TraceField, frac_apply,
-                                 spectral_weights)
+from hartreebox.spectral import Grid, TraceField, frac_apply
 
 from conftest import SIGMAS
+from test_spectral import full_multiplier, full_xi_sq, spectral_weights
 
 
 def random_field(rng, n=64, L=5.0, decay=2.0):
@@ -300,7 +300,7 @@ def test_dtn_zero_field_has_no_modes(tmp_path, profile_half):
 def random_nd_field(rng, dim, n, L=5.0):
     """Random smooth periodic field with algebraically decaying spectrum."""
     g = Grid(dim, L, n)
-    k = np.sqrt(g.xi_sq) * 2.0 * L
+    k = np.sqrt(full_xi_sq(g)) * 2.0 * L
     coeffs = (rng.standard_normal(g.shape)
               + 1j * rng.standard_normal(g.shape)) / (1.0 + k) ** 2
     vals = np.fft.ifftn(coeffs).real
@@ -314,7 +314,8 @@ def dense_extension(h, p, m, x):
     mode, which the Neumann slopes over x_2 - x_1 ~ 1e-6 amplify past 1e-7
     of a weak mode's target at sigma = 0.7."""
     g = h.grid
-    phi = eval_profile(p, np.multiply.outer(x, np.sqrt(g.multiplier(m, 1.0))))
+    c = np.sqrt(full_multiplier(g, m, 1.0))
+    phi = eval_profile(p, np.multiply.outer(x, c))
     hhat = np.fft.fftn(h.values.astype(np.longdouble))
     return np.fft.ifftn(phi[0].astype(np.longdouble) * hhat,
                         axes=tuple(range(1, g.dim + 1))).real
@@ -327,13 +328,14 @@ def dense_energy(h, values, x, p, m):
     sigma = p.sigma
     axes = tuple(range(1, g.dim + 1))
     coeffs = np.fft.fftn(values, axes=axes)
-    y_part = (np.sum(np.abs(coeffs) ** 2 * g.multiplier(m, 1.0), axis=axes)
+    c_sq = full_multiplier(g, m, 1.0)
+    y_part = (np.sum(np.abs(coeffs) ** 2 * c_sq, axis=axes)
               * g.box_volume / g.n ** (2 * g.dim))
     x_part = (np.sum(np.gradient(values, x, axis=0) ** 2, axis=axes)
               * g.cell_volume)
     body = np.trapezoid((y_part[1:] + x_part[1:])
                         * x[1:] ** (1.0 - 2.0 * sigma), x[1:])
-    c = np.sqrt(g.multiplier(m, 1.0))
+    c = np.sqrt(c_sq)
     head = np.sum(spectral_weights(h) * c ** (2.0 * sigma)
                   * small_s_energy_integral(c * x[1], sigma,
                                             p.d_sigma / (2.0 * sigma)))

@@ -10,11 +10,10 @@ import hartreebox.solver as solver_mod
 from hartreebox.errors import BracketError, DomainError
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
                               PotentialSpec, SolverSettings, F_eval, df_eval,
-                              energy, f_eval, gradient, interaction,
-                              interaction_pairing, nehari_scale,
+                              energy, f_eval, gradient, nehari_scale,
                               quadratic_form)
 from hartreebox.solver import random_seed_field, solve_ground
-from hartreebox.spectral import TraceField
+from hartreebox.spectral import TraceField, convolve, sobolev_form
 
 from test_acceptance import ground_params
 
@@ -28,6 +27,21 @@ def small_params(**kw):
                     kernel=KernelSpec(a=0.0, b=1.0, w2=2.0))
     defaults.update(kw)
     return ModelParams(**defaults)
+
+
+def interaction(u, params, profile):
+    """Psi(u) = 1/2 int (W * F(u)) F(u), as energy reports it."""
+    return energy(u, params, profile).interaction
+
+
+def interaction_pairing(u, params):
+    """<Psi'(u), u> = int (W * F(u)) f(u) u, with W * F(u) from the public
+    periodic convolution."""
+    nl = params.nonlinearity
+    W = TraceField(params.grid, params.kernel_values)
+    conv = convolve(W, TraceField(params.grid, F_eval(nl, u.values))).values
+    return float(u.grid.cell_volume
+                 * np.sum(conv * f_eval(nl, u.values) * u.values))
 
 
 def bump(params, rng=None, width=1.0):
@@ -215,9 +229,9 @@ def test_energy_zero_field(profile_half):
 def test_interaction_homogeneity_pure_power(profile_half, rng):
     params = small_params(nonlinearity=PURE_POWER)
     u = bump(params, rng)
-    base = interaction(u, params)
+    base = interaction(u, params, profile_half)
     for t in (0.5, 2.0, 3.0):
-        got = interaction(t * u, params)
+        got = interaction(t * u, params, profile_half)
         assert abs(got - t ** 5 * base) < 1e-12 * t ** 5 * base
 
 
@@ -292,21 +306,45 @@ def test_nehari_scale_root_outside_window(profile_half, rng, c):
 def test_nehari_evaluations_per_projection(profile_half, monkeypatch):
     params = ground_params()
     counts = {"phi": 0, "projections": 0}
-    phi, scale = model_mod.nehari_phi, solver_mod.nehari_scale
+    phi, project = model_mod.nehari_phi, solver_mod._project
 
     def counted_phi(*args):
         counts["phi"] += 1
         return phi(*args)
 
-    def counted_scale(*args):
+    def counted_project(*args):
         counts["projections"] += 1
-        return scale(*args)
+        return project(*args)
 
     monkeypatch.setattr(model_mod, "nehari_phi", counted_phi)
-    monkeypatch.setattr(solver_mod, "nehari_scale", counted_scale)
+    monkeypatch.setattr(solver_mod, "_project", counted_project)
     solve_ground(params, profile_half, random_seed_field(params, 11))
     assert counts["projections"] > 100
     assert counts["phi"] <= 8 * counts["projections"]
+
+
+@pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER, USER_TABLE])
+def test_projection_core_matches_public_functions(spec, profile_half, rng):
+    # the solver reads Q, the sigma-form, the level and the gradient at the
+    # projected point from the projection's terms; the public functions
+    # compute them afresh from t u
+    params = small_params(nonlinearity=spec)
+
+    def close(a, b):
+        return abs(a - b) <= 1e-12 * abs(b)
+    for _ in range(3):
+        u = bump(params, rng, width=rng.uniform(0.5, 2.0))
+        t, ev = model_mod._project(u, params, profile_half)
+        v = t * u
+        assert t == nehari_scale(u, params, profile_half)
+        assert np.array_equal(ev.values, v.values)
+        assert close(ev.quad, quadratic_form(v, params, profile_half))
+        assert close(ev.form, sobolev_form(v, params.sigma, params.m,
+                                           profile_half))
+        assert close(ev.level, energy(v, params, profile_half).total)
+        want = gradient(v, params, profile_half).values
+        assert np.max(np.abs(ev.gradient(params, profile_half) - want)) \
+            <= 1e-12 * np.max(np.abs(want))
 
 
 def test_nehari_pure_power_closed_form(profile_half, rng):
@@ -314,7 +352,8 @@ def test_nehari_pure_power_closed_form(profile_half, rng):
     u = bump(params, rng)
     theta = 2.5
     want = (quadratic_form(u, params, profile_half)
-            / (2 * theta * interaction(u, params))) ** (1 / (2 * theta - 2))
+            / (2 * theta * interaction(u, params, profile_half))) \
+        ** (1 / (2 * theta - 2))
     assert abs(nehari_scale(u, params, profile_half) - want) < 1e-12 * want
 
 
@@ -338,7 +377,8 @@ def test_interaction_quartic_growth(profile_half, rng):
     params = small_params()
     u = bump(params, rng)
     for t1, t2 in ((1.0, 2.0), (1.5, 4.0), (2.0, 9.0)):
-        ratio = interaction(t2 * u, params) / interaction(t1 * u, params)
+        ratio = (interaction(t2 * u, params, profile_half)
+                 / interaction(t1 * u, params, profile_half))
         assert ratio >= (t2 / t1) ** 4
 
 
@@ -361,6 +401,6 @@ def test_pairing_consistency(profile_half, rng):
     params = small_params()
     u = bump(params, rng)
     eps = 1e-6
-    fd = (interaction((1 + eps) * u, params)
-          - interaction((1 - eps) * u, params)) / (2 * eps)
+    fd = (interaction((1 + eps) * u, params, profile_half)
+          - interaction((1 - eps) * u, params, profile_half)) / (2 * eps)
     assert abs(interaction_pairing(u, params) - fd) < 1e-6 * abs(fd)

@@ -69,6 +69,23 @@ def test_translation_invariance_without_well(profile_half):
     assert abs(centered.level - shifted.level) < 1e-6 * centered.level
 
 
+def test_shifted_start_converges_under_rounding_perturbations(profile_half):
+    # from a shifted start at A = 0 the descent slides along the nearly flat
+    # translation mode, where s.y <= 0 leaves Barzilai-Borwein without a
+    # curvature estimate; with a fallback step of 1 there, about a third of
+    # starts perturbed at 1e-15 crawl past max_iter
+    params = small_params(potential=PotentialSpec(V_inf=1.0, A=0.0, w=2.0))
+    centered = solve_ground(params, profile_half,
+                            gaussian_bump(params.grid, 1.0, 1.5))
+    shifted = gaussian_bump(params.grid, 1.0, 1.5, (3.0,)).values
+    rng = np.random.default_rng(2026)
+    for _ in range(3):
+        seed = shifted * (1.0 + 1e-15 * rng.standard_normal(params.n))
+        res = solve_ground(params, profile_half,
+                           TraceField(params.grid, seed))
+        assert abs(res.level - centered.level) < 1e-6 * centered.level
+
+
 def test_asymptotic_solution_symmetric(profile_half):
     params = small_params()
     res = solve_asymptotic(params, profile_half)
@@ -128,6 +145,7 @@ def test_iteration_budget_exhaustion(profile_half):
         solve_ground(params, profile_half)
     assert exc.value.iters == 2
     assert exc.value.nehari_residual is not None
+    assert [row[0] for row in exc.value.history] == [0, 1, 2]
 
 
 def test_history_schema(base_result):

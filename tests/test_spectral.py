@@ -4,10 +4,31 @@ import numpy as np
 import pytest
 
 from hartreebox.errors import DomainError, NumericError
-from hartreebox.spectral import (Grid, TraceField, convolve, field_from_binary,
-                                 field_from_csv, field_to_binary, field_to_csv,
-                                 frac_apply, refine, sobolev_form,
-                                 spectral_weights)
+from hartreebox.model import KernelSpec, ModelParams
+from hartreebox.spectral import (Grid, TraceField, apply_multiplier, convolve,
+                                 field_from_binary, field_from_csv,
+                                 field_to_binary, field_to_csv, frac_apply,
+                                 refine, sobolev_form)
+
+
+def full_xi_sq(g):
+    """|xi|^2 on the full FFT-ordered frequency lattice."""
+    f = np.fft.fftfreq(g.n, d=2.0 * g.L / g.n)
+    mesh = np.meshgrid(*([f] * g.dim), indexing="ij")
+    return sum(x ** 2 for x in mesh)
+
+
+def full_multiplier(g, m, sigma):
+    """(m^2 + 4 pi^2 |xi|^2)^sigma on the full FFT-ordered lattice."""
+    return (m ** 2 + 4.0 * np.pi ** 2 * full_xi_sq(g)) ** sigma
+
+
+def spectral_weights(h):
+    """|hat(h)(xi_k)|^2 * dxi^N on the full lattice, i.e. the summands of
+    the Plancherel sum."""
+    g = h.grid
+    return (np.abs(np.fft.fftn(h.values)) ** 2
+            * g.box_volume / g.n ** (2 * g.dim))
 
 
 def dense_frac_apply(h, sigma, m):
@@ -61,6 +82,36 @@ def test_convolve_matches_dense_oracle(dim, rng):
     got = convolve(k, f).values
     want = dense_convolve(k, f)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
+def half_and_full_multipliers(dim, kind):
+    """One of the solver's multipliers on the half lattice, as the package
+    builds it, and on the full lattice, built here."""
+    params = ModelParams(sigma=0.5, m=1.3, dim=dim, L=4.0, n=8 if dim == 3
+                         else 16, theta=2.5,
+                         kernel=KernelSpec(a=0.5, mu=0.4, R_c=2.0, b=1.0,
+                                           w2=2.0))
+    g = params.grid
+    if kind == "kernel":
+        return (params.kernel_spectrum,
+                g.cell_volume * np.fft.fftn(params.kernel_values))
+    if kind == "fractional":
+        return g.multiplier(1.3, 0.5), full_multiplier(g, 1.3, 0.5)
+    kappa, v_inf = 0.9, 1.2            # the solver's preconditioner
+    return (1.0 / (kappa * g.multiplier(1.3, 0.5) + v_inf),
+            1.0 / (kappa * full_multiplier(g, 1.3, 0.5) + v_inf))
+
+
+@pytest.mark.parametrize("kind", ["kernel", "fractional", "preconditioner"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_apply_multiplier_matches_full_lattice_oracle(dim, kind, rng):
+    half, full = half_and_full_multipliers(dim, kind)
+    v = rng.standard_normal(full.shape)
+    got = apply_multiplier(half, v, "probe")
+    want = np.fft.ifftn(full * np.fft.fftn(v)).real
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    with pytest.raises(NumericError, match="probe: multiplier"):
+        apply_multiplier(full, v, "probe")
 
 
 def test_frac_apply_eigenfunction():
