@@ -34,13 +34,16 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write_manifest(out_dir, cfg: RunConfig, seeds, outputs, wall_time):
+def _write_manifest(out_dir, cfg: RunConfig, seeds, outputs, laps):
+    """laps: (phase, perf_counter() at its end) after a ("start", t0)."""
     manifest = {
         "config_sha256": hashlib.sha256(cfg.raw).hexdigest(),
         "version": __version__,
         "seeds": list(seeds),
         "outputs": sorted(os.path.basename(p) for p in outputs),
-        "wall_time_s": wall_time,
+        "phase_s": {name: t - t_prev for (_, t_prev), (name, t)
+                    in zip(laps, laps[1:])},
+        "wall_time_s": time.perf_counter() - laps[0][1],
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
@@ -57,10 +60,12 @@ def _build_profile(cfg: RunConfig):
 
 def cmd_profile(args) -> int:
     from .profile import profile_to_csv
-    t0 = time.time()
+    laps = [("start", time.perf_counter())]
     cfg = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
+    laps.append(("config", time.perf_counter()))
     prof = _build_profile(cfg)
+    laps.append(("profile", time.perf_counter()))
     csv_path = os.path.join(args.out, "profile.csv")
     profile_to_csv(prof, csv_path)
     fit_path = os.path.join(args.out, "asymptotics.json")
@@ -69,8 +74,8 @@ def cmd_profile(args) -> int:
                    "c1": prof.c1, "c2": prof.c2, "d_sigma": prof.d_sigma},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(args.out, cfg, [], [csv_path, fit_path],
-                    time.time() - t0)
+    laps.append(("write", time.perf_counter()))
+    _write_manifest(args.out, cfg, [], [csv_path, fit_path], laps)
     log.info("profile written to %s", csv_path)
     return 0
 
@@ -78,10 +83,12 @@ def cmd_profile(args) -> int:
 def cmd_solve(args) -> int:
     from .solver import (compare_levels, history_to_csv, multistart)
     from .spectral import field_to_csv
-    t0 = time.time()
+    laps = [("start", time.perf_counter())]
     cfg = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
+    laps.append(("config", time.perf_counter()))
     prof = _build_profile(cfg)
+    laps.append(("profile", time.perf_counter()))
     seed = cfg.seed if args.seed is None else args.seed
     seeds = [seed, seed + 1, seed + 2]
 
@@ -96,6 +103,7 @@ def cmd_solve(args) -> int:
         raise
     levels = [r.level for r in results]
     spread = (max(levels) - min(levels)) / abs(min(levels))
+    laps.append(("solve", time.perf_counter()))
 
     field_path = os.path.join(args.out, "ground_state.csv")
     field_to_csv(best.u, field_path)
@@ -111,8 +119,9 @@ def cmd_solve(args) -> int:
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    laps.append(("write", time.perf_counter()))
     _write_manifest(args.out, cfg, seeds,
-                    [field_path, iters_path, report_path], time.time() - t0)
+                    [field_path, iters_path, report_path], laps)
     print(f"level={best.level:.12g}  c_star={c_star:.12g}  "
           f"c_inf={c_inf:.12g}  margin={margin:.6g}")
     return 0
@@ -135,14 +144,16 @@ def cmd_verify(args) -> int:
     from .extension import (decay_fit, decay_report_to_csv, dtn_check,
                             dtn_report_to_csv, energy_identity_check, lift,
                             trace_inequality_check)
-    t0 = time.time()
+    laps = [("start", time.perf_counter())]
     cfg = load_config(args.config)
     h = _load_field(args.field)
     if h.grid != cfg.params.grid:
         raise DomainError(f"field grid {h.grid} does not match config grid "
                           f"{cfg.params.grid}")
     os.makedirs(args.out, exist_ok=True)
+    laps.append(("config", time.perf_counter()))
     prof = _build_profile(cfg)
+    laps.append(("profile", time.perf_counter()))
     m = cfg.params.m
     ext = lift(h, prof, m, cfg.extension_x_max, cfg.extension_K_x)
 
@@ -171,6 +182,7 @@ def cmd_verify(args) -> int:
         run("trace_inequality",
             lambda: trace_inequality_check(h, prof, cfg.params.sigma))
     dtn_report_to_csv(h, ext, prof, m, os.path.join(args.out, "dtn.csv"))
+    laps.append(("checks", time.perf_counter()))
 
     report_path = os.path.join(args.out, "verify_report.csv")
     with open(report_path, "w", newline="") as fh:
@@ -178,9 +190,10 @@ def cmd_verify(args) -> int:
         w.writerow(["check", "status", "value"])
         for name, status, value in rows:
             w.writerow([name, status, value])
+    laps.append(("write", time.perf_counter()))
     _write_manifest(args.out, cfg, [],
                     [report_path, os.path.join(args.out, "decay.csv"),
-                     os.path.join(args.out, "dtn.csv")], time.time() - t0)
+                     os.path.join(args.out, "dtn.csv")], laps)
     for name, status, value in rows:
         print(f"{name:18s} {status:4s}  {value}")
     if failures:

@@ -112,8 +112,12 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"missing required key {key!r}")
 
     theta = _convert(pairs, "theta", 2.5)
-    nonlinearity = NonlinearitySpec(
-        kind=_convert(pairs, "nonlinearity.kind", "log_linear"), theta=theta)
+    kind = _convert(pairs, "nonlinearity.kind", "log_linear")
+    if kind == "user_table":        # no key supplies its samples
+        raise ConfigError("nonlinearity.kind user_table is library-only; a "
+                          "config file takes log_linear or pure_power",
+                          *pairs["nonlinearity.kind"][1:])
+    nonlinearity = NonlinearitySpec(kind=kind, theta=theta)
     potential = PotentialSpec(
         V_inf=_convert(pairs, "potential.V_inf", 1.0),
         A=_convert(pairs, "potential.A", 0.0),

@@ -8,7 +8,9 @@ The kernel solves the modified-Bessel-type boundary value problem
 for 0 < sigma < 1.  In closed form phi(s) = (2/Gamma(sigma)) (s/2)^sigma
 K_sigma(s); here it is tabulated by shooting on the decaying branch from
 s_max inward (the growing solution dies in that direction, so the branch is
-stable) and matching a Frobenius series about s = 0 at a small pivot.
+stable) and matching a Frobenius series about s = 0 at a small pivot.  The
+shooting sums the ODE's Taylor series about each step's start, at most half
+its radius (the distance to s = 0) away; it also gives the values in between.
 
 The tabulation also carries the weighted Dirichlet energy
 
@@ -28,41 +30,74 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DiagnosticError, DomainError
 
 _SERIES_TERMS = 40
+_TAYLOR_TERMS = 60      # terms per inward Taylor step (ratio |h|/c <= 1/2)
 _S_MATCH = 0.5          # pivot where the inward solve hands over to the series
 _GAUSS_POINTS = 5
 
 
 def _series_basis(sigma, s):
-    """Frobenius pair of the kernel ODE about s = 0, with derivatives.
+    """Frobenius pair of the kernel ODE about s = 0, each branch as
+    (u, u', u'').
 
     u1 = 1 + sum a_k s^(2k) (regular branch), u2 = s^(2*sigma) * (1 + ...)
     (singular-derivative branch).  Valid for s > 0; both series are entire.
+    The k-th term of either has exponent q = 2k + e and coefficient ratio
+    1 / (q (q - 2 sigma)), with e = 0 for u1 and e = 2 sigma for u2.
     """
     s = np.asarray(s, dtype=float)
-    u1 = np.ones_like(s)
-    du1 = np.zeros_like(s)
-    a = 1.0
-    for k in range(1, _SERIES_TERMS):
-        a /= 2.0 * k * (2.0 * k - 2.0 * sigma)
-        u1 = u1 + a * s ** (2 * k)
-        du1 = du1 + (2.0 * k) * a * s ** (2 * k - 1)
-    u2 = s ** (2.0 * sigma)
-    du2 = (2.0 * sigma) * s ** (2.0 * sigma - 1.0)
-    b = 1.0
-    for k in range(1, _SERIES_TERMS):
-        b /= (2.0 * k + 2.0 * sigma) * (2.0 * k)
-        u2 = u2 + b * s ** (2 * k + 2.0 * sigma)
-        du2 = du2 + (2.0 * k + 2.0 * sigma) * b * s ** (2 * k + 2.0 * sigma - 1.0)
-    return u1, du1, u2, du2
+    branches = []
+    for e, e_shift in ((0.0, -2.0 * sigma), (2.0 * sigma, 0.0)):
+        u, du, ddu = np.zeros_like(s), np.zeros_like(s), np.zeros_like(s)
+        a = 1.0
+        for k in range(_SERIES_TERMS):
+            q = 2.0 * k + e
+            if k:
+                a /= q * (2.0 * k + e_shift)
+            u = u + a * s ** q
+            du = du + q * a * s ** (q - 1.0)
+            ddu = ddu + q * (q - 1.0) * a * s ** (q - 2.0)
+        branches.append((u, du, ddu))
+    return branches
+
+
+def _taylor_steps(sigma, s_max, s_match, phi0, dphi0):
+    """Step the kernel ODE from (phi0, dphi0) at s_max inward to s_match.
+
+    About a centre c, phi = sum a_k (s - c)^k with a_{k+2} = (c a_k + a_{k-1}
+    - (k+1)(k+1-2 sigma) a_{k+1}) / (c (k+1)(k+2)), convergent for |s-c| < c;
+    each step goes min(1, c/2).  Returns the centres (increasing), their
+    coefficient rows (each for the step down from its centre) and the pivot.
+    """
+    centres, rows = [], []
+    c, a0, a1 = s_max, phi0, dphi0
+    while c > s_match:
+        a = np.zeros(_TAYLOR_TERMS + 1)         # a[-1] = 0 stands for a_{-1}
+        a[0], a[1] = a0, a1
+        for j in range(_TAYLOR_TERMS - 2):
+            a[j + 2] = ((c * a[j] + a[j - 1]
+                         - (j + 1) * (j + 1 - 2.0 * sigma) * a[j + 1])
+                        / (c * (j + 1) * (j + 2)))
+        step = min(1.0, 0.5 * c, c - s_match)
+        a0, a1 = _horner(a.__getitem__, -step)
+        centres.append(c)
+        rows.append(a)
+        c = s_match if step == c - s_match else c - step
+    return np.array(centres[::-1]), np.array(rows[::-1]), a0, a1
+
+
+def _horner(coef, h):
+    """sum_k coef(k) h^k over k < _TAYLOR_TERMS, and its derivative in h."""
+    p = dp = 0.0
+    for k in range(_TAYLOR_TERMS - 1, -1, -1):
+        dp = dp * h + p
+        p = p * h + coef(k)
+    return p, dp
 
 
 @dataclass(frozen=True)
@@ -88,14 +123,6 @@ class BesselProfile:
     def s_max(self):
         return float(self.nodes[-1])
 
-    @cached_property
-    def _spline(self):
-        return CubicHermiteSpline(self.nodes, self.phi, self.dphi)
-
-    @cached_property
-    def _dspline(self):
-        return self._spline.derivative()
-
 
 def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselProfile:
     """Tabulate the kernel by inward shooting plus series matching.
@@ -110,11 +137,7 @@ def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselPro
     if M < 1000:
         raise DomainError("M must be >= 1000")
 
-    one_m_2s = 1.0 - 2.0 * sigma
     s_match = min(_S_MATCH, s_max / 4.0)
-
-    def rhs(s, y):
-        return (y[1], y[0] - one_m_2s / s * y[1])
 
     # Decaying-branch start with one asymptotic correction; the overall scale
     # is arbitrary and removed by the matching below.
@@ -123,13 +146,13 @@ def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselPro
     phi0 = 1.0
     dphi0 = phi0 * (p_exp / s_max - 1.0
                     - (mu1 / (8.0 * s_max ** 2)) / (1.0 + mu1 / (8.0 * s_max)))
-    sol = solve_ivp(rhs, (s_max, s_match), (phi0, dphi0), method="DOP853",
-                    rtol=1e-12, atol=1e-14, dense_output=True)
-    if not sol.success:
-        raise DiagnosticError(f"inward shooting solve failed: {sol.message}")
+    centres, rows, phi_m, dphi_m = _taylor_steps(sigma, s_max, s_match,
+                                                 phi0, dphi0)
+    if not np.isfinite([phi_m, dphi_m]).all():
+        raise DiagnosticError("inward shooting solve failed: non-finite "
+                              f"value ({phi_m!r}, {dphi_m!r}) at the pivot")
 
-    phi_m, dphi_m = sol.y[0, -1], sol.y[1, -1]
-    u1, du1, u2, du2 = _series_basis(sigma, s_match)
+    (u1, du1, _), (u2, du2, _) = _series_basis(sigma, s_match)
     det = u1 * du2 - du1 * u2
     A = (phi_m * du2 - dphi_m * u2) / det
     B = (dphi_m * u1 - phi_m * du1) / det
@@ -141,20 +164,21 @@ def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselPro
         raise DiagnosticError("matched small-s coefficient has the wrong sign")
 
     def raw(s):
-        """Normalized kernel on (0, s_max]: series below the pivot, dense
-        ODE output above."""
+        """Normalized kernel on (0, s_max]: Frobenius series below the
+        pivot, the inward Taylor steps above."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         phi = np.empty_like(s)
         dphi = np.empty_like(s)
         lo = s < s_match
         if lo.any():
-            v1, dv1, v2, dv2 = _series_basis(sigma, s[lo])
+            (v1, dv1, _), (v2, dv2, _) = _series_basis(sigma, s[lo])
             phi[lo] = v1 - c1_series * v2
             dphi[lo] = dv1 - c1_series * dv2
         if (~lo).any():
-            v = sol.sol(s[~lo]) / A
-            phi[~lo] = v[0]
-            dphi[~lo] = v[1]
+            j = np.minimum(np.searchsorted(centres, s[~lo]), len(rows) - 1)
+            v, dv = _horner(lambda k: rows[j, k], s[~lo] - centres[j])
+            phi[~lo] = v / A
+            dphi[~lo] = dv / A
         return phi, dphi
 
     nodes = s_max * (np.arange(1, M + 1) / M) ** 3
@@ -282,8 +306,7 @@ def eval_profile(p: BesselProfile, s):
         phi[lo] = phi_lo
         dphi[lo] = dphi_lo
     if mid.any():
-        phi[mid] = p._spline(s[mid])
-        dphi[mid] = p._dspline(s[mid])
+        phi[mid], dphi[mid] = _hermite(p.nodes, p.phi, p.dphi, s[mid])
     if hi.any():
         sh = s[hi]
         pe = (2.0 * sigma - 1.0) / 2.0
@@ -294,6 +317,18 @@ def eval_profile(p: BesselProfile, s):
     if scalar:
         return float(phi[0]), float(dphi[0])
     return phi, dphi
+
+
+def _hermite(x, y, dy, s):
+    """Cubic Hermite interpolant of (y, dy) on nodes x, and its derivative."""
+    i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
+    dx = x[i + 1] - x[i]
+    slope = (y[i + 1] - y[i]) / dx
+    c2 = (3.0 * slope - 2.0 * dy[i] - dy[i + 1]) / dx
+    c3 = (dy[i] + dy[i + 1] - 2.0 * slope) / dx ** 2
+    t = s - x[i]
+    return (y[i] + t * (dy[i] + t * (c2 + t * c3)),
+            dy[i] + t * (2.0 * c2 + 3.0 * t * c3))
 
 
 def ode_residual(p: BesselProfile) -> np.ndarray:
@@ -313,21 +348,8 @@ def ode_residual(p: BesselProfile) -> np.ndarray:
 
     below = s < _S_MATCH
     if below.any():
-        c1s = p.d_sigma / (2.0 * sigma)
-        sb = s[below]
-        # term-wise second derivative of the matched series
-        dd1 = np.zeros_like(sb)
-        a = 1.0
-        for k in range(1, _SERIES_TERMS):
-            a /= 2.0 * k * (2.0 * k - 2.0 * sigma)
-            dd1 += (2.0 * k) * (2.0 * k - 1) * a * sb ** (2 * k - 2)
-        dd2 = (2.0 * sigma) * (2.0 * sigma - 1.0) * sb ** (2.0 * sigma - 2.0)
-        b = 1.0
-        for k in range(1, _SERIES_TERMS):
-            b /= (2.0 * k + 2.0 * sigma) * (2.0 * k)
-            q = 2.0 * k + 2.0 * sigma
-            dd2 += q * (q - 1.0) * b * sb ** (q - 2.0)
-        ddphi[below] = dd1 - c1s * dd2
+        (_, _, dd1), (_, _, dd2) = _series_basis(sigma, s[below])
+        ddphi[below] = dd1 - p.d_sigma / (2.0 * sigma) * dd2
 
     for j in np.nonzero(~below)[0]:
         i0 = min(max(j - 2, 0), n - 5)

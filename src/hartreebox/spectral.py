@@ -298,8 +298,9 @@ def field_to_csv(h: TraceField, path) -> None:
         w.writerow(["dim", "n", "L"])
         w.writerow([g.dim, g.n, repr(float(g.L))])
         w.writerow(["value"])
-        for v in h.values.ravel(order="C"):
-            w.writerow([repr(float(v))])
+        # one row per value, as csv.writer would write them, in one write
+        values = h.values.ravel(order="C").tolist()
+        fh.write("\r\n".join(map(repr, values)) + "\r\n")
 
 
 def field_from_csv(path) -> TraceField:

@@ -1,10 +1,15 @@
 """End-to-end command line runs in temporary directories."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hartreebox
 from hartreebox.cli import main
 from hartreebox.spectral import Grid, TraceField, field_to_csv
 
@@ -32,6 +37,14 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
     return str(path)
 
 
+def assert_phase_times(out, *work_phases):
+    manifest = json.loads((out / "manifest.json").read_text())
+    phases = manifest["phase_s"]
+    assert set(phases) == {"config", "profile", *work_phases, "write"}
+    assert all(v >= 0.0 for v in phases.values())
+    assert sum(phases.values()) <= manifest["wall_time_s"]
+
+
 def test_profile_command(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -43,6 +56,7 @@ def test_profile_command(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["config_sha256"]) == 64
     assert "profile.csv" in manifest["outputs"]
+    assert_phase_times(out)
 
 
 def test_solve_command(tmp_path, capsys):
@@ -58,6 +72,7 @@ def test_solve_command(tmp_path, capsys):
     assert report["multistart_spread"] < 1e-4
     assert (out / "ground_state.csv").exists()
     assert (out / "iterations.csv").exists()
+    assert_phase_times(out, "solve")
 
 
 def test_verify_command_after_solve(tmp_path, capsys):
@@ -76,6 +91,7 @@ def test_verify_command_after_solve(tmp_path, capsys):
         assert check in printed
     assert (vout / "decay.csv").exists()
     assert (vout / "dtn.csv").exists()
+    assert_phase_times(vout, "checks")
 
 
 def test_verify_skips_trace_check_when_m_not_one(tmp_path, capsys):
@@ -117,6 +133,16 @@ def test_unknown_key_exits_1(tmp_path, capsys):
     assert "unknown key" in err and "line" in err
 
 
+def test_user_table_kind_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace(
+        "kind = log_linear", "kind = user_table"))
+    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "user_table" in err and "line 8" in err
+    assert "log_linear" in err and "pure_power" in err
+
+
 def test_iteration_budget_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG + "solver.max_iter = 2\n")
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -146,3 +172,29 @@ def test_solve_outputs_deterministic(tmp_path, capsys):
     capsys.readouterr()
     for name in ("ground_state.csv", "iterations.csv", "report.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+NO_SCIPY_SCRIPT = """\
+import sys
+import hartreebox
+from hartreebox.cli import main
+cfg, out = sys.argv[1:]
+assert main(["profile", "--config", cfg, "--out", out + "/p"]) == 0
+assert main(["solve", "--config", cfg, "--out", out + "/s"]) == 0
+assert main(["verify", "--config", cfg, "--out", out + "/v",
+             "--field", out + "/s/ground_state.csv"]) == 0
+print(sorted(k for k in sys.modules if k.startswith("scipy")))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # scipy is a test-only dependency: a fresh interpreter running the
+    # commands must not load it
+    src = str(Path(hartreebox.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, write_config(tmp_path),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 from scipy.special import gamma, kv
 
 from hartreebox.errors import DomainError
@@ -22,6 +23,27 @@ def test_half_is_exponential(profile_half):
     phi, dphi = eval_profile(profile_half, s)
     assert np.max(np.abs(phi - np.exp(-s))) < 1e-8
     assert np.max(np.abs(dphi + np.exp(-s))) < 1e-6
+
+
+def test_half_table_is_exponential_to_rounding(profile_half):
+    # at sigma = 1/2 the ODE is phi'' = phi and the start is exact, so the
+    # table carries only the stepping's rounding
+    p = profile_half
+    decay = np.exp(-p.nodes)
+    assert np.max(np.abs(p.phi - decay) / decay) < 1e-13
+    assert np.max(np.abs(p.dphi + decay) / decay) < 1e-13
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_hermite_interpolant_matches_scipy(profiles, sigma):
+    p = profiles[sigma]
+    spline = CubicHermiteSpline(p.nodes, p.phi, p.dphi)
+    s = np.concatenate([np.geomspace(0.01, p.s_max, 5000),
+                        p.nodes[p.nodes >= 0.01]])
+    phi, dphi = eval_profile(p, s)
+    ref, dref = spline(s), spline.derivative()(s)
+    assert np.max(np.abs(phi - ref) / np.abs(ref)) < 1e-14
+    assert np.max(np.abs(dphi - dref)) < 1e-12 * np.max(np.abs(dref))
 
 
 def test_half_kappa_is_one(profile_half):

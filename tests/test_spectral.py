@@ -1,5 +1,7 @@
 """Spectral toolbox against dense DFT/convolution oracles."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,26 @@ def test_field_csv_roundtrip(tmp_path, rng):
     back = field_from_csv(path)
     assert back.grid == g
     assert np.array_equal(back.values, h.values)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (3, 8)])
+def test_field_csv_bytes_match_per_row_writer(tmp_path, rng, dim, n):
+    g = Grid(dim, 3.7, n)
+    vals = rng.standard_normal(g.shape) * np.logspace(-300, 300, n ** dim
+                                                      ).reshape(g.shape)
+    vals.flat[:3] = (0.0, -0.0, 1e-320)
+    h = TraceField(g, vals)
+    path = tmp_path / "field.csv"
+    field_to_csv(h, path)
+    oracle = tmp_path / "oracle.csv"
+    with open(oracle, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["dim", "n", "L"])
+        w.writerow([g.dim, g.n, repr(float(g.L))])
+        w.writerow(["value"])
+        for v in h.values.ravel(order="C"):
+            w.writerow([repr(float(v))])
+    assert path.read_bytes() == oracle.read_bytes()
 
 
 def test_field_binary_roundtrip(tmp_path, rng):
