@@ -7,7 +7,7 @@ from .errors import (BracketError, ConfigError, ConvergenceError,
                      DiagnosticError, DomainError, HartreeboxError,
                      NumericError, VerificationError)
 from .profile import (BesselProfile, build_profile, eval_profile,
-                      ode_residual, profile_from_csv, profile_to_csv)
+                      profile_from_csv, profile_to_csv)
 from .spectral import (Grid, TraceField, convolve, field_from_binary,
                        field_from_csv, field_to_binary, field_to_csv,
                        frac_apply, refine, sobolev_form)

@@ -178,9 +178,8 @@ def cmd_verify(args) -> int:
         return rep.rate
     run("decay", _decay)
 
-    if m == 1.0:
-        run("trace_inequality",
-            lambda: trace_inequality_check(h, prof, cfg.params.sigma))
+    run("trace_inequality",
+        lambda: trace_inequality_check(h, prof, cfg.params.sigma, m))
     dtn_report_to_csv(h, ext, prof, m, os.path.join(args.out, "dtn.csv"))
     laps.append(("checks", time.perf_counter()))
 

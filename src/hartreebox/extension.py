@@ -340,11 +340,12 @@ def decay_fit(ext: ExtensionField, h_norm: float, m: float,
 
 
 def trace_inequality_check(h: TraceField, profile: BesselProfile,
-                           sigma: float) -> float:
-    """Slack of |h|_2^2 <= (1/kappa) ||u||_sigma^2 at m = 1 (nonnegative
-    because the multiplier (1 + 4 pi^2 |xi|^2)^sigma is >= 1)."""
-    norm_sq = sobolev_form(h, sigma, 1.0, profile)
-    slack = norm_sq / profile.kappa - h.norm_l2() ** 2
+                           sigma: float, m: float = 1.0) -> float:
+    """Slack of m^(2 sigma) |h|_2^2 <= (1/kappa) ||u||_sigma^2, nonnegative
+    at every m because the multiplier (m^2 + 4 pi^2 |xi|^2)^sigma is at
+    least m^(2 sigma)."""
+    norm_sq = sobolev_form(h, sigma, m, profile)
+    slack = norm_sq / profile.kappa - m ** (2.0 * sigma) * h.norm_l2() ** 2
     if slack < -1e-12 * max(norm_sq, 1.0):
         raise VerificationError(f"trace inequality violated: slack={slack:.3e}")
     return float(slack)

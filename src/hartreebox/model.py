@@ -63,114 +63,76 @@ class NonlinearitySpec:
             object.__setattr__(self, "table", t)
 
 
+def _nonlinearity(spec: NonlinearitySpec, t):
+    """(F(t), f(t), f') from one transcendental pass, vectorized; all three
+    vanish on t < 0, and f'() forms f'(t) on demand.
+
+    log_linear: f = t ln(1+t), and integrating by parts gives
+    F(t) = (t^2-1)/2 ln(1+t) - t^2/4 + t/2 (cross-checked against
+    quadrature in the tests); f' = ln(1+t) + t/(1+t).
+    pure_power: f = t^(theta-1), F = t f / theta, f' = (theta-1) t^(theta-2).
+    """
+    pos = np.maximum(np.asarray(t, dtype=float), 0.0)
+    if spec.kind == "log_linear":
+        lg = np.log1p(pos)
+        f = pos * lg
+        return (0.5 * (pos * f - lg + pos * (1.0 - 0.5 * pos)), f,
+                lambda: lg + pos / (1.0 + pos))
+    if spec.kind == "pure_power":
+        f = pos ** (spec.theta - 1.0)
+        F = pos * f
+        F /= spec.theta
+        return F, f, lambda: (spec.theta - 1.0) * pos ** (spec.theta - 2.0)
+    return _table(spec, pos)
+
+
 def f_eval(spec: NonlinearitySpec, t):
     """f(t), vectorized; zero on t < 0."""
-    t = np.asarray(t, dtype=float)
-    pos = np.maximum(t, 0.0)
-    if spec.kind == "log_linear":
-        out = pos * np.log1p(pos)
-    elif spec.kind == "pure_power":
-        out = pos ** (spec.theta - 1.0)
-    else:
-        out = _table_f(spec, pos)
+    out = _nonlinearity(spec, t)[1]
     return out if out.ndim else float(out)
 
 
 def F_eval(spec: NonlinearitySpec, t):
-    """F(t) = int_0^t f, the exact primitive; zero on t < 0.
-
-    log_linear: integrating t ln(1+t) by parts gives
-    F(t) = (t^2-1)/2 ln(1+t) - t^2/4 + t/2 (cross-checked against
-    quadrature in the tests).
-    """
-    t = np.asarray(t, dtype=float)
-    pos = np.maximum(t, 0.0)
-    if spec.kind == "log_linear":
-        out = 0.5 * (pos ** 2 - 1.0) * np.log1p(pos) - 0.25 * pos ** 2 \
-            + 0.5 * pos
-    elif spec.kind == "pure_power":
-        out = pos ** spec.theta / spec.theta
-    else:
-        out = _table_F(spec, pos)
+    """F(t) = int_0^t f, the exact primitive; zero on t < 0."""
+    out = _nonlinearity(spec, t)[0]
     return out if out.ndim else float(out)
 
 
 def df_eval(spec: NonlinearitySpec, t):
-    """f'(t), vectorized; zero on t < 0.
-
-    log_linear: ln(1+t) + t/(1+t); pure_power: (theta-1) t^(theta-2);
-    user_table: the slope of each linear piece, from (0, 0) to the first
-    sample and between samples, and the derivative of the power-law tail
-    past the table.
-    """
-    t = np.asarray(t, dtype=float)
-    pos = np.maximum(t, 0.0)
-    if spec.kind == "log_linear":
-        out = np.log1p(pos) + pos / (1.0 + pos)
-    elif spec.kind == "pure_power":
-        out = (spec.theta - 1.0) * pos ** (spec.theta - 2.0)
-    else:
-        out = _table_df(spec, pos)
+    """f'(t), vectorized; zero on t < 0."""
+    out = _nonlinearity(spec, t)[2]()
     return out if out.ndim else float(out)
 
 
-def _tail_power(tt: np.ndarray, ff: np.ndarray) -> float:
-    """Exponent of the power law through the last two table samples."""
-    return np.log(ff[-1] / max(ff[-2], 1e-300)) / np.log(tt[-1] / tt[-2])
-
-
-def _table_pieces(spec: NonlinearitySpec, pos: np.ndarray):
-    """The piecewise-linear f through (0, 0) and the samples: breakpoints,
-    values there, slopes between them, and the segment holding each point
-    (the last one at and past the table end, where the tail takes over)."""
-    nodes = np.concatenate([[0.0], spec.table[:, 0]])
-    vals = np.concatenate([[0.0], spec.table[:, 1]])
+def _table(spec: NonlinearitySpec, pos: np.ndarray):
+    """(F, f, f') of user_table at pos >= 0, from one search of the linear
+    pieces through (0, 0) and the samples (the last piece holds the points
+    at and past the table end, where the tail takes over).  f' is the slope
+    of each piece, and past the table that of the power-law tail."""
+    tt, ff = spec.table[:, 0], spec.table[:, 1]
+    nodes = np.concatenate([[0.0], tt])
+    vals = np.concatenate([[0.0], ff])
     slopes = np.diff(vals) / np.diff(nodes)
     seg = np.clip(np.searchsorted(nodes, pos, side="right") - 1,
                   0, slopes.size - 1)
-    return nodes, vals, slopes, seg
-
-
-def _table_f(spec: NonlinearitySpec, pos: np.ndarray) -> np.ndarray:
-    tt, ff = spec.table[:, 0], spec.table[:, 1]
-    nodes, vals, slopes, seg = _table_pieces(spec, pos)
-    out = vals[seg] + slopes[seg] * (pos - nodes[seg])
-    # extend past the table with the last local power law
-    hi = pos > tt[-1]
-    if np.any(hi):
-        out = np.where(hi, ff[-1] * (pos / tt[-1]) ** _tail_power(tt, ff),
-                       out)
-    return out
-
-
-def _table_df(spec: NonlinearitySpec, pos: np.ndarray) -> np.ndarray:
-    tt, ff = spec.table[:, 0], spec.table[:, 1]
-    _, _, slopes, seg = _table_pieces(spec, pos)
-    # f vanishes on t <= 0, and so does f' (pos = 0 there)
-    out = np.where(pos > 0.0, slopes[seg], 0.0)
-    hi = pos > tt[-1]
-    if np.any(hi):
-        p = _tail_power(tt, ff)
-        out = np.where(hi, p * ff[-1] / tt[-1] * (pos / tt[-1]) ** (p - 1.0),
-                       out)
-    return out
-
-
-def _table_F(spec: NonlinearitySpec, pos: np.ndarray) -> np.ndarray:
-    tt, ff = spec.table[:, 0], spec.table[:, 1]
-    nodes, vals, slopes, seg = _table_pieces(spec, pos)
     # integral of f up to each breakpoint (trapezoids are exact on lines)
     cum = np.concatenate([[0.0], np.cumsum(np.diff(nodes)
                                            * 0.5 * (vals[1:] + vals[:-1]))])
     d = pos - nodes[seg]
-    out = cum[seg] + vals[seg] * d + 0.5 * slopes[seg] * d ** 2
+    f = vals[seg] + slopes[seg] * d
+    F = cum[seg] + vals[seg] * d + 0.5 * slopes[seg] * d ** 2
+    df = np.where(pos > 0.0, slopes[seg], 0.0)  # f' = 0 where f = 0
     hi = pos > tt[-1]
     if np.any(hi):
-        p = _tail_power(tt, ff)
-        tail = ff[-1] * tt[-1] / (p + 1.0) * ((pos / tt[-1]) ** (p + 1.0)
-                                              - 1.0)
-        out = np.where(hi, cum[-1] + tail, out)
-    return out
+        # extend past the table with the power law through the last two
+        # samples
+        p = np.log(ff[-1] / max(ff[-2], 1e-300)) / np.log(tt[-1] / tt[-2])
+        r = pos / tt[-1]
+        f = np.where(hi, ff[-1] * r ** p, f)
+        F = np.where(hi, cum[-1] + ff[-1] * tt[-1] / (p + 1.0)
+                     * (r ** (p + 1.0) - 1.0), F)
+        df = np.where(hi, p * ff[-1] / tt[-1] * r ** (p - 1.0), df)
+    return F, f, lambda: df
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +368,8 @@ def _quad_terms(params: ModelParams, profile: BesselProfile,
     kappa = _kappa_value(profile, params.sigma)
     form = kappa * half_lattice_form(
         params.grid, params.grid.multiplier(params.m, params.sigma), spectrum)
-    pot = params.grid.cell_volume * np.sum(params.potential_values
-                                           * values ** 2)
+    pot = params.grid.cell_volume * (params.potential_values
+                                     * values ** 2).sum()
     return form, _check_finite(form + pot, "quadratic form")
 
 
@@ -417,34 +379,27 @@ def _convolve_kernel(params: ModelParams, g: np.ndarray) -> np.ndarray:
 
 
 def _nonlinear_terms(params: ModelParams, values: np.ndarray):
-    """(F(v), W * F(v), f(v)) at v = values: two transforms."""
-    nl = params.nonlinearity
-    F = F_eval(nl, values)
-    return F, _convolve_kernel(params, F), f_eval(nl, values)
+    """(F(v), W * F(v), f(v)) at v = values: one transcendental pass and
+    two transforms."""
+    F, f = _nonlinearity(params.nonlinearity, values)[:2]
+    return F, _convolve_kernel(params, F), f
 
 
 def _interaction(params: ModelParams, F: np.ndarray,
                  conv: np.ndarray) -> float:
     """Psi = 1/2 int (W * F) F."""
-    return _check_finite(0.5 * params.grid.cell_volume * np.sum(conv * F),
+    return _check_finite(0.5 * params.grid.cell_volume * (conv * F).sum(),
                          "interaction")
-
-
-def _assemble(params, values, spectrum, form, quad, F, conv,
-              f) -> _Evaluation:
-    """The core at v from rfftn(v), its (sigma-form, Q) and (F(v),
-    W * F(v), f(v))."""
-    return _Evaluation(values, spectrum, form, quad,
-                       _interaction(params, F, conv), conv * f)
 
 
 def _evaluate(values: np.ndarray, params: ModelParams,
               profile: BesselProfile) -> _Evaluation:
     """The core at v = values, from three transforms."""
     spectrum = np.fft.rfftn(values)
-    return _assemble(params, values, spectrum,
-                     *_quad_terms(params, profile, values, spectrum),
-                     *_nonlinear_terms(params, values))
+    F, conv, f = _nonlinear_terms(params, values)
+    return _Evaluation(values, spectrum,
+                       *_quad_terms(params, profile, values, spectrum),
+                       _interaction(params, F, conv), conv * f)
 
 
 def quadratic_form(u: TraceField, params: ModelParams,
@@ -475,27 +430,33 @@ def gradient(u: TraceField, params: ModelParams,
                                                                     profile))
 
 
-def nehari_phi(t: float, u: TraceField, params: ModelParams,
-               quad: float) -> tuple[float, float, tuple]:
-    """phi(t) = <I'(tu), tu>/t = t*Q(u) - (1/t) <Psi'(tu), tu>, and phi'(t).
+def nehari_phi(t: float, u: np.ndarray, params: ModelParams,
+               quad: float) -> tuple:
+    """phi(t) = <I'(tu), tu>/t = t*Q(u) - (1/t) <Psi'(tu), tu> and the level
+    I(tu) = t^2 Q(u)/2 - Psi(tu), from F(v), W * F(v) and f(v) at v = tu.
 
-    With v = tu, and W even so that int (W * a) b = int a (W * b),
+    phi'(t) costs one more transform, so it is formed on demand: with W
+    even, so that int (W * a) b = int a (W * b),
     phi'(t) = Q(u) - (int (W * (f(v) v)) f(v) v
                       + int (W * F(v)) f'(v) v^2) / t^2.
-    Returns (phi, phi', (F(v), W * F(v), f(v))), the last for the core.
+    Returns (phi, I(v), (v, W * F(v), f(v), Psi(v)), dphi), the terms for
+    the core and dphi() giving phi'(t).
     """
-    nl = params.nonlinearity
-    v = t * u.values
-    terms = _nonlinear_terms(params, v)
-    _, conv, fv = terms
-    dv = u.grid.cell_volume
-    pairing = _check_finite(dv * np.sum(conv * fv * v), "interaction pairing")
-    fvv = fv * v
-    slope = _check_finite(
-        dv * (np.sum(_convolve_kernel(params, fvv) * fvv)
-              + np.sum(conv * df_eval(nl, v) * v * v)),
-        "Nehari derivative")
-    return t * quad - pairing / t, quad - slope / t ** 2, terms
+    v = t * u
+    F, f, df = _nonlinearity(params.nonlinearity, v)
+    conv = _convolve_kernel(params, F)
+    psi = _interaction(params, F, conv)
+    dv = params.grid.cell_volume
+    fv = f * v
+    pairing = _check_finite(dv * (conv * fv).sum(), "interaction pairing")
+
+    def dphi():
+        slope = _check_finite(
+            dv * ((_convolve_kernel(params, fv) * fv).sum()
+                  + (conv * df() * v * v).sum()), "Nehari derivative")
+        return quad - slope / t ** 2
+    return (t * quad - pairing / t, 0.5 * (t * t * quad) - psi,
+            (v, conv, f, psi), dphi)
 
 
 # Projection window, and the residual |phi(t)| / (t Q(u)) below which the
@@ -503,45 +464,24 @@ def nehari_phi(t: float, u: TraceField, params: ModelParams,
 # the interaction sums, so the root is found to about 1e-13 relative.
 _T_MIN, _T_MAX = 1e-6, 1e6
 _NEWTON_RTOL = 1e-13
+# Relative rounding by which an iterate's computed level may exceed the one
+# computed at the root (test_ray_levels_stay_below_projected_level holds it
+# at field scales 1e-3 to 1e3)
+_LEVEL_RTOL = 1e-14
 
 
-def _project(u: TraceField, params: ModelParams,
-             profile: BesselProfile) -> tuple[float, _Evaluation]:
-    """The Nehari scale t of u and the core at v = t u.
-
-    rfftn(t u) = t rfftn(u) and Q(t u) = t^2 Q(u) come from u's own
-    transform; F(v), W * F(v) and f(v) from the projection's closed form or
-    its best Newton evaluation, so v costs no transform of its own.
-    """
-    if not np.any(u.values > 0.0):
-        raise DomainError("Nehari projection undefined: field has no "
-                          "positive part")
-    spectrum = np.fft.rfftn(u.values)
-    form, quad = _quad_terms(params, profile, u.values, spectrum)
-
-    nl = params.nonlinearity
-    if nl.kind == "pure_power":
-        # I(tu) = t^2 Q/2 - t^(2 theta) Psi(u): the stationary t in closed
-        # form; F(tu) = t^theta F(u), so W * F scales the same way, and
-        # f(tu) = t^(theta-1) f(u) (the arrays are this call's own, scaled
-        # in place)
-        F, conv, f = _nonlinear_terms(params, u.values)
-        psi = _interaction(params, F, conv)
-        if psi <= 0:
-            raise BracketError("interaction vanishes on this ray")
-        t = float((quad / (2.0 * nl.theta * psi))
-                  ** (1.0 / (2.0 * nl.theta - 2.0)))
-        F *= t ** nl.theta
-        conv *= t ** nl.theta
-        f *= t ** (nl.theta - 1.0)
-        spectrum *= t
-        return t, _assemble(params, t * u.values, spectrum, t * t * form,
-                            t * t * quad, F, conv, f)
-
+def _nehari_root(u: np.ndarray, params: ModelParams, quad: float,
+                 bound: float):
+    """The Newton iteration of nehari_scale: the root t and nehari_phi's
+    terms there, or (t, None) at the first iterate t whose level I(tu)
+    exceeds `bound` by more than the rounding that can put it above the
+    level computed at the root (_LEVEL_RTOL)."""
     lo = hi = None                      # phi(lo) > 0 >= phi(hi)
     t, best_t, best_res, best_terms = 1.0, 1.0, np.inf, None
     for _ in range(100):
-        phi, dphi, terms = nehari_phi(t, u, params, quad)
+        phi, level, terms, dphi = nehari_phi(t, u, params, quad)
+        if level - bound > _LEVEL_RTOL * abs(level):
+            return t, None
         res = abs(phi) / (t * quad)
         if res < best_res:
             best_t, best_res, best_terms = t, res, terms
@@ -564,7 +504,8 @@ def _project(u: TraceField, params: ModelParams,
         else:
             a, b = lo, hi
             fallback = 0.5 * (lo + hi)
-        step = t - phi / dphi if dphi < 0.0 else np.nan
+        slope = dphi()
+        step = t - phi / slope if slope < 0.0 else np.nan
         t_next = step if a < step < b else fallback
         if t_next in (lo, hi):          # the bracket cannot shrink further
             break
@@ -572,10 +513,48 @@ def _project(u: TraceField, params: ModelParams,
     if best_res >= 1e-10:
         raise DiagnosticError("Nehari root residual exceeds 1e-10 of the "
                               "quadratic scale")
-    t = float(best_t)
+    return float(best_t), best_terms
+
+
+def _project(u: np.ndarray, params: ModelParams, profile: BesselProfile,
+             bound: float = np.inf):
+    """The Nehari scale t of the field u (an array on params.grid) and the
+    core at v = t u, or (t, None) once a level I(t_k u) exceeds `bound`.
+
+    Under (f3), t is the unique maximizer of s -> I(s u), so every Newton
+    iterate's level bounds I(t u) from below: a descent trial that fails
+    its Armijo bound at an iterate fails it at the root as well, and its
+    root search stops there.  rfftn(t u) = t rfftn(u) and Q(t u) = t^2 Q(u)
+    come from u's own transform; F(v), W * F(v) and f(v) from the closed
+    form or the best Newton evaluation, so v costs no transform of its own.
+    """
+    if not np.any(u > 0.0):
+        raise DomainError("Nehari projection undefined: field has no "
+                          "positive part")
+    spectrum = np.fft.rfftn(u)
+    form, quad = _quad_terms(params, profile, u, spectrum)
+
+    nl = params.nonlinearity
+    if nl.kind == "pure_power":
+        # I(tu) = t^2 Q/2 - t^(2 theta) Psi(u): the stationary t in closed
+        # form; (W * F(tu)) f(tu) = t^(2 theta - 1) (W * F(u)) f(u), so f,
+        # this call's own array, takes the whole factor in place
+        F, conv, f = _nonlinear_terms(params, u)
+        psi = _interaction(params, F, conv)
+        if psi <= 0:
+            raise BracketError("interaction vanishes on this ray")
+        t = float((quad / (2.0 * nl.theta * psi))
+                  ** (1.0 / (2.0 * nl.theta - 2.0)))
+        f *= t ** (2.0 * nl.theta - 1.0)
+        terms = (t * u, conv, f, t ** (2.0 * nl.theta) * psi)
+    else:
+        t, terms = _nehari_root(u, params, quad, bound)
+        if terms is None:
+            return t, None
+    v, conv, f, psi = terms
     spectrum *= t
-    return t, _assemble(params, t * u.values, spectrum, t * t * form,
-                        t * t * quad, *best_terms)
+    ev = _Evaluation(v, spectrum, t * t * form, t * t * quad, psi, conv * f)
+    return t, (ev if ev.level <= bound else None)
 
 
 def nehari_scale(u: TraceField, params: ModelParams,
@@ -591,4 +570,6 @@ def nehari_scale(u: TraceField, params: ModelParams,
     [1e-6, 1e6]; a Newton step that leaves the bracket is replaced by
     bisection.  For pure_power the root is in closed form.
     """
-    return _project(u, params, profile)[0]
+    if u.grid != params.grid:
+        raise DomainError("field grid does not match params grid")
+    return _project(u.values, params, profile)[0]

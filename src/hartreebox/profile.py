@@ -331,38 +331,6 @@ def _hermite(x, y, dy, s):
             dy[i] + t * (2.0 * c2 + 3.0 * t * c3))
 
 
-def ode_residual(p: BesselProfile) -> np.ndarray:
-    """Scaled ODE defect at the interior nodes.
-
-    Above the series pivot, phi'' is reconstructed from a local quartic fit
-    of the tabulated dphi (independent of the ODE right-hand side); below
-    it, the Frobenius series supplies phi''.  The defect is scaled by the
-    largest participating term so the s -> 0 cancellation of the two huge
-    terms (both ~ s^(2*sigma-2)) does not drown the check in round-off.
-    """
-    sigma = p.sigma
-    one_m_2s = 1.0 - 2.0 * sigma
-    s = p.nodes
-    n = len(s)
-    ddphi = np.empty(n)
-
-    below = s < _S_MATCH
-    if below.any():
-        (_, _, dd1), (_, _, dd2) = _series_basis(sigma, s[below])
-        ddphi[below] = dd1 - p.d_sigma / (2.0 * sigma) * dd2
-
-    for j in np.nonzero(~below)[0]:
-        i0 = min(max(j - 2, 0), n - 5)
-        window = slice(i0, i0 + 5)
-        coef = np.polyfit(s[window] - s[j], p.dphi[window], 4)
-        ddphi[j] = coef[-2]
-
-    resid = -p.phi + one_m_2s / s * p.dphi + ddphi
-    scale = np.maximum(1.0, np.maximum(np.abs(one_m_2s / s * p.dphi),
-                                       np.abs(ddphi)))
-    return np.abs(resid) / scale
-
-
 # ---------------------------------------------------------------------------
 # CSV interchange: header row with the scalar constants, then s/phi/dphi.
 

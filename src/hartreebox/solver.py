@@ -42,11 +42,13 @@ def gaussian_bump(grid: Grid, amplitude: float = 1.0, width: float = 1.0,
     return TraceField(grid, amplitude * np.exp(-r2 / width ** 2))
 
 
-def _residuals(u, ev, params, profile):
-    """Gradient at u, from the core's terms ev at u, and the Nehari and
-    gradient residuals."""
-    g = TraceField(u.grid, ev.gradient(params, profile))
-    return g, abs(g.inner(u)), g.norm_l2()
+def _residuals(ev, params, profile):
+    """Gradient at the core's point ev.values, and the Nehari and gradient
+    residuals."""
+    g = ev.gradient(params, profile)
+    dv = params.grid.cell_volume
+    return (g, abs(float(dv * (g * ev.values).sum())),
+            float((dv * (g * g).sum()) ** 0.5))
 
 
 def solve_ground(params: ModelParams, profile: BesselProfile,
@@ -66,18 +68,20 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
                                                             params.sigma)
                      + params.potential.V_inf)
 
-    _, ev = _project(seed_field, params, profile)
-    u = TraceField(params.grid, ev.values)
-    g, nehari, gnorm = _residuals(u, ev, params, profile)
+    # the loop works on arrays: every field it forms is finite by
+    # construction, and the gradient's own check guards the rest
+    _, ev = _project(seed_field.values, params, profile)
+    u, dv = ev.values, params.grid.cell_volume
+    g, nehari, gnorm = _residuals(ev, params, profile)
     beta = np.sqrt(ev.form)
     history = [(0, ev.level, nehari, gnorm, 0.0)]
     flat, stalled = 0, 0
     prev_vals = prev_precond_grad = None
 
     for it in range(1, settings.max_iter + 1):
-        precond_grad = apply_multiplier(precond, g.values, "preconditioner")
-        direction = TraceField(u.grid, -precond_grad)
-        slope = g.inner(direction)          # negative: SPD preconditioner
+        precond_grad = apply_multiplier(precond, g, "preconditioner")
+        # slope along -precond_grad; negative: SPD preconditioner
+        slope = -float(dv * (g * precond_grad).sum())
 
         # Barzilai-Borwein trial step: adapts to the local curvature and
         # lets nearly flat modes (e.g. translation drift at A = 0) move in
@@ -88,30 +92,31 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
         # SIAM J. Optim. 10, 2000)
         step = settings.step
         if prev_vals is not None:
-            s_diff = u.values - prev_vals
+            s_diff = u - prev_vals
             y_diff = precond_grad - prev_precond_grad
-            sy = float(np.sum(s_diff * y_diff))
+            sy = float((s_diff * y_diff).sum())
             step = 1e4 * settings.step
             if sy > 0.0:
-                step = float(np.clip(np.sum(s_diff * s_diff) / sy,
+                step = float(np.clip((s_diff * s_diff).sum() / sy,
                                      1e-2 * settings.step, step))
         accepted = False
         for _ in range(40):
-            trial = u + step * direction
-            if not np.any(trial.values > 0.0):
-                step *= 0.5
-                continue
-            _, cand = _project(trial, params, profile)
-            if cand.level <= ev.level + 1e-4 * step * slope:
-                accepted = True
-                break
+            trial = u - step * precond_grad
+            if np.any(trial > 0.0):
+                # Armijo: None once the projection finds the level above
+                # the bound
+                _, cand = _project(trial, params, profile,
+                                   ev.level + 1e-4 * step * slope)
+                if cand is not None:
+                    accepted = True
+                    break
             step *= 0.5
 
         if accepted:
-            prev_vals, prev_precond_grad = u.values, precond_grad
+            prev_vals, prev_precond_grad = u, precond_grad
             prev_level = ev.level
-            u, ev = TraceField(u.grid, cand.values), cand
-            g, nehari, gnorm = _residuals(u, ev, params, profile)
+            u, ev = cand.values, cand
+            g, nehari, gnorm = _residuals(ev, params, profile)
             beta = min(beta, np.sqrt(ev.form))
             history.append((it, ev.level, nehari, gnorm, step))
             rel_change = abs(ev.level - prev_level) / max(abs(ev.level),
@@ -126,9 +131,9 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
 
         if nehari < settings.tol * ev.quad and flat >= 5:
             return GroundStateResult(
-                u=u, level=ev.level, nehari_residual=nehari,
-                grad_residual=gnorm, iters=it,
-                min_value=float(np.min(u.values)), beta=float(beta),
+                u=TraceField(params.grid, u), level=ev.level,
+                nehari_residual=nehari, grad_residual=gnorm, iters=it,
+                min_value=float(np.min(u)), beta=float(beta),
                 history=tuple(history))
         if stalled >= 10:
             break

@@ -12,12 +12,13 @@ from hartreebox.extension import (decay_fit, dtn_check, energy_identity_check,
                                   lift, trace_inequality_check)
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
                               PotentialSpec, F_eval, f_eval, quadratic_form)
-from hartreebox.profile import eval_profile, ode_residual
+from hartreebox.profile import eval_profile
 from hartreebox.solver import (compare_levels, linf_refinement_check,
                                multistart, solve_ground)
 from hartreebox.spectral import Grid, TraceField, convolve, frac_apply
 
 from conftest import SIGMAS
+from test_profile import ode_residual
 from test_spectral import dense_convolve, dense_frac_apply
 
 

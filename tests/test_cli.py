@@ -94,7 +94,7 @@ def test_verify_command_after_solve(tmp_path, capsys):
     assert_phase_times(vout, "checks")
 
 
-def test_verify_skips_trace_check_when_m_not_one(tmp_path, capsys):
+def test_verify_runs_trace_check_when_m_not_one(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG.replace("m = 1.0", "m = 1.3"))
     grid = Grid(1, 10.0, 64)
     h = TraceField(grid, np.exp(-grid.axis ** 2 / 4.0))
@@ -105,7 +105,7 @@ def test_verify_skips_trace_check_when_m_not_one(tmp_path, capsys):
                "--field", str(field)])
     assert rc == 0
     report = (vout / "verify_report.csv").read_text()
-    assert "trace_inequality" not in report
+    assert "trace_inequality,pass" in report
     assert "energy_identity,pass" in report
     capsys.readouterr()
 

@@ -246,6 +246,21 @@ def test_trace_inequality_near_equality(profiles):
         assert slack / h.norm_l2() ** 2 < 1e-3
 
 
+@pytest.mark.parametrize("m", [0.7, 1.3])
+def test_trace_inequality_any_m(profiles, rng, m):
+    # the multiplier is >= m^(2 sigma): random fields keep a nonnegative
+    # slack, and a spectrally concentrated field nearly saturates it
+    g, gw = Grid(1, 5.0, 64), Grid(1, 200.0, 512)
+    wide = TraceField(gw, np.exp(-gw.axis ** 2 / 60.0 ** 2))
+    for sigma in SIGMAS:
+        p = profiles[sigma]
+        for _ in range(20):
+            h = TraceField(g, rng.standard_normal(64))
+            assert trace_inequality_check(h, p, sigma, m) >= 0.0
+        slack = trace_inequality_check(wide, p, sigma, m)
+        assert 0.0 <= slack < 1e-3 * wide.norm_l2() ** 2
+
+
 def test_trace_inequality_zero(profile_half):
     g = Grid(1, 5.0, 32)
     z = TraceField(g, np.zeros(32))

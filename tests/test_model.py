@@ -13,7 +13,7 @@ from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
                               energy, f_eval, gradient, nehari_scale,
                               quadratic_form)
 from hartreebox.solver import random_seed_field, solve_ground
-from hartreebox.spectral import TraceField, convolve, sobolev_form
+from hartreebox.spectral import Grid, TraceField, convolve, sobolev_form
 
 from test_acceptance import ground_params
 
@@ -323,6 +323,57 @@ def test_nehari_evaluations_per_projection(profile_half, monkeypatch):
     assert counts["phi"] <= 8 * counts["projections"]
 
 
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER, USER_TABLE])
+def test_ray_levels_stay_below_projected_level(profile_half, rng,
+                                               monkeypatch, spec, c):
+    # the projected point maximizes I on its ray, so the level at every
+    # Newton iterate, and anywhere on the ray, stays below the projected
+    # level up to rounding; the projection's early rejection rests on this
+    params = small_params(nonlinearity=spec)
+    levels, phi = [], model_mod.nehari_phi
+
+    def recorded_phi(*args):
+        out = phi(*args)
+        levels.append(out[1])
+        return out
+    monkeypatch.setattr(model_mod, "nehari_phi", recorded_phi)
+    for _ in range(3):
+        u = c * bump(params, rng, width=rng.uniform(0.5, 2.0))
+        levels.clear()
+        t, ev = model_mod._project(u.values, params, profile_half)
+        assert bool(levels) == (spec is not PURE_POWER)
+        levels += [energy(s * t * u, params, profile_half).total
+                   for s in (0.5, 0.9, 0.999, 1.001, 1.1, 2.0)]
+        assert ev.level > 0.0
+        assert max(levels) <= ev.level * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("seed", [11, 15])
+def test_early_rejection_keeps_the_solve(profile_half, monkeypatch, seed):
+    # a projection that always runs to the root and leaves the Armijo test
+    # to the level there gives the same solve, bit for bit; also from a
+    # converged start (as compare_levels passes one in), where trial levels
+    # differ from the current one by rounding only (at seed 15, rejecting
+    # on the bare level > bound there changes the restart's history)
+    params = ground_params()
+    fast = [solve_ground(params, profile_half,
+                         random_seed_field(params, seed))]
+    fast.append(solve_ground(params, profile_half, fast[0].u))
+    project = solver_mod._project
+
+    def full_project(u, params, profile, bound=np.inf):
+        t, ev = project(u, params, profile)
+        return t, (ev if ev.level <= bound else None)
+    monkeypatch.setattr(solver_mod, "_project", full_project)
+    full = [solve_ground(params, profile_half,
+                         random_seed_field(params, seed))]
+    full.append(solve_ground(params, profile_half, full[0].u))
+    for a, b in zip(full, fast):
+        assert a.history == b.history
+        assert np.array_equal(a.u.values, b.u.values)
+
+
 @pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER, USER_TABLE])
 def test_projection_core_matches_public_functions(spec, profile_half, rng):
     # the solver reads Q, the sigma-form, the level and the gradient at the
@@ -334,7 +385,7 @@ def test_projection_core_matches_public_functions(spec, profile_half, rng):
         return abs(a - b) <= 1e-12 * abs(b)
     for _ in range(3):
         u = bump(params, rng, width=rng.uniform(0.5, 2.0))
-        t, ev = model_mod._project(u, params, profile_half)
+        t, ev = model_mod._project(u.values, params, profile_half)
         v = t * u
         assert t == nehari_scale(u, params, profile_half)
         assert np.array_equal(ev.values, v.values)
@@ -363,6 +414,13 @@ def test_nehari_projected_field_is_critical(profile_half, rng):
     w = nehari_scale(u, params, profile_half) * u
     pair = abs(gradient(w, params, profile_half).inner(w))
     assert pair < 1e-10 * quadratic_form(w, params, profile_half)
+
+
+def test_nehari_requires_matching_grid(profile_half):
+    params = small_params()
+    other = TraceField(Grid(1, 5.0, params.n), np.ones(params.n))
+    with pytest.raises(DomainError, match="grid"):
+        nehari_scale(other, params, profile_half)
 
 
 def test_nehari_requires_positive_part(profile_half, rng):
