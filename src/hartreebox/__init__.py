@@ -8,15 +8,12 @@ from .errors import (BracketError, ConfigError, ConvergenceError,
                      NumericError, VerificationError)
 from .profile import (BesselProfile, build_profile, eval_profile,
                       profile_from_csv, profile_to_csv)
-from .spectral import (Grid, TraceField, convolve, field_from_binary,
-                       field_from_csv, field_to_binary, field_to_csv,
-                       frac_apply, refine, sobolev_form)
-from .model import (EnergyReport, KernelSpec, ModelParams, NonlinearitySpec,
-                    PotentialSpec, SolverSettings, F_eval, df_eval, energy,
-                    f_eval, gradient, nehari_scale, quadratic_form)
+from .spectral import (Grid, TraceField, field_from_binary, field_from_csv,
+                       field_to_binary, field_to_csv, sobolev_form)
+from .model import (KernelSpec, ModelParams, NonlinearitySpec, PotentialSpec,
+                    SolverSettings, F_eval, df_eval, f_eval)
 from .solver import (GroundStateResult, compare_levels, gaussian_bump,
-                     linf_refinement_check, multistart, solve_asymptotic,
-                     solve_ground)
+                     multistart, solve_ground)
 from .extension import (DecayFitReport, ExtensionField, decay_fit, dtn_check,
                         energy_identity_check, lift, trace_inequality_check)
 from .config import RunConfig, load_config

@@ -213,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        if name == "solve":
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--threads", type=int, default=1)
         if name == "verify":
             p.add_argument("--field", required=True)
         p.set_defaults(func=fn)

@@ -18,12 +18,14 @@ Example::
     solver.tol = 1e-8
     seed = 7
 
-Unknown keys are hard errors; every diagnostic carries the 1-based line
-(and column for value errors) of the offending token.
+Unknown keys and non-finite numbers (nan, inf) are hard errors; every
+diagnostic carries the 1-based line (and column for value errors) of the
+offending token.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
@@ -89,10 +91,14 @@ def _convert(pairs: dict, key: str, default=None):
     if typ is str:
         return value
     try:
-        return typ(value)
+        out = typ(value)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}",
                           line=lineno, col=col) from exc
+    if typ is float and not math.isfinite(out):
+        raise ConfigError(f"non-finite value for {key!r}: {value}",
+                          line=lineno, col=col)
+    return out
 
 
 def load_config(path) -> RunConfig:
@@ -111,13 +117,13 @@ def load_config(path) -> RunConfig:
         if key not in pairs:
             raise ConfigError(f"missing required key {key!r}")
 
-    theta = _convert(pairs, "theta", 2.5)
     kind = _convert(pairs, "nonlinearity.kind", "log_linear")
     if kind == "user_table":        # no key supplies its samples
         raise ConfigError("nonlinearity.kind user_table is library-only; a "
                           "config file takes log_linear or pure_power",
                           *pairs["nonlinearity.kind"][1:])
-    nonlinearity = NonlinearitySpec(kind=kind, theta=theta)
+    nonlinearity = NonlinearitySpec(kind=kind,
+                                    theta=_convert(pairs, "theta", 2.5))
     potential = PotentialSpec(
         V_inf=_convert(pairs, "potential.V_inf", 1.0),
         A=_convert(pairs, "potential.A", 0.0),
@@ -135,16 +141,18 @@ def load_config(path) -> RunConfig:
     params = ModelParams(
         sigma=_convert(pairs, "sigma"), m=_convert(pairs, "m"),
         dim=_convert(pairs, "N"), L=_convert(pairs, "L"),
-        n=_convert(pairs, "n"), theta=theta,
-        nonlinearity=nonlinearity, potential=potential, kernel=kernel,
-        solver=solver)
+        n=_convert(pairs, "n"), nonlinearity=nonlinearity,
+        potential=potential, kernel=kernel, solver=solver)
 
-    x_max_default = 10.0 / params.m
+    x_max = _convert(pairs, "extension.x_max", 10.0 / params.m)
+    if not math.isfinite(x_max):
+        raise ConfigError("the default extension.x_max = 10/m overflows; "
+                          "set extension.x_max", *pairs["m"][1:])
     return RunConfig(
         params=params,
         seed=_convert(pairs, "seed", 0),
         profile_s_max=_convert(pairs, "profile.s_max", 40.0),
         profile_M=_convert(pairs, "profile.M", 2000),
-        extension_x_max=_convert(pairs, "extension.x_max", x_max_default),
+        extension_x_max=x_max,
         extension_K_x=_convert(pairs, "extension.K_x", 400),
         raw=raw)

@@ -22,15 +22,12 @@ class NumericError(HartreeboxError, ArithmeticError):
 
 
 class ConvergenceError(HartreeboxError, RuntimeError):
-    """An iteration exhausted its budget; carries the last residuals and
-    the iteration history, in the rows of GroundStateResult.history."""
+    """An iteration exhausted its budget; carries the iteration history,
+    in the rows of GroundStateResult.history, whose last row holds the last
+    residuals."""
 
-    def __init__(self, message, nehari_residual=None, grad_residual=None,
-                 iters=None, history=()):
+    def __init__(self, message, history=()):
         super().__init__(message)
-        self.nehari_residual = nehari_residual
-        self.grad_residual = grad_residual
-        self.iters = iters
         self.history = history
 
 

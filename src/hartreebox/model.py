@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import BracketError, DiagnosticError, DomainError, NumericError
 from .profile import BesselProfile
-from .spectral import (Grid, TraceField, _kappa_value, apply_multiplier,
-                       convolution_multiplier, half_lattice_form,
-                       multiply_spectrum)
+from .spectral import (Grid, _kappa_value, apply_multiplier,
+                       half_lattice_form, multiply_spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +218,7 @@ class ModelParams:
     dim: int
     L: float
     n: int
-    theta: float = 2.5
-    nonlinearity: NonlinearitySpec | None = None
+    nonlinearity: NonlinearitySpec = field(default_factory=NonlinearitySpec)
     potential: PotentialSpec = field(default_factory=PotentialSpec)
     kernel: KernelSpec = field(default_factory=KernelSpec)
     solver: SolverSettings = field(default_factory=SolverSettings)
@@ -230,25 +228,18 @@ class ModelParams:
             raise DomainError("sigma out of (0,1)")
         if self.m <= 0:
             raise DomainError("m must be positive")
-        if self.nonlinearity is None:
-            object.__setattr__(self, "nonlinearity",
-                               NonlinearitySpec(theta=self.theta))
-        if abs(self.nonlinearity.theta - self.theta) > 1e-12:
-            raise DomainError("theta disagrees with nonlinearity spec")
+        _ = self.grid  # validates dim, L, n
         self._check_theta_window()
         self._check_kernel_integrability()
-        _ = self.grid  # validates dim, L, n
 
     def _check_theta_window(self):
         """Enforce max{2, N/(N-2 sigma)} < theta < 2N/(N-2 sigma).
 
         The window only constrains theta from above when N > 2 sigma; for
         N <= 2 sigma the critical exponent is infinite and any theta > 2
-        is admissible.
+        is admissible; NonlinearitySpec already holds theta > 2.
         """
-        N, s, th = self.dim, self.sigma, self.theta
-        if th <= 2.0:
-            raise DomainError("theta must exceed 2")
+        N, s, th = self.dim, self.sigma, self.nonlinearity.theta
         if N > 2.0 * s:
             lo = max(2.0, N / (N - 2.0 * s))
             hi = 2.0 * N / (N - 2.0 * s)
@@ -262,7 +253,8 @@ class ModelParams:
         r > N/(N(2-theta) + 2 sigma theta)."""
         if self.kernel.a == 0:
             return
-        bound = self.dim * (2.0 - self.theta) + 2.0 * self.sigma * self.theta
+        th = self.nonlinearity.theta
+        bound = self.dim * (2.0 - th) + 2.0 * self.sigma * th
         if bound <= 0:
             raise DomainError(
                 "power-core kernel inadmissible: N(2-theta) + 2 sigma theta "
@@ -287,9 +279,9 @@ class ModelParams:
 
     @cached_property
     def kernel_spectrum(self) -> np.ndarray:
-        """Multiplier of g -> W * g, transformed once per parameter set."""
-        spec = convolution_multiplier(TraceField(self.grid,
-                                                 self.kernel_values))
+        """cell_volume * rfftn(W): the multiplier of g -> W * g, transformed
+        once per parameter set."""
+        spec = self.grid.cell_volume * np.fft.rfftn(self.kernel_values)
         spec.flags.writeable = False
         return spec
 
@@ -314,16 +306,9 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 # Energy, first variation, Nehari projection
 #
-# One evaluation core serves the public functions and the solver: it forms
-# rfftn(v), F(v), W * F(v) and f(v) once per field v and derives Q, the
-# sigma-form, Psi, I and the gradient from them.
-
-@dataclass(frozen=True)
-class EnergyReport:
-    quad: float
-    interaction: float
-    total: float
-
+# One evaluation core, entered through _project: it forms rfftn(v), F(v),
+# W * F(v) and f(v) once per field v and derives Q, the sigma-form, Psi, I
+# and the gradient from them.
 
 def _check_finite(value: float, component: str) -> float:
     if not np.isfinite(value):
@@ -392,44 +377,6 @@ def _interaction(params: ModelParams, F: np.ndarray,
                          "interaction")
 
 
-def _evaluate(values: np.ndarray, params: ModelParams,
-              profile: BesselProfile) -> _Evaluation:
-    """The core at v = values, from three transforms."""
-    spectrum = np.fft.rfftn(values)
-    F, conv, f = _nonlinear_terms(params, values)
-    return _Evaluation(values, spectrum,
-                       *_quad_terms(params, profile, values, spectrum),
-                       _interaction(params, F, conv), conv * f)
-
-
-def quadratic_form(u: TraceField, params: ModelParams,
-                   profile: BesselProfile) -> float:
-    """Q(u) = kappa * sum multiplier |hat u|^2 dxi + int V u^2."""
-    return _quad_terms(params, profile, u.values, np.fft.rfftn(u.values))[1]
-
-
-def energy(u: TraceField, params: ModelParams,
-           profile: BesselProfile) -> EnergyReport:
-    """I(u) = Q(u)/2 - Psi(u), componentwise, with Psi(u) = 1/2 int
-    (W * F(u)) F(u)."""
-    if u.grid != params.grid:
-        raise DomainError("field grid does not match params grid")
-    ev = _evaluate(u.values, params, profile)
-    return EnergyReport(quad=0.5 * ev.quad, interaction=ev.psi,
-                        total=ev.level)
-
-
-def gradient(u: TraceField, params: ModelParams,
-             profile: BesselProfile) -> TraceField:
-    """L^2 representation of I'(u):
-    kappa (m^2 - Lap)^sigma u + V u - (W * F(u)) f(u)."""
-    if u.grid != params.grid:
-        raise DomainError("field grid does not match params grid")
-    return TraceField(u.grid,
-                      _evaluate(u.values, params, profile).gradient(params,
-                                                                    profile))
-
-
 def nehari_phi(t: float, u: np.ndarray, params: ModelParams,
                quad: float) -> tuple:
     """phi(t) = <I'(tu), tu>/t = t*Q(u) - (1/t) <Psi'(tu), tu> and the level
@@ -472,10 +419,19 @@ _LEVEL_RTOL = 1e-14
 
 def _nehari_root(u: np.ndarray, params: ModelParams, quad: float,
                  bound: float):
-    """The Newton iteration of nehari_scale: the root t and nehari_phi's
+    """The Nehari scale: the unique t > 0 with phi(t) = 0, and nehari_phi's
     terms there, or (t, None) at the first iterate t whose level I(tu)
     exceeds `bound` by more than the rounding that can put it above the
-    level computed at the root (_LEVEL_RTOL)."""
+    level computed at the root (_LEVEL_RTOL).
+
+    Safeguarded Newton iteration on the analytic phi', started at t = 1:
+    descent iterates are perturbations of fields already on the manifold,
+    so the root is near 1.  Under (f3) phi(t)/t is strictly decreasing, so
+    phi > 0 below the root and phi <= 0 above it, and every evaluation
+    moves one end of a bracket [lo, hi] around the root.  Until both ends
+    are known, the open end grows by doubling or halving inside
+    [1e-6, 1e6]; a Newton step that leaves the bracket is replaced by
+    bisection."""
     lo = hi = None                      # phi(lo) > 0 >= phi(hi)
     t, best_t, best_res, best_terms = 1.0, 1.0, np.inf, None
     for _ in range(100):
@@ -555,21 +511,3 @@ def _project(u: np.ndarray, params: ModelParams, profile: BesselProfile,
     spectrum *= t
     ev = _Evaluation(v, spectrum, t * t * form, t * t * quad, psi, conv * f)
     return t, (ev if ev.level <= bound else None)
-
-
-def nehari_scale(u: TraceField, params: ModelParams,
-                 profile: BesselProfile) -> float:
-    """Unique t > 0 with I'(t u) orthogonal to the ray, i.e. phi(t) = 0.
-
-    Safeguarded Newton iteration on the analytic phi', started at t = 1:
-    descent iterates are perturbations of fields already on the manifold,
-    so the root is near 1.  Under (f3) phi(t)/t is strictly decreasing, so
-    phi > 0 below the root and phi <= 0 above it, and every evaluation
-    moves one end of a bracket [lo, hi] around the root.  Until both ends
-    are known, the open end grows by doubling or halving inside
-    [1e-6, 1e6]; a Newton step that leaves the bracket is replaced by
-    bisection.  For pure_power the root is in closed form.
-    """
-    if u.grid != params.grid:
-        raise DomainError("field grid does not match params grid")
-    return _project(u.values, params, profile)[0]

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, VerificationError
 from .model import ModelParams, _project
 from .profile import BesselProfile
-from .spectral import Grid, TraceField, apply_multiplier, refine
+from .spectral import Grid, TraceField, apply_multiplier
 
 
 @dataclass(frozen=True)
@@ -141,20 +141,7 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
     raise ConvergenceError(
         f"no convergence in {len(history) - 1} iterations "
         f"(nehari_residual={nehari:.3e}, grad_residual={gnorm:.3e})",
-        nehari_residual=nehari, grad_residual=gnorm, iters=len(history) - 1,
         history=tuple(history))
-
-
-def asymptotic_params(params: ModelParams) -> ModelParams:
-    """The same problem with the constant background potential V_inf."""
-    return dataclasses.replace(
-        params, potential=dataclasses.replace(params.potential, A=0.0))
-
-
-def solve_asymptotic(params: ModelParams, profile: BesselProfile,
-                     seed_field: TraceField | None = None
-                     ) -> GroundStateResult:
-    return solve_ground(asymptotic_params(params), profile, seed_field)
 
 
 def random_seed_field(params: ModelParams, seed: int) -> TraceField:
@@ -187,14 +174,16 @@ def multistart(params: ModelParams, profile: BesselProfile, seeds,
 
 def compare_levels(params: ModelParams, profile: BesselProfile,
                    seed_field: TraceField | None = None):
-    """Ground level with the well vs. the constant-potential level.
+    """Ground level with the well vs. the level of the same problem with
+    the constant background potential V_inf (A = 0).
 
     Returns (c_star, c_inf, margin) with margin = (c_inf - c_star)/c_inf.
     For A > 0 the strict ordering 0 < c_star < c_inf is asserted.
     """
-    star = solve_ground(params, profile, seed_field)
-    inf_ = solve_asymptotic(params, profile, seed_field)
-    c_star, c_inf = star.level, inf_.level
+    flat = dataclasses.replace(
+        params, potential=dataclasses.replace(params.potential, A=0.0))
+    c_star = solve_ground(params, profile, seed_field).level
+    c_inf = solve_ground(flat, profile, seed_field).level
     margin = (c_inf - c_star) / c_inf
     if params.potential.A > 0:
         if not 0.0 < c_star < c_inf:
@@ -202,25 +191,6 @@ def compare_levels(params: ModelParams, profile: BesselProfile,
                 f"level ordering violated: c_star={c_star:.6e}, "
                 f"c_inf={c_inf:.6e}")
     return c_star, c_inf, margin
-
-
-def linf_refinement_check(result: GroundStateResult, params: ModelParams,
-                          profile: BesselProfile, rtol: float = 0.02):
-    """Re-solve with n doubled from the interpolated coarse solution and
-    compare sup norms; returns (relative change, fine result)."""
-    sup_coarse = result.u.norm_lq(np.inf)
-    if sup_coarse == 0.0:
-        return 0.0, result
-    fine_params = dataclasses.replace(params, n=2 * params.n)
-    seed = refine(result.u, 2 * params.n)
-    fine = solve_ground(fine_params, profile, seed)
-    sup_fine = fine.u.norm_lq(np.inf)
-    change = abs(sup_coarse - sup_fine) / sup_fine
-    if change >= rtol:
-        raise VerificationError(
-            f"sup norm changed by {change:.2%} under grid refinement "
-            f"(allowed {rtol:.0%})")
-    return change, fine
 
 
 def history_to_csv(history, path) -> None:

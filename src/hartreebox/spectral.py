@@ -59,10 +59,6 @@ class Grid:
     def box_volume(self):
         return (2.0 * self.L) ** self.dim
 
-    @property
-    def dxi(self):
-        return (1.0 / (2.0 * self.L)) ** self.dim
-
     @cached_property
     def axis(self):
         """Physical coordinates along one axis, y_i = -L + i * 2L/n."""
@@ -77,13 +73,6 @@ class Grid:
     def radius_sq(self):
         """|y|^2 with the origin at the box center (no wrap)."""
         return sum(c ** 2 for c in self.coords)
-
-    @cached_property
-    def min_image_radius(self):
-        """Minimal-image distance to the origin (periodic |y|)."""
-        d = [np.minimum(np.abs(c), 2.0 * self.L - np.abs(c))
-             for c in self.coords]
-        return np.sqrt(sum(x ** 2 for x in d))
 
     @cached_property
     def displacement_radius(self):
@@ -198,20 +187,6 @@ def multiply_spectrum(mult: np.ndarray, spectrum: np.ndarray, shape,
                          axes=tuple(range(len(shape))))
 
 
-def frac_apply(h: TraceField, sigma: float, m: float) -> TraceField:
-    """(m^2 - Lap)^sigma h via the diagonal Fourier multiplier.
-
-    sigma = 1 is admitted so the classical operator (m^2 - Lap) is covered by
-    the same code path.
-    """
-    if not 0.0 < sigma <= 1.0:
-        raise DomainError("sigma out of (0,1]")
-    if m <= 0.0:
-        raise DomainError("m must be positive")
-    return TraceField(h.grid, apply_multiplier(h.grid.multiplier(m, sigma),
-                                               h.values, "frac_apply"))
-
-
 def half_lattice_form(grid: Grid, mult: np.ndarray,
                       spectrum: np.ndarray) -> float:
     """sum_k mult |hat(h)(xi_k)|^2 dxi^N over the full lattice, from the
@@ -247,45 +222,6 @@ def _kappa_value(kappa, sigma: float) -> float:
                               f"called with sigma={sigma}")
         return kappa.kappa
     return float(kappa)
-
-
-def convolve(kernel: TraceField, g: TraceField) -> TraceField:
-    """Periodic convolution with cell-volume scaling: the discrete analogue
-    of int kernel(y - w) g(w) dw."""
-    _check_same_grid(kernel.grid, g.grid)
-    return TraceField(g.grid, apply_multiplier(convolution_multiplier(kernel),
-                                               g.values, "convolve"))
-
-
-def convolution_multiplier(kernel: TraceField) -> np.ndarray:
-    """cell_volume * rfftn(kernel): the multiplier of g -> kernel * g."""
-    return kernel.grid.cell_volume * np.fft.rfftn(kernel.values)
-
-
-def refine(h: TraceField, n_new: int) -> TraceField:
-    """Trigonometric interpolation onto a finer grid (n_new >= n, even)."""
-    g = h.grid
-    if n_new < g.n or n_new % 2:
-        raise DomainError("n_new must be even and >= n")
-    if n_new == g.n:
-        return h
-    fine = Grid(g.dim, g.L, n_new)
-    c = np.fft.fftshift(np.fft.fftn(h.values))
-    pad = (n_new - g.n) // 2
-    widths = [(pad, pad)] * g.dim
-    cpad = np.pad(c, widths)
-    # split the Nyquist plane symmetrically between -n/2 and +n/2 so the
-    # padded spectrum stays Hermitian for real input (a plain copy works:
-    # the original Nyquist plane is self-conjugate under xi -> -xi)
-    for ax in range(g.dim):
-        idx_lo = [slice(None)] * g.dim
-        idx_hi = [slice(None)] * g.dim
-        idx_lo[ax] = pad
-        idx_hi[ax] = pad + g.n
-        cpad[tuple(idx_lo)] *= 0.5
-        cpad[tuple(idx_hi)] = cpad[tuple(idx_lo)]
-    vals = np.fft.ifftn(np.fft.ifftshift(cpad)).real * (n_new / g.n) ** g.dim
-    return TraceField(fine, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,15 @@ import pytest
 from hartreebox.extension import (decay_fit, dtn_check, energy_identity_check,
                                   lift, trace_inequality_check)
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
-                              PotentialSpec, F_eval, f_eval, quadratic_form)
+                              PotentialSpec, F_eval, f_eval)
 from hartreebox.profile import eval_profile
-from hartreebox.solver import (compare_levels, linf_refinement_check,
-                               multistart, solve_ground)
-from hartreebox.spectral import Grid, TraceField, convolve, frac_apply
+from hartreebox.solver import compare_levels, multistart, solve_ground
+from hartreebox.spectral import Grid, TraceField, apply_multiplier
 
 from conftest import SIGMAS
+from oracles import (dense_convolve, dense_frac_apply, linf_refinement_check,
+                     quadratic_form)
 from test_profile import ode_residual
-from test_spectral import dense_convolve, dense_frac_apply
 
 
 def random_field(rng, n=64, L=5.0, decay=2.0):
@@ -32,13 +32,13 @@ def random_field(rng, n=64, L=5.0, decay=2.0):
 
 
 def ground_params():
-    return ModelParams(sigma=0.5, m=1.0, dim=1, L=20.0, n=256, theta=2.5,
+    return ModelParams(sigma=0.5, m=1.0, dim=1, L=20.0, n=256,
                        potential=PotentialSpec(V_inf=1.0, A=0.3, w=4.0),
                        kernel=KernelSpec(a=0.0, b=1.0, w2=3.0))
 
 
 def decay_params(sigma, theta):
-    return ModelParams(sigma=sigma, m=0.2, dim=1, L=5.0, n=64, theta=theta,
+    return ModelParams(sigma=sigma, m=0.2, dim=1, L=5.0, n=64,
                       nonlinearity=NonlinearitySpec("log_linear", theta),
                       potential=PotentialSpec(V_inf=1.0, A=0.3, w=2.0),
                       kernel=KernelSpec(a=0.0, b=1.0, w2=2.0))
@@ -70,16 +70,21 @@ def test_criterion_1_profile_exactness(profiles, profile_half, capsys):
 
 
 def test_criterion_2_spectral_oracles(rng, capsys):
+    # the solver's two multiplier applications: the fractional operator
+    # from the grid's multiplier and W * g from the kernel spectrum
     worst = 0.0
     for dim in (1, 2):
-        g = Grid(dim, 1.3, 8)
+        params = ModelParams(sigma=0.5, m=1.0, dim=dim, L=1.3, n=8,
+                             kernel=KernelSpec(a=0.5, mu=0.4, R_c=1.0,
+                                               b=1.0, w2=0.8))
+        g = params.grid
         h = TraceField(g, rng.standard_normal(g.shape))
-        k = TraceField(g, rng.standard_normal(g.shape))
-        got = frac_apply(h, 0.6, 1.7).values
+        k = TraceField(g, params.kernel_values)
+        got = apply_multiplier(g.multiplier(1.7, 0.6), h.values, "frac")
         want = dense_frac_apply(h, 0.6, 1.7)
         worst = max(worst, float(np.max(np.abs(got - want))
                                  / np.max(np.abs(want))))
-        got_c = convolve(k, h).values
+        got_c = apply_multiplier(params.kernel_spectrum, h.values, "conv")
         want_c = dense_convolve(k, h)
         worst = max(worst, float(np.max(np.abs(got_c - want_c))
                                  / np.max(np.abs(want_c))))
@@ -158,7 +163,7 @@ def test_criterion_7_level_ordering(ground_state, profile_half, capsys):
                                            best.u)
     assert 0.0 < c_star < c_inf
     assert margin > 1e-3
-    flat = ModelParams(sigma=0.5, m=1.0, dim=1, L=20.0, n=256, theta=2.5,
+    flat = ModelParams(sigma=0.5, m=1.0, dim=1, L=20.0, n=256,
                        potential=PotentialSpec(V_inf=1.0, A=0.0, w=4.0),
                        kernel=KernelSpec(a=0.0, b=1.0, w2=3.0))
     e_star, e_inf, _ = compare_levels(flat, profile_half)

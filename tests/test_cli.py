@@ -1,6 +1,8 @@
 """End-to-end command line runs in temporary directories."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,9 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hartreebox
 from hartreebox.cli import main
+from hartreebox.config import _SCHEMA, RunConfig, load_config
+from hartreebox.errors import ConfigError, DomainError
 from hartreebox.spectral import Grid, TraceField, field_to_csv
 
 BASE_CONFIG = """\
@@ -133,6 +139,16 @@ def test_unknown_key_exits_1(tmp_path, capsys):
     assert "unknown key" in err and "line" in err
 
 
+def test_huge_dimension_exits_2(tmp_path, capsys):
+    # the grid check runs before the theta window, whose N / (N - 2 sigma)
+    # cannot convert an integer this large to float
+    cfg = write_config(tmp_path,
+                       BASE_CONFIG.replace("N = 1", "N = 1" + "0" * 400))
+    rc = main(["profile", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "dim must be 1, 2 or 3" in capsys.readouterr().err
+
+
 def test_user_table_kind_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG.replace(
         "kind = log_linear", "kind = user_table"))
@@ -141,6 +157,95 @@ def test_user_table_kind_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "user_table" in err and "line 8" in err
     assert "log_linear" in err and "pure_power" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("L", "nan"), ("L", "inf"), ("theta", "nan"), ("solver.step", "nan"),
+    ("solver.tol", "nan"), ("m", "nan"), ("potential.A", "-inf")])
+def test_non_finite_value_exits_1(tmp_path, capsys, key, value):
+    lines = [line for line in BASE_CONFIG.splitlines()
+             if not line.startswith(key + " ")] + [f"{key} = {value}"]
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"non-finite value for '{key}'" in err
+    assert f"(line {len(lines)}, col " in err
+
+
+def test_default_x_max_overflow_exits_1(tmp_path, capsys):
+    # a subnormal m is admissible, but extension.x_max = 10/m is not finite
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("m = 1.0", "m = 1e-310"))
+    rc = main(["profile", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "extension.x_max" in err and "(line 3, col " in err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--threads"])
+@pytest.mark.parametrize("command", ["profile", "verify"])
+def test_solve_flags_are_usage_errors_elsewhere(tmp_path, capsys, command,
+                                                 flag):
+    argv = [command, "--config", write_config(tmp_path), flag, "2"]
+    if command == "verify":
+        argv += ["--field", str(tmp_path / "field.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+BASE_PAIRS = dict(line.split(" = ") for line in BASE_CONFIG.splitlines()[1:])
+
+# value texts: any float (nan, inf, subnormals, -0.0), admissible-looking
+# floats, overflowing literals, integers of any size, and arbitrary text
+VALUE_TEXTS = st.one_of(
+    st.floats().map(repr),
+    st.floats(0.01, 10.0).map(repr),
+    st.sampled_from(["1e999", "-1e999", "Infinity", "NaN", "5e-324", "1_0"]),
+    st.integers(-2, 10).map(str),
+    st.integers().map(str),
+    st.text(max_size=12))
+
+
+@st.composite
+def config_texts(draw):
+    """The base configuration with some keys set to drawn values, some
+    removed, and some junk lines, in a drawn order."""
+    pairs = dict(BASE_PAIRS)
+    for key in draw(st.lists(st.sampled_from(sorted(_SCHEMA)), max_size=4,
+                             unique=True)):
+        pairs[key] = draw(VALUE_TEXTS)
+    for key in draw(st.lists(st.sampled_from(sorted(pairs)), max_size=1)):
+        del pairs[key]
+    lines = [f"{k} = {v}" for k, v in pairs.items()]
+    lines += draw(st.lists(st.text(max_size=20), max_size=1))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+def dataclass_floats(obj):
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from dataclass_floats(value)
+        elif isinstance(value, float):
+            yield field.name, value
+
+
+@settings(max_examples=300)
+@given(text=config_texts())
+def test_config_parser_fuzz(tmp_path_factory, text):
+    # every input gives a RunConfig with finite floats, or a ConfigError or
+    # DomainError (exit 1 or 2), never another exception
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(text.encode())
+    try:
+        cfg = load_config(path)
+    except (ConfigError, DomainError):
+        return
+    assert isinstance(cfg, RunConfig)
+    for name, value in dataclass_floats(cfg):
+        assert math.isfinite(value), name
 
 
 def test_iteration_budget_exits_3(tmp_path, capsys):

@@ -10,11 +10,11 @@ import hartreebox.solver as solver_mod
 from hartreebox.errors import BracketError, DomainError
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
                               PotentialSpec, SolverSettings, F_eval, df_eval,
-                              energy, f_eval, gradient, nehari_scale,
-                              quadratic_form)
+                              f_eval)
 from hartreebox.solver import random_seed_field, solve_ground
-from hartreebox.spectral import Grid, TraceField, convolve, sobolev_form
+from hartreebox.spectral import TraceField
 
+import oracles
 from test_acceptance import ground_params
 
 LOG_LINEAR = NonlinearitySpec("log_linear", 2.5)
@@ -22,26 +22,22 @@ PURE_POWER = NonlinearitySpec("pure_power", 2.5)
 
 
 def small_params(**kw):
-    defaults = dict(sigma=0.5, m=1.0, dim=1, L=10.0, n=64, theta=2.5,
+    defaults = dict(sigma=0.5, m=1.0, dim=1, L=10.0, n=64,
                     potential=PotentialSpec(V_inf=1.0, A=0.3, w=2.0),
                     kernel=KernelSpec(a=0.0, b=1.0, w2=2.0))
     defaults.update(kw)
     return ModelParams(**defaults)
 
 
-def interaction(u, params, profile):
-    """Psi(u) = 1/2 int (W * F(u)) F(u), as energy reports it."""
-    return energy(u, params, profile).interaction
+def interaction(u, params):
+    """Psi(u) = 1/2 int (W * F(u)) F(u), as the evaluation core computes
+    it: nehari_phi's terms at t = 1 (its Q argument enters only phi)."""
+    return model_mod.nehari_phi(1.0, u.values, params, 1.0)[2][3]
 
 
-def interaction_pairing(u, params):
-    """<Psi'(u), u> = int (W * F(u)) f(u) u, with W * F(u) from the public
-    periodic convolution."""
-    nl = params.nonlinearity
-    W = TraceField(params.grid, params.kernel_values)
-    conv = convolve(W, TraceField(params.grid, F_eval(nl, u.values))).values
-    return float(u.grid.cell_volume
-                 * np.sum(conv * f_eval(nl, u.values) * u.values))
+def project(u, params, profile):
+    """The Nehari scale of the field u and the core's terms at t u."""
+    return model_mod._project(u.values, params, profile)
 
 
 def bump(params, rng=None, width=1.0):
@@ -161,22 +157,22 @@ def test_nonlinearity_validation():
 def test_theta_window_enforced():
     # N=3, sigma=0.7: window is (max(2, 1.875), 3.75)
     with pytest.raises(DomainError, match="window"):
-        ModelParams(sigma=0.7, m=1.0, dim=3, L=5.0, n=8, theta=4.0,
+        ModelParams(sigma=0.7, m=1.0, dim=3, L=5.0, n=8,
                     nonlinearity=NonlinearitySpec("log_linear", 4.0))
-    ModelParams(sigma=0.7, m=1.0, dim=3, L=5.0, n=8, theta=2.5)
+    ModelParams(sigma=0.7, m=1.0, dim=3, L=5.0, n=8)
 
 
 def test_theta_window_open_when_subcritical():
     # N <= 2 sigma: any theta > 2 admissible
-    ModelParams(sigma=0.5, m=1.0, dim=1, L=5.0, n=8, theta=7.0,
+    ModelParams(sigma=0.5, m=1.0, dim=1, L=5.0, n=8,
                 nonlinearity=NonlinearitySpec("log_linear", 7.0))
 
 
 def test_kernel_exponent_bound():
     with pytest.raises(DomainError, match="mu"):
-        ModelParams(sigma=0.5, m=1.0, dim=2, L=5.0, n=8, theta=2.5,
+        ModelParams(sigma=0.5, m=1.0, dim=2, L=5.0, n=8,
                     kernel=KernelSpec(a=1.0, mu=1.8))
-    ModelParams(sigma=0.5, m=1.0, dim=2, L=5.0, n=8, theta=2.5,
+    ModelParams(sigma=0.5, m=1.0, dim=2, L=5.0, n=8,
                 kernel=KernelSpec(a=1.0, mu=1.2))
 
 
@@ -213,51 +209,65 @@ def test_kernel_is_radial_and_nonnegative():
 
 def test_energy_components(profile_half, rng):
     params = small_params()
-    u = bump(params, rng)
-    rep = energy(u, params, profile_half)
-    assert rep.total == rep.quad - rep.interaction
-    assert rep.quad > 0 and rep.interaction > 0
+    _, ev = project(bump(params, rng), params, profile_half)
+    assert ev.level == 0.5 * ev.quad - ev.psi
+    assert ev.quad > 0 and ev.psi > 0
+
+
+def zero_field_terms(params):
+    """nehari_phi at the zero field, which _project does not accept."""
+    return model_mod.nehari_phi(1.0, np.zeros(params.n), params, 0.0)
 
 
 def test_energy_zero_field(profile_half):
     params = small_params()
-    z = TraceField(params.grid, np.zeros(params.n))
-    rep = energy(z, params, profile_half)
-    assert rep.total == 0.0 and rep.quad == 0.0 and rep.interaction == 0.0
+    z = np.zeros(params.n)
+    assert model_mod._quad_terms(params, profile_half, z,
+                                 np.fft.rfftn(z)) == (0.0, 0.0)
+    phi, level, (_, conv, f, psi), _ = zero_field_terms(params)
+    assert phi == 0.0 and level == 0.0 and psi == 0.0
+    assert not np.any(conv) and not np.any(f)
 
 
 def test_interaction_homogeneity_pure_power(profile_half, rng):
     params = small_params(nonlinearity=PURE_POWER)
     u = bump(params, rng)
-    base = interaction(u, params, profile_half)
+    base = interaction(u, params)
     for t in (0.5, 2.0, 3.0):
-        got = interaction(t * u, params, profile_half)
+        got = interaction(t * u, params)
         assert abs(got - t ** 5 * base) < 1e-12 * t ** 5 * base
 
 
 def test_quadratic_part_coercive(profile_half, rng):
+    # Q(v) > kappa |v|^2 / 2 at the projected point v of each random field
     params = small_params()
     for _ in range(10):
         u = TraceField(params.grid, rng.standard_normal(params.n))
-        assert quadratic_form(u, params, profile_half) \
-            > 0.5 * profile_half.kappa * u.norm_l2() ** 2
+        _, ev = project(u, params, profile_half)
+        v = TraceField(params.grid, ev.values)
+        assert ev.quad > 0.5 * profile_half.kappa * v.norm_l2() ** 2
 
 
 def test_gradient_matches_directional_derivative(profile_half, rng):
+    # the core's gradient at a projected point against central differences
+    # of the oracle energy
     params = small_params()
-    u = bump(params, rng)
+    _, ev = project(bump(params, rng), params, profile_half)
+    u = TraceField(params.grid, ev.values)
     v = TraceField(params.grid, rng.standard_normal(params.n))
     eps = 1e-5
-    fd = (energy(u + eps * v, params, profile_half).total
-          - energy(u - eps * v, params, profile_half).total) / (2 * eps)
-    pair = gradient(u, params, profile_half).inner(v)
+    fd = (oracles.level(u + eps * v, params, profile_half)
+          - oracles.level(u - eps * v, params, profile_half)) / (2 * eps)
+    pair = TraceField(params.grid,
+                      ev.gradient(params, profile_half)).inner(v)
     assert abs(pair - fd) < 1e-5 * abs(fd)
 
 
 def test_gradient_zero_field(profile_half):
     params = small_params()
-    z = TraceField(params.grid, np.zeros(params.n))
-    assert np.all(gradient(z, params, profile_half).values == 0.0)
+    _, _, (v, conv, f, psi), _ = zero_field_terms(params)
+    ev = model_mod._Evaluation(v, np.fft.rfftn(v), 0.0, 0.0, psi, conv * f)
+    assert np.all(ev.gradient(params, profile_half) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +276,20 @@ def test_gradient_zero_field(profile_half):
 def test_nehari_fixed_point_and_scaling(profile_half, rng):
     params = small_params()
     u = bump(params, rng)
-    t_u = nehari_scale(u, params, profile_half)
+    t_u = project(u, params, profile_half)[0]
     assert t_u > 0
-    assert abs(nehari_scale(t_u * u, params, profile_half) - 1.0) < 1e-8
+    assert abs(project(t_u * u, params, profile_half)[0] - 1.0) < 1e-8
     for c in (0.5, 2.0):
-        got = nehari_scale(c * u, params, profile_half)
+        got = project(c * u, params, profile_half)[0]
         assert abs(got - t_u / c) < 1e-8 * t_u / c
 
 
 def oracle_nehari_scale(u, params, profile):
     """Dense log scan plus brentq on phi(t) = t Q - <Psi'(tu), tu>/t."""
-    quad = quadratic_form(u, params, profile)
+    quad = oracles.quadratic_form(u, params, profile)
 
     def phi(t):
-        return t * quad - interaction_pairing(t * u, params) / t
+        return t * quad - oracles.interaction_pairing(t * u, params) / t
 
     ts = np.logspace(-6, 6, 481)
     vals = [phi(t) for t in ts]
@@ -292,7 +302,7 @@ def test_nehari_scale_matches_oracle(profile_half, rng, c):
     params = small_params()
     u = c * bump(params, rng)
     want = oracle_nehari_scale(u, params, profile_half)
-    assert abs(nehari_scale(u, params, profile_half) - want) < 1e-12 * want
+    assert abs(project(u, params, profile_half)[0] - want) < 1e-12 * want
 
 
 @pytest.mark.parametrize("c", [1e-7, 1e7])
@@ -300,7 +310,7 @@ def test_nehari_scale_root_outside_window(profile_half, rng, c):
     # the root scales like 1/c and leaves [1e-6, 1e6]
     params = small_params()
     with pytest.raises(BracketError, match="no sign change"):
-        nehari_scale(c * bump(params, rng), params, profile_half)
+        project(c * bump(params, rng), params, profile_half)
 
 
 def test_nehari_evaluations_per_projection(profile_half, monkeypatch):
@@ -343,7 +353,7 @@ def test_ray_levels_stay_below_projected_level(profile_half, rng,
         levels.clear()
         t, ev = model_mod._project(u.values, params, profile_half)
         assert bool(levels) == (spec is not PURE_POWER)
-        levels += [energy(s * t * u, params, profile_half).total
+        levels += [oracles.level(s * t * u, params, profile_half)
                    for s in (0.5, 0.9, 0.999, 1.001, 1.1, 2.0)]
         assert ev.level > 0.0
         assert max(levels) <= ev.level * (1.0 + 1e-14)
@@ -375,25 +385,27 @@ def test_early_rejection_keeps_the_solve(profile_half, monkeypatch, seed):
 
 
 @pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER, USER_TABLE])
-def test_projection_core_matches_public_functions(spec, profile_half, rng):
-    # the solver reads Q, the sigma-form, the level and the gradient at the
-    # projected point from the projection's terms; the public functions
-    # compute them afresh from t u
+def test_projection_core_matches_oracles(spec, profile_half, rng):
+    # the solver reads Q, the sigma-form, Psi, the level and the gradient
+    # at the projected point from the projection's terms; the full-lattice
+    # oracles compute them afresh from t u
     params = small_params(nonlinearity=spec)
 
     def close(a, b):
         return abs(a - b) <= 1e-12 * abs(b)
     for _ in range(3):
         u = bump(params, rng, width=rng.uniform(0.5, 2.0))
-        t, ev = model_mod._project(u.values, params, profile_half)
+        t, ev = project(u, params, profile_half)
         v = t * u
-        assert t == nehari_scale(u, params, profile_half)
         assert np.array_equal(ev.values, v.values)
-        assert close(ev.quad, quadratic_form(v, params, profile_half))
-        assert close(ev.form, sobolev_form(v, params.sigma, params.m,
-                                           profile_half))
-        assert close(ev.level, energy(v, params, profile_half).total)
-        want = gradient(v, params, profile_half).values
+        assert close(ev.quad, oracles.quadratic_form(v, params, profile_half))
+        form = profile_half.kappa * np.sum(
+            oracles.full_multiplier(v.grid, params.m, params.sigma)
+            * oracles.spectral_weights(v))
+        assert close(ev.form, form)
+        assert close(ev.psi, oracles.interaction(v, params))
+        assert close(ev.level, oracles.level(v, params, profile_half))
+        want = oracles.gradient(v, params, profile_half).values
         assert np.max(np.abs(ev.gradient(params, profile_half) - want)) \
             <= 1e-12 * np.max(np.abs(want))
 
@@ -402,32 +414,25 @@ def test_nehari_pure_power_closed_form(profile_half, rng):
     params = small_params(nonlinearity=PURE_POWER)
     u = bump(params, rng)
     theta = 2.5
-    want = (quadratic_form(u, params, profile_half)
-            / (2 * theta * interaction(u, params, profile_half))) \
+    want = (oracles.quadratic_form(u, params, profile_half)
+            / (2 * theta * oracles.interaction(u, params))) \
         ** (1 / (2 * theta - 2))
-    assert abs(nehari_scale(u, params, profile_half) - want) < 1e-12 * want
+    assert abs(project(u, params, profile_half)[0] - want) < 1e-12 * want
 
 
 def test_nehari_projected_field_is_critical(profile_half, rng):
     params = small_params()
     u = bump(params, rng)
-    w = nehari_scale(u, params, profile_half) * u
-    pair = abs(gradient(w, params, profile_half).inner(w))
-    assert pair < 1e-10 * quadratic_form(w, params, profile_half)
-
-
-def test_nehari_requires_matching_grid(profile_half):
-    params = small_params()
-    other = TraceField(Grid(1, 5.0, params.n), np.ones(params.n))
-    with pytest.raises(DomainError, match="grid"):
-        nehari_scale(other, params, profile_half)
+    w = project(u, params, profile_half)[0] * u
+    pair = abs(oracles.gradient(w, params, profile_half).inner(w))
+    assert pair < 1e-10 * oracles.quadratic_form(w, params, profile_half)
 
 
 def test_nehari_requires_positive_part(profile_half, rng):
     params = small_params()
     neg = TraceField(params.grid, -np.abs(rng.standard_normal(params.n)))
     with pytest.raises(DomainError, match="Nehari projection undefined"):
-        nehari_scale(neg, params, profile_half)
+        project(neg, params, profile_half)
 
 
 def test_interaction_quartic_growth(profile_half, rng):
@@ -435,8 +440,7 @@ def test_interaction_quartic_growth(profile_half, rng):
     params = small_params()
     u = bump(params, rng)
     for t1, t2 in ((1.0, 2.0), (1.5, 4.0), (2.0, 9.0)):
-        ratio = (interaction(t2 * u, params, profile_half)
-                 / interaction(t1 * u, params, profile_half))
+        ratio = interaction(t2 * u, params) / interaction(t1 * u, params)
         assert ratio >= (t2 / t1) ** 4
 
 
@@ -448,7 +452,8 @@ def test_mountain_pass_geometry(profile_half, rng):
                        np.abs(rng.standard_normal(params.n))
                        * np.exp(-params.grid.axis ** 2 / 4.0))
         ts = np.logspace(-2, 4, 64)
-        vals = np.array([energy(t * u, params, profile_half).total
+        quad = oracles.quadratic_form(u, params, profile_half)
+        vals = np.array([model_mod.nehari_phi(t, u.values, params, quad)[1]
                          for t in ts])
         assert vals[0] > 0
         assert vals[-1] < 0
@@ -459,6 +464,6 @@ def test_pairing_consistency(profile_half, rng):
     params = small_params()
     u = bump(params, rng)
     eps = 1e-6
-    fd = (interaction((1 + eps) * u, params, profile_half)
-          - interaction((1 - eps) * u, params, profile_half)) / (2 * eps)
-    assert abs(interaction_pairing(u, params) - fd) < 1e-6 * abs(fd)
+    fd = (interaction((1 + eps) * u, params)
+          - interaction((1 - eps) * u, params)) / (2 * eps)
+    assert abs(oracles.interaction_pairing(u, params) - fd) < 1e-6 * abs(fd)

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicHermiteSpline
 from scipy.special import gamma, kv
 
 from hartreebox.errors import DomainError
-from hartreebox.profile import (_S_MATCH, _series_basis, build_profile,
-                                eval_profile, profile_from_csv, profile_to_csv)
+from hartreebox.profile import (_S_MATCH, BesselProfile, _series_basis,
+                                build_profile, eval_profile, profile_from_csv,
+                                profile_to_csv)
 
 from conftest import SIGMAS
 
@@ -160,6 +164,26 @@ def test_csv_roundtrip(tmp_path, profiles):
     assert q.kappa == p.kappa
     assert np.array_equal(q.nodes, p.nodes)
     assert np.array_equal(q.phi, p.phi)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(constants=st.lists(FINITE, min_size=5, max_size=5),
+       table=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)),
+                    elements=FINITE))
+def test_csv_roundtrip_exact(tmp_path_factory, constants, table):
+    sigma, kappa, c1, c2, d_sigma = constants
+    p = BesselProfile(sigma=sigma, nodes=table[:, 0], phi=table[:, 1],
+                      dphi=table[:, 2], kappa=kappa, c1=c1, c2=c2,
+                      d_sigma=d_sigma)
+    path = tmp_path_factory.getbasetemp() / "profile.csv"
+    profile_to_csv(p, path)
+    q = profile_from_csv(path)
+    for name in ("sigma", "kappa", "c1", "c2", "d_sigma", "nodes", "phi",
+                 "dphi"):
+        assert (np.asarray(getattr(q, name)).tobytes()
+                == np.asarray(getattr(p, name)).tobytes()), name
 
 
 def test_csv_rejects_garbage(tmp_path):

@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
-from hartreebox.errors import ConvergenceError, DomainError
+from hartreebox.errors import (ConvergenceError, DomainError,
+                               VerificationError)
 from hartreebox.model import (KernelSpec, ModelParams, PotentialSpec,
-                              SolverSettings, gradient, quadratic_form)
-from hartreebox.solver import (compare_levels, gaussian_bump,
-                               linf_refinement_check, multistart,
-                               solve_asymptotic, solve_ground)
-from hartreebox.spectral import TraceField
+                              SolverSettings)
+from hartreebox.solver import (compare_levels, gaussian_bump, multistart,
+                               solve_ground)
+from hartreebox.spectral import Grid, TraceField
 
-import dataclasses
+from oracles import gradient, linf_refinement_check, quadratic_form
 
 
 def small_params(**kw):
-    defaults = dict(sigma=0.5, m=1.0, dim=1, L=10.0, n=64, theta=2.5,
+    defaults = dict(sigma=0.5, m=1.0, dim=1, L=10.0, n=64,
                     potential=PotentialSpec(V_inf=1.0, A=0.3, w=2.0),
                     kernel=KernelSpec(a=0.0, b=1.0, w2=2.0))
     defaults.update(kw)
@@ -87,8 +87,9 @@ def test_shifted_start_converges_under_rounding_perturbations(profile_half):
 
 
 def test_asymptotic_solution_symmetric(profile_half):
-    params = small_params()
-    res = solve_asymptotic(params, profile_half)
+    # the A = 0 problem compare_levels solves for c_inf
+    params = small_params(potential=PotentialSpec(V_inf=1.0, A=0.0, w=2.0))
+    res = solve_ground(params, profile_half)
     vals = res.u.values
     peak = int(np.argmax(vals))
     reflected = vals[(2 * peak - np.arange(params.n)) % params.n]
@@ -99,9 +100,9 @@ def test_asymptotic_solution_symmetric(profile_half):
 def test_asymptotic_ignores_well_depth(profile_half):
     deep = small_params(potential=PotentialSpec(V_inf=1.0, A=0.6, w=2.0))
     shallow = small_params(potential=PotentialSpec(V_inf=1.0, A=0.1, w=2.0))
-    a = solve_asymptotic(deep, profile_half)
-    b = solve_asymptotic(shallow, profile_half)
-    assert abs(a.level - b.level) < 1e-8 * a.level
+    a = compare_levels(deep, profile_half)[1]
+    b = compare_levels(shallow, profile_half)[1]
+    assert abs(a - b) < 1e-8 * a
 
 
 def test_compare_levels_ordering(profile_half):
@@ -130,6 +131,16 @@ def test_refinement_check(base_result, profile_half):
                                          profile_half)
     assert change < 0.02
     assert np.isfinite(fine.u.norm_lq(np.inf))
+    with pytest.raises(VerificationError, match="grid refinement"):
+        linf_refinement_check(base_result, small_params(), profile_half,
+                              rtol=0.5 * change)
+
+
+def test_seed_on_another_grid(profile_half):
+    params = small_params()
+    other = TraceField(Grid(1, 5.0, params.n), np.ones(params.n))
+    with pytest.raises(DomainError, match="seed grid"):
+        solve_ground(params, profile_half, other)
 
 
 def test_seed_without_positive_part(profile_half):
@@ -143,9 +154,13 @@ def test_iteration_budget_exhaustion(profile_half):
     params = small_params(solver=SolverSettings(tol=1e-8, max_iter=2))
     with pytest.raises(ConvergenceError) as exc:
         solve_ground(params, profile_half)
-    assert exc.value.iters == 2
-    assert exc.value.nehari_residual is not None
-    assert [row[0] for row in exc.value.history] == [0, 1, 2]
+    history = exc.value.history
+    assert [row[0] for row in history] == [0, 1, 2]
+    # the message reports the last row's residuals
+    _, _, nehari, gnorm, _ = history[-1]
+    assert np.isfinite(nehari) and np.isfinite(gnorm)
+    assert (f"no convergence in 2 iterations (nehari_residual={nehari:.3e}, "
+            f"grad_residual={gnorm:.3e})") == str(exc.value)
 
 
 def test_history_schema(base_result):

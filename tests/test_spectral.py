@@ -4,74 +4,40 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hartreebox.errors import DomainError, NumericError
 from hartreebox.model import KernelSpec, ModelParams
-from hartreebox.spectral import (Grid, TraceField, apply_multiplier, convolve,
+from hartreebox.spectral import (Grid, TraceField, apply_multiplier,
                                  field_from_binary, field_from_csv,
-                                 field_to_binary, field_to_csv, frac_apply,
-                                 refine, sobolev_form)
+                                 field_to_binary, field_to_csv, sobolev_form)
+
+from oracles import (dense_convolve, dense_frac_apply, full_multiplier,
+                     refine, spectral_weights)
 
 
-def full_xi_sq(g):
-    """|xi|^2 on the full FFT-ordered frequency lattice."""
-    f = np.fft.fftfreq(g.n, d=2.0 * g.L / g.n)
-    mesh = np.meshgrid(*([f] * g.dim), indexing="ij")
-    return sum(x ** 2 for x in mesh)
+def kernel_params(g, **kernel):
+    """Parameters on the grid g whose kernel spectrum the tests probe; the
+    default kernel has a power core, so it is not smooth."""
+    return ModelParams(sigma=0.5, m=1.0, dim=g.dim, L=g.L, n=g.n,
+                       kernel=KernelSpec(**(kernel or dict(
+                           a=0.5, mu=0.4, R_c=1.0, b=1.0, w2=0.8))))
 
 
-def full_multiplier(g, m, sigma):
-    """(m^2 + 4 pi^2 |xi|^2)^sigma on the full FFT-ordered lattice."""
-    return (m ** 2 + 4.0 * np.pi ** 2 * full_xi_sq(g)) ** sigma
-
-
-def spectral_weights(h):
-    """|hat(h)(xi_k)|^2 * dxi^N on the full lattice, i.e. the summands of
-    the Plancherel sum."""
-    g = h.grid
-    return (np.abs(np.fft.fftn(h.values)) ** 2
-            * g.box_volume / g.n ** (2 * g.dim))
-
-
-def dense_frac_apply(h, sigma, m):
-    """O(n^2) DFT-matrix evaluation of the fractional multiplier."""
-    g = h.grid
-    n, dim = g.n, g.dim
-    freqs = np.fft.fftfreq(n, d=2.0 * g.L / n)
-    idx = np.arange(n)
-    dft = np.exp(-2j * np.pi * np.outer(idx, idx) / n)
-    coeff = h.values
-    for ax in range(dim):
-        coeff = np.moveaxis(np.tensordot(dft, np.moveaxis(coeff, ax, 0),
-                                         axes=(1, 0)), 0, ax)
-    mesh = np.meshgrid(*([freqs] * dim), indexing="ij")
-    mult = (m ** 2 + 4 * np.pi ** 2 * sum(f ** 2 for f in mesh)) ** sigma
-    coeff = coeff * mult
-    idft = np.conj(dft) / n
-    for ax in range(dim):
-        coeff = np.moveaxis(np.tensordot(idft, np.moveaxis(coeff, ax, 0),
-                                         axes=(1, 0)), 0, ax)
-    return coeff.real
-
-
-def dense_convolve(k, g):
-    n, dim = k.grid.n, k.grid.dim
-    shape = k.grid.shape
-    out = np.zeros(shape)
-    for i in np.ndindex(shape):
-        acc = 0.0
-        for j in np.ndindex(shape):
-            d = tuple((a - b) % n for a, b in zip(i, j))
-            acc += k.values[d] * g.values[j]
-        out[i] = acc * k.grid.cell_volume
-    return out
+def frac_apply(h, sigma, m):
+    """(m^2 - Lap)^sigma h along the package's path: apply_multiplier with
+    the grid's cached multiplier."""
+    return apply_multiplier(h.grid.multiplier(m, sigma), h.values,
+                            "fractional")
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_frac_apply_matches_dense_oracle(dim, rng):
     g = Grid(dim, 1.3, 8)
     h = TraceField(g, rng.standard_normal(g.shape))
-    got = frac_apply(h, 0.6, 1.7).values
+    got = frac_apply(h, 0.6, 1.7)
     want = dense_frac_apply(h, 0.6, 1.7)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
@@ -79,9 +45,10 @@ def test_frac_apply_matches_dense_oracle(dim, rng):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_convolve_matches_dense_oracle(dim, rng):
     g = Grid(dim, 1.3, 8)
-    k = TraceField(g, rng.standard_normal(g.shape))
+    params = kernel_params(g)
+    k = TraceField(g, params.kernel_values)
     f = TraceField(g, rng.standard_normal(g.shape))
-    got = convolve(k, f).values
+    got = apply_multiplier(params.kernel_spectrum, f.values, "convolve")
     want = dense_convolve(k, f)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
@@ -90,7 +57,7 @@ def half_and_full_multipliers(dim, kind):
     """One of the solver's multipliers on the half lattice, as the package
     builds it, and on the full lattice, built here."""
     params = ModelParams(sigma=0.5, m=1.3, dim=dim, L=4.0, n=8 if dim == 3
-                         else 16, theta=2.5,
+                         else 16,
                          kernel=KernelSpec(a=0.5, mu=0.4, R_c=2.0, b=1.0,
                                            w2=2.0))
     g = params.grid
@@ -122,15 +89,15 @@ def test_frac_apply_eigenfunction():
     h = TraceField(g, np.cos(2 * np.pi * xi * g.axis))
     lam = (1.21 + 4 * np.pi ** 2 * xi ** 2) ** 0.4
     out = frac_apply(h, 0.4, 1.1)
-    assert np.max(np.abs(out.values - lam * h.values)) < 1e-12 * lam
+    assert np.max(np.abs(out - lam * h.values)) < 1e-12 * lam
 
 
 def test_frac_apply_translation_equivariance(rng):
     g = Grid(1, 5.0, 64)
     h = TraceField(g, rng.standard_normal(g.n))
     shifted = TraceField(g, np.roll(h.values, 7))
-    a = np.roll(frac_apply(h, 0.5, 1.0).values, 7)
-    b = frac_apply(shifted, 0.5, 1.0).values
+    a = np.roll(frac_apply(h, 0.5, 1.0), 7)
+    b = frac_apply(shifted, 0.5, 1.0)
     assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -142,12 +109,17 @@ def test_parseval_exact(rng):
 
 
 def test_young_inequality(rng):
-    # |k * g|_2 <= |k|_1 |g|_2 for 100 random pairs
+    # |W * g|_2 <= |W|_1 |g|_2 for 100 random kernels and fields
     g = Grid(1, 2.0, 16)
     for _ in range(100):
-        k = TraceField(g, np.abs(rng.standard_normal(g.n)))
+        params = kernel_params(
+            g, a=rng.uniform(0.0, 1.0), mu=rng.uniform(0.0, 0.9),
+            R_c=rng.uniform(0.2, 2.0), b=rng.uniform(0.0, 1.0),
+            w2=rng.uniform(0.2, 2.0))
+        k = TraceField(g, params.kernel_values)
         f = TraceField(g, rng.standard_normal(g.n))
-        lhs = convolve(k, f).norm_l2()
+        lhs = TraceField(g, apply_multiplier(params.kernel_spectrum,
+                                             f.values, "convolve")).norm_l2()
         assert lhs <= k.norm_lq(1) * f.norm_l2() * (1 + 1e-12)
 
 
@@ -179,12 +151,14 @@ def test_grid_validation():
 
 
 def test_frac_apply_domain_errors():
-    g = Grid(1, 1.0, 8)
-    h = TraceField(g, np.ones(8))
-    with pytest.raises(DomainError):
-        frac_apply(h, 1.2, 1.0)
-    with pytest.raises(DomainError):
-        frac_apply(h, 0.5, 0.0)
+    # sigma and m are checked where they enter the package: ModelParams
+    # for the solver's operator, sobolev_form for the extension checks
+    h = TraceField(Grid(1, 1.0, 8), np.ones(8))
+    for sigma, m in ((1.2, 1.0), (0.5, 0.0)):
+        with pytest.raises(DomainError):
+            ModelParams(sigma=sigma, m=m, dim=1, L=1.0, n=8)
+        with pytest.raises(DomainError):
+            sobolev_form(h, sigma, m, 1.0)
 
 
 def test_field_validation(rng):
@@ -201,7 +175,9 @@ def test_grid_mismatch(rng):
     a = TraceField(Grid(1, 1.0, 8), rng.standard_normal(8))
     b = TraceField(Grid(1, 2.0, 8), rng.standard_normal(8))
     with pytest.raises(DomainError, match="grid mismatch"):
-        convolve(a, b)
+        a + b
+    with pytest.raises(DomainError, match="grid mismatch"):
+        a.inner(b)
 
 
 def test_refine_band_limited_exact():
@@ -299,6 +275,24 @@ def test_field_binary_roundtrip_keeps_L_exact(tmp_path, rng, L):
     back = field_from_binary(path)
     assert back.grid == g
     assert np.array_equal(back.values, h.values)
+
+
+@given(dim=st.integers(1, 3), n=st.sampled_from([8, 10]),
+       L=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       data=st.data())
+def test_field_roundtrips_bit_exact(tmp_path_factory, dim, n, L, data):
+    # any finite values, signed zeros and subnormals among them, and any
+    # positive finite L read back bit for bit from both formats
+    g = Grid(dim, L, n)
+    io_dir = tmp_path_factory.getbasetemp()
+    h = TraceField(g, data.draw(arrays(np.float64, g.shape, elements=st.floats(
+        allow_nan=False, allow_infinity=False))))
+    for write, read, name in ((field_to_csv, field_from_csv, "f.csv"),
+                              (field_to_binary, field_from_binary, "f.bin")):
+        write(h, io_dir / name)
+        back = read(io_dir / name)
+        assert back.grid == g
+        assert back.values.tobytes() == h.values.tobytes()
 
 
 def test_field_binary_rejects_old_format_and_ragged_size(tmp_path, rng):
