@@ -11,7 +11,7 @@ from .profile import (BesselProfile, build_profile, eval_profile,
 from .spectral import (Grid, TraceField, field_from_binary, field_from_csv,
                        field_to_binary, field_to_csv, sobolev_form)
 from .model import (KernelSpec, ModelParams, NonlinearitySpec, PotentialSpec,
-                    SolverSettings, F_eval, df_eval, f_eval)
+                    SolverSettings)
 from .solver import (GroundStateResult, compare_levels, gaussian_bump,
                      multistart, solve_ground)
 from .extension import (DecayFitReport, ExtensionField, decay_fit, dtn_check,

@@ -154,8 +154,9 @@ def cmd_verify(args) -> int:
     laps.append(("config", time.perf_counter()))
     prof = _build_profile(cfg)
     laps.append(("profile", time.perf_counter()))
-    m = cfg.params.m
-    ext = lift(h, prof, m, cfg.extension_x_max, cfg.extension_K_x)
+    ext = lift(h, prof, cfg.params.m, cfg.extension_x_max,
+               cfg.extension_K_x)
+    h_norm = h.norm_l2()
 
     rows, failures = [], []
 
@@ -167,20 +168,18 @@ def cmd_verify(args) -> int:
             rows.append((name, "fail", str(exc)))
             failures.append(f"{name}: {exc}")
 
-    run("energy_identity",
-        lambda: energy_identity_check(h, ext, prof, m))
-    run("dtn", lambda: dtn_check(h, ext, prof, m))
+    run("energy_identity", lambda: energy_identity_check(ext))
+    run("dtn", lambda: dtn_check(ext))
 
     def _decay():
-        rep = decay_fit(ext, h.norm_l2(), m)
-        decay_report_to_csv(ext, rep, h.norm_l2(), m,
+        rep = decay_fit(ext, h_norm)
+        decay_report_to_csv(ext, rep, h_norm,
                             os.path.join(args.out, "decay.csv"))
         return rep.rate
     run("decay", _decay)
 
-    run("trace_inequality",
-        lambda: trace_inequality_check(h, prof, cfg.params.sigma, m))
-    dtn_report_to_csv(h, ext, prof, m, os.path.join(args.out, "dtn.csv"))
+    run("trace_inequality", lambda: trace_inequality_check(ext, h_norm))
+    dtn_report_to_csv(ext, os.path.join(args.out, "dtn.csv"))
     laps.append(("checks", time.perf_counter()))
 
     report_path = os.path.join(args.out, "verify_report.csv")
@@ -201,6 +200,15 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low; anything else is a usage error."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}: {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hartreebox",
@@ -214,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
         if name == "solve":
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--seed", type=_int_at_least(0), default=None)
+            p.add_argument("--threads", type=_int_at_least(1), default=1)
         if name == "verify":
             p.add_argument("--field", required=True)
         p.set_defaults(func=fn)

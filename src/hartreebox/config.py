@@ -148,9 +148,13 @@ def load_config(path) -> RunConfig:
     if not math.isfinite(x_max):
         raise ConfigError("the default extension.x_max = 10/m overflows; "
                           "set extension.x_max", *pairs["m"][1:])
+    seed = _convert(pairs, "seed", 0)
+    if seed < 0:                    # numpy's generators take seeds >= 0
+        raise ConfigError(f"seed must be nonnegative, got {seed}",
+                          *pairs["seed"][1:])
     return RunConfig(
         params=params,
-        seed=_convert(pairs, "seed", 0),
+        seed=seed,
         profile_s_max=_convert(pairs, "profile.s_max", 40.0),
         profile_M=_convert(pairs, "profile.M", 2000),
         extension_x_max=x_max,

@@ -9,7 +9,8 @@ the |k|^2 class of every mode, and Phi(x_j c) once per distinct rate c.
 The checks then compare it against independent discretizations, per rate
 class where they can: graded-quadrature energy vs. the spectral quadratic
 form, finite-difference Neumann traces vs. the fractional multiplier, and
-the sup-norm decay law in x.  Only sup_y |u(x, .)| needs physical space;
+the sup-norm decay law in x.  Each check reads the profile, m and spectrum
+from the lifted field.  Only sup_y |u(x, .)| needs physical space;
 it is transformed a few x-nodes at a time, so no check holds an array of
 (K_x + 1) n^N values.
 """
@@ -26,7 +27,8 @@ import numpy as np
 from .errors import DiagnosticError, DomainError, NumericError, \
     VerificationError
 from .profile import BesselProfile, eval_profile, small_s_energy_integral
-from .spectral import Grid, TraceField, sobolev_form
+from .spectral import (Grid, TraceField, half_spectrum, mode_power,
+                       multiply_spectrum, sobolev_form)
 
 # (x, y) points per inverse transform in ExtensionField.sup_abs: about
 # 20 MB of transform buffers, whatever the grid
@@ -37,16 +39,17 @@ _CHUNK_POINTS = 1 << 19
 class ExtensionField:
     """Extension u(x, y) of a trace on x_nodes x grid, held mode-wise.
 
-    spectrum is rfftn(h) on the half lattice, mode_class the index of each
-    half-lattice mode's |k|^2 among the distinct values, rates the rate c
-    of each class and profile_table[j, u] = Phi(x_nodes[j] rates[u]), so
+    profile and m are those the trace was lifted with.  spectrum is rfftn(h)
+    on the half lattice, mode_class the index of each half-lattice mode's
+    |k|^2 among the distinct values, rates the rate c of each class and
+    profile_table[j, u] = Phi(x_nodes[j] rates[u]), so
     u-hat(x_j, k) = profile_table[j, mode_class[k]] spectrum[k].
-    weight_exponent = 1 - 2 sigma.
     """
 
     grid: Grid
     x_nodes: np.ndarray
-    weight_exponent: float
+    profile: BesselProfile
+    m: float
     spectrum: np.ndarray
     mode_class: np.ndarray
     rates: np.ndarray
@@ -60,7 +63,7 @@ class ExtensionField:
         table = np.asarray(self.profile_table, dtype=float)
         if x.ndim != 1 or np.any(np.diff(x) <= 0) or x[0] < 0:
             raise DomainError("x_nodes must be increasing and nonnegative")
-        half = self.grid.shape[:-1] + (self.grid.n // 2 + 1,)
+        half = self.grid.k_sq.shape
         if spec.shape != half or cls.shape != half:
             raise DomainError("spectrum or mode_class shape does not match "
                               "the grid's half lattice")
@@ -76,16 +79,12 @@ class ExtensionField:
                             ("profile_table", table)):
             object.__setattr__(self, name, value)
 
-    @property
-    def sigma(self) -> float:
-        return 0.5 * (1.0 - self.weight_exponent)
-
     def values(self, rows) -> np.ndarray:
         """u(x_j, y) at the x-nodes x_nodes[rows] (an index or a slice),
         shape x_nodes[rows].shape + grid.shape."""
-        coeffs = self.profile_table[rows][..., self.mode_class] * self.spectrum
-        return np.fft.irfftn(coeffs, s=self.grid.shape,
-                             axes=tuple(range(-self.grid.dim, 0)))
+        table = self.profile_table[rows][..., self.mode_class]
+        return multiply_spectrum(table, self.spectrum, self.grid.shape,
+                                 "extension")
 
     @cached_property
     def sup_abs(self) -> np.ndarray:
@@ -106,14 +105,6 @@ def graded_nodes(x_max: float, K_x: int) -> np.ndarray:
     return x_max * (np.arange(K_x + 1) / K_x) ** 3
 
 
-def _half_lattice_ksq(grid: Grid) -> np.ndarray:
-    """Integer |k|^2 (k = 2L xi) at every mode of the rfftn half lattice."""
-    k_sq = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.int64) ** 2
-    k_half_sq = np.arange(grid.n // 2 + 1, dtype=np.int64) ** 2
-    axes = [k_sq] * (grid.dim - 1) + [k_half_sq]
-    return sum(np.meshgrid(*axes, indexing="ij", sparse=True))
-
-
 def lift(h: TraceField, profile: BesselProfile, m: float,
          x_max: float | None = None, K_x: int = 400) -> ExtensionField:
     """Extend the trace h into x > 0 mode by mode."""
@@ -126,33 +117,19 @@ def lift(h: TraceField, profile: BesselProfile, m: float,
     if K_x < 8:
         raise DomainError("K_x too small")
     grid = h.grid
-    k_sq = _half_lattice_ksq(grid)
-    class_k_sq, mode_class = np.unique(k_sq, return_inverse=True)
+    class_k_sq, mode_class = np.unique(grid.k_sq, return_inverse=True)
     xi_sq = class_k_sq / (2.0 * grid.L) ** 2
     rates = np.sqrt(m ** 2 + 4.0 * np.pi ** 2 * xi_sq)
     x = graded_nodes(x_max, K_x)
     # Phi once per (x-node, distinct rate)
     table = eval_profile(profile, np.multiply.outer(x, rates))[0]
-    return ExtensionField(grid=grid, x_nodes=x,
-                          weight_exponent=1.0 - 2.0 * profile.sigma,
-                          spectrum=np.fft.rfftn(h.values),
-                          mode_class=mode_class.reshape(k_sq.shape),
+    return ExtensionField(grid=grid, x_nodes=x, profile=profile, m=m,
+                          spectrum=half_spectrum(h.values),
+                          mode_class=mode_class.reshape(grid.k_sq.shape),
                           rates=rates, profile_table=table)
 
 
-def _mode_power(ext: ExtensionField) -> tuple[np.ndarray, np.ndarray]:
-    """Plancherel summands |h-hat|^2 dxi^N per half-lattice mode, and the
-    number of full-lattice modes each one stands for (2 off the
-    self-conjugate planes of the last axis, whose partners it omits)."""
-    g = ext.grid
-    power = np.abs(ext.spectrum) ** 2 * (g.box_volume / g.n ** (2 * g.dim))
-    count = np.full(power.shape, 2.0)
-    count[..., 0] = 1.0
-    count[..., g.n // 2] = 1.0
-    return power, count
-
-
-def _extension_energy(ext: ExtensionField, profile: BesselProfile) -> float:
+def _extension_energy(ext: ExtensionField) -> float:
     """int_0^x_max int (|grad u|^2 + m^2 u^2) x^(1-2 sigma) dy dx.
 
     Finite differences in x and spectral derivatives in y on the graded
@@ -161,10 +138,10 @@ def _extension_energy(ext: ExtensionField, profile: BesselProfile) -> float:
     profile table alone.  The analytic series for Phi supplies the [0, x_1]
     head, where the weight is singular or zero.
     """
-    sigma = profile.sigma
+    sigma = ext.profile.sigma
     x = ext.x_nodes
     c = ext.rates
-    power, count = _mode_power(ext)
+    power, count = mode_power(ext.grid, ext.spectrum)
     mass = np.bincount(ext.mode_class.ravel(), weights=(power * count).ravel(),
                        minlength=c.size)
 
@@ -173,23 +150,21 @@ def _extension_energy(ext: ExtensionField, profile: BesselProfile) -> float:
     integrand = (y_part[1:] + x_part[1:]) * x[1:] ** (1.0 - 2.0 * sigma)
     body = np.trapezoid(integrand, x[1:])
 
-    c1s = profile.d_sigma / (2.0 * sigma)
+    c1s = ext.profile.d_sigma / (2.0 * sigma)
     head = float(np.sum(mass * c ** (2.0 * sigma)
                         * small_s_energy_integral(c * x[1], sigma, c1s)))
     return body + head
 
 
-def energy_identity_check(h: TraceField, ext: ExtensionField,
-                          profile: BesselProfile, m: float,
-                          rtol: float = 0.01) -> float:
+def energy_identity_check(ext: ExtensionField, rtol: float = 0.01) -> float:
     """Weighted extension energy vs. the spectral quadratic form.
 
     The left side is the graded-mesh quadrature of the weighted Dirichlet
-    energy of ext; the right side is sobolev_form(h).  Returns the relative
-    discrepancy and asserts it is below rtol.
+    energy of ext; the right side is the sigma-form of its trace.  Returns
+    the relative discrepancy and asserts it is below rtol.
     """
-    lhs = _extension_energy(ext, profile)
-    rhs = sobolev_form(h, profile.sigma, m, profile)
+    lhs = _extension_energy(ext)
+    rhs = sobolev_form(ext.grid, ext.spectrum, ext.m, ext.profile)
     if not np.isfinite(lhs):
         raise NumericError("extension energy quadrature is non-finite")
     if rhs == 0.0:
@@ -209,8 +184,7 @@ def _effective_abscissa(x1: float, x2: float, sigma: float) -> float:
     return val ** (1.0 / (2 * sigma - 1.0))
 
 
-def _neumann_trace(ext: ExtensionField, profile: BesselProfile,
-                   mass_floor: float):
+def _neumann_trace(ext: ExtensionField, mass_floor: float):
     """The one Neumann-trace estimator behind dtn_check and dtn.csv.
 
     Over the half-lattice modes carrying at least mass_floor of the
@@ -222,15 +196,15 @@ def _neumann_trace(ext: ExtensionField, profile: BesselProfile,
     limit without the growing, direction-flipping increments of an x-mesh
     too coarse for the boundary layer.
     """
-    sigma = profile.sigma
+    sigma = ext.profile.sigma
     x = ext.x_nodes
     if x.size < 5 or x[0] != 0.0:
         raise DomainError("extension mesh must start at 0 with >= 5 nodes")
-    power, count = _mode_power(ext)
+    power, count = mode_power(ext.grid, ext.spectrum)
     mask = (power >= mass_floor * float(np.sum(power * count))) & (power > 0)
     hhat = ext.spectrum[mask]
     cls = ext.mode_class[mask]
-    target = profile.d_sigma * ext.rates[cls] ** (2.0 * sigma) * hhat
+    target = ext.profile.d_sigma * ext.rates[cls] ** (2.0 * sigma) * hhat
 
     # Phi at the five smallest nodes; differencing the real profile before
     # scaling by h-hat keeps the O(x_1^(2 sigma)) increments free of the
@@ -257,19 +231,16 @@ def _neumann_trace(ext: ExtensionField, profile: BesselProfile,
     return mask, extrap, target, rel, monotone
 
 
-def dtn_check(h: TraceField, ext: ExtensionField, profile: BesselProfile,
-              m: float, rtol: float = 0.02, mass_floor: float = 1e-6
-              ) -> float:
+def dtn_check(ext: ExtensionField, rtol: float = 0.02,
+              mass_floor: float = 1e-6) -> float:
     """Neumann trace -x^(1-2 sigma) du/dx at x -> 0 vs. the multiplier.
 
     Per mode carrying at least mass_floor of the spectral mass, the
     extrapolated finite-difference estimate must match d_sigma c^(2 sigma)
     h-hat within rtol.  Returns the worst relative error (0 for a zero
-    field), the largest rel_error that dtn_report_to_csv writes.  The
-    estimate reads the spectrum and rates that lift(h, profile, m) stored
-    in ext.
+    field), the largest rel_error that dtn_report_to_csv writes.
     """
-    _, _, _, rel, monotone = _neumann_trace(ext, profile, mass_floor)
+    _, _, _, rel, monotone = _neumann_trace(ext, mass_floor)
     if not monotone:
         raise DiagnosticError("Neumann-trace extrapolation non-monotone; "
                               "use a denser x-grading (larger K_x)")
@@ -289,9 +260,8 @@ class DecayFitReport:
     envelope_const: float
 
 
-def decay_fit(ext: ExtensionField, h_norm: float, m: float,
-              rate_rtol: float = 0.05, residual_tol: float = 0.05
-              ) -> DecayFitReport:
+def decay_fit(ext: ExtensionField, h_norm: float, rate_rtol: float = 0.05,
+              residual_tol: float = 0.05) -> DecayFitReport:
     """Fit sup_y |u(x, .)| ~ C x^p e^(-r x) on the window [2/m, x_max].
 
     Asserts r >= m (1 - rate_rtol) and reports the envelope constant
@@ -299,7 +269,7 @@ def decay_fit(ext: ExtensionField, h_norm: float, m: float,
     window, which makes the decay-law envelope hold on the window by
     construction.
     """
-    sigma = ext.sigma
+    sigma, m = ext.profile.sigma, ext.m
     x = ext.x_nodes
     sup = ext.sup_abs
     if np.all(sup == 0.0):
@@ -339,13 +309,13 @@ def decay_fit(ext: ExtensionField, h_norm: float, m: float,
     return report
 
 
-def trace_inequality_check(h: TraceField, profile: BesselProfile,
-                           sigma: float, m: float = 1.0) -> float:
-    """Slack of m^(2 sigma) |h|_2^2 <= (1/kappa) ||u||_sigma^2, nonnegative
-    at every m because the multiplier (m^2 + 4 pi^2 |xi|^2)^sigma is at
-    least m^(2 sigma)."""
-    norm_sq = sobolev_form(h, sigma, m, profile)
-    slack = norm_sq / profile.kappa - m ** (2.0 * sigma) * h.norm_l2() ** 2
+def trace_inequality_check(ext: ExtensionField, h_norm: float) -> float:
+    """Slack of m^(2 sigma) |h|_2^2 <= (1/kappa) ||u||_sigma^2 for the
+    trace h of ext, with h_norm = |h|_2; nonnegative at every m because the
+    multiplier (m^2 + 4 pi^2 |xi|^2)^sigma is at least m^(2 sigma)."""
+    norm_sq = sobolev_form(ext.grid, ext.spectrum, ext.m, ext.profile)
+    slack = (norm_sq / ext.profile.kappa
+             - ext.m ** (2.0 * ext.profile.sigma) * h_norm ** 2)
     if slack < -1e-12 * max(norm_sq, 1.0):
         raise VerificationError(f"trace inequality violated: slack={slack:.3e}")
     return float(slack)
@@ -355,8 +325,8 @@ def trace_inequality_check(h: TraceField, profile: BesselProfile,
 # Report CSVs
 
 def decay_report_to_csv(ext: ExtensionField, report: DecayFitReport,
-                        h_norm: float, m: float, path) -> None:
-    sigma = ext.sigma
+                        h_norm: float, path) -> None:
+    sigma, m = ext.profile.sigma, ext.m
     x = ext.x_nodes
     sup = ext.sup_abs
     with open(path, "w", newline="") as fh:
@@ -368,14 +338,13 @@ def decay_report_to_csv(ext: ExtensionField, report: DecayFitReport,
             w.writerow([repr(float(xi)), repr(float(s)), repr(float(env))])
 
 
-def dtn_report_to_csv(h: TraceField, ext: ExtensionField,
-                      profile: BesselProfile, m: float, path,
+def dtn_report_to_csv(ext: ExtensionField, path,
                       mass_floor: float = 1e-6) -> None:
     """Per-mode table of the extrapolated Neumann trace vs. its target:
     one row per half-lattice mode that dtn_check judges (a mode's
     conjugate partner has the conjugate estimate and the same error)."""
-    mask, extrap, target, rel, _ = _neumann_trace(ext, profile, mass_floor)
-    xi_abs = np.sqrt(_half_lattice_ksq(ext.grid)[mask]) / (2.0 * ext.grid.L)
+    mask, extrap, target, rel, _ = _neumann_trace(ext, mass_floor)
+    xi_abs = np.sqrt(ext.grid.k_sq[mask]) / (2.0 * ext.grid.L)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["xi_abs", "estimate_re", "estimate_im",

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import BracketError, DiagnosticError, DomainError, NumericError
 from .profile import BesselProfile
-from .spectral import (Grid, _kappa_value, apply_multiplier,
-                       half_lattice_form, multiply_spectrum)
+from .spectral import (Grid, apply_multiplier, half_spectrum,
+                       multiply_spectrum, sobolev_form)
 
 
 # ---------------------------------------------------------------------------
@@ -83,24 +83,6 @@ def _nonlinearity(spec: NonlinearitySpec, t):
         F /= spec.theta
         return F, f, lambda: (spec.theta - 1.0) * pos ** (spec.theta - 2.0)
     return _table(spec, pos)
-
-
-def f_eval(spec: NonlinearitySpec, t):
-    """f(t), vectorized; zero on t < 0."""
-    out = _nonlinearity(spec, t)[1]
-    return out if out.ndim else float(out)
-
-
-def F_eval(spec: NonlinearitySpec, t):
-    """F(t) = int_0^t f, the exact primitive; zero on t < 0."""
-    out = _nonlinearity(spec, t)[0]
-    return out if out.ndim else float(out)
-
-
-def df_eval(spec: NonlinearitySpec, t):
-    """f'(t), vectorized; zero on t < 0."""
-    out = _nonlinearity(spec, t)[2]()
-    return out if out.ndim else float(out)
 
 
 def _table(spec: NonlinearitySpec, pos: np.ndarray):
@@ -281,7 +263,7 @@ class ModelParams:
     def kernel_spectrum(self) -> np.ndarray:
         """cell_volume * rfftn(W): the multiplier of g -> W * g, transformed
         once per parameter set."""
-        spec = self.grid.cell_volume * np.fft.rfftn(self.kernel_values)
+        spec = self.grid.cell_volume * half_spectrum(self.kernel_values)
         spec.flags.writeable = False
         return spec
 
@@ -350,9 +332,7 @@ class _Evaluation:
 def _quad_terms(params: ModelParams, profile: BesselProfile,
                 values: np.ndarray, spectrum: np.ndarray):
     """(sigma-form, Q) of the field `values` with rfftn `spectrum`."""
-    kappa = _kappa_value(profile, params.sigma)
-    form = kappa * half_lattice_form(
-        params.grid, params.grid.multiplier(params.m, params.sigma), spectrum)
+    form = sobolev_form(params.grid, spectrum, params.m, profile)
     pot = params.grid.cell_volume * (params.potential_values
                                      * values ** 2).sum()
     return form, _check_finite(form + pot, "quadratic form")
@@ -487,7 +467,7 @@ def _project(u: np.ndarray, params: ModelParams, profile: BesselProfile,
     if not np.any(u > 0.0):
         raise DomainError("Nehari projection undefined: field has no "
                           "positive part")
-    spectrum = np.fft.rfftn(u)
+    spectrum = half_spectrum(u)
     form, quad = _quad_terms(params, profile, u, spectrum)
 
     nl = params.nonlinearity

@@ -357,6 +357,8 @@ def profile_from_csv(path) -> BesselProfile:
         if rows[2] != ["s", "phi", "dphi"]:
             raise ValueError("bad column header")
         data = np.array([[float(v) for v in r] for r in rows[3:]])
+        if data.ndim != 2 or data.shape[1] != 3:
+            raise ValueError("no rows of three columns s, phi, dphi")
     except (ValueError, IndexError) as exc:
         raise DiagnosticError(f"unreadable profile CSV {path}: {exc}") from exc
     return BesselProfile(sigma=sigma, nodes=data[:, 0], phi=data[:, 1],

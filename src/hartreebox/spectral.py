@@ -96,6 +96,16 @@ class Grid:
         return sum(x ** 2 for x in mesh)
 
     @cached_property
+    def k_sq(self) -> np.ndarray:
+        """Integer |k|^2 (k = 2L xi) on the rfftn half lattice; read-only."""
+        k_ax = np.fft.fftfreq(self.n, 1.0 / self.n).astype(np.int64) ** 2
+        k_half = np.arange(self.n // 2 + 1, dtype=np.int64) ** 2
+        axes = [k_ax] * (self.dim - 1) + [k_half]
+        out = sum(np.meshgrid(*axes, indexing="ij", sparse=True))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def _multipliers(self) -> dict:
         return {}
 
@@ -139,28 +149,11 @@ class TraceField:
     def norm_l2(self) -> float:
         return self.norm_lq(2)
 
-    def inner(self, other: "TraceField") -> float:
-        _check_same_grid(self.grid, other.grid)
-        return float(self.grid.cell_volume
-                     * np.sum(self.values * other.values))
 
-    def __add__(self, other):
-        _check_same_grid(self.grid, other.grid)
-        return TraceField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _check_same_grid(self.grid, other.grid)
-        return TraceField(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float):
-        return TraceField(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
-
-
-def _check_same_grid(a: Grid, b: Grid) -> None:
-    if a != b:
-        raise DomainError(f"grid mismatch: {a} vs {b}")
+def half_spectrum(values: np.ndarray) -> np.ndarray:
+    """rfftn(values): the half-lattice spectrum of a real grid array, the
+    one forward transform of the package."""
+    return np.fft.rfftn(values)
 
 
 def apply_multiplier(mult: np.ndarray, values: np.ndarray,
@@ -172,19 +165,21 @@ def apply_multiplier(mult: np.ndarray, values: np.ndarray,
     here or, when rfftn(values) is already at hand, through
     multiply_spectrum.
     """
-    return multiply_spectrum(mult, np.fft.rfftn(values), values.shape, what)
+    return multiply_spectrum(mult, half_spectrum(values), values.shape, what)
 
 
 def multiply_spectrum(mult: np.ndarray, spectrum: np.ndarray, shape,
                       what: str) -> np.ndarray:
-    """irfftn(mult * spectrum) on a grid of the given shape.  `what` names
-    the caller in the NumericError raised when `mult` is not on the half
-    lattice of `spectrum`."""
-    if mult.shape != spectrum.shape:
+    """irfftn(mult * spectrum) on a grid of the given shape, transformed
+    over the grid axes; `mult` may stack several multipliers on leading
+    axes, giving a field per multiplier.  `what` names the caller in the
+    NumericError raised when `mult` is not on the half lattice of
+    `spectrum`."""
+    if mult.shape[mult.ndim - spectrum.ndim:] != spectrum.shape:
         raise NumericError(f"{what}: multiplier of shape {mult.shape} is not "
                            f"on the half lattice {spectrum.shape}")
     return np.fft.irfftn(mult * spectrum, s=shape,
-                         axes=tuple(range(len(shape))))
+                         axes=tuple(range(-len(shape), 0)))
 
 
 def half_lattice_form(grid: Grid, mult: np.ndarray,
@@ -199,29 +194,29 @@ def half_lattice_form(grid: Grid, mult: np.ndarray,
     return float(total * grid.box_volume / grid.n ** (2 * grid.dim))
 
 
-def sobolev_form(h: TraceField, sigma: float, m: float, kappa) -> float:
-    """kappa * sum (m^2 + 4 pi^2 |xi|^2)^sigma |hat(h)|^2 dxi^N.
+def mode_power(grid: Grid, spectrum: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Plancherel summands |hat(h)|^2 dxi^N per half-lattice mode of the
+    spectrum rfftn(h), and the number of full-lattice modes each one
+    stands for, as in half_lattice_form."""
+    power = np.abs(spectrum) ** 2 * (grid.box_volume
+                                     / grid.n ** (2 * grid.dim))
+    count = np.full(power.shape, 2.0)
+    count[..., 0] = count[..., -1] = 1.0
+    return power, count
 
-    `kappa` may be the scalar constant or a BesselProfile, in which case its
-    sigma must match (mismatch is a DomainError).
-    """
-    if not 0.0 < sigma < 1.0:
+
+def sobolev_form(grid: Grid, spectrum: np.ndarray, m: float,
+                 profile) -> float:
+    """kappa sum (m^2 + 4 pi^2 |xi|^2)^sigma |hat(h)|^2 dxi^N of the field
+    with half-lattice spectrum rfftn(h), with sigma and kappa those of the
+    BesselProfile `profile`."""
+    if not 0.0 < profile.sigma < 1.0:
         raise DomainError("sigma out of (0,1)")
     if m <= 0.0:
         raise DomainError("m must be positive")
-    kval = _kappa_value(kappa, sigma)
-    return kval * half_lattice_form(h.grid, h.grid.multiplier(m, sigma),
-                                    np.fft.rfftn(h.values))
-
-
-def _kappa_value(kappa, sigma: float) -> float:
-    from .profile import BesselProfile
-    if isinstance(kappa, BesselProfile):
-        if abs(kappa.sigma - sigma) > 1e-12:
-            raise DomainError(f"profile built for sigma={kappa.sigma}, "
-                              f"called with sigma={sigma}")
-        return kappa.kappa
-    return float(kappa)
+    return profile.kappa * half_lattice_form(
+        grid, grid.multiplier(m, profile.sigma), spectrum)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import dataclasses
 import numpy as np
 
 from hartreebox.errors import DomainError, VerificationError
-from hartreebox.model import F_eval, f_eval
 from hartreebox.solver import solve_ground
 from hartreebox.spectral import Grid, TraceField
 
@@ -81,6 +80,40 @@ def kernel_convolve(params, g):
 
 
 # ---------------------------------------------------------------------------
+# The nonlinearity, from its closed forms
+
+def f_and_F(spec, t):
+    """(f(t), F(t)) at an array t, both zero on t <= 0.
+
+    log_linear: f = t ln(1+t), F = (t^2 - 1)/2 ln(1+t) - t^2/4 + t/2.
+    pure_power: f = t^(theta-1), F = t^theta / theta.
+    user_table: f is the broken line through (0, 0) and the samples, F its
+    integral by trapezoids (exact on lines); past the last sample both
+    follow the power law through the last two samples.
+    """
+    t = np.maximum(np.asarray(t, dtype=float), 0.0)
+    if spec.kind == "log_linear":
+        lg = np.log1p(t)
+        return t * lg, 0.5 * (t ** 2 - 1.0) * lg - 0.25 * t ** 2 + 0.5 * t
+    if spec.kind == "pure_power":
+        return t ** (spec.theta - 1.0), t ** spec.theta / spec.theta
+    nodes = np.concatenate([[0.0], spec.table[:, 0]])
+    vals = np.concatenate([[0.0], spec.table[:, 1]])
+    area = np.concatenate([[0.0], np.cumsum(
+        np.diff(nodes) * 0.5 * (vals[1:] + vals[:-1]))])
+    f = np.interp(t, nodes, vals)
+    i = np.searchsorted(nodes, t, side="right") - 1
+    F = area[i] + 0.5 * (t - nodes[i]) * (vals[i] + f)
+    tail = t > nodes[-1]
+    p = np.log(vals[-1] / vals[-2]) / np.log(nodes[-1] / nodes[-2])
+    r = t[tail] / nodes[-1]
+    f[tail] = vals[-1] * r ** p
+    F[tail] = area[-1] + vals[-1] * nodes[-1] / (p + 1.0) \
+        * (r ** (p + 1.0) - 1.0)
+    return f, F
+
+
+# ---------------------------------------------------------------------------
 # The energy I(u) = Q(u)/2 - Psi(u) and its first variation
 
 def quadratic_form(u, params, profile):
@@ -94,17 +127,16 @@ def quadratic_form(u, params, profile):
 
 def interaction(u, params):
     """Psi(u) = 1/2 int (W * F(u)) F(u)."""
-    F = F_eval(params.nonlinearity, u.values)
+    F = f_and_F(params.nonlinearity, u.values)[1]
     return 0.5 * u.grid.cell_volume * float(
         np.sum(kernel_convolve(params, F) * F))
 
 
 def interaction_pairing(u, params):
     """<Psi'(u), u> = int (W * F(u)) f(u) u."""
-    nl = params.nonlinearity
-    conv = kernel_convolve(params, F_eval(nl, u.values))
+    f, F = f_and_F(params.nonlinearity, u.values)
     return u.grid.cell_volume * float(
-        np.sum(conv * f_eval(nl, u.values) * u.values))
+        np.sum(kernel_convolve(params, F) * f * u.values))
 
 
 def level(u, params, profile):
@@ -115,13 +147,12 @@ def level(u, params, profile):
 def gradient(u, params, profile):
     """L^2 representation of I'(u):
     kappa (m^2 - Lap)^sigma u + V u - (W * F(u)) f(u)."""
-    nl = params.nonlinearity
+    f, F = f_and_F(params.nonlinearity, u.values)
     mult = full_multiplier(u.grid, params.m, params.sigma)
     lin = np.fft.ifftn(mult * np.fft.fftn(u.values)).real
-    conv = kernel_convolve(params, F_eval(nl, u.values))
     return TraceField(u.grid, profile.kappa * lin
                       + params.potential_values * u.values
-                      - conv * f_eval(nl, u.values))
+                      - kernel_convolve(params, F) * f)
 
 
 # ---------------------------------------------------------------------------

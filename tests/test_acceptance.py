@@ -11,7 +11,7 @@ import pytest
 from hartreebox.extension import (decay_fit, dtn_check, energy_identity_check,
                                   lift, trace_inequality_check)
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
-                              PotentialSpec, F_eval, f_eval)
+                              PotentialSpec, _nonlinearity)
 from hartreebox.profile import eval_profile
 from hartreebox.solver import compare_levels, multistart, solve_ground
 from hartreebox.spectral import Grid, TraceField, apply_multiplier
@@ -100,7 +100,7 @@ def test_criterion_3_energy_identity(profiles, rng, capsys):
         for _ in range(10):
             h = random_field(rng)
             ext = lift(h, p, 1.0, x_max=12.0, K_x=400)
-            worst = max(worst, energy_identity_check(h, ext, p, 1.0))
+            worst = max(worst, energy_identity_check(ext))
     assert worst < 0.01
     verdict(capsys, 3, f"extension energy identity within {worst:.2e} "
             "over 30 random fields (allowed 1e-2)")
@@ -113,12 +113,12 @@ def test_criterion_4_dtn(profiles, profile_half, rng, capsys):
         for _ in range(10):
             h = random_field(rng)
             ext = lift(h, p, 1.0, x_max=12.0, K_x=400)
-            worst = max(worst, dtn_check(h, ext, p, 1.0))
+            worst = max(worst, dtn_check(ext))
     assert worst < 0.02
     g = Grid(1, 5.0, 64)
     h = TraceField(g, np.cos(2 * np.pi * g.axis / (2 * g.L)))
     ext = lift(h, profile_half, 1.0, x_max=12.0, K_x=400)
-    single = dtn_check(h, ext, profile_half, 1.0)
+    single = dtn_check(ext)
     assert single < 1e-3
     verdict(capsys, 4, f"Neumann trace within {worst:.2e} over 30 random "
             f"fields (allowed 2e-2); single mode {single:.2e}")
@@ -131,11 +131,13 @@ def test_criterion_5_trace_inequality(profiles, rng, capsys):
         p = profiles[sigma]
         for _ in range(100):
             h = TraceField(g, rng.standard_normal(64))
-            min_slack = min(min_slack, trace_inequality_check(h, p, sigma))
+            min_slack = min(min_slack, trace_inequality_check(
+                lift(h, p, 1.0, K_x=8), h.norm_l2()))
     assert min_slack >= 0.0
     gw = Grid(1, 200.0, 512)
     h = TraceField(gw, np.exp(-gw.axis ** 2 / 60.0 ** 2))
-    sat = max(trace_inequality_check(h, profiles[s], s) for s in SIGMAS)
+    sat = max(trace_inequality_check(lift(h, profiles[s], 1.0, K_x=8),
+                                     h.norm_l2()) for s in SIGMAS)
     sat /= h.norm_l2() ** 2
     assert sat < 1e-3
     verdict(capsys, 5, f"trace inequality slack >= {min_slack:.2e} over "
@@ -179,7 +181,7 @@ def test_criterion_8_decay(profiles, sigma, theta, capsys):
     p = profiles[sigma]
     res = solve_ground(params, p)
     ext = lift(res.u, p, params.m, x_max=50.0, K_x=400)
-    rep = decay_fit(ext, res.u.norm_lq(np.inf), params.m)
+    rep = decay_fit(ext, res.u.norm_lq(np.inf))
     assert rep.rate >= 0.95 * params.m
     target = (2 * sigma - 1) / 2
     assert abs(rep.poly_exp - target) < 0.2
@@ -193,12 +195,12 @@ def test_criterion_9_hypotheses(capsys):
     t = np.logspace(-6, 3, 400)
     for spec in (NonlinearitySpec("log_linear", 2.5),
                  NonlinearitySpec("pure_power", 2.5)):
-        q = f_eval(spec, t) / t
+        F, f, _ = _nonlinearity(spec, t)
+        q = f / t
         assert q[0] < 1e-2                               # (f1) at small t
         assert np.all(np.diff(q) > 0)                    # (f3)
-        assert np.all(2 * F_eval(spec, t)
-                      <= t * f_eval(spec, t) + 1e-14)    # (AR)
-        excess = np.maximum(f_eval(spec, t) - 0.1 * t, 0.0)
+        assert np.all(2 * F <= t * f + 1e-14)            # (AR)
+        excess = np.maximum(f - 0.1 * t, 0.0)
         C = float(np.max(excess / t ** (spec.theta - 1.0)))
         assert np.isfinite(C)                            # (boundf)
     elapsed = time.time() - t0

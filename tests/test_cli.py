@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hartreebox
-from hartreebox.cli import main
+from hartreebox.cli import build_parser, main
 from hartreebox.config import _SCHEMA, RunConfig, load_config
 from hartreebox.errors import ConfigError, DomainError
 from hartreebox.spectral import Grid, TraceField, field_to_csv
@@ -195,6 +195,43 @@ def test_solve_flags_are_usage_errors_elsewhere(tmp_path, capsys, command,
     assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,bound", [("--seed", "-1", ">= 0"),
+                                              ("--threads", "0", ">= 1")])
+def test_solve_flag_out_of_range_is_usage_error(tmp_path, capsys, flag,
+                                                value, bound):
+    argv = ["solve", "--config", write_config(tmp_path), "--out",
+            str(tmp_path / "o"), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be {bound}: {value}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    args = build_parser().parse_args(["solve", "--config", "c", "--seed", "0",
+                                      "--threads", "1"])
+    assert (args.seed, args.threads) == (0, 1)
+
+
+def test_negative_config_seed_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("seed = 3", "seed = -1"))
+    line = BASE_CONFIG.splitlines().index("seed = 3") + 1
+    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "seed must be nonnegative" in err and f"(line {line}, col " in err
+
+
+def test_verify_field_on_another_grid_exits_2(tmp_path, capsys):
+    # the config grid is L = 10, n = 64
+    grid = Grid(1, 5.0, 64)
+    field = tmp_path / "field.csv"
+    field_to_csv(TraceField(grid, np.exp(-grid.axis ** 2)), str(field))
+    rc = main(["verify", "--config", write_config(tmp_path), "--out",
+               str(tmp_path / "o"), "--field", str(field)])
+    assert rc == 2
+    assert "does not match config grid" in capsys.readouterr().err
+
+
 BASE_PAIRS = dict(line.split(" = ") for line in BASE_CONFIG.splitlines()[1:])
 
 # value texts: any float (nan, inf, subnormals, -0.0), admissible-looking
@@ -235,8 +272,9 @@ def dataclass_floats(obj):
 @settings(max_examples=300)
 @given(text=config_texts())
 def test_config_parser_fuzz(tmp_path_factory, text):
-    # every input gives a RunConfig with finite floats, or a ConfigError or
-    # DomainError (exit 1 or 2), never another exception
+    # every input gives a RunConfig with finite floats and a seed numpy
+    # accepts, or a ConfigError or DomainError (exit 1 or 2), never another
+    # exception
     path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
     path.write_bytes(text.encode())
     try:
@@ -244,6 +282,7 @@ def test_config_parser_fuzz(tmp_path_factory, text):
     except (ConfigError, DomainError):
         return
     assert isinstance(cfg, RunConfig)
+    assert cfg.seed >= 0
     for name, value in dataclass_floats(cfg):
         assert math.isfinite(value), name
 

@@ -66,7 +66,8 @@ def test_lift_is_linear(profiles, rng):
     b = TraceField(a.grid, rng.standard_normal(a.grid.n))
     ea = lift(a, p, 1.0, x_max=11.0, K_x=100)
     eb = lift(b, p, 1.0, x_max=11.0, K_x=100)
-    eab = lift(a + b, p, 1.0, x_max=11.0, K_x=100)
+    eab = lift(TraceField(a.grid, a.values + b.values), p, 1.0,
+               x_max=11.0, K_x=100)
     every = slice(None)
     assert np.max(np.abs(eab.values(every) - ea.values(every)
                          - eb.values(every))) < 1e-10
@@ -91,15 +92,15 @@ def test_graded_nodes_shape():
     assert abs(x[1] - 8.0 / 100 ** 3) < 1e-15
 
 
-def test_extension_field_validation():
+def test_extension_field_validation(profile_half):
     g = Grid(1, 5.0, 32)
     modes = dict(spectrum=np.zeros(17, complex), mode_class=np.zeros(17, int),
                  rates=np.ones(1))
     with pytest.raises(DomainError, match="increasing"):
-        ExtensionField(g, np.array([0.0, 2.0, 1.0]), 0.0,
+        ExtensionField(g, np.array([0.0, 2.0, 1.0]), profile_half, 1.0,
                        profile_table=np.zeros((3, 1)), **modes)
     with pytest.raises(DomainError, match="shape"):
-        ExtensionField(g, np.array([0.0, 1.0]), 0.0,
+        ExtensionField(g, np.array([0.0, 1.0]), profile_half, 1.0,
                        profile_table=np.zeros((3, 1)), **modes)
 
 
@@ -112,7 +113,7 @@ def test_energy_identity_random_fields(profiles, sigma, rng):
     for _ in range(3):
         h = random_field(rng)
         ext = lift(h, p, 1.0, x_max=12.0, K_x=400)
-        err = energy_identity_check(h, ext, p, 1.0)
+        err = energy_identity_check(ext)
         assert err < 0.01
 
 
@@ -120,7 +121,7 @@ def test_energy_identity_zero_field(profile_half):
     g = Grid(1, 5.0, 32)
     z = TraceField(g, np.zeros(32))
     ext = lift(z, profile_half, 1.0)
-    assert energy_identity_check(z, ext, profile_half, 1.0) == 0.0
+    assert energy_identity_check(ext) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +132,7 @@ def test_dtn_single_mode_half(profile_half):
     xi = 1.0 / (2.0 * g.L)
     h = TraceField(g, np.cos(2 * np.pi * xi * g.axis))
     ext = lift(h, profile_half, 1.0, x_max=12.0, K_x=400)
-    err = dtn_check(h, ext, profile_half, 1.0)
+    err = dtn_check(ext)
     assert err < 1e-3
 
 
@@ -142,7 +143,7 @@ def test_dtn_constant_field(profiles):
         g = Grid(1, 5.0, 32)
         h = TraceField(g, np.full(32, 0.8))
         ext = lift(h, p, 1.5, x_max=10.0, K_x=400)
-        err = dtn_check(h, ext, p, 1.5)
+        err = dtn_check(ext)
         assert err < 0.02
 
 
@@ -152,7 +153,7 @@ def test_dtn_matches_fractional_multiplier(profiles, sigma, rng):
     p = profiles[sigma]
     h = random_field(rng)
     ext = lift(h, p, 1.0, x_max=12.0, K_x=400)
-    err = dtn_check(h, ext, p, 1.0)
+    err = dtn_check(ext)
     assert err < 0.02
     # cross-check the target itself: the fractional multiplier on the
     # retained modes
@@ -167,7 +168,7 @@ def test_dtn_requires_boundary_node(profile_half):
     shifted = replace(ext, x_nodes=ext.x_nodes[1:],
                       profile_table=ext.profile_table[1:])
     with pytest.raises(DomainError, match="start at 0"):
-        dtn_check(h, shifted, profile_half, 1.0)
+        dtn_check(shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,7 @@ def test_decay_zero_mode_rate(profile_half):
     m = 0.9
     h = TraceField(g, np.ones(32))
     ext = lift(h, profile_half, m, x_max=14.0, K_x=300)
-    rep = decay_fit(ext, h.norm_lq(np.inf), m)
+    rep = decay_fit(ext, h.norm_lq(np.inf))
     assert abs(rep.rate - m) < 1e-6
     assert abs(rep.poly_exp) < 1e-4
     assert rep.residual < 1e-6
@@ -192,7 +193,7 @@ def test_decay_single_mode_rate(profile_half):
     c = np.sqrt(m ** 2 + 4 * np.pi ** 2 * xi ** 2)
     h = TraceField(g, np.cos(2 * np.pi * xi * g.axis))
     ext = lift(h, profile_half, m, x_max=12.0, K_x=300)
-    rep = decay_fit(ext, h.norm_lq(np.inf), m)
+    rep = decay_fit(ext, h.norm_lq(np.inf))
     assert abs(rep.rate - c) < 1e-4 * c
 
 
@@ -208,7 +209,7 @@ def test_decay_zero_field_vacuous(profile_half):
     g = Grid(1, 5.0, 32)
     z = TraceField(g, np.zeros(32))
     ext = lift(z, profile_half, 1.0, x_max=12.0, K_x=100)
-    rep = decay_fit(ext, 0.0, 1.0)
+    rep = decay_fit(ext, 0.0)
     assert rep.envelope_const == 0.0 and rep.residual == 0.0
 
 
@@ -216,7 +217,7 @@ def test_decay_envelope_holds_on_window(profiles, rng):
     p = profiles[0.3]
     h = random_field(rng)
     ext = lift(h, p, 1.0, x_max=12.0, K_x=300)
-    rep = decay_fit(ext, h.norm_lq(np.inf), 1.0)
+    rep = decay_fit(ext, h.norm_lq(np.inf))
     x = ext.x_nodes
     sup = ext.sup_abs
     sel = (x >= rep.window[0]) & (x <= rep.window[1]) & (sup > 0)
@@ -228,13 +229,18 @@ def test_decay_envelope_holds_on_window(profiles, rng):
 # ---------------------------------------------------------------------------
 # Trace inequality
 
+def trace_slack(h, p, m=1.0):
+    """trace_inequality_check on the lift of h (its x-mesh plays no part)."""
+    return trace_inequality_check(lift(h, p, m, K_x=8), h.norm_l2())
+
+
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_trace_inequality_random(profiles, sigma, rng):
     p = profiles[sigma]
     g = Grid(1, 5.0, 64)
     for _ in range(100):
         h = TraceField(g, rng.standard_normal(64))
-        assert trace_inequality_check(h, p, sigma) >= 0.0
+        assert trace_slack(h, p) >= 0.0
 
 
 def test_trace_inequality_near_equality(profiles):
@@ -243,7 +249,7 @@ def test_trace_inequality_near_equality(profiles):
         p = profiles[sigma]
         g = Grid(1, 200.0, 512)
         h = TraceField(g, np.exp(-g.axis ** 2 / 60.0 ** 2))
-        slack = trace_inequality_check(h, p, sigma)
+        slack = trace_slack(h, p)
         assert slack / h.norm_l2() ** 2 < 1e-3
 
 
@@ -257,15 +263,15 @@ def test_trace_inequality_any_m(profiles, rng, m):
         p = profiles[sigma]
         for _ in range(20):
             h = TraceField(g, rng.standard_normal(64))
-            assert trace_inequality_check(h, p, sigma, m) >= 0.0
-        slack = trace_inequality_check(wide, p, sigma, m)
+            assert trace_slack(h, p, m) >= 0.0
+        slack = trace_slack(wide, p, m)
         assert 0.0 <= slack < 1e-3 * wide.norm_l2() ** 2
 
 
 def test_trace_inequality_zero(profile_half):
     g = Grid(1, 5.0, 32)
     z = TraceField(g, np.zeros(32))
-    assert trace_inequality_check(z, profile_half, 0.5) == 0.0
+    assert trace_slack(z, profile_half) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +281,15 @@ def test_report_csvs(tmp_path, profiles, rng):
     p = profiles[0.5]
     h = random_field(rng)
     ext = lift(h, p, 1.0, x_max=12.0, K_x=300)
-    rep = decay_fit(ext, h.norm_lq(np.inf), 1.0)
+    rep = decay_fit(ext, h.norm_lq(np.inf))
     assert isinstance(rep, DecayFitReport)
     d_path = tmp_path / "decay.csv"
-    decay_report_to_csv(ext, rep, h.norm_lq(np.inf), 1.0, d_path)
+    decay_report_to_csv(ext, rep, h.norm_lq(np.inf), d_path)
     lines = d_path.read_text().strip().splitlines()
     assert lines[0] == "x,sup_abs,envelope"
     assert len(lines) == ext.x_nodes.size  # header + nodes past x = 0
     n_path = tmp_path / "dtn.csv"
-    dtn_report_to_csv(h, ext, p, 1.0, n_path)
+    dtn_report_to_csv(ext, n_path)
     head = n_path.read_text().splitlines()[0]
     assert head.startswith("xi_abs,")
 
@@ -294,19 +300,19 @@ def test_dtn_csv_reports_the_checked_estimates(tmp_path, profiles, rng):
     h = random_nd_field(rng, 3, 8)
     ext = lift(h, p, 1.0, x_max=12.0, K_x=400)
     path = tmp_path / "dtn.csv"
-    dtn_report_to_csv(h, ext, p, 1.0, path)
+    dtn_report_to_csv(ext, path)
     rows = path.read_text().splitlines()[1:]
     assert max(float(r.split(",")[-1]) for r in rows) \
-        == dtn_check(h, ext, p, 1.0)
+        == dtn_check(ext)
 
 
 def test_dtn_zero_field_has_no_modes(tmp_path, profile_half):
     g = Grid(1, 5.0, 32)
     z = TraceField(g, np.zeros(32))
     ext = lift(z, profile_half, 1.0)
-    assert dtn_check(z, ext, profile_half, 1.0) == 0.0
+    assert dtn_check(ext) == 0.0
     path = tmp_path / "dtn.csv"
-    dtn_report_to_csv(z, ext, profile_half, 1.0, path)
+    dtn_report_to_csv(ext, path)
     assert len(path.read_text().splitlines()) == 1
 
 
@@ -383,12 +389,12 @@ def test_modewise_checks_match_dense_extension(profiles, sigma, dim, n, rng):
     values = dense_extension(h, p, 1.0, x)
 
     want = dense_energy(h, values, x, p, 1.0)
-    assert abs(_extension_energy(ext, p) - want) <= 1e-12 * want
+    assert abs(_extension_energy(ext) - want) <= 1e-12 * want
 
     sup = np.max(np.abs(values), axis=tuple(range(1, dim + 1)))
     assert np.all(np.abs(ext.sup_abs - sup) <= 1e-12 * sup)
 
-    mask, est, target, _, _ = _neumann_trace(ext, p, 1e-6)
+    mask, est, target, _, _ = _neumann_trace(ext, 1e-6)
     weights = spectral_weights(h)
     half = (Ellipsis, slice(0, n // 2 + 1))
     assert np.array_equal(mask, (weights >= 1e-6 * weights.sum())[half])
@@ -403,9 +409,9 @@ def test_lift_and_checks_memory_bounded(profile_half):
     tracemalloc.start()
     try:
         ext = lift(h, profile_half, 1.0, K_x=400)
-        energy_identity_check(h, ext, profile_half, 1.0)
-        dtn_check(h, ext, profile_half, 1.0)
-        decay_fit(ext, h.norm_l2(), 1.0)
+        energy_identity_check(ext)
+        dtn_check(ext)
+        decay_fit(ext, h.norm_l2())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,8 +9,7 @@ import hartreebox.model as model_mod
 import hartreebox.solver as solver_mod
 from hartreebox.errors import BracketError, DomainError
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
-                              PotentialSpec, SolverSettings, F_eval, df_eval,
-                              f_eval)
+                              PotentialSpec, SolverSettings)
 from hartreebox.solver import random_seed_field, solve_ground
 from hartreebox.spectral import TraceField
 
@@ -27,6 +26,21 @@ def small_params(**kw):
                     kernel=KernelSpec(a=0.0, b=1.0, w2=2.0))
     defaults.update(kw)
     return ModelParams(**defaults)
+
+
+def nonlinearity(spec, t):
+    """(F(t), f(t), f'(t)) as the evaluation core computes them."""
+    F, f, df = model_mod._nonlinearity(spec, t)
+    return F, f, df()
+
+
+def f_of(spec, t):
+    return nonlinearity(spec, t)[1]
+
+
+def scaled(c, u):
+    """The field c u."""
+    return TraceField(u.grid, c * u.values)
 
 
 def interaction(u, params):
@@ -54,23 +68,23 @@ def bump(params, rng=None, width=1.0):
 @pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER])
 def test_primitive_matches_quadrature(spec):
     for t in (0.05, 0.3, 1.0, 3.7, 10.0):
-        ref, _ = quadrature(lambda s: f_eval(spec, s), 0.0, t,
+        ref, _ = quadrature(lambda s: f_of(spec, s), 0.0, t,
                             epsabs=1e-12, epsrel=1e-12)
-        assert abs(F_eval(spec, t) - ref) < 1e-8
+        assert abs(nonlinearity(spec, t)[0] - ref) < 1e-8
 
 
 def test_f_vanishes_at_zero_and_below():
-    assert f_eval(LOG_LINEAR, 0.0) == 0.0
-    assert f_eval(LOG_LINEAR, -1.0) == 0.0
-    assert F_eval(LOG_LINEAR, -2.5) == 0.0
+    assert f_of(LOG_LINEAR, 0.0) == 0.0
+    assert f_of(LOG_LINEAR, -1.0) == 0.0
+    assert nonlinearity(LOG_LINEAR, -2.5)[0] == 0.0
     t = np.array([-3.0, -0.1, 0.0, 0.5])
-    assert np.all(f_eval(PURE_POWER, t)[:3] == 0.0)
+    assert np.all(f_of(PURE_POWER, t)[:3] == 0.0)
 
 
 @pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER])
 def test_superlinear_limit_at_zero(spec):
     # (f1): f(t)/t -> 0, ratio decreasing below 1e-2
-    ratios = [f_eval(spec, t) / t for t in (1e-3, 1e-4, 1e-5)]
+    ratios = [f_of(spec, t) / t for t in (1e-3, 1e-4, 1e-5)]
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[2] < 1e-2
 
@@ -79,41 +93,42 @@ def test_superlinear_limit_at_zero(spec):
 def test_quotient_increasing(spec):
     # (f3): f(t)/t strictly increasing on t > 0
     t = np.logspace(-4, 3, 200)
-    q = f_eval(spec, t) / t
+    q = f_of(spec, t) / t
     assert np.all(np.diff(q) > 0)
 
 
 @pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER])
 def test_ambrosetti_rabinowitz(spec):
     t = np.logspace(-4, 3, 200)
-    assert np.all(2.0 * F_eval(spec, t) <= t * f_eval(spec, t) + 1e-14)
+    F, f, _ = nonlinearity(spec, t)
+    assert np.all(2.0 * F <= t * f + 1e-14)
 
 
 def test_growth_bound_constant_exists():
     # (boundf): |f(t)| <= xi t + C_xi t^(theta-1) with a finite fitted C_xi
     xi = 0.1
     t = np.logspace(-6, 3, 300)
-    excess = np.maximum(f_eval(LOG_LINEAR, t) - xi * t, 0.0)
+    excess = np.maximum(f_of(LOG_LINEAR, t) - xi * t, 0.0)
     C = float(np.max(excess / t ** (LOG_LINEAR.theta - 1.0)))
     assert np.isfinite(C) and C > 0
-    assert np.all(f_eval(LOG_LINEAR, t)
+    assert np.all(f_of(LOG_LINEAR, t)
                   <= xi * t + C * t ** (LOG_LINEAR.theta - 1.0) + 1e-14)
 
 
 def test_user_table_tracks_samples():
     t = np.logspace(-3, 1, 2000)
-    table = np.column_stack([t, f_eval(LOG_LINEAR, t)])
+    table = np.column_stack([t, f_of(LOG_LINEAR, t)])
     spec = NonlinearitySpec("user_table", 2.5, table=table)
     probe = np.array([0.01, 0.1, 1.0, 5.0])
-    assert np.allclose(f_eval(spec, probe), f_eval(LOG_LINEAR, probe),
+    assert np.allclose(f_of(spec, probe), f_of(LOG_LINEAR, probe),
                        rtol=1e-3)
-    ref = F_eval(LOG_LINEAR, 1.0)
-    assert abs(F_eval(spec, 1.0) - ref) < 1e-2 * ref
+    ref = nonlinearity(LOG_LINEAR, 1.0)[0]
+    assert abs(nonlinearity(spec, 1.0)[0] - ref) < 1e-2 * ref
 
 
 TABLE_T = np.linspace(0.05, 4.0, 40)
 USER_TABLE = NonlinearitySpec("user_table", 2.5, table=np.column_stack(
-    [TABLE_T, f_eval(LOG_LINEAR, TABLE_T)]))
+    [TABLE_T, f_of(LOG_LINEAR, TABLE_T)]))
 
 
 @pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER, USER_TABLE])
@@ -121,9 +136,9 @@ def test_derivative_matches_central_difference(spec):
     # probes between table nodes, and past the table end for its tail
     t = np.concatenate([0.5 * (TABLE_T[1:] + TABLE_T[:-1]), [5.0, 9.0]])
     h = 1e-6
-    fd = (f_eval(spec, t + h) - f_eval(spec, t - h)) / (2 * h)
-    assert np.allclose(df_eval(spec, t), fd, rtol=1e-7, atol=1e-9)
-    assert df_eval(spec, -1.0) == 0.0
+    fd = (f_of(spec, t + h) - f_of(spec, t - h)) / (2 * h)
+    assert np.allclose(nonlinearity(spec, t)[2], fd, rtol=1e-7, atol=1e-9)
+    assert nonlinearity(spec, -1.0)[2] == 0.0
 
 
 def test_user_table_primitive_and_slope_below_first_sample():
@@ -135,11 +150,12 @@ def test_user_table_primitive_and_slope_below_first_sample():
     probe = np.concatenate([[0.1, 0.25, 0.4], 0.5 * (t[1:] + t[:-1]),
                             [5.0, 9.0]])
     h = 1e-6
-    dF = (F_eval(spec, probe + h) - F_eval(spec, probe - h)) / (2 * h)
-    df = (f_eval(spec, probe + h) - f_eval(spec, probe - h)) / (2 * h)
-    assert np.allclose(dF, f_eval(spec, probe), rtol=1e-7, atol=1e-9)
-    assert np.allclose(df, df_eval(spec, probe), rtol=1e-7, atol=1e-9)
-    assert abs(f_eval(spec, 0.25) - 0.5 ** 1.5 / 2) < 1e-15
+    F_hi, f_hi, _ = nonlinearity(spec, probe + h)
+    F_lo, f_lo, _ = nonlinearity(spec, probe - h)
+    _, f, df = nonlinearity(spec, probe)
+    assert np.allclose((F_hi - F_lo) / (2 * h), f, rtol=1e-7, atol=1e-9)
+    assert np.allclose((f_hi - f_lo) / (2 * h), df, rtol=1e-7, atol=1e-9)
+    assert abs(f_of(spec, 0.25) - 0.5 ** 1.5 / 2) < 1e-15
 
 
 def test_nonlinearity_validation():
@@ -234,7 +250,7 @@ def test_interaction_homogeneity_pure_power(profile_half, rng):
     u = bump(params, rng)
     base = interaction(u, params)
     for t in (0.5, 2.0, 3.0):
-        got = interaction(t * u, params)
+        got = interaction(scaled(t, u), params)
         assert abs(got - t ** 5 * base) < 1e-12 * t ** 5 * base
 
 
@@ -256,10 +272,12 @@ def test_gradient_matches_directional_derivative(profile_half, rng):
     u = TraceField(params.grid, ev.values)
     v = TraceField(params.grid, rng.standard_normal(params.n))
     eps = 1e-5
-    fd = (oracles.level(u + eps * v, params, profile_half)
-          - oracles.level(u - eps * v, params, profile_half)) / (2 * eps)
-    pair = TraceField(params.grid,
-                      ev.gradient(params, profile_half)).inner(v)
+    fd = (oracles.level(TraceField(u.grid, u.values + eps * v.values),
+                        params, profile_half)
+          - oracles.level(TraceField(u.grid, u.values - eps * v.values),
+                          params, profile_half)) / (2 * eps)
+    pair = params.grid.cell_volume * np.sum(
+        ev.gradient(params, profile_half) * v.values)
     assert abs(pair - fd) < 1e-5 * abs(fd)
 
 
@@ -278,9 +296,10 @@ def test_nehari_fixed_point_and_scaling(profile_half, rng):
     u = bump(params, rng)
     t_u = project(u, params, profile_half)[0]
     assert t_u > 0
-    assert abs(project(t_u * u, params, profile_half)[0] - 1.0) < 1e-8
+    assert abs(project(scaled(t_u, u), params, profile_half)[0] - 1.0) \
+        < 1e-8
     for c in (0.5, 2.0):
-        got = project(c * u, params, profile_half)[0]
+        got = project(scaled(c, u), params, profile_half)[0]
         assert abs(got - t_u / c) < 1e-8 * t_u / c
 
 
@@ -289,7 +308,8 @@ def oracle_nehari_scale(u, params, profile):
     quad = oracles.quadratic_form(u, params, profile)
 
     def phi(t):
-        return t * quad - oracles.interaction_pairing(t * u, params) / t
+        return t * quad - oracles.interaction_pairing(scaled(t, u),
+                                                      params) / t
 
     ts = np.logspace(-6, 6, 481)
     vals = [phi(t) for t in ts]
@@ -300,7 +320,7 @@ def oracle_nehari_scale(u, params, profile):
 @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
 def test_nehari_scale_matches_oracle(profile_half, rng, c):
     params = small_params()
-    u = c * bump(params, rng)
+    u = scaled(c, bump(params, rng))
     want = oracle_nehari_scale(u, params, profile_half)
     assert abs(project(u, params, profile_half)[0] - want) < 1e-12 * want
 
@@ -310,7 +330,7 @@ def test_nehari_scale_root_outside_window(profile_half, rng, c):
     # the root scales like 1/c and leaves [1e-6, 1e6]
     params = small_params()
     with pytest.raises(BracketError, match="no sign change"):
-        project(c * bump(params, rng), params, profile_half)
+        project(scaled(c, bump(params, rng)), params, profile_half)
 
 
 def test_nehari_evaluations_per_projection(profile_half, monkeypatch):
@@ -349,11 +369,11 @@ def test_ray_levels_stay_below_projected_level(profile_half, rng,
         return out
     monkeypatch.setattr(model_mod, "nehari_phi", recorded_phi)
     for _ in range(3):
-        u = c * bump(params, rng, width=rng.uniform(0.5, 2.0))
+        u = scaled(c, bump(params, rng, width=rng.uniform(0.5, 2.0)))
         levels.clear()
         t, ev = model_mod._project(u.values, params, profile_half)
         assert bool(levels) == (spec is not PURE_POWER)
-        levels += [oracles.level(s * t * u, params, profile_half)
+        levels += [oracles.level(scaled(s * t, u), params, profile_half)
                    for s in (0.5, 0.9, 0.999, 1.001, 1.1, 2.0)]
         assert ev.level > 0.0
         assert max(levels) <= ev.level * (1.0 + 1e-14)
@@ -396,7 +416,7 @@ def test_projection_core_matches_oracles(spec, profile_half, rng):
     for _ in range(3):
         u = bump(params, rng, width=rng.uniform(0.5, 2.0))
         t, ev = project(u, params, profile_half)
-        v = t * u
+        v = scaled(t, u)
         assert np.array_equal(ev.values, v.values)
         assert close(ev.quad, oracles.quadratic_form(v, params, profile_half))
         form = profile_half.kappa * np.sum(
@@ -423,8 +443,9 @@ def test_nehari_pure_power_closed_form(profile_half, rng):
 def test_nehari_projected_field_is_critical(profile_half, rng):
     params = small_params()
     u = bump(params, rng)
-    w = project(u, params, profile_half)[0] * u
-    pair = abs(oracles.gradient(w, params, profile_half).inner(w))
+    w = scaled(project(u, params, profile_half)[0], u)
+    pair = abs(w.grid.cell_volume * np.sum(
+        oracles.gradient(w, params, profile_half).values * w.values))
     assert pair < 1e-10 * oracles.quadratic_form(w, params, profile_half)
 
 
@@ -440,7 +461,8 @@ def test_interaction_quartic_growth(profile_half, rng):
     params = small_params()
     u = bump(params, rng)
     for t1, t2 in ((1.0, 2.0), (1.5, 4.0), (2.0, 9.0)):
-        ratio = interaction(t2 * u, params) / interaction(t1 * u, params)
+        ratio = (interaction(scaled(t2, u), params)
+                 / interaction(scaled(t1, u), params))
         assert ratio >= (t2 / t1) ** 4
 
 
@@ -464,6 +486,6 @@ def test_pairing_consistency(profile_half, rng):
     params = small_params()
     u = bump(params, rng)
     eps = 1e-6
-    fd = (interaction((1 + eps) * u, params)
-          - interaction((1 - eps) * u, params)) / (2 * eps)
+    fd = (interaction(scaled(1 + eps, u), params)
+          - interaction(scaled(1 - eps, u), params)) / (2 * eps)
     assert abs(oracles.interaction_pairing(u, params) - fd) < 1e-6 * abs(fd)

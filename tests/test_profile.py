@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicHermiteSpline
 from scipy.special import gamma, kv
 
-from hartreebox.errors import DomainError
+from hartreebox.errors import DiagnosticError, DomainError
 from hartreebox.profile import (_S_MATCH, BesselProfile, _series_basis,
                                 build_profile, eval_profile, profile_from_csv,
                                 profile_to_csv)
@@ -189,5 +189,17 @@ def test_csv_roundtrip_exact(tmp_path_factory, constants, table):
 def test_csv_rejects_garbage(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("not,a,profile\n1,2,3\n")
-    with pytest.raises(Exception):
+    with pytest.raises(DiagnosticError, match="unreadable profile CSV"):
+        profile_from_csv(path)
+
+
+CSV_HEADER = "sigma,kappa,c1,c2,d_sigma\n0.5,1.0,1.0,1.0,1.0\ns,phi,dphi\n"
+
+
+@pytest.mark.parametrize("rows", ["", "0.0,1.0\n1.0,0.5\n"],
+                         ids=["header_only", "two_columns"])
+def test_csv_without_table_rows_is_unreadable(tmp_path, rows):
+    path = tmp_path / "profile.csv"
+    path.write_text(CSV_HEADER + rows)
+    with pytest.raises(DiagnosticError, match="unreadable profile CSV"):
         profile_from_csv(path)
