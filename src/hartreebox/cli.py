@@ -54,8 +54,7 @@ def _write_manifest(out_dir, cfg: RunConfig, seeds, outputs, laps):
 
 def _build_profile(cfg: RunConfig):
     from .profile import build_profile
-    return build_profile(cfg.params.sigma, s_max=cfg.profile_s_max,
-                         M=cfg.profile_M)
+    return build_profile(cfg.params.sigma, **cfg.profile_kw)
 
 
 def cmd_profile(args) -> int:
@@ -154,8 +153,7 @@ def cmd_verify(args) -> int:
     laps.append(("config", time.perf_counter()))
     prof = _build_profile(cfg)
     laps.append(("profile", time.perf_counter()))
-    ext = lift(h, prof, cfg.params.m, cfg.extension_x_max,
-               cfg.extension_K_x)
+    ext = lift(h, prof, cfg.params.m, **cfg.lift_kw)
     h_norm = h.norm_l2()
 
     rows, failures = [], []

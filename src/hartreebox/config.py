@@ -18,20 +18,27 @@ Example::
     solver.tol = 1e-8
     seed = 7
 
-Unknown keys and non-finite numbers (nan, inf) are hard errors; every
-diagnostic carries the 1-based line (and column for value errors) of the
-offending token.
+A key the file sets reaches its owner's parameter unchanged (see _SCHEMA); a
+key it omits takes the owner's default.  Unknown keys and non-finite numbers
+(nan, inf) are hard errors, found before any domain check; every diagnostic
+carries the 1-based line (and column for value errors) of the offending token.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
+from .extension import MIN_DECAY_LENGTHS
 from .model import (KernelSpec, ModelParams, NonlinearitySpec, PotentialSpec,
                     SolverSettings)
 
+# key -> type.  A dotted key is the keyword argument after the dot of its
+# section's owner: NonlinearitySpec, PotentialSpec, KernelSpec, SolverSettings,
+# build_profile (profile) or lift (extension).  `seed` (default 0) is the
+# config's own; the other keys are ModelParams arguments, or as _RENAMED says.
 _SCHEMA = {
     "sigma": float, "m": float, "N": int, "L": float, "n": int,
     "theta": float, "seed": int,
@@ -44,6 +51,8 @@ _SCHEMA = {
     "extension.x_max": float, "extension.K_x": int,
 }
 
+_RENAMED = {"N": "dim", "theta": "nonlinearity.theta"}
+
 _REQUIRED = ("sigma", "m", "N", "L", "n")
 
 
@@ -51,10 +60,8 @@ _REQUIRED = ("sigma", "m", "N", "L", "n")
 class RunConfig:
     params: ModelParams
     seed: int
-    profile_s_max: float
-    profile_M: int
-    extension_x_max: float
-    extension_K_x: int
+    profile_kw: dict    # the file's keyword arguments of build_profile
+    lift_kw: dict       # and of lift
     raw: bytes          # exact config bytes, for the manifest hash
 
 
@@ -83,10 +90,7 @@ def parse_pairs(text: str) -> dict:
     return out
 
 
-def _convert(pairs: dict, key: str, default=None):
-    if key not in pairs:
-        return default
-    value, lineno, col = pairs[key]
+def _convert(key: str, value: str, lineno: int, col: int):
     typ = _SCHEMA[key]
     if typ is str:
         return value
@@ -117,46 +121,26 @@ def load_config(path) -> RunConfig:
         if key not in pairs:
             raise ConfigError(f"missing required key {key!r}")
 
-    kind = _convert(pairs, "nonlinearity.kind", "log_linear")
-    if kind == "user_table":        # no key supplies its samples
-        raise ConfigError("nonlinearity.kind user_table is library-only; a "
-                          "config file takes log_linear or pure_power",
-                          *pairs["nonlinearity.kind"][1:])
-    nonlinearity = NonlinearitySpec(kind=kind,
-                                    theta=_convert(pairs, "theta", 2.5))
-    potential = PotentialSpec(
-        V_inf=_convert(pairs, "potential.V_inf", 1.0),
-        A=_convert(pairs, "potential.A", 0.0),
-        w=_convert(pairs, "potential.w", 1.0))
-    kernel = KernelSpec(
-        a=_convert(pairs, "kernel.a", 0.0),
-        mu=_convert(pairs, "kernel.mu", 0.5),
-        R_c=_convert(pairs, "kernel.R_c", 1.0),
-        b=_convert(pairs, "kernel.b", 1.0),
-        w2=_convert(pairs, "kernel.w2", 1.0))
-    solver = SolverSettings(
-        tol=_convert(pairs, "solver.tol", 1e-8),
-        max_iter=_convert(pairs, "solver.max_iter", 2000),
-        step=_convert(pairs, "solver.step", 1.0))
-    params = ModelParams(
-        sigma=_convert(pairs, "sigma"), m=_convert(pairs, "m"),
-        dim=_convert(pairs, "N"), L=_convert(pairs, "L"),
-        n=_convert(pairs, "n"), nonlinearity=nonlinearity,
-        potential=potential, kernel=kernel, solver=solver)
-
-    x_max = _convert(pairs, "extension.x_max", 10.0 / params.m)
-    if not math.isfinite(x_max):
-        raise ConfigError("the default extension.x_max = 10/m overflows; "
-                          "set extension.x_max", *pairs["m"][1:])
-    seed = _convert(pairs, "seed", 0)
+    kw = defaultdict(dict)          # section -> {parameter: value}
+    for key, (value, lineno, col) in pairs.items():
+        section, _, name = _RENAMED.get(key, key).rpartition(".")
+        kw[section][name] = _convert(key, value, lineno, col)
+    seed = kw[""].pop("seed", 0)
     if seed < 0:                    # numpy's generators take seeds >= 0
         raise ConfigError(f"seed must be nonnegative, got {seed}",
                           *pairs["seed"][1:])
-    return RunConfig(
-        params=params,
-        seed=seed,
-        profile_s_max=_convert(pairs, "profile.s_max", 40.0),
-        profile_M=_convert(pairs, "profile.M", 2000),
-        extension_x_max=x_max,
-        extension_K_x=_convert(pairs, "extension.K_x", 400),
-        raw=raw)
+    if kw["nonlinearity"].get("kind") == "user_table":
+        raise ConfigError("nonlinearity.kind user_table is library-only; a "
+                          "config file takes log_linear or pure_power",
+                          *pairs["nonlinearity.kind"][1:])
+    params = ModelParams(
+        **kw[""], nonlinearity=NonlinearitySpec(**kw["nonlinearity"]),
+        potential=PotentialSpec(**kw["potential"]),
+        kernel=KernelSpec(**kw["kernel"]),
+        solver=SolverSettings(**kw["solver"]))
+    x_max = kw["extension"].get("x_max", MIN_DECAY_LENGTHS / params.m)
+    if not math.isfinite(x_max):    # a value the file sets is finite
+        raise ConfigError(f"the default extension.x_max = {MIN_DECAY_LENGTHS}"
+                          "/m overflows; set extension.x_max", *pairs["m"][1:])
+    return RunConfig(params=params, seed=seed, profile_kw=kw["profile"],
+                     lift_kw=kw["extension"], raw=raw)

@@ -34,6 +34,17 @@ from .spectral import (Grid, TraceField, half_spectrum, mode_power,
 # 20 MB of transform buffers, whatever the grid
 _CHUNK_POINTS = 1 << 19
 
+# lift's floor on x_max, in decay lengths 1/m of the slowest mode
+MIN_DECAY_LENGTHS = 10
+
+# check bounds; a mode is judged by the Neumann trace when it carries at
+# least _MASS_FLOOR of the spectral mass
+_ENERGY_RTOL = 0.01
+_DTN_RTOL = 0.02
+_MASS_FLOOR = 1e-6
+_DECAY_RATE_RTOL = 0.05
+_DECAY_RESIDUAL_TOL = 0.05
+
 
 @dataclass(frozen=True)
 class ExtensionField:
@@ -111,9 +122,9 @@ def lift(h: TraceField, profile: BesselProfile, m: float,
     if m <= 0:
         raise DomainError("m must be positive")
     if x_max is None:
-        x_max = 10.0 / m
-    if x_max < 10.0 / m:
-        raise DomainError("x_max must be at least 10/m")
+        x_max = MIN_DECAY_LENGTHS / m
+    if x_max < MIN_DECAY_LENGTHS / m:
+        raise DomainError(f"x_max must be at least {MIN_DECAY_LENGTHS}/m")
     if K_x < 8:
         raise DomainError("K_x too small")
     grid = h.grid
@@ -156,12 +167,12 @@ def _extension_energy(ext: ExtensionField) -> float:
     return body + head
 
 
-def energy_identity_check(ext: ExtensionField, rtol: float = 0.01) -> float:
+def energy_identity_check(ext: ExtensionField) -> float:
     """Weighted extension energy vs. the spectral quadratic form.
 
     The left side is the graded-mesh quadrature of the weighted Dirichlet
     energy of ext; the right side is the sigma-form of its trace.  Returns
-    the relative discrepancy and asserts it is below rtol.
+    the relative discrepancy and asserts it is below _ENERGY_RTOL.
     """
     lhs = _extension_energy(ext)
     rhs = sobolev_form(ext.grid, ext.spectrum, ext.m, ext.profile)
@@ -170,9 +181,9 @@ def energy_identity_check(ext: ExtensionField, rtol: float = 0.01) -> float:
     if rhs == 0.0:
         return 0.0
     err = abs(lhs - rhs) / rhs
-    if err >= rtol:
-        raise VerificationError(
-            f"extension energy identity off by {err:.2%} (allowed {rtol:.0%})")
+    if err >= _ENERGY_RTOL:
+        raise VerificationError(f"extension energy identity off by {err:.2%} "
+                                f"(allowed {_ENERGY_RTOL:.0%})")
     return err
 
 
@@ -184,10 +195,10 @@ def _effective_abscissa(x1: float, x2: float, sigma: float) -> float:
     return val ** (1.0 / (2 * sigma - 1.0))
 
 
-def _neumann_trace(ext: ExtensionField, mass_floor: float):
+def _neumann_trace(ext: ExtensionField):
     """The one Neumann-trace estimator behind dtn_check and dtn.csv.
 
-    Over the half-lattice modes carrying at least mass_floor of the
+    Over the half-lattice modes carrying at least _MASS_FLOOR of the
     spectral mass (none for a zero field), -x^(1-2 sigma) du/dx from
     two-point slopes at power-adapted abscissae, extrapolated to x -> 0 by
     one Richardson step at order 2-2 sigma.  Returns (mask, estimate,
@@ -201,7 +212,7 @@ def _neumann_trace(ext: ExtensionField, mass_floor: float):
     if x.size < 5 or x[0] != 0.0:
         raise DomainError("extension mesh must start at 0 with >= 5 nodes")
     power, count = mode_power(ext.grid, ext.spectrum)
-    mask = (power >= mass_floor * float(np.sum(power * count))) & (power > 0)
+    mask = (power >= _MASS_FLOOR * float(np.sum(power * count))) & (power > 0)
     hhat = ext.spectrum[mask]
     cls = ext.mode_class[mask]
     target = ext.profile.d_sigma * ext.rates[cls] ** (2.0 * sigma) * hhat
@@ -231,23 +242,22 @@ def _neumann_trace(ext: ExtensionField, mass_floor: float):
     return mask, extrap, target, rel, monotone
 
 
-def dtn_check(ext: ExtensionField, rtol: float = 0.02,
-              mass_floor: float = 1e-6) -> float:
+def dtn_check(ext: ExtensionField) -> float:
     """Neumann trace -x^(1-2 sigma) du/dx at x -> 0 vs. the multiplier.
 
-    Per mode carrying at least mass_floor of the spectral mass, the
+    Per mode carrying at least _MASS_FLOOR of the spectral mass, the
     extrapolated finite-difference estimate must match d_sigma c^(2 sigma)
-    h-hat within rtol.  Returns the worst relative error (0 for a zero
+    h-hat within _DTN_RTOL.  Returns the worst relative error (0 for a zero
     field), the largest rel_error that dtn_report_to_csv writes.
     """
-    _, _, _, rel, monotone = _neumann_trace(ext, mass_floor)
+    _, _, _, rel, monotone = _neumann_trace(ext)
     if not monotone:
         raise DiagnosticError("Neumann-trace extrapolation non-monotone; "
                               "use a denser x-grading (larger K_x)")
     err = float(np.max(rel, initial=0.0))
-    if err >= rtol:
+    if err >= _DTN_RTOL:
         raise VerificationError(
-            f"Neumann trace off by {err:.2%} (allowed {rtol:.0%})")
+            f"Neumann trace off by {err:.2%} (allowed {_DTN_RTOL:.0%})")
     return err
 
 
@@ -260,11 +270,10 @@ class DecayFitReport:
     envelope_const: float
 
 
-def decay_fit(ext: ExtensionField, h_norm: float, rate_rtol: float = 0.05,
-              residual_tol: float = 0.05) -> DecayFitReport:
+def decay_fit(ext: ExtensionField, h_norm: float) -> DecayFitReport:
     """Fit sup_y |u(x, .)| ~ C x^p e^(-r x) on the window [2/m, x_max].
 
-    Asserts r >= m (1 - rate_rtol) and reports the envelope constant
+    Asserts r >= m (1 - _DECAY_RATE_RTOL) and reports the envelope constant
     C_env = max of sup / (h_norm x^((2 sigma - 1)/2) e^(-m x)) over the
     window, which makes the decay-law envelope hold on the window by
     construction.
@@ -299,13 +308,13 @@ def decay_fit(ext: ExtensionField, h_norm: float, rate_rtol: float = 0.05,
     report = DecayFitReport(rate=rate, poly_exp=poly_exp, residual=residual,
                             window=(lo, hi),
                             envelope_const=float(np.max(env)))
-    if rate < m * (1.0 - rate_rtol):
+    if rate < m * (1.0 - _DECAY_RATE_RTOL):
         raise VerificationError(
-            f"fitted decay rate {rate:.4f} below {1 - rate_rtol:.2f} m = "
-            f"{m * (1 - rate_rtol):.4f}")
-    if residual >= residual_tol:
-        raise VerificationError(
-            f"decay fit residual {residual:.2%} (allowed {residual_tol:.0%})")
+            f"fitted decay rate {rate:.4f} below {1 - _DECAY_RATE_RTOL:.2f} "
+            f"m = {m * (1 - _DECAY_RATE_RTOL):.4f}")
+    if residual >= _DECAY_RESIDUAL_TOL:
+        raise VerificationError(f"decay fit residual {residual:.2%} "
+                                f"(allowed {_DECAY_RESIDUAL_TOL:.0%})")
     return report
 
 
@@ -338,12 +347,11 @@ def decay_report_to_csv(ext: ExtensionField, report: DecayFitReport,
             w.writerow([repr(float(xi)), repr(float(s)), repr(float(env))])
 
 
-def dtn_report_to_csv(ext: ExtensionField, path,
-                      mass_floor: float = 1e-6) -> None:
+def dtn_report_to_csv(ext: ExtensionField, path) -> None:
     """Per-mode table of the extrapolated Neumann trace vs. its target:
     one row per half-lattice mode that dtn_check judges (a mode's
     conjugate partner has the conjugate estimate and the same error)."""
-    mask, extrap, target, rel, _ = _neumann_trace(ext, mass_floor)
+    mask, extrap, target, rel, _ = _neumann_trace(ext)
     xi_abs = np.sqrt(ext.grid.k_sq[mask]) / (2.0 * ext.grid.L)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

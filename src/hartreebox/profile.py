@@ -42,8 +42,7 @@ _GAUSS_POINTS = 5
 
 
 def _series_basis(sigma, s):
-    """Frobenius pair of the kernel ODE about s = 0, each branch as
-    (u, u', u'').
+    """Frobenius pair of the kernel ODE about s = 0, each branch as (u, u').
 
     u1 = 1 + sum a_k s^(2k) (regular branch), u2 = s^(2*sigma) * (1 + ...)
     (singular-derivative branch).  Valid for s > 0; both series are entire.
@@ -53,7 +52,7 @@ def _series_basis(sigma, s):
     s = np.asarray(s, dtype=float)
     branches = []
     for e, e_shift in ((0.0, -2.0 * sigma), (2.0 * sigma, 0.0)):
-        u, du, ddu = np.zeros_like(s), np.zeros_like(s), np.zeros_like(s)
+        u, du = np.zeros_like(s), np.zeros_like(s)
         a = 1.0
         for k in range(_SERIES_TERMS):
             q = 2.0 * k + e
@@ -61,8 +60,7 @@ def _series_basis(sigma, s):
                 a /= q * (2.0 * k + e_shift)
             u = u + a * s ** q
             du = du + q * a * s ** (q - 1.0)
-            ddu = ddu + q * (q - 1.0) * a * s ** (q - 2.0)
-        branches.append((u, du, ddu))
+        branches.append((u, du))
     return branches
 
 
@@ -108,6 +106,8 @@ class BesselProfile:
     weight is resolved.  phi/dphi are the kernel and its derivative at the
     nodes; kappa, c1, c2, d_sigma as in the module docstring (c1, c2 are the
     fitted endpoint constants, d_sigma comes from the series matching).
+    The constructor checks 0 < sigma < 1, >= 2 positive increasing nodes,
+    finite values and positive kappa, d_sigma, else raises DomainError.
     """
 
     sigma: float
@@ -118,6 +118,22 @@ class BesselProfile:
     c1: float
     c2: float
     d_sigma: float
+
+    def __post_init__(self):
+        nodes = np.asarray(self.nodes, dtype=float)
+        if not 0.0 < self.sigma < 1.0:
+            raise DomainError("sigma out of (0,1)")
+        if (nodes.ndim != 1 or nodes.size < 2 or not nodes[0] > 0.0
+                or not np.all(np.diff(nodes) > 0.0)
+                or {np.shape(self.phi), np.shape(self.dphi)} != {nodes.shape}):
+            raise DomainError("profile table needs >= 2 positive, strictly "
+                              "increasing nodes, with phi and dphi on them")
+        values = np.concatenate([nodes, self.phi, self.dphi, [
+            self.kappa, self.c1, self.c2, self.d_sigma]])
+        if not np.all(np.isfinite(values)):
+            raise DomainError("profile table or constants not finite")
+        if not (self.kappa > 0.0 and self.d_sigma > 0.0):
+            raise DomainError("kappa and d_sigma must be positive")
 
     @property
     def s_max(self):
@@ -152,7 +168,7 @@ def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselPro
         raise DiagnosticError("inward shooting solve failed: non-finite "
                               f"value ({phi_m!r}, {dphi_m!r}) at the pivot")
 
-    (u1, du1, _), (u2, du2, _) = _series_basis(sigma, s_match)
+    (u1, du1), (u2, du2) = _series_basis(sigma, s_match)
     det = u1 * du2 - du1 * u2
     A = (phi_m * du2 - dphi_m * u2) / det
     B = (dphi_m * u1 - phi_m * du1) / det
@@ -171,7 +187,7 @@ def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselPro
         dphi = np.empty_like(s)
         lo = s < s_match
         if lo.any():
-            (v1, dv1, _), (v2, dv2, _) = _series_basis(sigma, s[lo])
+            (v1, dv1), (v2, dv2) = _series_basis(sigma, s[lo])
             phi[lo] = v1 - c1_series * v2
             dphi[lo] = dv1 - c1_series * dv2
         if (~lo).any():
@@ -187,9 +203,7 @@ def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselPro
     kappa = _weighted_energy(raw, nodes, sigma, c1_series)
     d_sigma = 2.0 * sigma * c1_series
 
-    prof = BesselProfile(sigma=sigma, nodes=nodes, phi=phi_tab, dphi=dphi_tab,
-                         kappa=kappa, c1=np.nan, c2=np.nan, d_sigma=d_sigma)
-    c1_fit, c2_fit = fit_asymptotics(prof)
+    c1_fit, c2_fit = fit_asymptotics(sigma, nodes, phi_tab)
     return BesselProfile(sigma=sigma, nodes=nodes, phi=phi_tab, dphi=dphi_tab,
                          kappa=kappa, c1=c1_fit, c2=c2_fit, d_sigma=d_sigma)
 
@@ -231,8 +245,9 @@ def _weighted_energy(raw, nodes, sigma, c1):
     return kappa
 
 
-def fit_asymptotics(p: BesselProfile) -> tuple[float, float]:
-    """Fit the endpoint constants (c1, c2) from the tabulated kernel.
+def fit_asymptotics(sigma, nodes, phi) -> tuple[float, float]:
+    """Fit the endpoint constants (c1, c2) from the kernel phi tabulated at
+    the increasing nodes.
 
     c1: least squares of 1 - phi against s^(2*sigma) on the smallest usable
     decade of nodes (usable = defect above cancellation noise, s < 0.1).
@@ -240,14 +255,13 @@ def fit_asymptotics(p: BesselProfile) -> tuple[float, float]:
     the largest decade; the 1/s column absorbs the next asymptotic
     correction.  Raises DiagnosticError when a fit residual exceeds 2%.
     """
-    sigma = p.sigma
-    defect = 1.0 - p.phi
-    usable = (defect > 1e-10) & (p.nodes < 0.1)
+    defect = 1.0 - phi
+    usable = (defect > 1e-10) & (nodes < 0.1)
     if not usable.any():
         raise DiagnosticError("no nodes usable for the small-s fit")
-    s_lo = p.nodes[usable][0]
-    win = usable & (p.nodes <= 10.0 * s_lo)
-    x = p.nodes[win] ** (2.0 * sigma)
+    s_lo = nodes[usable][0]
+    win = usable & (nodes <= 10.0 * s_lo)
+    x = nodes[win] ** (2.0 * sigma)
     y = defect[win]
     c1 = float(np.dot(x, y) / np.dot(x, x))
     res1 = float(np.linalg.norm(y - c1 * x) / np.linalg.norm(y))
@@ -255,9 +269,9 @@ def fit_asymptotics(p: BesselProfile) -> tuple[float, float]:
         raise DiagnosticError(f"small-s fit ill-conditioned (c1={c1!r}, "
                               f"relative residual {res1:.3g})")
 
-    win2 = p.nodes >= p.s_max / 10.0
-    s2 = p.nodes[win2]
-    ratio = p.phi[win2] / (s2 ** ((2.0 * sigma - 1.0) / 2.0) * np.exp(-s2))
+    win2 = nodes >= nodes[-1] / 10.0
+    s2 = nodes[win2]
+    ratio = phi[win2] / (s2 ** ((2.0 * sigma - 1.0) / 2.0) * np.exp(-s2))
     design = np.column_stack([np.ones_like(s2), 1.0 / s2])
     coef, *_ = np.linalg.lstsq(design, ratio, rcond=None)
     c2 = float(coef[0])
@@ -359,8 +373,8 @@ def profile_from_csv(path) -> BesselProfile:
         data = np.array([[float(v) for v in r] for r in rows[3:]])
         if data.ndim != 2 or data.shape[1] != 3:
             raise ValueError("no rows of three columns s, phi, dphi")
-    except (ValueError, IndexError) as exc:
+        return BesselProfile(sigma=sigma, nodes=data[:, 0], phi=data[:, 1],
+                             dphi=data[:, 2], kappa=kappa, c1=c1, c2=c2,
+                             d_sigma=d_sigma)
+    except (ValueError, IndexError, DomainError) as exc:
         raise DiagnosticError(f"unreadable profile CSV {path}: {exc}") from exc
-    return BesselProfile(sigma=sigma, nodes=data[:, 0], phi=data[:, 1],
-                         dphi=data[:, 2], kappa=kappa, c1=c1, c2=c2,
-                         d_sigma=d_sigma)

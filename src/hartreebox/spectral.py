@@ -211,8 +211,6 @@ def sobolev_form(grid: Grid, spectrum: np.ndarray, m: float,
     """kappa sum (m^2 + 4 pi^2 |xi|^2)^sigma |hat(h)|^2 dxi^N of the field
     with half-lattice spectrum rfftn(h), with sigma and kappa those of the
     BesselProfile `profile`."""
-    if not 0.0 < profile.sigma < 1.0:
-        raise DomainError("sigma out of (0,1)")
     if m <= 0.0:
         raise DomainError("m must be positive")
     return profile.kappa * half_lattice_form(

@@ -248,15 +248,19 @@ VALUE_TEXTS = st.one_of(
 @st.composite
 def config_texts(draw):
     """The base configuration with some keys set to drawn values, some
-    removed, and some junk lines, in a drawn order."""
-    pairs = dict(BASE_PAIRS)
-    for key in draw(st.lists(st.sampled_from(sorted(_SCHEMA)), max_size=4,
-                             unique=True)):
-        pairs[key] = draw(VALUE_TEXTS)
-    for key in draw(st.lists(st.sampled_from(sorted(pairs)), max_size=1)):
-        del pairs[key]
-    lines = [f"{k} = {v}" for k, v in pairs.items()]
-    lines += draw(st.lists(st.text(max_size=20), max_size=1))
+    removed, and some junk lines, in a drawn order; in about a fifth of the
+    examples only the seed changes, to a small signed integer."""
+    pairs, junk = dict(BASE_PAIRS), []
+    if draw(st.integers(0, 4)) == 0:
+        pairs["seed"] = str(draw(st.integers(-3, 3)))
+    else:
+        for key in draw(st.lists(st.sampled_from(sorted(_SCHEMA)),
+                                 max_size=4, unique=True)):
+            pairs[key] = draw(VALUE_TEXTS)
+        for key in draw(st.lists(st.sampled_from(sorted(pairs)), max_size=1)):
+            del pairs[key]
+        junk = draw(st.lists(st.text(max_size=20), max_size=1))
+    lines = [f"{k} = {v}" for k, v in pairs.items()] + junk
     return "\n".join(draw(st.permutations(lines)))
 
 
@@ -285,6 +289,8 @@ def test_config_parser_fuzz(tmp_path_factory, text):
     assert cfg.seed >= 0
     for name, value in dataclass_floats(cfg):
         assert math.isfinite(value), name
+    for name, value in {**cfg.profile_kw, **cfg.lift_kw}.items():
+        assert isinstance(value, int) or math.isfinite(value), name
 
 
 def test_iteration_budget_exits_3(tmp_path, capsys):

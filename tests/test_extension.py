@@ -394,7 +394,7 @@ def test_modewise_checks_match_dense_extension(profiles, sigma, dim, n, rng):
     sup = np.max(np.abs(values), axis=tuple(range(1, dim + 1)))
     assert np.all(np.abs(ext.sup_abs - sup) <= 1e-12 * sup)
 
-    mask, est, target, _, _ = _neumann_trace(ext, 1e-6)
+    mask, est, target, _, _ = _neumann_trace(ext)
     weights = spectral_weights(h)
     half = (Ellipsis, slice(0, n // 2 + 1))
     assert np.array_equal(mask, (weights >= 1e-6 * weights.sum())[half])

@@ -9,9 +9,8 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.special import gamma, kv
 
 from hartreebox.errors import DiagnosticError, DomainError
-from hartreebox.profile import (_S_MATCH, BesselProfile, _series_basis,
-                                build_profile, eval_profile, profile_from_csv,
-                                profile_to_csv)
+from hartreebox.profile import (_S_MATCH, BesselProfile, build_profile,
+                                eval_profile, profile_from_csv, profile_to_csv)
 
 from conftest import SIGMAS
 
@@ -20,6 +19,24 @@ def bessel_oracle(sigma, s):
     """Closed form of the profile in terms of the modified Bessel K."""
     s = np.asarray(s, dtype=float)
     return (2.0 / gamma(sigma)) * (s / 2.0) ** sigma * kv(sigma, s)
+
+
+def series_ddphi(sigma, c1s, s):
+    """phi'' of the Frobenius series u1 - c1s u2 about s = 0, term by term.
+
+    The k-th term of u1 (e = 0) or u2 (e = 2 sigma) has exponent q = 2k + e
+    and coefficient ratio 1 / (q (q - 2 sigma)) to the one before.
+    """
+    branches = []
+    for e in (0.0, 2.0 * sigma):
+        ddu, a = np.zeros_like(s), 1.0
+        for k in range(40):
+            q = 2.0 * k + e
+            if k:
+                a /= q * (q - 2.0 * sigma)
+            ddu = ddu + q * (q - 1.0) * a * s ** (q - 2.0)
+        branches.append(ddu)
+    return branches[0] - c1s * branches[1]
 
 
 def ode_residual(p):
@@ -39,8 +56,7 @@ def ode_residual(p):
 
     below = s < _S_MATCH
     if below.any():
-        (_, _, dd1), (_, _, dd2) = _series_basis(sigma, s[below])
-        ddphi[below] = dd1 - p.d_sigma / (2.0 * sigma) * dd2
+        ddphi[below] = series_ddphi(sigma, p.d_sigma / (2.0 * sigma), s[below])
 
     for j in np.nonzero(~below)[0]:
         i0 = min(max(j - 2, 0), n - 5)
@@ -167,16 +183,27 @@ def test_csv_roundtrip(tmp_path, profiles):
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
-@given(constants=st.lists(FINITE, min_size=5, max_size=5),
-       table=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)),
-                    elements=FINITE))
-def test_csv_roundtrip_exact(tmp_path_factory, constants, table):
-    sigma, kappa, c1, c2, d_sigma = constants
-    p = BesselProfile(sigma=sigma, nodes=table[:, 0], phi=table[:, 1],
-                      dphi=table[:, 2], kappa=kappa, c1=c1, c2=c2,
-                      d_sigma=d_sigma)
+@st.composite
+def admissible_profiles(draw):
+    """Any table BesselProfile admits: sigma in (0, 1), 2-12 positive and
+    strictly increasing nodes, finite phi and dphi, finite constants with
+    kappa and d_sigma positive."""
+    size = draw(st.integers(2, 12))
+    nodes = np.sort(draw(arrays(np.float64, size, elements=POSITIVE,
+                                unique=True)))
+    phi = draw(arrays(np.float64, size, elements=FINITE))
+    dphi = draw(arrays(np.float64, size, elements=FINITE))
+    sigma = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return BesselProfile(sigma=sigma, nodes=nodes, phi=phi, dphi=dphi,
+                         kappa=draw(POSITIVE), c1=draw(FINITE),
+                         c2=draw(FINITE), d_sigma=draw(POSITIVE))
+
+
+@given(p=admissible_profiles())
+def test_csv_roundtrip_exact(tmp_path_factory, p):
     path = tmp_path_factory.getbasetemp() / "profile.csv"
     profile_to_csv(p, path)
     q = profile_from_csv(path)
@@ -202,4 +229,20 @@ def test_csv_without_table_rows_is_unreadable(tmp_path, rows):
     path = tmp_path / "profile.csv"
     path.write_text(CSV_HEADER + rows)
     with pytest.raises(DiagnosticError, match="unreadable profile CSV"):
+        profile_from_csv(path)
+
+
+@pytest.mark.parametrize("constants,rows,reason", [
+    ("1.5,1.0,1.0,1.0,1.0", "0.0,1.0,0.0\n", "sigma out of"),
+    ("0.5,1.0,1.0,1.0,1.0", "2.0,0.1,-0.1\n1.0,0.4,-0.4\n",
+     "strictly increasing"),
+    ("0.5,inf,1.0,1.0,1.0", "1.0,0.4,-0.4\n2.0,0.1,-0.1\n", "not finite")],
+    ids=["sigma_one_row", "decreasing_nodes", "infinite_kappa"])
+def test_csv_with_inadmissible_table_is_unreadable(tmp_path, constants, rows,
+                                                   reason):
+    path = tmp_path / "profile.csv"
+    path.write_text(CSV_HEADER.replace("0.5,1.0,1.0,1.0,1.0", constants)
+                    + rows)
+    with pytest.raises(DiagnosticError,
+                       match=f"unreadable profile CSV .*{reason}"):
         profile_from_csv(path)

@@ -161,8 +161,8 @@ def test_grid_validation():
 
 def test_frac_apply_domain_errors(profile_half):
     # sigma and m are checked where they enter the package: ModelParams
-    # for the solver's operator, sobolev_form (sigma from the profile) for
-    # the extension checks
+    # for the solver's operator; BesselProfile (sigma) and sobolev_form (m)
+    # for the extension checks
     g = Grid(1, 1.0, 8)
     spectrum = half_spectrum(np.ones(8))
     for sigma, m in ((1.2, 1.0), (0.5, 0.0)):

@@ -1,11 +1,18 @@
 """Layout guards: decisions that belong to one module stay there."""
 
+import inspect
 import re
 from pathlib import Path
 
 import hartreebox
+from hartreebox.config import _REQUIRED, _SCHEMA, load_config
+from hartreebox.extension import MIN_DECAY_LENGTHS, lift
+from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
+                              PotentialSpec, SolverSettings)
+from hartreebox.profile import build_profile
 
 PACKAGE = Path(hartreebox.__file__).resolve().parent
+README = PACKAGE.parents[1] / "README.md"
 
 # numpy's FFT by attribute (np.fft.rfftn, numpy.fft) or by import
 FFT_USE = re.compile(r"\b(?:np|numpy)\.fft\b|from\s+numpy\s+import[^\n]*\bfft\b")
@@ -20,3 +27,87 @@ def test_only_spectral_calls_numpy_fft():
                  for n, line in enumerate(p.read_text().splitlines(), 1)
                  if FFT_USE.search(line)]
     assert offenders == []
+
+
+# The owner of each config section: a key `section.name` is the keyword
+# argument `name` of it.  The top-level keys are ModelParams arguments, but
+# for those RENAMED redirects and the config's own seed.
+OWNERS = {"": ModelParams, "nonlinearity": NonlinearitySpec,
+          "potential": PotentialSpec, "kernel": KernelSpec,
+          "solver": SolverSettings, "profile": build_profile,
+          "extension": lift}
+RENAMED = {"N": "dim", "theta": "nonlinearity.theta"}
+MINIMAL_CONFIG = "sigma = 0.5\nm = 1.0\nN = 1\nL = 10.0\nn = 64\n"
+
+
+def owner_parameter(key):
+    section, _, name = RENAMED.get(key, key).rpartition(".")
+    return section, name, inspect.signature(OWNERS[section]).parameters
+
+
+def loaded_value(cfg, key):
+    section, name, _ = owner_parameter(key)
+    if section == "profile":
+        return cfg.profile_kw[name]
+    if section == "extension":
+        return cfg.lift_kw[name]
+    return getattr(getattr(cfg.params, section) if section else cfg.params,
+                   name)
+
+
+def load_text(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return load_config(path)
+
+
+def test_every_config_key_reaches_a_parameter_of_its_owner(tmp_path):
+    # every optional key set to an admissible value off its default
+    texts = {key: value for key, value in (
+        line.split(" = ") for line in MINIMAL_CONFIG.splitlines())}
+    for key in set(_SCHEMA) - set(texts) - {"seed"}:
+        _, name, parameters = owner_parameter(key)
+        default = parameters[name].default
+        if default is None:             # lift's x_max, 10/m
+            texts[key] = "12.5"
+        elif isinstance(default, str):
+            texts[key] = "pure_power"
+        else:
+            texts[key] = repr(default + (1 if _SCHEMA[key] is int else 0.25))
+    cfg = load_text(tmp_path, "".join(f"{k} = {v}\n"
+                                      for k, v in texts.items()))
+    for key, text in texts.items():
+        _, name, parameters = owner_parameter(key)
+        assert name in parameters, key
+        assert loaded_value(cfg, key) == _SCHEMA[key](text), key
+
+
+def readme_key_defaults():
+    """{key: default text} from the first column of the README key table."""
+    text = README.read_text()
+    start = text.index("| Key | Meaning |")
+    rows = text[start:text.index("\n\n", start)].splitlines()[2:]
+    return dict(pair for row in rows for pair in
+                re.findall(r"`([\w.]+)` \(([^)]*)\)", row.split(" | ")[0]))
+
+
+def test_readme_key_defaults_are_the_library_defaults(tmp_path):
+    documented = readme_key_defaults()
+    assert set(documented) == set(_SCHEMA) - set(_REQUIRED)
+    for key, text in documented.items():
+        if key == "seed":               # the config's own value
+            assert int(text) == load_text(tmp_path, MINIMAL_CONFIG).seed == 0
+            continue
+        _, name, parameters = owner_parameter(key)
+        default = parameters[name].default
+        if key == "extension.x_max":    # lift's None stands for 10/m
+            assert default is None
+            assert text == f"{MIN_DECAY_LENGTHS}/m"
+        else:
+            assert type(default)(text.strip("`")) == default, key
+
+
+def test_required_keys_alone_take_every_library_default(tmp_path):
+    cfg = load_text(tmp_path, MINIMAL_CONFIG)
+    assert cfg.params == ModelParams(sigma=0.5, m=1.0, dim=1, L=10.0, n=64)
+    assert cfg.profile_kw == {} and cfg.lift_kw == {}
