@@ -27,6 +27,14 @@ EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 EXIT_VERIFICATION = 4
 
+# (exception class, exit code): the first class the error is an instance of
+# decides; the base HartreeboxError (DiagnosticError, NumericError) is last
+_EXIT_CODES = ((ConfigError, EXIT_CONFIG),
+               (ConvergenceError, EXIT_CONVERGENCE),
+               (VerificationError, EXIT_VERIFICATION),
+               (DomainError, EXIT_DOMAIN), (OSError, EXIT_CONFIG),
+               (HartreeboxError, EXIT_DOMAIN))
+
 
 def _setup_logging():
     level = os.environ.get("HARTREE_LOG", "WARNING").upper()
@@ -93,9 +101,8 @@ def cmd_solve(args) -> int:
 
     iters_path = os.path.join(args.out, "iterations.csv")
     try:
-        best, results = multistart(cfg.params, prof, seeds,
-                                   threads=args.threads)
-        c_star, c_inf, margin = compare_levels(cfg.params, prof, best.u)
+        best, results = multistart(cfg.params, prof, seeds)
+        c_star, c_inf, margin = compare_levels(cfg.params, prof, best)
     except ConvergenceError as exc:
         # the trace of the solve that failed, for diagnosis
         history_to_csv(exc.history, iters_path)
@@ -162,7 +169,7 @@ def cmd_verify(args) -> int:
         try:
             value = fn()
             rows.append((name, "pass", value))
-        except (VerificationError, HartreeboxError) as exc:
+        except HartreeboxError as exc:
             rows.append((name, "fail", str(exc)))
             failures.append(f"{name}: {exc}")
 
@@ -221,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out")
         if name == "solve":
             p.add_argument("--seed", type=_int_at_least(0), default=None)
-            p.add_argument("--threads", type=_int_at_least(1), default=1)
         if name == "verify":
             p.add_argument("--field", required=True)
         p.set_defaults(func=fn)
@@ -233,24 +239,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (HartreeboxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except HartreeboxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return next(code for cls, code in _EXIT_CODES
+                    if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

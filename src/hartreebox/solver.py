@@ -10,7 +10,6 @@ fractional operator.  Armijo backtracking keeps the energy monotone.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +59,6 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
                                    max(1.0, params.potential.w))
     if seed_field.grid != params.grid:
         raise DomainError("seed grid does not match params grid")
-    if not np.any(seed_field.values > 0.0):
-        raise DomainError("seed field has no positive part")
 
     settings = params.solver
     precond = 1.0 / (profile.kappa * params.grid.multiplier(params.m,
@@ -154,36 +151,33 @@ def random_seed_field(params: ModelParams, seed: int) -> TraceField:
     return gaussian_bump(grid, amp, width, center)
 
 
-def multistart(params: ModelParams, profile: BesselProfile, seeds,
-               threads: int = 1):
-    """Solve from several random seeds; returns (best_result, all_results).
+def multistart(params: ModelParams, profile: BesselProfile, seeds):
+    """Solve from several random seeds, in order; returns (best_result,
+    all_results).
 
-    The best result is the lowest level; ties and ordering are deterministic
-    for a fixed seed list.
+    The best result is the first with the lowest level, so it is
+    deterministic for a fixed seed list.
     """
-    fields = [random_seed_field(params, s) for s in seeds]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda f: solve_ground(params, profile, f), fields))
-    else:
-        results = [solve_ground(params, profile, f) for f in fields]
+    results = [solve_ground(params, profile, random_seed_field(params, s))
+               for s in seeds]
     best = min(range(len(results)), key=lambda i: results[i].level)
     return results[best], results
 
 
 def compare_levels(params: ModelParams, profile: BesselProfile,
-                   seed_field: TraceField | None = None):
+                   ground: GroundStateResult):
     """Ground level with the well vs. the level of the same problem with
     the constant background potential V_inf (A = 0).
 
+    `ground` is the converged ground state of `params`; its level is c_star,
+    and its field starts the one solve made here, that of the A = 0 problem.
     Returns (c_star, c_inf, margin) with margin = (c_inf - c_star)/c_inf.
     For A > 0 the strict ordering 0 < c_star < c_inf is asserted.
     """
     flat = dataclasses.replace(
         params, potential=dataclasses.replace(params.potential, A=0.0))
-    c_star = solve_ground(params, profile, seed_field).level
-    c_inf = solve_ground(flat, profile, seed_field).level
+    c_star = ground.level
+    c_inf = solve_ground(flat, profile, ground.u).level
     margin = (c_inf - c_star) / c_inf
     if params.potential.A > 0:
         if not 0.0 < c_star < c_inf:

@@ -44,8 +44,8 @@ class Grid:
             raise DomainError("dim must be 1, 2 or 3")
         if self.n < 8 or self.n % 2:
             raise DomainError("n must be even and >= 8")
-        if self.L <= 0:
-            raise DomainError("L must be positive")
+        if not 0.0 < self.L < np.inf:
+            raise DomainError("L must be positive and finite")
 
     @property
     def shape(self):
@@ -140,14 +140,9 @@ class TraceField:
             raise NumericError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
-    def norm_lq(self, q: float) -> float:
-        if q == np.inf:
-            return float(np.max(np.abs(self.values)))
-        return float((self.grid.cell_volume
-                      * np.sum(np.abs(self.values) ** q)) ** (1.0 / q))
-
     def norm_l2(self) -> float:
-        return self.norm_lq(2)
+        return float((self.grid.cell_volume * np.sum(self.values ** 2))
+                     ** 0.5)
 
 
 def half_spectrum(values: np.ndarray) -> np.ndarray:
@@ -245,9 +240,9 @@ def field_from_csv(path) -> TraceField:
         grid = Grid(dim, L, n)
         if vals.size != n ** dim:
             raise ValueError(f"expected {n ** dim} values, got {vals.size}")
-    except (ValueError, IndexError) as exc:
+        return TraceField(grid, vals.reshape(grid.shape, order="C"))
+    except (ValueError, IndexError, NumericError) as exc:
         raise DomainError(f"unreadable field CSV {path}: {exc}") from exc
-    return TraceField(grid, vals.reshape(grid.shape, order="C"))
 
 
 def field_to_binary(h: TraceField, path) -> None:
@@ -275,8 +270,11 @@ def field_from_binary(path) -> TraceField:
     if header[4] != _BIN_FORMAT:
         raise DomainError(f"{path}: unsupported format tag {header[4]}")
     L = float(header[3:4].view("<f8")[0])
-    grid = Grid(int(header[1]), L, int(header[2]))
     vals = np.frombuffer(raw[64:], dtype="<f8")
-    if vals.size != grid.n ** grid.dim:
-        raise DomainError(f"{path}: truncated field binary")
-    return TraceField(grid, vals.reshape(grid.shape, order="C").copy())
+    try:
+        grid = Grid(int(header[1]), L, int(header[2]))
+        if vals.size != grid.n ** grid.dim:
+            raise DomainError("truncated field binary")
+        return TraceField(grid, vals.reshape(grid.shape, order="C").copy())
+    except (DomainError, NumericError) as exc:
+        raise DomainError(f"{path}: {exc}") from exc

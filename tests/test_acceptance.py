@@ -162,13 +162,14 @@ def test_criterion_6_ground_state(ground_state, profile_half, capsys):
 def test_criterion_7_level_ordering(ground_state, profile_half, capsys):
     best, _, _ = ground_state
     c_star, c_inf, margin = compare_levels(ground_params(), profile_half,
-                                           best.u)
+                                           best)
     assert 0.0 < c_star < c_inf
     assert margin > 1e-3
     flat = ModelParams(sigma=0.5, m=1.0, dim=1, L=20.0, n=256,
                        potential=PotentialSpec(V_inf=1.0, A=0.0, w=4.0),
                        kernel=KernelSpec(a=0.0, b=1.0, w2=3.0))
-    e_star, e_inf, _ = compare_levels(flat, profile_half)
+    e_star, e_inf, _ = compare_levels(flat, profile_half,
+                                      solve_ground(flat, profile_half))
     agree = abs(e_star - e_inf) / e_inf
     assert agree < 1e-6
     verdict(capsys, 7, f"0 < c* = {c_star:.6f} < c_inf = {c_inf:.6f}, "
@@ -181,7 +182,7 @@ def test_criterion_8_decay(profiles, sigma, theta, capsys):
     p = profiles[sigma]
     res = solve_ground(params, p)
     ext = lift(res.u, p, params.m, x_max=50.0, K_x=400)
-    rep = decay_fit(ext, res.u.norm_lq(np.inf))
+    rep = decay_fit(ext, np.abs(res.u.values).max())
     assert rep.rate >= 0.95 * params.m
     target = (2 * sigma - 1) / 2
     assert abs(rep.poly_exp - target) < 0.2

@@ -14,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hartreebox
+from hartreebox import cli, solver
 from hartreebox.cli import build_parser, main
 from hartreebox.config import _SCHEMA, RunConfig, load_config
-from hartreebox.errors import ConfigError, DomainError
-from hartreebox.spectral import Grid, TraceField, field_to_csv
+from hartreebox.errors import (BracketError, ConfigError, ConvergenceError,
+                               DiagnosticError, DomainError, HartreeboxError,
+                               NumericError, VerificationError)
+from hartreebox.spectral import Grid, TraceField, field_to_binary, field_to_csv
 
 BASE_CONFIG = """\
 # small ground-state instance
@@ -79,6 +82,26 @@ def test_solve_command(tmp_path, capsys):
     assert (out / "ground_state.csv").exists()
     assert (out / "iterations.csv").exists()
     assert_phase_times(out, "solve")
+
+
+def test_solve_solves_each_problem_once(tmp_path, capsys, monkeypatch):
+    # three starts with the well, then the A = 0 problem from the best; the
+    # best start's level is c_star itself
+    wells, solve_ground = [], solver.solve_ground
+
+    def counted(params, *args):
+        wells.append(params.potential.A)
+        return solve_ground(params, *args)
+    monkeypatch.setattr(solver, "solve_ground", counted)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path), "--out",
+                 str(out)]) == 0
+    capsys.readouterr()
+    assert wells == [0.3, 0.3, 0.3, 0.0]
+    report = json.loads((out / "report.json").read_text())
+    assert report["c_star"] == report["level"]
+    assert report["margin"] == ((report["c_inf"] - report["level"])
+                                / report["c_inf"])
 
 
 def test_verify_command_after_solve(tmp_path, capsys):
@@ -182,7 +205,7 @@ def test_default_x_max_overflow_exits_1(tmp_path, capsys):
     assert "extension.x_max" in err and "(line 3, col " in err
 
 
-@pytest.mark.parametrize("flag", ["--seed", "--threads"])
+@pytest.mark.parametrize("flag", ["--seed"])
 @pytest.mark.parametrize("command", ["profile", "verify"])
 def test_solve_flags_are_usage_errors_elsewhere(tmp_path, capsys, command,
                                                  flag):
@@ -195,8 +218,7 @@ def test_solve_flags_are_usage_errors_elsewhere(tmp_path, capsys, command,
     assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value,bound", [("--seed", "-1", ">= 0"),
-                                              ("--threads", "0", ">= 1")])
+@pytest.mark.parametrize("flag,value,bound", [("--seed", "-1", ">= 0")])
 def test_solve_flag_out_of_range_is_usage_error(tmp_path, capsys, flag,
                                                 value, bound):
     argv = ["solve", "--config", write_config(tmp_path), "--out",
@@ -207,9 +229,19 @@ def test_solve_flag_out_of_range_is_usage_error(tmp_path, capsys, flag,
     assert f"argument {flag}: must be {bound}: {value}" \
         in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-    args = build_parser().parse_args(["solve", "--config", "c", "--seed", "0",
-                                      "--threads", "1"])
-    assert (args.seed, args.threads) == (0, 1)
+    args = build_parser().parse_args(["solve", "--config", "c", "--seed", "0"])
+    assert args.seed == 0
+
+
+def test_threads_is_a_usage_error(tmp_path, capsys):
+    # the starts run in order; there is no threaded path to select
+    argv = ["solve", "--config", write_config(tmp_path), "--out",
+            str(tmp_path / "o"), "--threads", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_negative_config_seed_exits_1(tmp_path, capsys):
@@ -312,6 +344,47 @@ def test_corrupted_field_exits_1(tmp_path, capsys):
                "--field", str(bad)])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["field.csv", "field.bin"])
+@pytest.mark.parametrize("where", ["L", "value"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_field_file_exits_1(tmp_path, capsys, name, where, value):
+    # a field file whose half-length L or last value is not finite
+    path = str(tmp_path / name)
+    h = TraceField(Grid(1, 10.0, 64), np.ones(64))
+    if name.endswith(".bin"):
+        field_to_binary(h, path)
+        raw = bytearray(Path(path).read_bytes())
+        at = 24 if where == "L" else len(raw) - 8
+        raw[at:at + 8] = np.array([value], dtype="<f8").tobytes()
+        Path(path).write_bytes(bytes(raw))
+    else:
+        field_to_csv(h, path)
+        rows = Path(path).read_text().splitlines()
+        if where == "L":
+            rows[1] = f"1,64,{value!r}"
+        else:
+            rows[-1] = repr(value)
+        Path(path).write_text("\n".join(rows) + "\n")
+    rc = main(["verify", "--config", write_config(tmp_path), "--out",
+               str(tmp_path / "o"), "--field", path])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert path in err and "finite" in err
+
+
+@pytest.mark.parametrize("error,code", [
+    (ConfigError("e"), 1), (FileNotFoundError("e"), 1),
+    (DomainError("e"), 2), (DiagnosticError("e"), 2), (BracketError("e"), 2),
+    (NumericError("e"), 2), (HartreeboxError("e"), 2),
+    (ConvergenceError("e"), 3), (VerificationError("e"), 4)])
+def test_exit_code_of_each_error(tmp_path, capsys, monkeypatch, error, code):
+    def failing(args):
+        raise error
+    monkeypatch.setattr(cli, "cmd_profile", failing)
+    assert main(["profile", "--config", "c"]) == code
+    assert capsys.readouterr().err == "error: e\n"
 
 
 def test_solve_outputs_deterministic(tmp_path, capsys):

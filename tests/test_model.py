@@ -383,7 +383,7 @@ def test_ray_levels_stay_below_projected_level(profile_half, rng,
 def test_early_rejection_keeps_the_solve(profile_half, monkeypatch, seed):
     # a projection that always runs to the root and leaves the Armijo test
     # to the level there gives the same solve, bit for bit; also from a
-    # converged start (as compare_levels passes one in), where trial levels
+    # converged start (a caller may pass one in), where trial levels
     # differ from the current one by rounding only (at seed 15, rejecting
     # on the bare level > bound there changes the restart's history)
     params = ground_params()

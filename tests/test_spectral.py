@@ -132,11 +132,11 @@ def test_young_inequality(rng):
             g, a=rng.uniform(0.0, 1.0), mu=rng.uniform(0.0, 0.9),
             R_c=rng.uniform(0.2, 2.0), b=rng.uniform(0.0, 1.0),
             w2=rng.uniform(0.2, 2.0))
-        k = TraceField(g, params.kernel_values)
+        w_l1 = g.cell_volume * np.abs(params.kernel_values).sum()
         f = TraceField(g, rng.standard_normal(g.n))
         lhs = TraceField(g, apply_multiplier(params.kernel_spectrum,
                                              f.values, "convolve")).norm_l2()
-        assert lhs <= k.norm_lq(1) * f.norm_l2() * (1 + 1e-12)
+        assert lhs <= w_l1 * f.norm_l2() * (1 + 1e-12)
 
 
 def test_sobolev_form_constant_closed_form(profile_half):
@@ -155,8 +155,9 @@ def test_grid_validation():
         Grid(1, 1.0, 7)
     with pytest.raises(DomainError):
         Grid(1, 1.0, 4)
-    with pytest.raises(DomainError):
-        Grid(1, -1.0, 8)
+    for L in (-1.0, np.nan, np.inf):
+        with pytest.raises(DomainError, match="L must be positive"):
+            Grid(1, L, 8)
 
 
 def test_frac_apply_domain_errors(profile_half):
@@ -326,4 +327,11 @@ def test_field_io_rejects_corruption(tmp_path, rng):
         field_from_binary(bin_path)
     bin_path.write_bytes(b"\0" * 128)
     with pytest.raises(DomainError, match="magic"):
+        field_from_binary(bin_path)
+    # a header grid the package rejects: the message names the file
+    field_to_binary(h, bin_path)
+    raw = bytearray(bin_path.read_bytes())
+    raw[8:16] = np.array([7], dtype="<i8").tobytes()
+    bin_path.write_bytes(bytes(raw))
+    with pytest.raises(DomainError, match="field.bin: dim must be 1, 2 or 3"):
         field_from_binary(bin_path)

@@ -1,10 +1,12 @@
 """Layout guards: decisions that belong to one module stay there."""
 
+import argparse
 import inspect
 import re
 from pathlib import Path
 
 import hartreebox
+from hartreebox.cli import build_parser
 from hartreebox.config import _REQUIRED, _SCHEMA, load_config
 from hartreebox.extension import MIN_DECAY_LENGTHS, lift
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
@@ -111,3 +113,23 @@ def test_required_keys_alone_take_every_library_default(tmp_path):
     cfg = load_text(tmp_path, MINIMAL_CONFIG)
     assert cfg.params == ModelParams(sigma=0.5, m=1.0, dim=1, L=10.0, n=64)
     assert cfg.profile_kw == {} and cfg.lift_kw == {}
+
+
+def registered_options(parser):
+    """Option strings of the parser and of every subcommand, but help."""
+    options = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= registered_options(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            options |= set(action.option_strings)
+    return options
+
+
+def test_readme_names_exactly_the_cli_options():
+    text = README.read_text()
+    start = text.index("## Command line")
+    section = text[start:text.index("\n## ", start + 1)]
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    assert registered_options(build_parser()) == named
