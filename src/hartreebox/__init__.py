@@ -7,9 +7,9 @@ from .errors import (BracketError, ConfigError, ConvergenceError,
                      DiagnosticError, DomainError, HartreeboxError,
                      NumericError, VerificationError)
 from .profile import (BesselProfile, build_profile, eval_profile,
-                      profile_from_csv, profile_to_csv)
+                      profile_to_csv)
 from .spectral import (Grid, TraceField, field_from_binary, field_from_csv,
-                       field_to_binary, field_to_csv, sobolev_form)
+                       field_to_csv, sobolev_form)
 from .model import (KernelSpec, ModelParams, NonlinearitySpec, PotentialSpec,
                     SolverSettings)
 from .solver import (GroundStateResult, compare_levels, gaussian_bump,

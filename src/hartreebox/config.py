@@ -129,10 +129,6 @@ def load_config(path) -> RunConfig:
     if seed < 0:                    # numpy's generators take seeds >= 0
         raise ConfigError(f"seed must be nonnegative, got {seed}",
                           *pairs["seed"][1:])
-    if kw["nonlinearity"].get("kind") == "user_table":
-        raise ConfigError("nonlinearity.kind user_table is library-only; a "
-                          "config file takes log_linear or pure_power",
-                          *pairs["nonlinearity.kind"][1:])
     params = ModelParams(
         **kw[""], nonlinearity=NonlinearitySpec(**kw["nonlinearity"]),
         potential=PotentialSpec(**kw["potential"]),

@@ -55,6 +55,7 @@ class ExtensionField:
     |k|^2 among the distinct values, rates the rate c of each class and
     profile_table[j, u] = Phi(x_nodes[j] rates[u]), so
     u-hat(x_j, k) = profile_table[j, mode_class[k]] spectrum[k].
+    lift is its one constructor.
     """
 
     grid: Grid
@@ -65,30 +66,6 @@ class ExtensionField:
     mode_class: np.ndarray
     rates: np.ndarray
     profile_table: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x_nodes, dtype=float)
-        spec = np.asarray(self.spectrum, dtype=complex)
-        cls = np.asarray(self.mode_class, dtype=np.intp)
-        rates = np.asarray(self.rates, dtype=float)
-        table = np.asarray(self.profile_table, dtype=float)
-        if x.ndim != 1 or np.any(np.diff(x) <= 0) or x[0] < 0:
-            raise DomainError("x_nodes must be increasing and nonnegative")
-        half = self.grid.k_sq.shape
-        if spec.shape != half or cls.shape != half:
-            raise DomainError("spectrum or mode_class shape does not match "
-                              "the grid's half lattice")
-        if rates.ndim != 1 or table.shape != (x.size, rates.size):
-            raise DomainError("profile_table shape does not match "
-                              "x_nodes x rates")
-        if cls.min() < 0 or cls.max() >= rates.size:
-            raise DomainError("mode_class indexes past the rates")
-        if not (np.all(np.isfinite(spec)) and np.all(np.isfinite(table))):
-            raise NumericError("extension field contains non-finite values")
-        for name, value in (("x_nodes", x), ("spectrum", spec),
-                            ("mode_class", cls), ("rates", rates),
-                            ("profile_table", table)):
-            object.__setattr__(self, name, value)
 
     def values(self, rows) -> np.ndarray:
         """u(x_j, y) at the x-nodes x_nodes[rows] (an index or a slice),

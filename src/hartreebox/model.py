@@ -34,32 +34,16 @@ class NonlinearitySpec:
     Kinds:
       log_linear  -- f(t) = t ln(1+t); theta bounds its polynomial growth.
       pure_power  -- f(t) = t^(theta-1).
-      user_table  -- f sampled on a positive grid, piecewise linear
-                     through (0, 0) and the samples, and continued past
-                     the last one by the power law through the last two
-                     samples; F is its exact primitive (piecewise
-                     quadratic on the table).
     """
 
     kind: str = "log_linear"
     theta: float = 2.5
-    table: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("log_linear", "pure_power", "user_table"):
+        if self.kind not in ("log_linear", "pure_power"):
             raise DomainError(f"unknown nonlinearity kind {self.kind!r}")
         if self.theta <= 2.0:
             raise DomainError("theta must exceed 2")
-        if self.kind == "user_table":
-            t = np.asarray(self.table, dtype=float)
-            if t.ndim != 2 or t.shape[1] != 2 or t.shape[0] < 4:
-                raise DomainError("user_table needs >= 4 rows of (t, f(t))")
-            if np.any(t[:, 0] <= 0) or np.any(np.diff(t[:, 0]) <= 0):
-                raise DomainError("user_table abscissae must be positive "
-                                  "and increasing")
-            if np.any(t[:, 1] < 0):
-                raise DomainError("user_table values must be nonnegative")
-            object.__setattr__(self, "table", t)
 
 
 def _nonlinearity(spec: NonlinearitySpec, t):
@@ -77,43 +61,10 @@ def _nonlinearity(spec: NonlinearitySpec, t):
         f = pos * lg
         return (0.5 * (pos * f - lg + pos * (1.0 - 0.5 * pos)), f,
                 lambda: lg + pos / (1.0 + pos))
-    if spec.kind == "pure_power":
-        f = pos ** (spec.theta - 1.0)
-        F = pos * f
-        F /= spec.theta
-        return F, f, lambda: (spec.theta - 1.0) * pos ** (spec.theta - 2.0)
-    return _table(spec, pos)
-
-
-def _table(spec: NonlinearitySpec, pos: np.ndarray):
-    """(F, f, f') of user_table at pos >= 0, from one search of the linear
-    pieces through (0, 0) and the samples (the last piece holds the points
-    at and past the table end, where the tail takes over).  f' is the slope
-    of each piece, and past the table that of the power-law tail."""
-    tt, ff = spec.table[:, 0], spec.table[:, 1]
-    nodes = np.concatenate([[0.0], tt])
-    vals = np.concatenate([[0.0], ff])
-    slopes = np.diff(vals) / np.diff(nodes)
-    seg = np.clip(np.searchsorted(nodes, pos, side="right") - 1,
-                  0, slopes.size - 1)
-    # integral of f up to each breakpoint (trapezoids are exact on lines)
-    cum = np.concatenate([[0.0], np.cumsum(np.diff(nodes)
-                                           * 0.5 * (vals[1:] + vals[:-1]))])
-    d = pos - nodes[seg]
-    f = vals[seg] + slopes[seg] * d
-    F = cum[seg] + vals[seg] * d + 0.5 * slopes[seg] * d ** 2
-    df = np.where(pos > 0.0, slopes[seg], 0.0)  # f' = 0 where f = 0
-    hi = pos > tt[-1]
-    if np.any(hi):
-        # extend past the table with the power law through the last two
-        # samples
-        p = np.log(ff[-1] / max(ff[-2], 1e-300)) / np.log(tt[-1] / tt[-2])
-        r = pos / tt[-1]
-        f = np.where(hi, ff[-1] * r ** p, f)
-        F = np.where(hi, cum[-1] + ff[-1] * tt[-1] / (p + 1.0)
-                     * (r ** (p + 1.0) - 1.0), F)
-        df = np.where(hi, p * ff[-1] / tt[-1] * r ** (p - 1.0), df)
-    return F, f, lambda: df
+    f = pos ** (spec.theta - 1.0)
+    F = pos * f
+    F /= spec.theta
+    return F, f, lambda: (spec.theta - 1.0) * pos ** (spec.theta - 2.0)
 
 
 # ---------------------------------------------------------------------------

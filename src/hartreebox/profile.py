@@ -106,8 +106,7 @@ class BesselProfile:
     weight is resolved.  phi/dphi are the kernel and its derivative at the
     nodes; kappa, c1, c2, d_sigma as in the module docstring (c1, c2 are the
     fitted endpoint constants, d_sigma comes from the series matching).
-    The constructor checks 0 < sigma < 1, >= 2 positive increasing nodes,
-    finite values and positive kappa, d_sigma, else raises DomainError.
+    build_profile is its one constructor.
     """
 
     sigma: float
@@ -118,22 +117,6 @@ class BesselProfile:
     c1: float
     c2: float
     d_sigma: float
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if not 0.0 < self.sigma < 1.0:
-            raise DomainError("sigma out of (0,1)")
-        if (nodes.ndim != 1 or nodes.size < 2 or not nodes[0] > 0.0
-                or not np.all(np.diff(nodes) > 0.0)
-                or {np.shape(self.phi), np.shape(self.dphi)} != {nodes.shape}):
-            raise DomainError("profile table needs >= 2 positive, strictly "
-                              "increasing nodes, with phi and dphi on them")
-        values = np.concatenate([nodes, self.phi, self.dphi, [
-            self.kappa, self.c1, self.c2, self.d_sigma]])
-        if not np.all(np.isfinite(values)):
-            raise DomainError("profile table or constants not finite")
-        if not (self.kappa > 0.0 and self.d_sigma > 0.0):
-            raise DomainError("kappa and d_sigma must be positive")
 
     @property
     def s_max(self):
@@ -346,7 +329,7 @@ def _hermite(x, y, dy, s):
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange: header row with the scalar constants, then s/phi/dphi.
+# CSV output: header row with the scalar constants, then s/phi/dphi.
 
 def profile_to_csv(p: BesselProfile, path) -> None:
     with open(path, "w", newline="") as fh:
@@ -360,21 +343,3 @@ def profile_to_csv(p: BesselProfile, path) -> None:
             w.writerow([repr(float(s)), repr(float(phi)),
                         repr(float(dphi))])
 
-
-def profile_from_csv(path) -> BesselProfile:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    try:
-        if rows[0] != ["sigma", "kappa", "c1", "c2", "d_sigma"]:
-            raise ValueError("bad header")
-        sigma, kappa, c1, c2, d_sigma = (float(v) for v in rows[1])
-        if rows[2] != ["s", "phi", "dphi"]:
-            raise ValueError("bad column header")
-        data = np.array([[float(v) for v in r] for r in rows[3:]])
-        if data.ndim != 2 or data.shape[1] != 3:
-            raise ValueError("no rows of three columns s, phi, dphi")
-        return BesselProfile(sigma=sigma, nodes=data[:, 0], phi=data[:, 1],
-                             dphi=data[:, 2], kappa=kappa, c1=c1, c2=c2,
-                             d_sigma=d_sigma)
-    except (ValueError, IndexError, DomainError) as exc:
-        raise DiagnosticError(f"unreadable profile CSV {path}: {exc}") from exc

@@ -26,8 +26,8 @@ import numpy as np
 from .errors import DomainError, NumericError
 
 _BIN_MAGIC = 0x46584248  # "HBXF" little-endian
-# Format 1 stored L as round(L * 1e6), which lost digits (10/3 read back as
-# 3.333333) and read L < 5e-7 back as 0; format 2 stores L's float64 bits.
+# the one format read: format 1 stored L rounded to 1e-6, format 2 stores
+# L's float64 bits
 _BIN_FORMAT = 2
 
 
@@ -213,7 +213,10 @@ def sobolev_form(grid: Grid, spectrum: np.ndarray, m: float,
 
 
 # ---------------------------------------------------------------------------
-# Field interchange: CSV (row-major flattening) and raw little-endian binary.
+# Field interchange: CSV (row-major flattening) both ways, and a reader of
+# raw little-endian binary, an input format no command writes: eight int64
+# (magic, dim, n, the float64 bits of L, format tag, three zeros), then the
+# values as float64 in row-major order.
 
 def field_to_csv(h: TraceField, path) -> None:
     g = h.grid
@@ -245,16 +248,6 @@ def field_from_csv(path) -> TraceField:
         raise DomainError(f"unreadable field CSV {path}: {exc}") from exc
 
 
-def field_to_binary(h: TraceField, path) -> None:
-    g = h.grid
-    header = np.array([_BIN_MAGIC, g.dim, g.n, 0, _BIN_FORMAT, 0, 0, 0],
-                      dtype="<i8")
-    header[3:4] = np.array([g.L], dtype="<f8").view("<i8")
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(h.values.astype("<f8").ravel(order="C").tobytes())
-
-
 def field_from_binary(path) -> TraceField:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -263,10 +256,6 @@ def field_from_binary(path) -> TraceField:
     header = np.frombuffer(raw[:64], dtype="<i8")
     if header[0] != _BIN_MAGIC:
         raise DomainError(f"{path}: bad magic in field binary header")
-    if header[4] == 1:
-        raise DomainError(f"{path}: field binary format 1 stores L rounded "
-                          "to 1e-6 and is no longer read; write the field "
-                          "again")
     if header[4] != _BIN_FORMAT:
         raise DomainError(f"{path}: unsupported format tag {header[4]}")
     L = float(header[3:4].view("<f8")[0])

@@ -4,13 +4,17 @@ The package evaluates everything on the rfftn half lattice through one core
 (`model._project`).  The oracles here share none of that code: they work
 with dense DFT matrices and direct sums, or with complex `fftn`/`ifftn` on
 the full lattice, and compute each quantity afresh at the field given.
+The file writer and reader the package does not ship, but the round-trip
+tests need, sit at the end.
 """
 
+import csv
 import dataclasses
 
 import numpy as np
 
 from hartreebox.errors import DomainError, VerificationError
+from hartreebox.profile import BesselProfile
 from hartreebox.solver import solve_ground
 from hartreebox.spectral import Grid, TraceField
 
@@ -87,30 +91,12 @@ def f_and_F(spec, t):
 
     log_linear: f = t ln(1+t), F = (t^2 - 1)/2 ln(1+t) - t^2/4 + t/2.
     pure_power: f = t^(theta-1), F = t^theta / theta.
-    user_table: f is the broken line through (0, 0) and the samples, F its
-    integral by trapezoids (exact on lines); past the last sample both
-    follow the power law through the last two samples.
     """
     t = np.maximum(np.asarray(t, dtype=float), 0.0)
     if spec.kind == "log_linear":
         lg = np.log1p(t)
         return t * lg, 0.5 * (t ** 2 - 1.0) * lg - 0.25 * t ** 2 + 0.5 * t
-    if spec.kind == "pure_power":
-        return t ** (spec.theta - 1.0), t ** spec.theta / spec.theta
-    nodes = np.concatenate([[0.0], spec.table[:, 0]])
-    vals = np.concatenate([[0.0], spec.table[:, 1]])
-    area = np.concatenate([[0.0], np.cumsum(
-        np.diff(nodes) * 0.5 * (vals[1:] + vals[:-1]))])
-    f = np.interp(t, nodes, vals)
-    i = np.searchsorted(nodes, t, side="right") - 1
-    F = area[i] + 0.5 * (t - nodes[i]) * (vals[i] + f)
-    tail = t > nodes[-1]
-    p = np.log(vals[-1] / vals[-2]) / np.log(nodes[-1] / nodes[-2])
-    r = t[tail] / nodes[-1]
-    f[tail] = vals[-1] * r ** p
-    F[tail] = area[-1] + vals[-1] * nodes[-1] / (p + 1.0) \
-        * (r ** (p + 1.0) - 1.0)
-    return f, F
+    return t ** (spec.theta - 1.0), t ** spec.theta / spec.theta
 
 
 # ---------------------------------------------------------------------------
@@ -199,3 +185,32 @@ def linf_refinement_check(result, params, profile, rtol=0.02):
             f"sup norm changed by {change:.2%} under grid refinement "
             f"(allowed {rtol:.0%})")
     return change, fine
+
+
+# ---------------------------------------------------------------------------
+# Files: the package reads `.bin` fields and writes profile CSVs only
+
+def field_to_binary(h, path):
+    """Write h in the field binary format: eight little-endian int64
+    (magic "HBXF", dim, n, the float64 bits of L, format tag 2, three
+    zeros), then the values as float64 in row-major order."""
+    g = h.grid
+    header = np.array([0x46584248, g.dim, g.n, 0, 2, 0, 0, 0], dtype="<i8")
+    header[3:4] = np.array([g.L], dtype="<f8").view("<i8")
+    with open(path, "wb") as fh:
+        fh.write(header.tobytes())
+        fh.write(h.values.astype("<f8").ravel(order="C").tobytes())
+
+
+def profile_from_csv(path):
+    """The BesselProfile of a profile CSV: a header row of the constants,
+    their values, an s/phi/dphi header and one row per node."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["sigma", "kappa", "c1", "c2", "d_sigma"]
+    assert rows[2] == ["s", "phi", "dphi"]
+    sigma, kappa, c1, c2, d_sigma = (float(v) for v in rows[1])
+    nodes, phi, dphi = np.array([[float(v) for v in r]
+                                 for r in rows[3:]]).T
+    return BesselProfile(sigma=sigma, nodes=nodes, phi=phi, dphi=dphi,
+                         kappa=kappa, c1=c1, c2=c2, d_sigma=d_sigma)

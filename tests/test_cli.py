@@ -20,7 +20,9 @@ from hartreebox.config import _SCHEMA, RunConfig, load_config
 from hartreebox.errors import (BracketError, ConfigError, ConvergenceError,
                                DiagnosticError, DomainError, HartreeboxError,
                                NumericError, VerificationError)
-from hartreebox.spectral import Grid, TraceField, field_to_binary, field_to_csv
+from hartreebox.spectral import Grid, TraceField, field_to_csv
+
+from oracles import field_to_binary
 
 BASE_CONFIG = """\
 # small ground-state instance
@@ -172,14 +174,15 @@ def test_huge_dimension_exits_2(tmp_path, capsys):
     assert "dim must be 1, 2 or 3" in capsys.readouterr().err
 
 
-def test_user_table_kind_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["user_table", "cubic"])
+def test_unknown_kind_exits_2(tmp_path, capsys, kind):
+    # a config file takes log_linear or pure_power; any other kind is
+    # rejected by NonlinearitySpec like an inadmissible value
     cfg = write_config(tmp_path, BASE_CONFIG.replace(
-        "kind = log_linear", "kind = user_table"))
+        "kind = log_linear", f"kind = {kind}"))
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "user_table" in err and "line 8" in err
-    assert "log_linear" in err and "pure_power" in err
+    assert rc == 2
+    assert f"unknown nonlinearity kind {kind!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [

@@ -6,11 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hartreebox.errors import DomainError, VerificationError
-from hartreebox.extension import (DecayFitReport, ExtensionField,
-                                  _effective_abscissa, _extension_energy,
-                                  _neumann_trace, decay_fit,
-                                  decay_report_to_csv, dtn_check,
+from hartreebox.errors import DomainError
+from hartreebox.extension import (DecayFitReport, _effective_abscissa,
+                                  _extension_energy, _neumann_trace,
+                                  decay_fit, decay_report_to_csv, dtn_check,
                                   dtn_report_to_csv, energy_identity_check,
                                   graded_nodes, lift, trace_inequality_check)
 from hartreebox.profile import eval_profile, small_s_energy_integral
@@ -90,18 +89,6 @@ def test_graded_nodes_shape():
     assert np.all(np.diff(x) > 0)
     # cubic grading: first interior node is x_max / K^3
     assert abs(x[1] - 8.0 / 100 ** 3) < 1e-15
-
-
-def test_extension_field_validation(profile_half):
-    g = Grid(1, 5.0, 32)
-    modes = dict(spectrum=np.zeros(17, complex), mode_class=np.zeros(17, int),
-                 rates=np.ones(1))
-    with pytest.raises(DomainError, match="increasing"):
-        ExtensionField(g, np.array([0.0, 2.0, 1.0]), profile_half, 1.0,
-                       profile_table=np.zeros((3, 1)), **modes)
-    with pytest.raises(DomainError, match="shape"):
-        ExtensionField(g, np.array([0.0, 1.0]), profile_half, 1.0,
-                       profile_table=np.zeros((3, 1)), **modes)
 
 
 # ---------------------------------------------------------------------------

@@ -115,47 +115,13 @@ def test_growth_bound_constant_exists():
                   <= xi * t + C * t ** (LOG_LINEAR.theta - 1.0) + 1e-14)
 
 
-def test_user_table_tracks_samples():
-    t = np.logspace(-3, 1, 2000)
-    table = np.column_stack([t, f_of(LOG_LINEAR, t)])
-    spec = NonlinearitySpec("user_table", 2.5, table=table)
-    probe = np.array([0.01, 0.1, 1.0, 5.0])
-    assert np.allclose(f_of(spec, probe), f_of(LOG_LINEAR, probe),
-                       rtol=1e-3)
-    ref = nonlinearity(LOG_LINEAR, 1.0)[0]
-    assert abs(nonlinearity(spec, 1.0)[0] - ref) < 1e-2 * ref
-
-
-TABLE_T = np.linspace(0.05, 4.0, 40)
-USER_TABLE = NonlinearitySpec("user_table", 2.5, table=np.column_stack(
-    [TABLE_T, f_of(LOG_LINEAR, TABLE_T)]))
-
-
-@pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER, USER_TABLE])
+@pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER])
 def test_derivative_matches_central_difference(spec):
-    # probes between table nodes, and past the table end for its tail
-    t = np.concatenate([0.5 * (TABLE_T[1:] + TABLE_T[:-1]), [5.0, 9.0]])
+    t = np.concatenate([np.linspace(0.1, 3.95, 39), [5.0, 9.0]])
     h = 1e-6
     fd = (f_of(spec, t + h) - f_of(spec, t - h)) / (2 * h)
     assert np.allclose(nonlinearity(spec, t)[2], fd, rtol=1e-7, atol=1e-9)
     assert nonlinearity(spec, -1.0)[2] == 0.0
-
-
-def test_user_table_primitive_and_slope_below_first_sample():
-    # f is linear from (0, 0) to the first sample, so F' = f and f' = df
-    # hold on (0, t_1) as well as inside the table and in the tail
-    t = np.linspace(0.5, 4.0, 8)
-    spec = NonlinearitySpec("user_table", 2.5, table=np.column_stack(
-        [t, t ** 1.5]))
-    probe = np.concatenate([[0.1, 0.25, 0.4], 0.5 * (t[1:] + t[:-1]),
-                            [5.0, 9.0]])
-    h = 1e-6
-    F_hi, f_hi, _ = nonlinearity(spec, probe + h)
-    F_lo, f_lo, _ = nonlinearity(spec, probe - h)
-    _, f, df = nonlinearity(spec, probe)
-    assert np.allclose((F_hi - F_lo) / (2 * h), f, rtol=1e-7, atol=1e-9)
-    assert np.allclose((f_hi - f_lo) / (2 * h), df, rtol=1e-7, atol=1e-9)
-    assert abs(f_of(spec, 0.25) - 0.5 ** 1.5 / 2) < 1e-15
 
 
 def test_nonlinearity_validation():
@@ -163,8 +129,6 @@ def test_nonlinearity_validation():
         NonlinearitySpec("cubic")
     with pytest.raises(DomainError):
         NonlinearitySpec("log_linear", theta=2.0)
-    with pytest.raises(DomainError):
-        NonlinearitySpec("user_table", 2.5, table=np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +318,7 @@ def test_nehari_evaluations_per_projection(profile_half, monkeypatch):
 
 
 @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
-@pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER, USER_TABLE])
+@pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER])
 def test_ray_levels_stay_below_projected_level(profile_half, rng,
                                                monkeypatch, spec, c):
     # the projected point maximizes I on its ray, so the level at every
@@ -404,7 +368,7 @@ def test_early_rejection_keeps_the_solve(profile_half, monkeypatch, seed):
         assert np.array_equal(a.u.values, b.u.values)
 
 
-@pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER, USER_TABLE])
+@pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER])
 def test_projection_core_matches_oracles(spec, profile_half, rng):
     # the solver reads Q, the sigma-form, Psi, the level and the gradient
     # at the projected point from the projection's terms; the full-lattice

@@ -8,11 +8,12 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicHermiteSpline
 from scipy.special import gamma, kv
 
-from hartreebox.errors import DiagnosticError, DomainError
+from hartreebox.errors import DomainError
 from hartreebox.profile import (_S_MATCH, BesselProfile, build_profile,
-                                eval_profile, profile_from_csv, profile_to_csv)
+                                eval_profile, profile_to_csv)
 
 from conftest import SIGMAS
+from oracles import profile_from_csv
 
 
 def bessel_oracle(sigma, s):
@@ -188,9 +189,9 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 @st.composite
 def admissible_profiles(draw):
-    """Any table BesselProfile admits: sigma in (0, 1), 2-12 positive and
-    strictly increasing nodes, finite phi and dphi, finite constants with
-    kappa and d_sigma positive."""
+    """Tables with the properties build_profile guarantees: sigma in
+    (0, 1), 2-12 positive and strictly increasing nodes, finite phi and
+    dphi, finite constants with kappa and d_sigma positive."""
     size = draw(st.integers(2, 12))
     nodes = np.sort(draw(arrays(np.float64, size, elements=POSITIVE,
                                 unique=True)))
@@ -212,37 +213,3 @@ def test_csv_roundtrip_exact(tmp_path_factory, p):
         assert (np.asarray(getattr(q, name)).tobytes()
                 == np.asarray(getattr(p, name)).tobytes()), name
 
-
-def test_csv_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.csv"
-    path.write_text("not,a,profile\n1,2,3\n")
-    with pytest.raises(DiagnosticError, match="unreadable profile CSV"):
-        profile_from_csv(path)
-
-
-CSV_HEADER = "sigma,kappa,c1,c2,d_sigma\n0.5,1.0,1.0,1.0,1.0\ns,phi,dphi\n"
-
-
-@pytest.mark.parametrize("rows", ["", "0.0,1.0\n1.0,0.5\n"],
-                         ids=["header_only", "two_columns"])
-def test_csv_without_table_rows_is_unreadable(tmp_path, rows):
-    path = tmp_path / "profile.csv"
-    path.write_text(CSV_HEADER + rows)
-    with pytest.raises(DiagnosticError, match="unreadable profile CSV"):
-        profile_from_csv(path)
-
-
-@pytest.mark.parametrize("constants,rows,reason", [
-    ("1.5,1.0,1.0,1.0,1.0", "0.0,1.0,0.0\n", "sigma out of"),
-    ("0.5,1.0,1.0,1.0,1.0", "2.0,0.1,-0.1\n1.0,0.4,-0.4\n",
-     "strictly increasing"),
-    ("0.5,inf,1.0,1.0,1.0", "1.0,0.4,-0.4\n2.0,0.1,-0.1\n", "not finite")],
-    ids=["sigma_one_row", "decreasing_nodes", "infinite_kappa"])
-def test_csv_with_inadmissible_table_is_unreadable(tmp_path, constants, rows,
-                                                   reason):
-    path = tmp_path / "profile.csv"
-    path.write_text(CSV_HEADER.replace("0.5,1.0,1.0,1.0,1.0", constants)
-                    + rows)
-    with pytest.raises(DiagnosticError,
-                       match=f"unreadable profile CSV .*{reason}"):
-        profile_from_csv(path)

@@ -1,7 +1,6 @@
 """Spectral toolbox against dense DFT/convolution oracles."""
 
 import csv
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +10,14 @@ from hypothesis.extra.numpy import arrays
 
 from hartreebox.errors import DomainError, NumericError
 from hartreebox.model import KernelSpec, ModelParams
+from hartreebox.profile import build_profile
 from hartreebox.spectral import (Grid, TraceField, apply_multiplier,
                                  field_from_binary, field_from_csv,
-                                 field_to_binary, field_to_csv, half_spectrum,
+                                 field_to_csv, half_spectrum,
                                  multiply_spectrum, sobolev_form)
 
-from oracles import (dense_convolve, dense_frac_apply, full_multiplier,
-                     refine, spectral_weights)
+from oracles import (dense_convolve, dense_frac_apply, field_to_binary,
+                     full_multiplier, refine, spectral_weights)
 
 
 def kernel_params(g, **kernel):
@@ -160,17 +160,17 @@ def test_grid_validation():
             Grid(1, L, 8)
 
 
-def test_frac_apply_domain_errors(profile_half):
+def test_frac_apply_domain_errors():
     # sigma and m are checked where they enter the package: ModelParams
-    # for the solver's operator; BesselProfile (sigma) and sobolev_form (m)
-    # for the extension checks
+    # for the solver's operator; build_profile, a profile's one
+    # constructor, (sigma) and sobolev_form (m) for the extension checks
     g = Grid(1, 1.0, 8)
     spectrum = half_spectrum(np.ones(8))
     for sigma, m in ((1.2, 1.0), (0.5, 0.0)):
         with pytest.raises(DomainError):
             ModelParams(sigma=sigma, m=m, dim=1, L=1.0, n=8)
         with pytest.raises(DomainError):
-            sobolev_form(g, spectrum, m, replace(profile_half, sigma=sigma))
+            sobolev_form(g, spectrum, m, build_profile(sigma))
 
 
 def test_field_validation(rng):
@@ -305,7 +305,8 @@ def test_field_binary_rejects_old_format_and_ragged_size(tmp_path, rng):
     raw = path.read_bytes()
     old = np.array([0x46584248, 1, 8, 1000000, 1, 0, 0, 0], dtype="<i8")
     path.write_bytes(old.tobytes() + raw[64:])
-    with pytest.raises(DomainError, match="format 1"):
+    with pytest.raises(DomainError,
+                       match="field.bin: unsupported format tag 1"):
         field_from_binary(path)
     path.write_bytes(raw[:-3])
     with pytest.raises(DomainError, match="truncated"):

@@ -1,6 +1,7 @@
 """Layout guards: decisions that belong to one module stay there."""
 
 import argparse
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -29,6 +30,25 @@ def test_only_spectral_calls_numpy_fft():
                  for n, line in enumerate(p.read_text().splitlines(), 1)
                  if FFT_USE.search(line)]
     assert offenders == []
+
+
+def referenced_names(tree):
+    """Every name the module reads, as a bare name or as an attribute."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def test_every_exported_name_is_used_by_the_package():
+    # a name the package exports but never reads itself serves only the
+    # tests; such helpers belong in tests/oracles.py
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set().union(*(referenced_names(ast.parse(p.read_text()))
+                         for p in PACKAGE.glob("*.py")
+                         if p.name != "__init__.py"))
+    assert sorted(exported - used) == []
 
 
 # The owner of each config section: a key `section.name` is the keyword
