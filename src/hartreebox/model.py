@@ -13,6 +13,7 @@ field itself.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,8 +21,7 @@ import numpy as np
 
 from .errors import BracketError, DiagnosticError, DomainError, NumericError
 from .profile import BesselProfile
-from .spectral import (Grid, apply_multiplier, half_spectrum,
-                       multiply_spectrum, sobolev_form)
+from .spectral import Grid, apply_multiplier, half_spectrum, sobolev_form
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,9 @@ class SolverSettings:
 # ---------------------------------------------------------------------------
 # Full parameter set
 
+_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class ModelParams:
     sigma: float
@@ -200,7 +203,9 @@ class ModelParams:
 
     @cached_property
     def grid(self) -> Grid:
-        return Grid(self.dim, self.L, self.n)
+        """One live Grid per (dim, L, n): it is immutable, so shared."""
+        return _GRIDS.setdefault((self.dim, self.L, self.n),
+                                 Grid(self.dim, self.L, self.n))
 
     @cached_property
     def potential_values(self) -> np.ndarray:
@@ -267,17 +272,17 @@ class _Evaluation:
         """I(v) = Q(v)/2 - Psi(v)."""
         return 0.5 * self.quad - self.psi
 
-    def gradient(self, params: ModelParams,
-                 profile: BesselProfile) -> np.ndarray:
-        """kappa (m^2 - Lap)^sigma v + V v - (W * F(v)) f(v): one inverse
-        transform, of the spectrum already at hand."""
-        lin = profile.kappa * multiply_spectrum(
-            params.grid.multiplier(params.m, params.sigma), self.spectrum,
-            self.values.shape, "gradient")
-        vals = lin + params.potential_values * self.values - self.psi_grad
-        if not np.all(np.isfinite(vals)):
+    def gradient_spectrum(self, params: ModelParams,
+                          profile: BesselProfile) -> np.ndarray:
+        """rfftn of the gradient kappa (m^2 - Lap)^sigma v + V v - (W * F(v))
+        f(v): one forward transform, the sigma part from the spectrum."""
+        out = half_spectrum(params.potential_values * self.values
+                            - self.psi_grad)
+        out += (profile.kappa * self.spectrum) * params.grid.multiplier(
+            params.m, params.sigma)
+        if not np.all(np.isfinite(out)):
             raise NumericError("non-finite value in gradient")
-        return vals
+        return out
 
 
 def _quad_terms(params: ModelParams, profile: BesselProfile,
@@ -404,9 +409,10 @@ def _nehari_root(u: np.ndarray, params: ModelParams, quad: float,
 
 
 def _project(u: np.ndarray, params: ModelParams, profile: BesselProfile,
-             bound: float = np.inf):
+             bound: float = np.inf, spectrum: np.ndarray | None = None):
     """The Nehari scale t of the field u (an array on params.grid) and the
     core at v = t u, or (t, None) once a level I(t_k u) exceeds `bound`.
+    `spectrum`, when given, is rfftn(u), and the projection takes it over.
 
     Under (f3), t is the unique maximizer of s -> I(s u), so every Newton
     iterate's level bounds I(t u) from below: a descent trial that fails
@@ -418,7 +424,7 @@ def _project(u: np.ndarray, params: ModelParams, profile: BesselProfile,
     if not np.any(u > 0.0):
         raise DomainError("Nehari projection undefined: field has no "
                           "positive part")
-    spectrum = half_spectrum(u)
+    spectrum = half_spectrum(u) if spectrum is None else spectrum
     form, quad = _quad_terms(params, profile, u, spectrum)
 
     nl = params.nonlinearity

@@ -39,6 +39,9 @@ _SERIES_TERMS = 40
 _TAYLOR_TERMS = 60      # terms per inward Taylor step (ratio |h|/c <= 1/2)
 _S_MATCH = 0.5          # pivot where the inward solve hands over to the series
 _GAUSS_POINTS = 5
+# Largest s_max: Taylor rows near the pivot reach e^s_max 2^59 (s_max/s)^(1/2),
+# which overflows (ln max float = 709.78) at s_max ~ 666; first seen at 667
+_S_MAX_LIMIT = 600.0
 
 
 def _series_basis(sigma, s):
@@ -126,13 +129,13 @@ class BesselProfile:
 def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselProfile:
     """Tabulate the kernel by inward shooting plus series matching.
 
-    Raises DomainError for sigma outside (0,1) and DiagnosticError when the
-    decaying branch cannot be normalized (shooting failure).
+    Raises DomainError for sigma, s_max or M out of range and
+    DiagnosticError when the decaying branch cannot be normalized.
     """
     if not 0.0 < sigma < 1.0:
         raise DomainError("sigma out of (0,1)")
-    if s_max < 20.0:
-        raise DomainError("s_max must be >= 20")
+    if not 20.0 <= s_max <= _S_MAX_LIMIT:
+        raise DomainError(f"s_max must lie in [20, {_S_MAX_LIMIT:g}]")
     if M < 1000:
         raise DomainError("M must be >= 1000")
 

@@ -106,6 +106,17 @@ class Grid:
         return out
 
     @cached_property
+    def pairing_weight(self) -> np.ndarray:
+        """sqrt(count cell_volume / n^N) along spectrum.view(float): a mode
+        counts twice, for itself and its conjugate partner, but once on the
+        last-axis planes 0 and n/2, which hold their partners; so scaled,
+        two spectra sum to the L^2 pairing of their fields."""
+        count = np.where(np.arange(self.n + 2) // 2 % (self.n // 2), 2.0, 1.0)
+        out = np.sqrt(count * self.cell_volume / self.n ** self.dim)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def _multipliers(self) -> dict:
         return {}
 
@@ -173,27 +184,28 @@ def multiply_spectrum(mult: np.ndarray, spectrum: np.ndarray, shape,
     if mult.shape[mult.ndim - spectrum.ndim:] != spectrum.shape:
         raise NumericError(f"{what}: multiplier of shape {mult.shape} is not "
                            f"on the half lattice {spectrum.shape}")
-    return np.fft.irfftn(mult * spectrum, s=shape,
-                         axes=tuple(range(-len(shape), 0)))
+    return inverse_spectrum(mult * spectrum, shape)
+
+
+def inverse_spectrum(spectrum: np.ndarray, shape) -> np.ndarray:
+    """irfftn(spectrum) on the grid shape: the one inverse transform."""
+    return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(-len(shape), 0)))
 
 
 def half_lattice_form(grid: Grid, mult: np.ndarray,
                       spectrum: np.ndarray) -> float:
     """sum_k mult |hat(h)(xi_k)|^2 dxi^N over the full lattice, from the
-    half-lattice spectrum rfftn(h) and an even multiplier: a mode counts
-    twice, for itself and its conjugate partner, except on the last-axis
-    planes 0 and n/2, which hold their partners and count once."""
+    half-lattice spectrum rfftn(h) and an even multiplier, each mode counted
+    as in Grid.pairing_weight."""
     terms = mult * (spectrum.real ** 2 + spectrum.imag ** 2)
-    total = 2.0 * np.sum(terms) - np.sum(terms[..., 0]) \
-        - np.sum(terms[..., -1])
-    return float(total * grid.box_volume / grid.n ** (2 * grid.dim))
+    return float((terms * grid.pairing_weight[::2] ** 2).sum())
 
 
 def mode_power(grid: Grid, spectrum: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Plancherel summands |hat(h)|^2 dxi^N per half-lattice mode of the
     spectrum rfftn(h), and the number of full-lattice modes each one
-    stands for, as in half_lattice_form."""
+    stands for, as in Grid.pairing_weight."""
     power = np.abs(spectrum) ** 2 * (grid.box_volume
                                      / grid.n ** (2 * grid.dim))
     count = np.full(power.shape, 2.0)

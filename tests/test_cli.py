@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,19 @@ def test_sigma_out_of_range_exits_2(tmp_path, capsys):
     rc = main(["profile", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "sigma out of" in capsys.readouterr().err
+
+
+def test_s_max_beyond_the_shooting_range_exits_2(tmp_path, capsys):
+    # the shooting from s_max = 4000 used to overflow, printing numpy
+    # warnings before it failed at the pivot
+    cfg = write_config(tmp_path, BASE_CONFIG + "profile.s_max = 4000.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["profile", "--config", cfg, "--out",
+                   str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: s_max must lie in [20, 600]\n"
 
 
 def test_missing_config_exits_1(tmp_path, capsys):

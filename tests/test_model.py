@@ -1,5 +1,7 @@
 """Nonlinearity hypotheses, energy functional, and Nehari projection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as quadrature
@@ -52,6 +54,13 @@ def interaction(u, params):
 def project(u, params, profile):
     """The Nehari scale of the field u and the core's terms at t u."""
     return model_mod._project(u.values, params, profile)
+
+
+def core_gradient(ev, params, profile):
+    """The core's gradient at its point, as a grid array."""
+    shape = params.grid.shape
+    return np.fft.irfftn(ev.gradient_spectrum(params, profile), s=shape,
+                         axes=tuple(range(len(shape))))
 
 
 def bump(params, rng=None, width=1.0):
@@ -241,7 +250,7 @@ def test_gradient_matches_directional_derivative(profile_half, rng):
           - oracles.level(TraceField(u.grid, u.values - eps * v.values),
                           params, profile_half)) / (2 * eps)
     pair = params.grid.cell_volume * np.sum(
-        ev.gradient(params, profile_half) * v.values)
+        core_gradient(ev, params, profile_half) * v.values)
     assert abs(pair - fd) < 1e-5 * abs(fd)
 
 
@@ -249,7 +258,7 @@ def test_gradient_zero_field(profile_half):
     params = small_params()
     _, _, (v, conv, f, psi), _ = zero_field_terms(params)
     ev = model_mod._Evaluation(v, np.fft.rfftn(v), 0.0, 0.0, psi, conv * f)
-    assert np.all(ev.gradient(params, profile_half) == 0.0)
+    assert np.all(core_gradient(ev, params, profile_half) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +322,9 @@ def test_nehari_evaluations_per_projection(profile_half, monkeypatch):
     monkeypatch.setattr(model_mod, "nehari_phi", counted_phi)
     monkeypatch.setattr(solver_mod, "_project", counted_project)
     solve_ground(params, profile_half, random_seed_field(params, 11))
-    assert counts["projections"] > 100
+    # the solve makes 75 projections from this start; > 50 keeps the
+    # per-projection bound an average over many of them
+    assert counts["projections"] > 50
     assert counts["phi"] <= 8 * counts["projections"]
 
 
@@ -343,26 +354,28 @@ def test_ray_levels_stay_below_projected_level(profile_half, rng,
         assert max(levels) <= ev.level * (1.0 + 1e-14)
 
 
-@pytest.mark.parametrize("seed", [11, 15])
+@pytest.mark.parametrize("seed", [11, 13, 15])
 def test_early_rejection_keeps_the_solve(profile_half, monkeypatch, seed):
     # a projection that always runs to the root and leaves the Armijo test
     # to the level there gives the same solve, bit for bit; also from a
-    # converged start (a caller may pass one in), where trial levels
-    # differ from the current one by rounding only (at seed 15, rejecting
-    # on the bare level > bound there changes the restart's history)
+    # converged start under a tighter tolerance (a caller may pass one in),
+    # where trial levels differ from the current one by rounding only (at
+    # seed 13, rejecting on the bare level > bound there stalls the solve
+    # until max_iter)
     params = ground_params()
+    tight = dataclasses.replace(params, solver=SolverSettings(tol=1e-9))
     fast = [solve_ground(params, profile_half,
                          random_seed_field(params, seed))]
-    fast.append(solve_ground(params, profile_half, fast[0].u))
+    fast.append(solve_ground(tight, profile_half, fast[0].u))
     project = solver_mod._project
 
-    def full_project(u, params, profile, bound=np.inf):
-        t, ev = project(u, params, profile)
+    def full_project(u, params, profile, bound=np.inf, spectrum=None):
+        t, ev = project(u, params, profile, spectrum=spectrum)
         return t, (ev if ev.level <= bound else None)
     monkeypatch.setattr(solver_mod, "_project", full_project)
     full = [solve_ground(params, profile_half,
                          random_seed_field(params, seed))]
-    full.append(solve_ground(params, profile_half, full[0].u))
+    full.append(solve_ground(tight, profile_half, full[0].u))
     for a, b in zip(full, fast):
         assert a.history == b.history
         assert np.array_equal(a.u.values, b.u.values)
@@ -390,7 +403,8 @@ def test_projection_core_matches_oracles(spec, profile_half, rng):
         assert close(ev.psi, oracles.interaction(v, params))
         assert close(ev.level, oracles.level(v, params, profile_half))
         want = oracles.gradient(v, params, profile_half).values
-        assert np.max(np.abs(ev.gradient(params, profile_half) - want)) \
+        assert np.max(np.abs(core_gradient(ev, params, profile_half)
+                              - want)) \
             <= 1e-12 * np.max(np.abs(want))
 
 

@@ -1,5 +1,7 @@
 """Profile ODE solution against closed forms and an independent oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -170,6 +172,22 @@ def test_build_validation():
         build_profile(0.5, s_max=5.0)
     with pytest.raises(DomainError):
         build_profile(0.5, M=100)
+
+
+@pytest.mark.parametrize("s_max", [600.5, 4000.0, np.inf, np.nan])
+def test_s_max_beyond_the_shooting_range_is_rejected(s_max):
+    # the inward shooting overflows from s_max ~ 667 on and never reaches
+    # the pivot from s_max = inf
+    with pytest.raises(DomainError, match=r"s_max must lie in \[20, 600\]"):
+        build_profile(0.5, s_max=s_max)
+
+
+@pytest.mark.parametrize("sigma", [0.01, 0.5, 0.99])
+def test_largest_s_max_builds_without_overflow(sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = build_profile(sigma, s_max=600.0)
+    assert p.s_max == 600.0 and np.isfinite(p.kappa)
 
 
 def test_csv_roundtrip(tmp_path, profiles):

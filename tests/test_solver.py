@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+import hartreebox.solver as solver_mod
 from hartreebox.errors import (ConvergenceError, DomainError,
                                VerificationError)
-from hartreebox.model import (KernelSpec, ModelParams, PotentialSpec,
-                              SolverSettings)
+from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
+                              PotentialSpec, SolverSettings)
 from hartreebox.solver import (compare_levels, gaussian_bump, multistart,
-                               solve_ground)
+                               random_seed_field, solve_ground)
 from hartreebox.spectral import Grid, TraceField
 
-from oracles import gradient, linf_refinement_check, quadratic_form
+from oracles import (full_multiplier, gradient, linf_refinement_check,
+                     quadratic_form, spectral_weights)
+from test_acceptance import ground_params
 
 
 def small_params(**kw):
@@ -35,6 +38,76 @@ def test_convergence_and_positivity(base_result, profile_half):
     assert res.beta > 0
     quad = quadratic_form(res.u, params, profile_half)
     assert res.nehari_residual < params.solver.tol * quad
+
+
+def stationarity(result, params, profile):
+    """r = sqrt(<g, P g> / Q) at the result's field, with P = (kappa (m^2 +
+    4 pi^2 |xi|^2)^sigma + V_inf)^(-1), from the full-lattice oracles."""
+    u = result.u
+    precond = 1.0 / (profile.kappa * full_multiplier(u.grid, params.m,
+                                                     params.sigma)
+                     + params.potential.V_inf)
+    g = gradient(u, params, profile)
+    return (np.sum(precond * spectral_weights(g))
+            / quadratic_form(u, params, profile)) ** 0.5
+
+
+def test_workload_starts_end_stationary(profile_half):
+    # the three starts of the 1D n = 256 workload at config seed 11
+    params = ground_params()
+    _, results = multistart(params, profile_half, [11, 12, 13])
+    for res in results:
+        assert res.stop_reason == "stationary"
+        assert stationarity(res, params, profile_half) <= params.solver.tol
+    levels = [res.level for res in results]
+    assert (max(levels) - min(levels)) / min(levels) < 1e-12
+
+
+def test_converged_start_stops_at_its_first_check(base_result, profile_half):
+    res = solve_ground(small_params(), profile_half, base_result.u)
+    assert res.iters == 0 and len(res.history) == 1
+    assert res.stop_reason == "stationary"
+    assert abs(res.level - base_result.level) <= 1e-14 * base_result.level
+
+
+@pytest.mark.parametrize("params", [
+    ground_params(),
+    ModelParams(sigma=0.5, m=1.0, dim=3, L=10.0, n=16,
+                nonlinearity=NonlinearitySpec("pure_power", 2.5),
+                potential=PotentialSpec(V_inf=1.0, A=0.3, w=4.0),
+                kernel=KernelSpec(a=0.0, b=1.0, w2=3.0))], ids=["1d", "3d"])
+def test_trial_spectra_track_their_fields(params, profile_half, monkeypatch):
+    # each trial's spectrum is the current one plus the step times the
+    # direction's, not a transform of the trial; after a whole solve the
+    # last projected point's spectrum is still rfftn of its values
+    accepted, project = [], solver_mod._project
+
+    def recorded(*args):
+        t, ev = project(*args)
+        if ev is not None:
+            accepted.append(ev)
+        return t, ev
+    monkeypatch.setattr(solver_mod, "_project", recorded)
+    res = solve_ground(params, profile_half, random_seed_field(params, 11))
+    ev = accepted[-1]
+    assert np.array_equal(ev.values, res.u.values)
+    want = np.fft.rfftn(ev.values)
+    assert np.max(np.abs(ev.spectrum - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_a_zero_problem_shares_the_grid(base_result, profile_half,
+                                        monkeypatch):
+    solved, solve = [], solver_mod.solve_ground
+
+    def recorded(params, *args):
+        solved.append(params)
+        return solve(params, *args)
+    monkeypatch.setattr(solver_mod, "solve_ground", recorded)
+    params = small_params()
+    compare_levels(params, profile_half, base_result)
+    (flat,) = solved
+    assert flat.potential.A == 0.0
+    assert flat.grid is params.grid
 
 
 def test_energy_monotone_along_iterations(base_result):
@@ -71,9 +144,10 @@ def test_translation_invariance_without_well(profile_half):
 
 def test_shifted_start_converges_under_rounding_perturbations(profile_half):
     # from a shifted start at A = 0 the descent slides along the nearly flat
-    # translation mode, where s.y <= 0 leaves Barzilai-Borwein without a
-    # curvature estimate; with a fallback step of 1 there, about a third of
-    # starts perturbed at 1e-15 crawl past max_iter
+    # translation mode, where a step can show no positive curvature (s.y
+    # <= 0); L-BFGS keeps no such pair (a Barzilai-Borwein descent that
+    # fell back to a step of 1 there let about a third of starts perturbed
+    # at 1e-15 crawl past max_iter)
     params = small_params(potential=PotentialSpec(V_inf=1.0, A=0.0, w=2.0))
     centered = solve_ground(params, profile_half,
                             gaussian_bump(params.grid, 1.0, 1.5))
@@ -163,11 +237,24 @@ def test_iteration_budget_exhaustion(profile_half):
         solve_ground(params, profile_half)
     history = exc.value.history
     assert [row[0] for row in history] == [0, 1, 2]
-    # the message reports the last row's residuals
+    # the message names the stop reason and reports the last row's
+    # residuals
     _, _, nehari, gnorm, _ = history[-1]
     assert np.isfinite(nehari) and np.isfinite(gnorm)
-    assert (f"no convergence in 2 iterations (nehari_residual={nehari:.3e}, "
-            f"grad_residual={gnorm:.3e})") == str(exc.value)
+    assert (f"no convergence in 2 iterations (max_iter: "
+            f"nehari_residual={nehari:.3e}, grad_residual={gnorm:.3e})"
+            ) == str(exc.value)
+
+
+def test_unreachable_tolerance_stops_on_the_line_search(profile_half):
+    # below the rounding floor of the level no trial passes the Armijo test:
+    # the solve stops at the first failed restart, not at max_iter
+    params = small_params(solver=SolverSettings(tol=1e-16))
+    with pytest.raises(ConvergenceError, match=r"\(line_search: ") as exc:
+        solve_ground(params, profile_half)
+    history = exc.value.history
+    assert history[-1][4] == 0.0
+    assert len(history) - 1 < params.solver.max_iter
 
 
 def test_history_schema(base_result):

@@ -35,6 +35,20 @@ def frac_apply(h, sigma, m):
                             "fractional")
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pairing_weight_gives_the_l2_pairing(dim, rng):
+    # the solver pairs fields through their scaled half-lattice spectra
+    g = Grid(dim, 1.3, 8)
+    a, b = rng.standard_normal((2,) + g.shape)
+    sa, sb = (g.pairing_weight * half_spectrum(v).view(np.float64)
+              for v in (a, b))
+    want = g.cell_volume * np.sum(a * b)
+    scale = g.cell_volume * np.sqrt(np.sum(a * a) * np.sum(b * b))
+    assert abs(np.sum(sa * sb) - want) <= 1e-14 * scale
+    assert abs(np.sum(sa * sa) - g.cell_volume * np.sum(a * a)) \
+        <= 1e-14 * g.cell_volume * np.sum(a * a)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_frac_apply_matches_dense_oracle(dim, rng):
     g = Grid(dim, 1.3, 8)

@@ -32,6 +32,27 @@ def test_only_spectral_calls_numpy_fft():
     assert offenders == []
 
 
+# numpy calls that reduce through BLAS, and the @ operator
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "einsum"}
+
+
+def test_solver_and_model_sum_products_without_blas():
+    # at 3D n = 32 OpenBLAS runs np.dot on two threads (cpu time 1.96 times
+    # wall time), and a solver pairing spectra with it took the 3D
+    # pure_power command's cpu_s from 0.83 to 1.97 s; pairings there are
+    # (a * b).sum()
+    offenders = []
+    for name in ("solver.py", "model.py"):
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text())):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in BLAS_NAMES
+                    or isinstance(node, ast.Name) and node.id in BLAS_NAMES):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []
+
+
 def referenced_names(tree):
     """Every name the module reads, as a bare name or as an attribute."""
     return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
