@@ -11,8 +11,8 @@ class where they can: graded-quadrature energy vs. the spectral quadratic
 form, finite-difference Neumann traces vs. the fractional multiplier, and
 the sup-norm decay law in x.  Each check reads the profile, m and spectrum
 from the lifted field.  Only sup_y |u(x, .)| needs physical space;
-it is transformed a few x-nodes at a time, so no check holds an array of
-(K_x + 1) n^N values.
+it is transformed one x-node at a time, so no check holds more than one
+field of n^N values.
 """
 
 from __future__ import annotations
@@ -27,12 +27,8 @@ import numpy as np
 from .errors import DiagnosticError, DomainError, NumericError, \
     VerificationError
 from .profile import BesselProfile, eval_profile, small_s_energy_integral
-from .spectral import (Grid, TraceField, half_spectrum, mode_power,
-                       multiply_spectrum, sobolev_form)
-
-# (x, y) points per inverse transform in ExtensionField.sup_abs: about
-# 20 MB of transform buffers, whatever the grid
-_CHUNK_POINTS = 1 << 19
+from .spectral import (Grid, TraceField, half_spectrum, inverse_spectrum,
+                       mode_power, sobolev_form)
 
 # lift's floor on x_max, in decay lengths 1/m of the slowest mode
 MIN_DECAY_LENGTHS = 10
@@ -67,23 +63,18 @@ class ExtensionField:
     rates: np.ndarray
     profile_table: np.ndarray
 
-    def values(self, rows) -> np.ndarray:
-        """u(x_j, y) at the x-nodes x_nodes[rows] (an index or a slice),
-        shape x_nodes[rows].shape + grid.shape."""
-        table = self.profile_table[rows][..., self.mode_class]
-        return multiply_spectrum(table, self.spectrum, self.grid.shape,
-                                 "extension")
-
     @cached_property
     def sup_abs(self) -> np.ndarray:
-        """sup_y |u(x_j, .)| at every x-node, transformed in x-chunks of
-        about _CHUNK_POINTS points."""
-        rows = max(1, _CHUNK_POINTS // self.grid.n ** self.grid.dim)
-        axes = tuple(range(1, self.grid.dim + 1))
+        """sup_y |u(x_j, .)| at every x-node, one node at a time: the
+        node's half-lattice spectrum and its field each reuse one buffer,
+        and the transform runs in place."""
+        hat = np.empty_like(self.spectrum)
+        u = np.empty(self.grid.shape)
         sup = np.empty(self.x_nodes.size)
-        for j in range(0, sup.size, rows):
-            sup[j:j + rows] = np.max(
-                np.abs(self.values(slice(j, j + rows))), axis=axes)
+        for j, phi in enumerate(self.profile_table):
+            np.multiply(phi[self.mode_class], self.spectrum, out=hat)
+            inverse_spectrum(hat, u.shape, out=u, overwrite=True)
+            sup[j] = max(u.max(), -u.min())
         sup.flags.writeable = False
         return sup
 

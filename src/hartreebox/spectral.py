@@ -168,28 +168,31 @@ def apply_multiplier(mult: np.ndarray, values: np.ndarray,
     grid array: irfftn(mult * rfftn(values)).
 
     Every multiplier and periodic convolution in the package goes through
-    here or, when rfftn(values) is already at hand, through
-    multiply_spectrum.
+    here.  `what` names the caller in the NumericError raised when `mult`
+    is not on the half lattice of `values`.
     """
-    return multiply_spectrum(mult, half_spectrum(values), values.shape, what)
-
-
-def multiply_spectrum(mult: np.ndarray, spectrum: np.ndarray, shape,
-                      what: str) -> np.ndarray:
-    """irfftn(mult * spectrum) on a grid of the given shape, transformed
-    over the grid axes; `mult` may stack several multipliers on leading
-    axes, giving a field per multiplier.  `what` names the caller in the
-    NumericError raised when `mult` is not on the half lattice of
-    `spectrum`."""
-    if mult.shape[mult.ndim - spectrum.ndim:] != spectrum.shape:
+    spectrum = half_spectrum(values)
+    if mult.shape != spectrum.shape:
         raise NumericError(f"{what}: multiplier of shape {mult.shape} is not "
                            f"on the half lattice {spectrum.shape}")
-    return inverse_spectrum(mult * spectrum, shape)
+    return inverse_spectrum(mult * spectrum, values.shape, overwrite=True)
 
 
-def inverse_spectrum(spectrum: np.ndarray, shape) -> np.ndarray:
-    """irfftn(spectrum) on the grid shape: the one inverse transform."""
-    return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(-len(shape), 0)))
+def inverse_spectrum(spectrum: np.ndarray, shape, out=None,
+                     overwrite: bool = False) -> np.ndarray:
+    """irfftn(spectrum) over the trailing len(shape) axes, bit for bit: the
+    one inverse transform.  Leading axes stack spectra, one field each.
+
+    The ifft passes run over the same axes in the same order as irfftn's,
+    but in one complex work array: the spectrum itself when `overwrite`
+    lets them destroy it, else a copy.  The last pass, irfft, writes into
+    `out` when it is given.
+    """
+    work = spectrum if overwrite else spectrum.copy()
+    lead = work.ndim - len(shape)
+    for ax, n in enumerate(shape[:-1], start=lead):
+        np.fft.ifft(work, n, ax, out=work)
+    return np.fft.irfft(work, shape[-1], -1, out=out)
 
 
 def half_lattice_form(grid: Grid, mult: np.ndarray,

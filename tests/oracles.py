@@ -84,6 +84,20 @@ def kernel_convolve(params, g):
 
 
 # ---------------------------------------------------------------------------
+# The extension, materialized
+
+def extension_values(ext, rows=slice(None)):
+    """u(x_j, y) of a lifted field at the x-nodes x_nodes[rows] (an index or
+    a slice), shape x_nodes[rows].shape + grid.shape: its mode-wise form
+    Phi(x_j c) rfftn(h) put on every node at once and inverted by numpy's
+    own irfftn."""
+    g = ext.grid
+    table = ext.profile_table[rows][..., ext.mode_class]
+    return np.fft.irfftn(table * ext.spectrum, s=g.shape,
+                         axes=tuple(range(-g.dim, 0)))
+
+
+# ---------------------------------------------------------------------------
 # The nonlinearity, from its closed forms
 
 def f_and_F(spec, t):

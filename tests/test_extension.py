@@ -16,7 +16,8 @@ from hartreebox.profile import eval_profile, small_s_energy_integral
 from hartreebox.spectral import Grid, TraceField, apply_multiplier
 
 from conftest import SIGMAS
-from oracles import full_multiplier, full_xi_sq, spectral_weights
+from oracles import (extension_values, full_multiplier, full_xi_sq,
+                     spectral_weights)
 
 
 def random_field(rng, n=64, L=5.0, decay=2.0):
@@ -37,14 +38,14 @@ def test_lift_recovers_trace_at_zero(profiles, rng):
     for sigma in SIGMAS:
         ext = lift(h, profiles[sigma], 1.0, x_max=12.0, K_x=200)
         assert ext.x_nodes[0] == 0.0
-        assert np.max(np.abs(ext.values(0) - h.values)) < 1e-10
+        assert np.max(np.abs(extension_values(ext, 0) - h.values)) < 1e-10
 
 
 def test_lift_zero_field(profile_half):
     g = Grid(1, 5.0, 32)
     z = TraceField(g, np.zeros(32))
     ext = lift(z, profile_half, 1.0)
-    assert np.all(ext.values(slice(None)) == 0.0)
+    assert np.all(extension_values(ext) == 0.0)
 
 
 def test_lift_single_mode_closed_form(profile_half):
@@ -56,7 +57,7 @@ def test_lift_single_mode_closed_form(profile_half):
     ext = lift(h, profile_half, m, x_max=12.0, K_x=150)
     c = np.sqrt(m ** 2 + 4 * np.pi ** 2 * xi ** 2)
     want = np.exp(-c * ext.x_nodes)[:, None] * h.values[None, :]
-    assert np.max(np.abs(ext.values(slice(None)) - want)) < 1e-7
+    assert np.max(np.abs(extension_values(ext) - want)) < 1e-7
 
 
 def test_lift_is_linear(profiles, rng):
@@ -67,9 +68,8 @@ def test_lift_is_linear(profiles, rng):
     eb = lift(b, p, 1.0, x_max=11.0, K_x=100)
     eab = lift(TraceField(a.grid, a.values + b.values), p, 1.0,
                x_max=11.0, K_x=100)
-    every = slice(None)
-    assert np.max(np.abs(eab.values(every) - ea.values(every)
-                         - eb.values(every))) < 1e-10
+    assert np.max(np.abs(extension_values(eab) - extension_values(ea)
+                         - extension_values(eb))) < 1e-10
 
 
 def test_lift_validation(profile_half):
@@ -403,3 +403,20 @@ def test_lift_and_checks_memory_bounded(profile_half):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def test_sup_abs_holds_one_field_at_a_time(profile_half):
+    # 3D n = 32: sup_abs transforms node by node in two reused buffers
+    # (half-lattice spectrum 272 KB, field 256 KB) plus one profile-table
+    # column per node (139 KB), however many nodes there are
+    g = Grid(3, 10.0, 32)
+    h = TraceField(g, np.exp(-g.radius_sq / 4.0))
+    ext = lift(h, profile_half, 1.0, K_x=400)
+    tracemalloc.start()
+    try:
+        sup = ext.sup_abs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert sup[0] == np.max(np.abs(extension_values(ext, 0)))

@@ -82,6 +82,16 @@ def test_primitive_matches_quadrature(spec):
         assert abs(nonlinearity(spec, t)[0] - ref) < 1e-8
 
 
+def test_log_linear_primitive_keeps_its_digits_at_small_t():
+    # F(t) = sum_k (-1)^(k+1) t^(k+2) / (k (k+2)); for t <= 0.1, 30 terms
+    # summed smallest first leave a remainder below 1e-30 of the sum
+    t = np.logspace(-8, -1, 141)
+    k = np.arange(30, 0, -1)[:, None]
+    series = np.sum((-1.0) ** (k + 1) * t ** (k + 2) / (k * (k + 2)), axis=0)
+    F = nonlinearity(LOG_LINEAR, t)[0]
+    assert np.all(np.abs(F - series) <= 1e-14 * series)
+
+
 def test_f_vanishes_at_zero_and_below():
     assert f_of(LOG_LINEAR, 0.0) == 0.0
     assert f_of(LOG_LINEAR, -1.0) == 0.0

@@ -95,19 +95,36 @@ def test_trial_spectra_track_their_fields(params, profile_half, monkeypatch):
     assert np.max(np.abs(ev.spectrum - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_a_zero_problem_shares_the_grid(base_result, profile_half,
-                                        monkeypatch):
+def a_zero_params(params, base_result, profile_half, monkeypatch):
+    """The parameter set of the one solve compare_levels makes."""
     solved, solve = [], solver_mod.solve_ground
 
     def recorded(params, *args):
         solved.append(params)
         return solve(params, *args)
     monkeypatch.setattr(solver_mod, "solve_ground", recorded)
-    params = small_params()
     compare_levels(params, profile_half, base_result)
     (flat,) = solved
     assert flat.potential.A == 0.0
+    return flat
+
+
+def test_a_zero_problem_shares_the_grid(base_result, profile_half,
+                                        monkeypatch):
+    params = small_params()
+    flat = a_zero_params(params, base_result, profile_half, monkeypatch)
     assert flat.grid is params.grid
+
+
+def test_a_zero_problem_shares_the_kernel_spectrum(base_result, profile_half,
+                                                   monkeypatch):
+    # the kernel does not depend on the potential: no second sampling and
+    # transform of W
+    params = small_params()
+    spectrum = params.kernel_spectrum   # as the ground solve of params made it
+    flat = a_zero_params(params, base_result, profile_half, monkeypatch)
+    assert flat.kernel_spectrum is spectrum
+    assert "kernel_values" not in vars(flat)
 
 
 def test_energy_monotone_along_iterations(base_result):

@@ -14,7 +14,7 @@ from hartreebox.profile import build_profile
 from hartreebox.spectral import (Grid, TraceField, apply_multiplier,
                                  field_from_binary, field_from_csv,
                                  field_to_csv, half_spectrum,
-                                 multiply_spectrum, sobolev_form)
+                                 inverse_spectrum, sobolev_form)
 
 from oracles import (dense_convolve, dense_frac_apply, field_to_binary,
                      full_multiplier, refine, spectral_weights)
@@ -99,18 +99,27 @@ def test_apply_multiplier_matches_full_lattice_oracle(dim, kind, rng):
         apply_multiplier(full, v, "probe")
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_multiply_spectrum_applies_a_stack(dim, rng):
-    # multipliers stacked on leading axes give one field each, as applied
-    # one at a time; the half-lattice check reads the trailing axes
+def test_inverse_spectrum_is_irfftn(dim, lead, rng):
+    # bit for bit, for one spectrum or a stack on leading axes, into a new
+    # array or into out, in a copy or in place
     g = Grid(dim, 2.0, 8)
-    v = rng.standard_normal(g.shape)
-    stack = np.stack([g.multiplier(1.0, s) for s in (0.3, 0.6, 0.9)])
-    got = multiply_spectrum(stack, half_spectrum(v), g.shape, "probe")
-    for field, mult in zip(got, stack):
-        assert np.array_equal(field, apply_multiplier(mult, v, "probe"))
-    with pytest.raises(NumericError, match="probe: multiplier"):
-        multiply_spectrum(stack[:, 1:], half_spectrum(v), g.shape, "probe")
+    axes = tuple(range(-dim, 0))
+    spectrum = np.fft.rfftn(rng.standard_normal(lead + g.shape), axes=axes)
+    want = np.fft.irfftn(spectrum, s=g.shape, axes=axes)
+    kept = spectrum.copy()
+    assert np.array_equal(inverse_spectrum(spectrum, g.shape), want)
+    out = np.empty(want.shape)
+    assert inverse_spectrum(spectrum, g.shape, out=out) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(spectrum, kept)
+    out = np.empty(want.shape)
+    assert inverse_spectrum(kept.copy(), g.shape, out=out,
+                            overwrite=True) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(inverse_spectrum(kept.copy(), g.shape,
+                                           overwrite=True), want)
 
 
 def test_frac_apply_eigenfunction():
