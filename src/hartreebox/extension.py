@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DiagnosticError, DomainError, NumericError, \
     VerificationError
-from .profile import BesselProfile, eval_profile, small_s_energy_integral
+from .profile import (BesselProfile, _profile_values,
+                      small_s_energy_integral)
 from .spectral import (Grid, TraceField, half_spectrum, inverse_spectrum,
                        mode_power, sobolev_form)
 
@@ -101,7 +102,8 @@ def lift(h: TraceField, profile: BesselProfile, m: float,
     rates = np.sqrt(m ** 2 + 4.0 * np.pi ** 2 * xi_sq)
     x = graded_nodes(x_max, K_x)
     # Phi once per (x-node, distinct rate)
-    table = eval_profile(profile, np.multiply.outer(x, rates))[0]
+    table = _profile_values(profile, np.multiply.outer(x, rates),
+                            slope=False)[0]
     return ExtensionField(grid=grid, x_nodes=x, profile=profile, m=m,
                           spectrum=half_spectrum(h.values),
                           mode_class=mode_class.reshape(grid.k_sq.shape),

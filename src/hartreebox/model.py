@@ -13,6 +13,7 @@ field itself.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -374,6 +375,8 @@ def nehari_phi(t: float, u: np.ndarray, params: ModelParams,
 # the interaction sums, so the root is found to about 1e-13 relative.
 _T_MIN, _T_MAX = 1e-6, 1e6
 _NEWTON_RTOL = 1e-13
+# A Newton step in ln t longer than the window's span leaves every bracket
+_LOG_SPAN = math.log(_T_MAX / _T_MIN)
 # Relative rounding by which an iterate's computed level may exceed the one
 # computed at the root (test_ray_levels_stay_below_projected_level holds it
 # at field scales 1e-3 to 1e3)
@@ -381,27 +384,34 @@ _LEVEL_RTOL = 1e-14
 
 
 def _nehari_root(u: np.ndarray, params: ModelParams, quad: float,
-                 bound: float):
+                 bound: float, t0: float):
     """The Nehari scale: the unique t > 0 with phi(t) = 0, and nehari_phi's
     terms there, or (t, None) at the first iterate t whose level I(tu)
     exceeds `bound` by more than the rounding that can put it above the
     level computed at the root (_LEVEL_RTOL).
 
-    Safeguarded Newton iteration on the analytic phi', started at t = 1:
-    descent iterates are perturbations of fields already on the manifold,
-    so the root is near 1.  Under (f3) phi(t)/t is strictly decreasing, so
-    phi > 0 below the root and phi <= 0 above it, and every evaluation
-    moves one end of a bracket [lo, hi] around the root.  Until both ends
-    are known, the open end grows by doubling or halving inside
-    [1e-6, 1e6]; a Newton step that leaves the bracket is replaced by
-    bisection."""
+    Safeguarded Newton iteration in s = ln t on
+    G(s) = ln(P(t) / (Q t^2)) = ln(1 - phi(t) / (t Q)), started at t0 (held
+    to [1e-6, 1e6]), where P = <Psi'(tu), tu> = t (t Q - phi) is the
+    pairing.  With S = t^2 (Q - phi'(t)), G'(s) = (S - P) / P
+    = (phi - t phi') / (t Q - phi), and the step is t exp(-G / G').  G is
+    linear for a power nonlinearity and nearly so for log_linear, so the
+    step lands close to the root from afar.  Under (f3) P / t^2 is
+    increasing, so G' > 0, phi > 0 below the root and phi <= 0 above it,
+    and every evaluation moves one end of a bracket [lo, hi] around the
+    root.  Until both ends are known, the open end grows by doubling or
+    halving inside [1e-6, 1e6]; a Newton step that leaves the bracket, or
+    a G' that is not positive and finite, is replaced by that doubling,
+    halving or bisection."""
     lo = hi = None                      # phi(lo) > 0 >= phi(hi)
-    t, best_t, best_res, best_terms = 1.0, 1.0, np.inf, None
+    t = min(max(t0, _T_MIN), _T_MAX)
+    best_t, best_res, best_terms = t, np.inf, None
     for _ in range(100):
         phi, level, terms, dphi = nehari_phi(t, u, params, quad)
         if level - bound > _LEVEL_RTOL * abs(level):
             return t, None
-        res = abs(phi) / (t * quad)
+        rel = phi / (t * quad)          # 1 - P / (Q t^2)
+        res = abs(rel)
         if res < best_res:
             best_t, best_res, best_terms = t, res, terms
         if res < _NEWTON_RTOL:
@@ -423,8 +433,13 @@ def _nehari_root(u: np.ndarray, params: ModelParams, quad: float,
         else:
             a, b = lo, hi
             fallback = 0.5 * (lo + hi)
-        slope = dphi()
-        step = t - phi / slope if slope < 0.0 else np.nan
+        step = np.nan
+        if rel < 1.0:                   # P > 0, so G is finite
+            g_prime = (rel - dphi() / quad) / (1.0 - rel)
+            if 0.0 < g_prime < np.inf:
+                ds = -math.log1p(-rel) / g_prime
+                if abs(ds) < _LOG_SPAN:
+                    step = t * math.exp(ds)
         t_next = step if a < step < b else fallback
         if t_next in (lo, hi):          # the bracket cannot shrink further
             break
@@ -436,10 +451,14 @@ def _nehari_root(u: np.ndarray, params: ModelParams, quad: float,
 
 
 def _project(u: np.ndarray, params: ModelParams, profile: BesselProfile,
-             bound: float = np.inf, spectrum: np.ndarray | None = None):
+             bound: float = np.inf, spectrum: np.ndarray | None = None,
+             quad_ref: float | None = None):
     """The Nehari scale t of the field u (an array on params.grid) and the
     core at v = t u, or (t, None) once a level I(t_k u) exceeds `bound`.
     `spectrum`, when given, is rfftn(u), and the projection takes it over.
+    The root search starts at t = 1, or, given a reference Q `quad_ref`
+    (that of a nearby point on the manifold), at the t with
+    Q(t u) = quad_ref, which costs no transform.
 
     Under (f3), t is the unique maximizer of s -> I(s u), so every Newton
     iterate's level bounds I(t u) from below: a descent trial that fails
@@ -468,7 +487,8 @@ def _project(u: np.ndarray, params: ModelParams, profile: BesselProfile,
         f *= t ** (2.0 * nl.theta - 1.0)
         terms = (t * u, conv, f, t ** (2.0 * nl.theta) * psi)
     else:
-        t, terms = _nehari_root(u, params, quad, bound)
+        t0 = 1.0 if quad_ref is None else math.sqrt(quad_ref / quad)
+        t, terms = _nehari_root(u, params, quad, bound, t0)
         if terms is None:
             return t, None
     v, conv, f, psi = terms

@@ -278,6 +278,15 @@ def eval_profile(p: BesselProfile, s):
     asymptote c2 * s^((2*sigma-1)/2) * e^-s.
     """
     scalar = np.isscalar(s) or np.asarray(s).ndim == 0
+    phi, dphi = _profile_values(p, s, slope=True)
+    if scalar:
+        return float(phi[0]), float(dphi[0])
+    return phi, dphi
+
+
+def _profile_values(p: BesselProfile, s, slope: bool):
+    """eval_profile's (phi, dphi) as arrays; without `slope`, dphi is None
+    and no branch forms it (lift needs phi alone)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if (s < 0.0).any():
         raise DomainError("profile argument must be nonnegative")
@@ -285,7 +294,7 @@ def eval_profile(p: BesselProfile, s):
     sigma = p.sigma
     c1s = p.d_sigma / (2.0 * sigma)
     phi = np.empty_like(s)
-    dphi = np.empty_like(s)
+    dphi = np.empty_like(s) if slope else None
 
     lo = s < 1e-2
     hi = s > p.s_max
@@ -294,41 +303,44 @@ def eval_profile(p: BesselProfile, s):
         sl = s[lo]
         a1 = 1.0 / (2.0 * (2.0 - 2.0 * sigma))
         b1 = 1.0 / (2.0 * (2.0 + 2.0 * sigma))
-        with np.errstate(divide="ignore"):
-            phi_lo = (1.0 + a1 * sl ** 2
-                      - c1s * sl ** (2.0 * sigma) * (1.0 + b1 * sl ** 2))
-            dphi_lo = (2.0 * a1 * sl
-                       - p.d_sigma * sl ** (2.0 * sigma - 1.0)
-                       - c1s * (2.0 * sigma + 2.0) * b1
-                       * sl ** (2.0 * sigma + 1.0))
-        if sigma > 0.5:
-            dphi_lo = np.where(sl == 0.0, 0.0, dphi_lo)
-        phi[lo] = phi_lo
-        dphi[lo] = dphi_lo
+        phi[lo] = (1.0 + a1 * sl ** 2
+                   - c1s * sl ** (2.0 * sigma) * (1.0 + b1 * sl ** 2))
+        if slope:
+            with np.errstate(divide="ignore"):
+                dphi_lo = (2.0 * a1 * sl
+                           - p.d_sigma * sl ** (2.0 * sigma - 1.0)
+                           - c1s * (2.0 * sigma + 2.0) * b1
+                           * sl ** (2.0 * sigma + 1.0))
+            if sigma > 0.5:
+                dphi_lo = np.where(sl == 0.0, 0.0, dphi_lo)
+            dphi[lo] = dphi_lo
     if mid.any():
-        phi[mid], dphi[mid] = _hermite(p.nodes, p.phi, p.dphi, s[mid])
+        phi[mid], dphi_mid = _hermite(p.nodes, p.phi, p.dphi, s[mid], slope)
+        if slope:
+            dphi[mid] = dphi_mid
     if hi.any():
         sh = s[hi]
         pe = (2.0 * sigma - 1.0) / 2.0
         env = p.c2 * sh ** pe * np.exp(-sh)
         phi[hi] = env
-        dphi[hi] = env * (pe / sh - 1.0)
-
-    if scalar:
-        return float(phi[0]), float(dphi[0])
+        if slope:
+            dphi[hi] = env * (pe / sh - 1.0)
     return phi, dphi
 
 
-def _hermite(x, y, dy, s):
-    """Cubic Hermite interpolant of (y, dy) on nodes x, and its derivative."""
+def _hermite(x, y, dy, s, slope: bool):
+    """Cubic Hermite interpolant of (y, dy) on nodes x, and its derivative
+    (None without `slope`)."""
     i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
     dx = x[i + 1] - x[i]
-    slope = (y[i + 1] - y[i]) / dx
-    c2 = (3.0 * slope - 2.0 * dy[i] - dy[i + 1]) / dx
-    c3 = (dy[i] + dy[i + 1] - 2.0 * slope) / dx ** 2
+    secant = (y[i + 1] - y[i]) / dx
+    c2 = (3.0 * secant - 2.0 * dy[i] - dy[i + 1]) / dx
+    c3 = (dy[i] + dy[i + 1] - 2.0 * secant) / dx ** 2
     t = s - x[i]
-    return (y[i] + t * (dy[i] + t * (c2 + t * c3)),
-            dy[i] + t * (2.0 * c2 + 3.0 * t * c3))
+    value = y[i] + t * (dy[i] + t * (c2 + t * c3))
+    if not slope:
+        return value, None
+    return value, dy[i] + t * (2.0 * c2 + 3.0 * t * c3)
 
 
 # ---------------------------------------------------------------------------

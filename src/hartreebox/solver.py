@@ -89,6 +89,7 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
         params.m, params.sigma) + params.potential.V_inf), 2, axis=-1)
 
     work = np.empty_like(precond)
+    trial = np.empty(grid.shape)
 
     def state(ev):
         """Scaled spectrum of g, |<g, v>|, ||g|| and r, by Parseval."""
@@ -114,13 +115,14 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
         d_vals = inverse_spectrum(d_hat, grid.shape)
         step = 1.0
         for _ in range(40):
-            trial = ev.values + step * d_vals
-            if np.any(trial > 0.0):
+            np.multiply(d_vals, step, out=trial)
+            trial += ev.values
+            if trial.max() > 0.0:
                 # Armijo: None once the projection finds the level above
-                # the bound
+                # the bound; the root search starts where Q matches ev's
                 _, cand = _project(trial, params, profile,
                                    ev.level + 1e-4 * step * slope,
-                                   ev.spectrum + step * d_hat)
+                                   ev.spectrum + step * d_hat, ev.quad)
                 if cand is not None:
                     break
             step *= 0.5
@@ -131,10 +133,14 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
                 break
             pairs.clear()
             continue
-        s = (cand.spectrum - ev.spectrum).view(np.float64) * weight
-        y = -grad
+        # s and y take the buffers of ev's spectrum and gradient, which
+        # the loop no longer reads
+        old = ev.spectrum.view(np.float64)
+        s = np.subtract(cand.spectrum.view(np.float64), old, out=old)
+        s *= weight
+        grad_old = grad
         ev, (grad, nehari, gnorm, stat) = cand, state(cand)
-        y += grad
+        y = np.subtract(grad, grad_old, out=grad_old)
         sy = _dot(s, y, work)
         if sy > 0.0:
             pairs.append((s, y, 1.0 / sy))

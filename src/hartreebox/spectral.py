@@ -175,7 +175,10 @@ def apply_multiplier(mult: np.ndarray, values: np.ndarray,
     if mult.shape != spectrum.shape:
         raise NumericError(f"{what}: multiplier of shape {mult.shape} is not "
                            f"on the half lattice {spectrum.shape}")
-    return inverse_spectrum(mult * spectrum, values.shape, overwrite=True)
+    # mult first, as in mult * spectrum: the product's rounding depends on
+    # the operand order when both are complex
+    return inverse_spectrum(np.multiply(mult, spectrum, out=spectrum),
+                            values.shape, overwrite=True)
 
 
 def inverse_spectrum(spectrum: np.ndarray, shape, out=None,

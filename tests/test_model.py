@@ -325,17 +325,43 @@ def test_nehari_evaluations_per_projection(profile_half, monkeypatch):
         counts["phi"] += 1
         return phi(*args)
 
-    def counted_project(*args):
+    def counted_project(*args, **kwargs):
         counts["projections"] += 1
-        return project(*args)
+        return project(*args, **kwargs)
 
     monkeypatch.setattr(model_mod, "nehari_phi", counted_phi)
     monkeypatch.setattr(solver_mod, "_project", counted_project)
     solve_ground(params, profile_half, random_seed_field(params, 11))
-    # the solve makes 75 projections from this start; > 50 keeps the
-    # per-projection bound an average over many of them
+    # the solve makes 75 projections from this start (2.76 evaluations
+    # each); > 50 keeps the per-projection bound an average over many of
+    # them
     assert counts["projections"] > 50
-    assert counts["phi"] <= 8 * counts["projections"]
+    assert counts["phi"] <= 3.5 * counts["projections"]
+
+
+@pytest.mark.parametrize("t0", [1.0, 2.5])
+def test_log_newton_reaches_power_root_in_one_step(profile_half, rng,
+                                                   monkeypatch, t0):
+    # for a power nonlinearity G(s) = ln(P / (Q t^2)) is linear in
+    # s = ln t, so one Newton step in s from either side lands on the
+    # closed-form root, and the second evaluation confirms it
+    params = small_params(nonlinearity=PURE_POWER)
+    u = bump(params, rng)
+    u = scaled(project(u, params, profile_half)[0] / 1.5, u)
+    want = project(u, params, profile_half)[0]
+    assert abs(want - 1.5) < 1e-12
+    quad = model_mod._quad_terms(params, profile_half, u.values,
+                                 np.fft.rfftn(u.values))[1]
+    calls, phi = [], model_mod.nehari_phi
+
+    def counted_phi(*args):
+        calls.append(args[0])
+        return phi(*args)
+    monkeypatch.setattr(model_mod, "nehari_phi", counted_phi)
+    t, terms = model_mod._nehari_root(u.values, params, quad, np.inf, t0)
+    assert calls[0] == t0 and len(calls) == 2
+    assert terms is not None
+    assert abs(t - want) < 1e-13 * want
 
 
 @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
@@ -344,20 +370,29 @@ def test_ray_levels_stay_below_projected_level(profile_half, rng,
                                                monkeypatch, spec, c):
     # the projected point maximizes I on its ray, so the level at every
     # Newton iterate, and anywhere on the ray, stays below the projected
-    # level up to rounding; the projection's early rejection rests on this
+    # level up to rounding; the projection's early rejection rests on this.
+    # The first field's root search starts at t = 1, the others' where Q
+    # matches the previous projected point, as a descent trial's does
     params = small_params(nonlinearity=spec)
-    levels, phi = [], model_mod.nehari_phi
+    levels, starts, phi = [], [], model_mod.nehari_phi
 
     def recorded_phi(*args):
         out = phi(*args)
+        starts.append(args[0])
         levels.append(out[1])
         return out
     monkeypatch.setattr(model_mod, "nehari_phi", recorded_phi)
+    quad_ref = None
     for _ in range(3):
         u = scaled(c, bump(params, rng, width=rng.uniform(0.5, 2.0)))
         levels.clear()
-        t, ev = model_mod._project(u.values, params, profile_half)
+        starts.clear()
+        t, ev = model_mod._project(u.values, params, profile_half,
+                                   quad_ref=quad_ref)
         assert bool(levels) == (spec is not PURE_POWER)
+        if levels:
+            assert (starts[0] == 1.0) == (quad_ref is None)
+        quad_ref = ev.quad
         levels += [oracles.level(scaled(s * t, u), params, profile_half)
                    for s in (0.5, 0.9, 0.999, 1.001, 1.1, 2.0)]
         assert ev.level > 0.0
@@ -379,8 +414,10 @@ def test_early_rejection_keeps_the_solve(profile_half, monkeypatch, seed):
     fast.append(solve_ground(tight, profile_half, fast[0].u))
     project = solver_mod._project
 
-    def full_project(u, params, profile, bound=np.inf, spectrum=None):
-        t, ev = project(u, params, profile, spectrum=spectrum)
+    def full_project(u, params, profile, bound=np.inf, spectrum=None,
+                     quad_ref=None):
+        t, ev = project(u, params, profile, spectrum=spectrum,
+                        quad_ref=quad_ref)
         return t, (ev if ev.level <= bound else None)
     monkeypatch.setattr(solver_mod, "_project", full_project)
     full = [solve_ground(params, profile_half,
