@@ -177,27 +177,30 @@ def cmd_verify(args) -> int:
     run("energy_identity", lambda: energy_identity_check(ext))
     run("dtn", lambda: dtn_check(ext))
 
+    dtn_path = os.path.join(args.out, "dtn.csv")
+    outputs = [dtn_path]
+
     def _decay():
         rep = decay_fit(ext, h_norm)
-        decay_report_to_csv(ext, rep, h_norm,
-                            os.path.join(args.out, "decay.csv"))
+        path = os.path.join(args.out, "decay.csv")
+        decay_report_to_csv(ext, rep, h_norm, path)
+        outputs.append(path)
         return rep.rate
     run("decay", _decay)
 
     run("trace_inequality", lambda: trace_inequality_check(ext, h_norm))
-    dtn_report_to_csv(ext, os.path.join(args.out, "dtn.csv"))
+    dtn_report_to_csv(ext, dtn_path)
     laps.append(("checks", time.perf_counter()))
 
     report_path = os.path.join(args.out, "verify_report.csv")
+    outputs.append(report_path)
     with open(report_path, "w", newline="") as fh:
         w = csv_mod.writer(fh)
         w.writerow(["check", "status", "value"])
         for name, status, value in rows:
             w.writerow([name, status, value])
     laps.append(("write", time.perf_counter()))
-    _write_manifest(args.out, cfg, [],
-                    [report_path, os.path.join(args.out, "decay.csv"),
-                     os.path.join(args.out, "dtn.csv")], laps)
+    _write_manifest(args.out, cfg, [], outputs, laps)
     for name, status, value in rows:
         print(f"{name:18s} {status:4s}  {value}")
     if failures:

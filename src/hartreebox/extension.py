@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import DiagnosticError, DomainError, NumericError, \
     VerificationError
-from .profile import (BesselProfile, _profile_values,
-                      small_s_energy_integral)
+from .profile import BesselProfile, eval_profile, small_s_energy_integral
 from .spectral import (Grid, TraceField, half_spectrum, inverse_spectrum,
                        mode_power, sobolev_form)
 
@@ -102,8 +101,7 @@ def lift(h: TraceField, profile: BesselProfile, m: float,
     rates = np.sqrt(m ** 2 + 4.0 * np.pi ** 2 * xi_sq)
     x = graded_nodes(x_max, K_x)
     # Phi once per (x-node, distinct rate)
-    table = _profile_values(profile, np.multiply.outer(x, rates),
-                            slope=False)[0]
+    table = eval_profile(profile, np.multiply.outer(x, rates))
     return ExtensionField(grid=grid, x_nodes=x, profile=profile, m=m,
                           spectrum=half_spectrum(h.values),
                           mode_class=mode_class.reshape(grid.k_sq.shape),
@@ -131,9 +129,9 @@ def _extension_energy(ext: ExtensionField) -> float:
     integrand = (y_part[1:] + x_part[1:]) * x[1:] ** (1.0 - 2.0 * sigma)
     body = np.trapezoid(integrand, x[1:])
 
-    c1s = ext.profile.d_sigma / (2.0 * sigma)
     head = float(np.sum(mass * c ** (2.0 * sigma)
-                        * small_s_energy_integral(c * x[1], sigma, c1s)))
+                        * small_s_energy_integral(c * x[1], sigma,
+                                                  ext.profile.c1)))
     return body + head
 
 

@@ -12,6 +12,8 @@ import csv
 import dataclasses
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import gamma, kv
 
 from hartreebox.errors import DomainError, VerificationError
 from hartreebox.profile import BesselProfile
@@ -202,6 +204,29 @@ def linf_refinement_check(result, params, profile, rtol=0.02):
 
 
 # ---------------------------------------------------------------------------
+# Profile
+
+def weighted_energy(sigma):
+    """int_0^inf (Phi^2 + Phi'^2) s^(1-2 sigma) ds by adaptive quadrature of
+    the closed forms Phi = (2/Gamma(sigma)) (s/2)^sigma K_sigma(s) and
+    Phi' = -(2/Gamma(sigma)) (s/2)^sigma K_(1-sigma)(s).  On [0, 1] the
+    substitution s = y^q, q = 1/min(sigma, 1-sigma), leaves an integrand
+    without a power singularity at y = 0; [1, 60] is integrated directly
+    (beyond 60 the integrand is below e^-120)."""
+    def integrand(s):
+        # (2/Gamma(sigma)) (s/2)^sigma s^((1-2 sigma)/2) = w sqrt(s)
+        w = 2.0 ** (1.0 - sigma) / gamma(sigma) * np.sqrt(s)
+        return (w * kv(sigma, s)) ** 2 + (w * kv(1.0 - sigma, s)) ** 2
+
+    q = 1.0 / min(sigma, 1.0 - sigma)
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    head, _ = quad(lambda y: integrand(y ** q) * q * y ** (q - 1.0), 0.0, 1.0,
+                   **opts)
+    body, _ = quad(integrand, 1.0, 60.0, **opts)
+    return head + body
+
+
+# ---------------------------------------------------------------------------
 # Files: the package reads `.bin` fields and writes profile CSVs only
 
 def field_to_binary(h, path):
@@ -226,5 +251,8 @@ def profile_from_csv(path):
     sigma, kappa, c1, c2, d_sigma = (float(v) for v in rows[1])
     nodes, phi, dphi = np.array([[float(v) for v in r]
                                  for r in rows[3:]]).T
-    return BesselProfile(sigma=sigma, nodes=nodes, phi=phi, dphi=dphi,
-                         kappa=kappa, c1=c1, c2=c2, d_sigma=d_sigma)
+    p = BesselProfile(sigma=sigma, nodes=nodes, phi=phi, dphi=dphi,
+                      d_sigma=d_sigma)
+    # the derived constants are written for readers, not read back
+    assert [kappa, c1, c2] == [p.kappa, p.c1, p.c2]
+    return p

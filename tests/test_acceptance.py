@@ -58,7 +58,7 @@ def verdict(capsys, k, text):
 
 def test_criterion_1_profile_exactness(profiles, profile_half, capsys):
     s = np.linspace(0.0, 10.0, 2001)
-    phi, _ = eval_profile(profile_half, s)
+    phi = eval_profile(profile_half, s)
     err_half = float(np.max(np.abs(phi - np.exp(-s))))
     assert err_half < 1e-8
     err_kappa = abs(profile_half.kappa - 1.0)

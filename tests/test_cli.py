@@ -142,6 +142,27 @@ def test_verify_runs_trace_check_when_m_not_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_manifest_lists_only_the_files_written(tmp_path, capsys):
+    # a high mode over a constant of 1e-12: the decay fit fails (its fitted
+    # rate is about -3.5), so the command writes no decay.csv
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("L = 10.0", "L = 5.0"))
+    grid = Grid(1, 5.0, 64)
+    h = TraceField(grid, 1e-12 + np.cos(2.0 * np.pi * 12.0 * grid.axis
+                                        / (2.0 * grid.L)))
+    field = tmp_path / "field.csv"
+    field_to_csv(h, str(field))
+    vout = tmp_path / "verify"
+    rc = main(["verify", "--config", cfg, "--out", str(vout),
+               "--field", str(field)])
+    assert rc == 4
+    assert "decay,fail" in (vout / "verify_report.csv").read_text()
+    assert not (vout / "decay.csv").exists()
+    manifest = json.loads((vout / "manifest.json").read_text())
+    assert manifest["outputs"] == ["dtn.csv", "verify_report.csv"]
+    assert all((vout / name).exists() for name in manifest["outputs"])
+    capsys.readouterr()
+
+
 def test_sigma_out_of_range_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path,
                        BASE_CONFIG.replace("sigma = 0.5", "sigma = 1.5"))

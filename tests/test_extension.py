@@ -326,7 +326,7 @@ def dense_extension(h, p, m, x):
     c = np.sqrt(full_multiplier(g, m, 1.0))
     phi = eval_profile(p, np.multiply.outer(x, c))
     hhat = np.fft.fftn(h.values.astype(np.longdouble))
-    return np.fft.ifftn(phi[0].astype(np.longdouble) * hhat,
+    return np.fft.ifftn(phi.astype(np.longdouble) * hhat,
                         axes=tuple(range(1, g.dim + 1))).real
 
 

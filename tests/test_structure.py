@@ -60,16 +60,26 @@ def referenced_names(tree):
                if isinstance(node, ast.Attribute)})
 
 
+def public_definitions(path):
+    """module.name of every public module-level function and class."""
+    return {f"{path.stem}.{node.name}"
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
 def test_every_exported_name_is_used_by_the_package():
-    # a name the package exports but never reads itself serves only the
-    # tests; such helpers belong in tests/oracles.py
+    # a name the package exports or defines in public but never reads
+    # itself serves only the tests; such helpers belong in tests/oracles.py
     init = ast.parse((PACKAGE / "__init__.py").read_text())
     exported = {alias.asname or alias.name for node in ast.walk(init)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     used = set().union(*(referenced_names(ast.parse(p.read_text()))
-                         for p in PACKAGE.glob("*.py")
-                         if p.name != "__init__.py"))
+                         for p in modules))
+    defined = set().union(*(public_definitions(p) for p in modules))
     assert sorted(exported - used) == []
+    assert sorted(d for d in defined if d.partition(".")[2] not in used) == []
 
 
 # The owner of each config section: a key `section.name` is the keyword
