@@ -46,7 +46,7 @@ _SCHEMA = {
     "potential.V_inf": float, "potential.A": float, "potential.w": float,
     "kernel.a": float, "kernel.mu": float, "kernel.R_c": float,
     "kernel.b": float, "kernel.w2": float,
-    "solver.tol": float, "solver.max_iter": int, "solver.step": float,
+    "solver.tol": float, "solver.max_iter": int,
     "profile.s_max": float, "profile.M": int,
     "extension.x_max": float, "extension.K_x": int,
 }

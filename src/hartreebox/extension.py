@@ -10,9 +10,9 @@ The checks then compare it against independent discretizations, per rate
 class where they can: graded-quadrature energy vs. the spectral quadratic
 form, finite-difference Neumann traces vs. the fractional multiplier, and
 the sup-norm decay law in x.  Each check reads the profile, m and spectrum
-from the lifted field.  Only sup_y |u(x, .)| needs physical space;
-it is transformed one x-node at a time, so no check holds more than one
-field of n^N values.
+from the lifted field.  Only sup_y |u(x, .)| needs physical space, and only
+on the nodes of the decay fit's window [2/m, x_max]; it is transformed one
+x-node at a time, so no check holds more than one field of n^N values.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -62,21 +61,6 @@ class ExtensionField:
     mode_class: np.ndarray
     rates: np.ndarray
     profile_table: np.ndarray
-
-    @cached_property
-    def sup_abs(self) -> np.ndarray:
-        """sup_y |u(x_j, .)| at every x-node, one node at a time: the
-        node's half-lattice spectrum and its field each reuse one buffer,
-        and the transform runs in place."""
-        hat = np.empty_like(self.spectrum)
-        u = np.empty(self.grid.shape)
-        sup = np.empty(self.x_nodes.size)
-        for j, phi in enumerate(self.profile_table):
-            np.multiply(phi[self.mode_class], self.spectrum, out=hat)
-            inverse_spectrum(hat, u.shape, out=u, overwrite=True)
-            sup[j] = max(u.max(), -u.min())
-        sup.flags.writeable = False
-        return sup
 
 
 def graded_nodes(x_max: float, K_x: int) -> np.ndarray:
@@ -229,17 +213,34 @@ def dtn_check(ext: ExtensionField) -> float:
     return err
 
 
+def _sup_abs(ext: ExtensionField, rows: np.ndarray) -> np.ndarray:
+    """sup_y |u(x_j, .)| at the x-nodes x_nodes[rows], one node at a time,
+    transformed in place into two buffers reused across the nodes."""
+    hat, u = np.empty_like(ext.spectrum), np.empty(ext.grid.shape)
+    sup = np.empty(rows.size)
+    for i, j in enumerate(rows):
+        np.multiply(ext.profile_table[j, ext.mode_class], ext.spectrum,
+                    out=hat)
+        inverse_spectrum(hat, u.shape, out=u, overwrite=True)
+        sup[i] = max(u.max(), -u.min())
+    return sup
+
+
 @dataclass(frozen=True)
 class DecayFitReport:
+    """The fitted law, and its nodes x with sup = sup_y |u(x, .)| there."""
     rate: float
     poly_exp: float
     residual: float
     window: tuple
     envelope_const: float
+    x: np.ndarray
+    sup: np.ndarray
 
 
 def decay_fit(ext: ExtensionField, h_norm: float) -> DecayFitReport:
-    """Fit sup_y |u(x, .)| ~ C x^p e^(-r x) on the window [2/m, x_max].
+    """Fit sup_y |u(x, .)| ~ C x^p e^(-r x) on the window [2/m, x_max],
+    the only nodes at which sup_y |u| is formed.
 
     Asserts r >= m (1 - _DECAY_RATE_RTOL) and reports the envelope constant
     C_env = max of sup / (h_norm x^((2 sigma - 1)/2) e^(-m x)) over the
@@ -248,23 +249,24 @@ def decay_fit(ext: ExtensionField, h_norm: float) -> DecayFitReport:
     """
     sigma, m = ext.profile.sigma, ext.m
     x = ext.x_nodes
-    sup = ext.sup_abs
-    if np.all(sup == 0.0):
-        return DecayFitReport(rate=m, poly_exp=sigma - 0.5, residual=0.0,
-                              window=(2.0 / m, float(x[-1])),
-                              envelope_const=0.0)
-
     lo, hi = 2.0 / m, float(x[-1])
-    sel = (x >= lo) & (x <= hi) & (sup > 0.0)
-    if np.any((x >= lo) & (x <= hi) & (sup == 0.0)):
-        hi = float(np.max(x[sel])) if np.any(sel) else lo
-        sel = (x >= lo) & (x <= hi) & (sup > 0.0)
+    if not np.any(ext.spectrum):     # a zero field: no nodes to fit
+        return DecayFitReport(rate=m, poly_exp=sigma - 0.5, residual=0.0,
+                              window=(lo, hi), envelope_const=0.0,
+                              x=np.empty(0), sup=np.empty(0))
+
+    rows = np.flatnonzero(x >= lo)
+    xs, sup = x[rows], _sup_abs(ext, rows)
+    sel = sup > 0.0
+    if not np.all(sel):
+        hi = float(np.max(xs[sel])) if np.any(sel) else lo
         warnings.warn("field underflows inside the decay window; "
                       f"shrinking to [{lo:.3g}, {hi:.3g}]")
     if np.count_nonzero(sel) < 8:
         raise DomainError("too few usable nodes in the decay window")
 
-    xs, ys = x[sel], np.log(sup[sel])
+    xs, sup = xs[sel], sup[sel]
+    ys = np.log(sup)
     design = np.column_stack([np.ones_like(xs), np.log(xs), -xs])
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     fitted = design @ coef
@@ -272,10 +274,10 @@ def decay_fit(ext: ExtensionField, h_norm: float) -> DecayFitReport:
                      / max(np.sqrt(np.mean(ys ** 2)), 1e-300))
     rate, poly_exp = float(coef[2]), float(coef[1])
 
-    env = sup[sel] / (h_norm * xs ** (sigma - 0.5) * np.exp(-m * xs))
+    env = sup / (h_norm * xs ** (sigma - 0.5) * np.exp(-m * xs))
     report = DecayFitReport(rate=rate, poly_exp=poly_exp, residual=residual,
                             window=(lo, hi),
-                            envelope_const=float(np.max(env)))
+                            envelope_const=float(np.max(env)), x=xs, sup=sup)
     if rate < m * (1.0 - _DECAY_RATE_RTOL):
         raise VerificationError(
             f"fitted decay rate {rate:.4f} below {1 - _DECAY_RATE_RTOL:.2f} "
@@ -303,13 +305,12 @@ def trace_inequality_check(ext: ExtensionField, h_norm: float) -> float:
 
 def decay_report_to_csv(ext: ExtensionField, report: DecayFitReport,
                         h_norm: float, path) -> None:
+    """One row per node of the fit: x, sup_y |u(x, .)| and its envelope."""
     sigma, m = ext.profile.sigma, ext.m
-    x = ext.x_nodes
-    sup = ext.sup_abs
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "sup_abs", "envelope"])
-        for xi, s in zip(x[1:], sup[1:]):
+        for xi, s in zip(report.x, report.sup):
             env = (report.envelope_const * h_norm
                    * xi ** (sigma - 0.5) * np.exp(-m * xi))
             w.writerow([repr(float(xi)), repr(float(s)), repr(float(env))])

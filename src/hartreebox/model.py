@@ -155,10 +155,9 @@ class KernelSpec:
 class SolverSettings:
     tol: float = 1e-8
     max_iter: int = 2000
-    step: float = 1.0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.step <= 0 or self.max_iter < 1:
+        if self.tol <= 0 or self.max_iter < 1:
             raise DomainError("solver settings must be positive")
 
 

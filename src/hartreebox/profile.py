@@ -41,6 +41,7 @@ import numpy as np
 from .errors import DiagnosticError, DomainError
 
 _SERIES_TERMS = 40
+_SMALL_S_TERMS = 4       # eval_profile's series below s = 0.01
 _TAYLOR_TERMS = 60      # terms per inward Taylor step (ratio |h|/c <= 1/2)
 _S_MATCH = 0.5          # pivot where the inward solve hands over to the series
 # Largest s_max: Taylor rows near the pivot reach e^s_max 2^59 (s_max/s)^(1/2),
@@ -48,25 +49,31 @@ _S_MATCH = 0.5          # pivot where the inward solve hands over to the series
 _S_MAX_LIMIT = 600.0
 
 
-def _series_basis(sigma, s):
-    """Frobenius pair of the kernel ODE about s = 0, each branch as (u, u').
-
-    u1 = 1 + sum a_k s^(2k) (regular branch), u2 = s^(2*sigma) * (1 + ...)
-    (singular-derivative branch).  Valid for s > 0; both series are entire.
-    The k-th term of either has exponent q = 2k + e and coefficient ratio
-    1 / (q (q - 2 sigma)), with e = 0 for u1 and e = 2 sigma for u2.
+def _frobenius(sigma, terms):
+    """Exponents q and coefficients a, `terms` of each, of the Frobenius
+    pair of the kernel ODE about s = 0: u1 = 1 + sum a_k s^(2k) (regular)
+    and u2 = s^(2*sigma) * (1 + ...) (singular derivative), both entire.
+    Term k has q = 2k + e, with e = 0 for u1 and 2 sigma for u2, and
+    coefficient ratio 1 / (q (q - 2 sigma)) to term k - 1.
     """
-    s = np.asarray(s, dtype=float)
     branches = []
     for e, e_shift in ((0.0, -2.0 * sigma), (2.0 * sigma, 0.0)):
+        q, a = 2.0 * np.arange(terms) + e, np.ones(terms)
+        for k in range(1, terms):
+            a[k] = a[k - 1] / (q[k] * (2.0 * k + e_shift))
+        branches.append((q, a))
+    return branches
+
+
+def _series_basis(sigma, s):
+    """Both Frobenius branches, each as (u, u'), at s > 0."""
+    s = np.asarray(s, dtype=float)
+    branches = []
+    for q, a in _frobenius(sigma, _SERIES_TERMS):
         u, du = np.zeros_like(s), np.zeros_like(s)
-        a = 1.0
-        for k in range(_SERIES_TERMS):
-            q = 2.0 * k + e
-            if k:
-                a /= q * (2.0 * k + e_shift)
-            u = u + a * s ** q
-            du = du + q * a * s ** (q - 1.0)
+        for qk, ak in zip(q, a):
+            u = u + ak * s ** qk
+            du = du + qk * ak * s ** (qk - 1.0)
         branches.append((u, du))
     return branches
 
@@ -171,6 +178,9 @@ def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselPro
 
     (u1, du1), (u2, du2) = _series_basis(sigma, s_match)
     det = u1 * du2 - du1 * u2
+    if not (np.isfinite(det) and det != 0.0):
+        raise DiagnosticError("shooting failed to bracket the decaying branch "
+                              f"(series Wronskian {float(det)!r})")
     A = (phi_m * du2 - dphi_m * u2) / det
     B = (dphi_m * u1 - phi_m * du1) / det
     if not np.isfinite(A) or A <= 0.0:
@@ -207,11 +217,11 @@ def small_s_energy_integral(s1, sigma, c1):
 def eval_profile(p: BesselProfile, s) -> np.ndarray:
     """Phi at s >= 0, as an array of s's shape (at least 1-D).
 
-    For s < 0.01 the four-term Frobenius expansion with the series
-    coefficient c1 is used; a cubic interpolant cannot follow the
-    s^(2 sigma) cusp there.  On [0.01, s_max] the Hermite interpolant of
-    the tabulated (phi, dphi) applies, and beyond s_max the exponential
-    asymptote c2 * s^((2*sigma-1)/2) * e^-s.
+    For s < 0.01 the Frobenius series u1 - c1 u2 is summed to
+    _SMALL_S_TERMS terms per branch, by Horner in s^2; a cubic interpolant
+    cannot follow the s^(2 sigma) cusp there.  On [0.01, s_max] the Hermite
+    interpolant of the tabulated (phi, dphi) applies, and beyond s_max the
+    exponential asymptote c2 * s^((2*sigma-1)/2) * e^-s.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if (s < 0.0).any():
@@ -219,20 +229,14 @@ def eval_profile(p: BesselProfile, s) -> np.ndarray:
 
     sigma = p.sigma
     phi = np.empty_like(s)
-    lo = s < 1e-2
-    hi = s > p.s_max
+    lo, hi = s < 1e-2, s > p.s_max
     mid = ~(lo | hi)
-    if lo.any():
-        sl = s[lo]
-        a1 = 1.0 / (2.0 * (2.0 - 2.0 * sigma))
-        b1 = 1.0 / (2.0 * (2.0 + 2.0 * sigma))
-        phi[lo] = (1.0 + a1 * sl ** 2
-                   - p.c1 * sl ** (2.0 * sigma) * (1.0 + b1 * sl ** 2))
-    if mid.any():
-        phi[mid] = _hermite(p.nodes, p.phi, p.dphi, s[mid])
-    if hi.any():
-        sh = s[hi]
-        phi[hi] = p.c2 * sh ** ((2.0 * sigma - 1.0) / 2.0) * np.exp(-sh)
+    sl, sh = s[lo], s[hi]
+    (_, a1), (_, a2) = _frobenius(sigma, _SMALL_S_TERMS)
+    phi[lo] = (np.polyval(a1[::-1], sl ** 2) - p.c1 * sl ** (2.0 * sigma)
+               * np.polyval(a2[::-1], sl ** 2))
+    phi[mid] = _hermite(p.nodes, p.phi, p.dphi, s[mid])
+    phi[hi] = p.c2 * sh ** ((2.0 * sigma - 1.0) / 2.0) * np.exp(-sh)
     return phi
 
 

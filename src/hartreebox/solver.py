@@ -53,10 +53,10 @@ def _dot(a, b, work):
     return float(np.multiply(a, b, out=work).sum())
 
 
-def _direction(grad, pairs, precond, step, work):
+def _direction(grad, pairs, precond, work):
     """-H grad by the two-loop recursion over pairs (s, y, 1/<s, y>), newest
     last, H0 = gamma P with gamma = <s, y>/<y, P y> of the newest, products
-    in `work`; or -step P grad, clearing the pairs, when they give none."""
+    in `work`; or -P grad, clearing the pairs, when they give none."""
     if pairs:
         q, alphas = -grad, []
         for s, y, rho in reversed(pairs):
@@ -70,7 +70,7 @@ def _direction(grad, pairs, precond, step, work):
         if _dot(grad, q, work) < 0.0:
             return q
         pairs.clear()
-    return -step * (precond * grad)
+    return -(precond * grad)
 
 
 def solve_ground(params: ModelParams, profile: BesselProfile,
@@ -109,7 +109,7 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
     it, reason = 0, "max_iter"
     while stat > settings.tol and it < settings.max_iter:
         it += 1
-        direction = _direction(grad, pairs, precond, settings.step, work)
+        direction = _direction(grad, pairs, precond, work)
         slope = _dot(grad, direction, work)
         d_hat = np.divide(direction, weight, out=direction).view(np.complex128)
         d_vals = inverse_spectrum(d_hat, grid.shape)

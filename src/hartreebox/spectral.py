@@ -249,19 +249,16 @@ def field_to_csv(h: TraceField, path) -> None:
 
 
 def field_from_csv(path) -> TraceField:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     try:
-        if rows[0] != ["dim", "n", "L"]:
-            raise ValueError("bad header row")
-        dim, n, L = int(rows[1][0]), int(rows[1][1]), float(rows[1][2])
-        if rows[2] != ["value"]:
-            raise ValueError("bad column header")
-        vals = np.array([float(r[0]) for r in rows[3:]])
-        grid = Grid(dim, L, n)
-        if vals.size != n ** dim:
-            raise ValueError(f"expected {n ** dim} values, got {vals.size}")
-        return TraceField(grid, vals.reshape(grid.shape, order="C"))
+        if lines[0] != "dim,n,L" or lines[2] != "value":
+            raise ValueError("bad header rows")
+        dim, n, L = lines[1].split(",")
+        grid = Grid(int(dim), float(L), int(n))
+        # a blank line fails the parse, a wrong count the reshape
+        vals = np.array(lines[3:], dtype=float)
+        return TraceField(grid, vals.reshape(grid.shape))
     except (ValueError, IndexError, NumericError) as exc:
         raise DomainError(f"unreadable field CSV {path}: {exc}") from exc
 

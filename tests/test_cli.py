@@ -221,7 +221,7 @@ def test_unknown_kind_exits_2(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("L", "nan"), ("L", "inf"), ("theta", "nan"), ("solver.step", "nan"),
+    ("L", "nan"), ("L", "inf"), ("theta", "nan"), ("kernel.w2", "nan"),
     ("solver.tol", "nan"), ("m", "nan"), ("potential.A", "-inf")])
 def test_non_finite_value_exits_1(tmp_path, capsys, key, value):
     lines = [line for line in BASE_CONFIG.splitlines()
@@ -382,6 +382,19 @@ def test_corrupted_field_exits_1(tmp_path, capsys):
                "--field", str(bad)])
     assert rc == 1
     capsys.readouterr()
+
+
+def test_blank_line_in_field_csv_exits_1(tmp_path, capsys):
+    # a blank line among the values is not a value, even with the count
+    # of values right
+    path = tmp_path / "field.csv"
+    field_to_csv(TraceField(Grid(1, 10.0, 64), np.ones(64)), str(path))
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join(rows[:10] + [""] + rows[10:]) + "\n")
+    rc = main(["verify", "--config", write_config(tmp_path), "--out",
+               str(tmp_path / "o"), "--field", str(path)])
+    assert rc == 1
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["field.csv", "field.bin"])

@@ -188,8 +188,8 @@ def test_decay_sup_monotone_single_mode(profile_half):
     g = Grid(1, 5.0, 64)
     h = TraceField(g, np.cos(np.pi * g.axis / g.L))
     ext = lift(h, profile_half, 1.0, x_max=12.0, K_x=200)
-    sup = ext.sup_abs
-    assert np.all(np.diff(sup) < 0)
+    rep = decay_fit(ext, np.abs(h.values).max())
+    assert np.all(np.diff(rep.sup) < 0)
 
 
 def test_decay_zero_field_vacuous(profile_half):
@@ -198,6 +198,7 @@ def test_decay_zero_field_vacuous(profile_half):
     ext = lift(z, profile_half, 1.0, x_max=12.0, K_x=100)
     rep = decay_fit(ext, 0.0)
     assert rep.envelope_const == 0.0 and rep.residual == 0.0
+    assert rep.x.size == rep.sup.size == 0
 
 
 def test_decay_envelope_holds_on_window(profiles, rng):
@@ -206,11 +207,11 @@ def test_decay_envelope_holds_on_window(profiles, rng):
     ext = lift(h, p, 1.0, x_max=12.0, K_x=300)
     rep = decay_fit(ext, np.abs(h.values).max())
     x = ext.x_nodes
-    sup = ext.sup_abs
-    sel = (x >= rep.window[0]) & (x <= rep.window[1]) & (sup > 0)
+    assert np.array_equal(rep.x, x[(x >= rep.window[0])
+                                   & (x <= rep.window[1])])
     env = (rep.envelope_const * np.abs(h.values).max()
-           * x[sel] ** (p.sigma - 0.5) * np.exp(-1.0 * x[sel]))
-    assert np.all(sup[sel] <= env * (1 + 1e-12))
+           * rep.x ** (p.sigma - 0.5) * np.exp(-1.0 * rep.x))
+    assert np.all(rep.sup <= env * (1 + 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +275,14 @@ def test_report_csvs(tmp_path, profiles, rng):
     decay_report_to_csv(ext, rep, np.abs(h.values).max(), d_path)
     lines = d_path.read_text().strip().splitlines()
     assert lines[0] == "x,sup_abs,envelope"
-    assert len(lines) == ext.x_nodes.size  # header + nodes past x = 0
+    # one row per node of the fit, each inside the window and under the
+    # envelope
+    rows = np.array([[float(v) for v in r.split(",")] for r in lines[1:]])
+    assert np.array_equal(rows[:, 0], rep.x)
+    assert np.array_equal(rows[:, 1], rep.sup)
+    assert np.all((rows[:, 0] >= rep.window[0])
+                  & (rows[:, 0] <= rep.window[1]))
+    assert np.all(rows[:, 2] >= rows[:, 1] * (1 - 1e-12))
     n_path = tmp_path / "dtn.csv"
     dtn_report_to_csv(ext, n_path)
     head = n_path.read_text().splitlines()[0]
@@ -378,8 +386,10 @@ def test_modewise_checks_match_dense_extension(profiles, sigma, dim, n, rng):
     want = dense_energy(h, values, x, p, 1.0)
     assert abs(_extension_energy(ext) - want) <= 1e-12 * want
 
-    sup = np.max(np.abs(values), axis=tuple(range(1, dim + 1)))
-    assert np.all(np.abs(ext.sup_abs - sup) <= 1e-12 * sup)
+    # sup_y |u| at the decay window's nodes, the only ones it is formed at
+    rep = decay_fit(ext, h.norm_l2())
+    sup = np.max(np.abs(values[x >= 2.0]), axis=tuple(range(1, dim + 1)))
+    assert np.all(np.abs(rep.sup - sup) <= 1e-12 * sup)
 
     mask, est, target, _, _ = _neumann_trace(ext)
     weights = spectral_weights(h)
@@ -406,17 +416,18 @@ def test_lift_and_checks_memory_bounded(profile_half):
 
 
 def test_sup_abs_holds_one_field_at_a_time(profile_half):
-    # 3D n = 32: sup_abs transforms node by node in two reused buffers
-    # (half-lattice spectrum 272 KB, field 256 KB) plus one profile-table
-    # column per node (139 KB), however many nodes there are
+    # 3D n = 32: the decay fit forms sup_y |u| node by node in two reused
+    # buffers (half-lattice spectrum 272 KB, field 256 KB) plus one
+    # profile-table column per node (139 KB), however many nodes there are
     g = Grid(3, 10.0, 32)
     h = TraceField(g, np.exp(-g.radius_sq / 4.0))
     ext = lift(h, profile_half, 1.0, K_x=400)
     tracemalloc.start()
     try:
-        sup = ext.sup_abs
+        rep = decay_fit(ext, h.norm_l2())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    assert sup[0] == np.max(np.abs(extension_values(ext, 0)))
+    first = int(np.searchsorted(ext.x_nodes, rep.x[0]))
+    assert rep.sup[0] == np.max(np.abs(extension_values(ext, first)))

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicHermiteSpline
 from scipy.special import gamma, kv
 
-from hartreebox.errors import DomainError
+from hartreebox.errors import DiagnosticError, DomainError
 from hartreebox.profile import (_S_MATCH, BesselProfile, build_profile,
                                 eval_profile, profile_to_csv)
 
@@ -137,6 +137,16 @@ def test_ode_residual(profiles, sigma):
     assert np.max(ode_residual(profiles[sigma])) < 1e-6
 
 
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9, 0.999, 0.99999])
+def test_small_s_series_matches_bessel_oracle(sigma):
+    # below s = 0.01 the s^2 and c1 s^(2 sigma) terms grow like 1/(1 - sigma)
+    # and cancel, so the series needs terms past s^2 as sigma -> 1
+    p = build_profile(sigma)
+    s = np.geomspace(1e-6, 0.01, 200, endpoint=False)
+    assert np.max(np.abs(eval_profile(p, s) - bessel_oracle(sigma, s))) \
+        < 1e-13
+
+
 def test_boundary_values(profile_half):
     assert eval_profile(profile_half, [0.0]).tolist() == [1.0]
 
@@ -158,6 +168,13 @@ def test_negative_argument_rejected(profile_half):
 def test_sigma_domain(bad):
     with pytest.raises(DomainError, match="sigma out of"):
         build_profile(bad)
+
+
+def test_tiny_sigma_fails_the_matching_without_warnings():
+    # at sigma = 1e-300 both series branches coincide, so their Wronskian
+    # is 0; RuntimeWarnings are errors in this suite
+    with pytest.raises(DiagnosticError, match="failed to bracket"):
+        build_profile(1e-300)
 
 
 def test_build_validation():
