@@ -39,6 +39,7 @@ _DTN_RTOL = 0.02
 _MASS_FLOOR = 1e-6
 _DECAY_RATE_RTOL = 0.05
 _DECAY_RESIDUAL_TOL = 0.05
+_BLOCK = 16     # profile-table rows per eval_profile or np.gradient call
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,11 @@ def lift(h: TraceField, profile: BesselProfile, m: float,
     xi_sq = class_k_sq / (2.0 * grid.L) ** 2
     rates = np.sqrt(m ** 2 + 4.0 * np.pi ** 2 * xi_sq)
     x = graded_nodes(x_max, K_x)
-    # Phi once per (x-node, distinct rate)
-    table = eval_profile(profile, np.multiply.outer(x, rates))
+    # Phi once per (x-node, distinct rate), _BLOCK rows at a time
+    table = np.empty((x.size, rates.size))
+    for i in range(0, x.size, _BLOCK):
+        table[i:i + _BLOCK] = eval_profile(
+            profile, np.multiply.outer(x[i:i + _BLOCK], rates))
     return ExtensionField(grid=grid, x_nodes=x, profile=profile, m=m,
                           spectrum=half_spectrum(h.values),
                           mode_class=mode_class.reshape(grid.k_sq.shape),
@@ -97,9 +101,9 @@ def _extension_energy(ext: ExtensionField) -> float:
 
     Finite differences in x and spectral derivatives in y on the graded
     mesh; by Parseval both parts are sums over rate classes weighted by the
-    class's spectral mass, and np.gradient, being linear, acts on the
-    profile table alone.  The analytic series for Phi supplies the [0, x_1]
-    head, where the weight is singular or zero.
+    class's spectral mass.  np.gradient, being linear, acts on the profile
+    table alone, _BLOCK rows at a time from windows a row wider per side;
+    Phi's series gives the [0, x_1] head, where the weight is 0 or singular.
     """
     sigma = ext.profile.sigma
     x = ext.x_nodes
@@ -108,8 +112,13 @@ def _extension_energy(ext: ExtensionField) -> float:
     mass = np.bincount(ext.mode_class.ravel(), weights=(power * count).ravel(),
                        minlength=c.size)
 
-    y_part = (ext.profile_table ** 2 * c ** 2) @ mass
-    x_part = np.gradient(ext.profile_table, x, axis=0) ** 2 @ mass
+    table, buf = ext.profile_table, np.square(ext.profile_table)
+    y_part = np.multiply(buf, c ** 2, out=buf) @ mass
+    for i in range(0, x.size, _BLOCK):
+        rows = slice(max(i - 1, 0), i + _BLOCK + 1)
+        grad = np.gradient(table[rows], x[rows], axis=0)
+        buf[i:i + _BLOCK] = grad[i - rows.start:][:_BLOCK]
+    x_part = np.square(buf, out=buf) @ mass
     integrand = (y_part[1:] + x_part[1:]) * x[1:] ** (1.0 - 2.0 * sigma)
     body = np.trapezoid(integrand, x[1:])
 

@@ -42,6 +42,7 @@ from .errors import DiagnosticError, DomainError
 
 _SERIES_TERMS = 40
 _SMALL_S_TERMS = 4       # eval_profile's series below s = 0.01
+_HANKEL_TERMS = 20       # eval_profile's Hankel series beyond s_max >= 20
 _TAYLOR_TERMS = 60      # terms per inward Taylor step (ratio |h|/c <= 1/2)
 _S_MATCH = 0.5          # pivot where the inward solve hands over to the series
 # Largest s_max: Taylor rows near the pivot reach e^s_max 2^59 (s_max/s)^(1/2),
@@ -221,7 +222,7 @@ def eval_profile(p: BesselProfile, s) -> np.ndarray:
     _SMALL_S_TERMS terms per branch, by Horner in s^2; a cubic interpolant
     cannot follow the s^(2 sigma) cusp there.  On [0.01, s_max] the Hermite
     interpolant of the tabulated (phi, dphi) applies, and beyond s_max the
-    exponential asymptote c2 * s^((2*sigma-1)/2) * e^-s.
+    Hankel series of K_sigma, c2 s^((2*sigma-1)/2) e^-s (1 + ...), by Horner.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if (s < 0.0).any():
@@ -236,19 +237,22 @@ def eval_profile(p: BesselProfile, s) -> np.ndarray:
     phi[lo] = (np.polyval(a1[::-1], sl ** 2) - p.c1 * sl ** (2.0 * sigma)
                * np.polyval(a2[::-1], sl ** 2))
     phi[mid] = _hermite(p.nodes, p.phi, p.dphi, s[mid])
-    phi[hi] = p.c2 * sh ** ((2.0 * sigma - 1.0) / 2.0) * np.exp(-sh)
+    tail = 1.0
+    for k in range(_HANKEL_TERMS - 1, 0, -1):
+        tail = 1.0 + (4 * sigma ** 2 - (2 * k - 1) ** 2) / (8 * k) * tail / sh
+    phi[hi] = p.c2 * sh ** ((2.0 * sigma - 1.0) / 2.0) * np.exp(-sh) * tail
     return phi
 
 
 def _hermite(x, y, dy, s):
     """Cubic Hermite interpolant of (y, dy) on nodes x, at s."""
+    dx = np.diff(x)
+    secant = np.diff(y) / dx
+    c2 = (3.0 * secant - 2.0 * dy[:-1] - dy[1:]) / dx
+    c3 = (dy[:-1] + dy[1:] - 2.0 * secant) / dx ** 2
     i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
-    dx = x[i + 1] - x[i]
-    secant = (y[i + 1] - y[i]) / dx
-    c2 = (3.0 * secant - 2.0 * dy[i] - dy[i + 1]) / dx
-    c3 = (dy[i] + dy[i + 1] - 2.0 * secant) / dx ** 2
     t = s - x[i]
-    return y[i] + t * (dy[i] + t * (c2 + t * c3))
+    return y[i] + t * (dy[i] + t * (c2[i] + t * c3[i]))
 
 
 # ---------------------------------------------------------------------------

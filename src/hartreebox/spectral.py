@@ -106,12 +106,15 @@ class Grid:
         return out
 
     @cached_property
+    def _partner_count(self) -> np.ndarray:
+        """Modes per half-lattice mode: 1 on the planes 0 and n/2, else 2."""
+        return np.where(np.arange(self.n // 2 + 1) % (self.n // 2), 2.0, 1.0)
+
+    @cached_property
     def pairing_weight(self) -> np.ndarray:
-        """sqrt(count cell_volume / n^N) along spectrum.view(float): a mode
-        counts twice, for itself and its conjugate partner, but once on the
-        last-axis planes 0 and n/2, which hold their partners; so scaled,
-        two spectra sum to the L^2 pairing of their fields."""
-        count = np.where(np.arange(self.n + 2) // 2 % (self.n // 2), 2.0, 1.0)
+        """sqrt(count cell_volume / n^N) along spectrum.view(float); so
+        scaled, two spectra sum to the L^2 pairing of their fields."""
+        count = np.repeat(self._partner_count, 2)
         out = np.sqrt(count * self.cell_volume / self.n ** self.dim)
         out.flags.writeable = False
         return out
@@ -157,9 +160,12 @@ class TraceField:
 
 
 def half_spectrum(values: np.ndarray) -> np.ndarray:
-    """rfftn(values): the half-lattice spectrum of a real grid array, the
-    one forward transform of the package."""
-    return np.fft.rfftn(values)
+    """rfftn(values) bit for bit, the one forward transform: rfft over the
+    last axis, then fft in place over the others, last to first."""
+    spectrum = np.fft.rfft(values)
+    for ax in range(values.ndim - 2, -1, -1):
+        np.fft.fft(spectrum, axis=ax, out=spectrum)
+    return spectrum
 
 
 def apply_multiplier(mult: np.ndarray, values: np.ndarray,
@@ -210,13 +216,10 @@ def half_lattice_form(grid: Grid, mult: np.ndarray,
 def mode_power(grid: Grid, spectrum: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Plancherel summands |hat(h)|^2 dxi^N per half-lattice mode of the
-    spectrum rfftn(h), and the number of full-lattice modes each one
-    stands for, as in Grid.pairing_weight."""
+    spectrum rfftn(h), and the modes each stands for, along the last axis."""
     power = np.abs(spectrum) ** 2 * (grid.box_volume
                                      / grid.n ** (2 * grid.dim))
-    count = np.full(power.shape, 2.0)
-    count[..., 0] = count[..., -1] = 1.0
-    return power, count
+    return power, grid._partner_count
 
 
 def sobolev_form(grid: Grid, spectrum: np.ndarray, m: float,

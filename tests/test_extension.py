@@ -399,20 +399,41 @@ def test_modewise_checks_match_dense_extension(profiles, sigma, dim, n, rng):
     assert np.all(np.abs(est - dense) <= 1e-7 * np.abs(target))
 
 
-def test_lift_and_checks_memory_bounded(profile_half):
-    # 3D n = 32, K_x = 400: the materialized extension alone is 105 MB
-    g = Grid(3, 10.0, 32)
-    h = TraceField(g, np.exp(-g.radius_sq / 4.0))
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory traced during the call."""
     tracemalloc.start()
     try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_lift_and_checks_memory_bounded(profile_half):
+    # 3D n = 32, K_x = 400: the materialized extension alone is 105 MB, the
+    # profile table 1.4 MB (401 x 464)
+    g = Grid(3, 10.0, 32)
+    h = TraceField(g, np.exp(-g.radius_sq / 4.0))
+
+    def lift_and_check():
         ext = lift(h, profile_half, 1.0, K_x=400)
         energy_identity_check(ext)
         dtn_check(ext)
         decay_fit(ext, h.norm_l2())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+    assert traced_peak(lift_and_check)[1] < 5 * 2 ** 20
+
+
+def test_lift_and_energy_identity_hold_about_one_table(profile_half):
+    # lift fills the table in row blocks, and the energy quadrature forms
+    # its two table-sized terms in one buffer
+    g = Grid(3, 10.0, 32)
+    h = TraceField(g, np.exp(-g.radius_sq / 4.0))
+    ext, peak = traced_peak(lift, h, profile_half, 1.0, None, 400)
+    assert peak < 3 * 2 ** 20
+    assert np.array_equal(ext.profile_table, eval_profile(
+        profile_half, np.multiply.outer(ext.x_nodes, ext.rates)))
+    assert traced_peak(energy_identity_check, ext)[1] < 2.5 * 2 ** 20
 
 
 def test_sup_abs_holds_one_field_at_a_time(profile_half):
@@ -422,12 +443,7 @@ def test_sup_abs_holds_one_field_at_a_time(profile_half):
     g = Grid(3, 10.0, 32)
     h = TraceField(g, np.exp(-g.radius_sq / 4.0))
     ext = lift(h, profile_half, 1.0, K_x=400)
-    tracemalloc.start()
-    try:
-        rep = decay_fit(ext, h.norm_l2())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(decay_fit, ext, h.norm_l2())
     assert peak < 2 ** 20
     first = int(np.searchsorted(ext.x_nodes, rep.x[0]))
     assert rep.sup[0] == np.max(np.abs(extension_values(ext, first)))

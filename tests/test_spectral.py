@@ -99,6 +99,12 @@ def test_apply_multiplier_matches_full_lattice_oracle(dim, kind, rng):
         apply_multiplier(full, v, "probe")
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_half_spectrum_is_rfftn(dim, rng):
+    v = rng.standard_normal(Grid(dim, 2.0, 8).shape)
+    assert np.array_equal(half_spectrum(v), np.fft.rfftn(v))
+
+
 @pytest.mark.parametrize("lead", [(), (3,)])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_inverse_spectrum_is_irfftn(dim, lead, rng):
