@@ -94,15 +94,13 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     laps.append(("config", time.perf_counter()))
-    prof = _build_profile(cfg)
-    laps.append(("profile", time.perf_counter()))
     seed = cfg.seed if args.seed is None else args.seed
     seeds = [seed, seed + 1, seed + 2]
 
     iters_path = os.path.join(args.out, "iterations.csv")
     try:
-        best, results = multistart(cfg.params, prof, seeds)
-        c_star, c_inf, margin = compare_levels(cfg.params, prof, best)
+        best, results = multistart(cfg.params, seeds)
+        c_star, c_inf, margin = compare_levels(cfg.params, best)
     except ConvergenceError as exc:
         # the trace of the solve that failed, for diagnosis
         history_to_csv(exc.history, iters_path)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BracketError, DiagnosticError, DomainError, NumericError
-from .profile import BesselProfile
+from .profile import flux_constant
 from .spectral import Grid, apply_multiplier, half_spectrum, sobolev_form
 
 
@@ -250,22 +250,19 @@ class ModelParams:
             _KERNEL_SPECTRA[key] = spec
         return spec
 
-    @property
-    def v0(self) -> float:
-        """Configured coercivity offset: a fraction of the well depth,
-        scaled to sit strictly under min{1, m^2} kappa at kappa ~ 1."""
-        frac = min(self.potential.A / self.potential.V_inf, 1.0)
-        return 0.9 * min(1.0, self.m ** 2) * frac
+    @cached_property
+    def kappa(self) -> float:
+        """The extension constant d_sigma of (m^2 - Lap)^sigma."""
+        return flux_constant(self.sigma)
 
-    def validate(self, profile: BesselProfile) -> None:
-        """Coercivity checks that need the extension constant kappa."""
-        if abs(profile.sigma - self.sigma) > 1e-12:
-            raise DomainError(f"profile built for sigma={profile.sigma}, "
-                              f"params use sigma={self.sigma}")
-        v0 = self.v0 * profile.kappa
+    def validate(self) -> None:
+        """Coercivity check min V + V0 kappa >= 0 on the grid, with V0 =
+        0.9 min{1, m^2} min{A / V_inf, 1} a fraction of the well depth."""
+        frac = min(self.potential.A / self.potential.V_inf, 1.0)
+        v0 = 0.9 * min(1.0, self.m ** 2) * frac * self.kappa
         if float(np.min(self.potential_values)) + v0 < 0.0:
             raise DomainError("potential violates the coercivity bound "
-                              "min V + V0 >= 0")
+                              "min V + V0 kappa >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -299,23 +296,21 @@ class _Evaluation:
         """I(v) = Q(v)/2 - Psi(v)."""
         return 0.5 * self.quad - self.psi
 
-    def gradient_spectrum(self, params: ModelParams,
-                          profile: BesselProfile) -> np.ndarray:
+    def gradient_spectrum(self, params: ModelParams) -> np.ndarray:
         """rfftn of the gradient kappa (m^2 - Lap)^sigma v + V v - (W * F(v))
         f(v): one forward transform, the sigma part from the spectrum."""
         out = half_spectrum(params.potential_values * self.values
                             - self.psi_grad)
-        out += (profile.kappa * self.spectrum) * params.grid.multiplier(
+        out += (params.kappa * self.spectrum) * params.grid.multiplier(
             params.m, params.sigma)
         if not np.all(np.isfinite(out)):
             raise NumericError("non-finite value in gradient")
         return out
 
 
-def _quad_terms(params: ModelParams, profile: BesselProfile,
-                values: np.ndarray, spectrum: np.ndarray):
+def _quad_terms(params: ModelParams, values: np.ndarray, spectrum: np.ndarray):
     """(sigma-form, Q) of the field `values` with rfftn `spectrum`."""
-    form = sobolev_form(params.grid, spectrum, params.m, profile)
+    form = sobolev_form(params.grid, spectrum, params.m, params)
     pot = params.grid.cell_volume * (params.potential_values
                                      * values ** 2).sum()
     return form, _check_finite(form + pot, "quadratic form")
@@ -449,8 +444,8 @@ def _nehari_root(u: np.ndarray, params: ModelParams, quad: float,
     return float(best_t), best_terms
 
 
-def _project(u: np.ndarray, params: ModelParams, profile: BesselProfile,
-             bound: float = np.inf, spectrum: np.ndarray | None = None,
+def _project(u: np.ndarray, params: ModelParams, bound: float = np.inf,
+             spectrum: np.ndarray | None = None,
              quad_ref: float | None = None):
     """The Nehari scale t of the field u (an array on params.grid) and the
     core at v = t u, or (t, None) once a level I(t_k u) exceeds `bound`.
@@ -470,7 +465,7 @@ def _project(u: np.ndarray, params: ModelParams, profile: BesselProfile,
         raise DomainError("Nehari projection undefined: field has no "
                           "positive part")
     spectrum = half_spectrum(u) if spectrum is None else spectrum
-    form, quad = _quad_terms(params, profile, u, spectrum)
+    form, quad = _quad_terms(params, u, spectrum)
 
     nl = params.nonlinearity
     if nl.kind == "pure_power":

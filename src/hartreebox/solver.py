@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, VerificationError
 from .model import ModelParams, _project
-from .profile import BesselProfile
 from .spectral import Grid, TraceField, inverse_spectrum
 
 # L-BFGS memory: 5 steps save 7 % of 1D iterations for 5/3 the memory
@@ -73,10 +72,10 @@ def _direction(grad, pairs, precond, work):
     return -(precond * grad)
 
 
-def solve_ground(params: ModelParams, profile: BesselProfile,
+def solve_ground(params: ModelParams,
                  seed_field: TraceField | None = None) -> GroundStateResult:
     """Minimize I over the Nehari manifold from the given (or default) seed."""
-    params.validate(profile)
+    params.validate()
     if seed_field is None:
         seed_field = gaussian_bump(params.grid, 1.0,
                                    max(1.0, params.potential.w))
@@ -85,7 +84,7 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
 
     settings, grid = params.solver, params.grid
     weight = grid.pairing_weight
-    precond = np.repeat(1.0 / (profile.kappa * grid.multiplier(
+    precond = np.repeat(1.0 / (params.kappa * grid.multiplier(
         params.m, params.sigma) + params.potential.V_inf), 2, axis=-1)
 
     work = np.empty_like(precond)
@@ -93,7 +92,7 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
 
     def state(ev):
         """Scaled spectrum of g, |<g, v>|, ||g|| and r, by Parseval."""
-        grad = weight * ev.gradient_spectrum(params, profile).view(np.float64)
+        grad = weight * ev.gradient_spectrum(params).view(np.float64)
         pos = np.multiply(ev.spectrum.view(np.float64), weight, out=work)
         nehari, gg = abs(_dot(grad, pos, work)), _dot(grad, grad, work)
         gpg = _dot(np.multiply(grad, precond, out=work), grad, work)
@@ -101,7 +100,7 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
 
     # the loop works on arrays: every field it forms is finite by
     # construction, and the gradient's own check guards the rest
-    _, ev = _project(seed_field.values, params, profile)
+    _, ev = _project(seed_field.values, params)
     grad, nehari, gnorm, stat = state(ev)
     beta = np.sqrt(ev.form)
     history = [(0, ev.level, nehari, gnorm, 0.0)]
@@ -120,7 +119,7 @@ def solve_ground(params: ModelParams, profile: BesselProfile,
             if trial.max() > 0.0:
                 # Armijo: None once the projection finds the level above
                 # the bound; the root search starts where Q matches ev's
-                _, cand = _project(trial, params, profile,
+                _, cand = _project(trial, params,
                                    ev.level + 1e-4 * step * slope,
                                    ev.spectrum + step * d_hat, ev.quad)
                 if cand is not None:
@@ -168,21 +167,20 @@ def random_seed_field(params: ModelParams, seed: int) -> TraceField:
     return gaussian_bump(grid, amp, width, center)
 
 
-def multistart(params: ModelParams, profile: BesselProfile, seeds):
+def multistart(params: ModelParams, seeds):
     """Solve from several random seeds, in order; returns (best_result,
     all_results).
 
     The best result is the first with the lowest level, so it is
     deterministic for a fixed seed list.
     """
-    results = [solve_ground(params, profile, random_seed_field(params, s))
+    results = [solve_ground(params, random_seed_field(params, s))
                for s in seeds]
     best = min(range(len(results)), key=lambda i: results[i].level)
     return results[best], results
 
 
-def compare_levels(params: ModelParams, profile: BesselProfile,
-                   ground: GroundStateResult):
+def compare_levels(params: ModelParams, ground: GroundStateResult):
     """Ground level with the well vs. the level of the same problem with
     the constant background potential V_inf (A = 0).
 
@@ -194,7 +192,7 @@ def compare_levels(params: ModelParams, profile: BesselProfile,
     flat = dataclasses.replace(
         params, potential=dataclasses.replace(params.potential, A=0.0))
     c_star = ground.level
-    c_inf = solve_ground(flat, profile, ground.u).level
+    c_inf = solve_ground(flat, ground.u).level
     margin = (c_inf - c_star) / c_inf
     if params.potential.A > 0:
         if not 0.0 < c_star < c_inf:

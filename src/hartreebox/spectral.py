@@ -225,8 +225,8 @@ def mode_power(grid: Grid, spectrum: np.ndarray
 def sobolev_form(grid: Grid, spectrum: np.ndarray, m: float,
                  profile) -> float:
     """kappa sum (m^2 + 4 pi^2 |xi|^2)^sigma |hat(h)|^2 dxi^N of the field
-    with half-lattice spectrum rfftn(h), with sigma and kappa those of the
-    BesselProfile `profile`."""
+    with half-lattice spectrum rfftn(h), with sigma and kappa those of
+    `profile`: anything that has both, as ModelParams and BesselProfile do."""
     if m <= 0.0:
         raise DomainError("m must be positive")
     return profile.kappa * half_lattice_form(

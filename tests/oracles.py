@@ -185,7 +185,7 @@ def refine(h, n_new):
     return TraceField(fine, vals)
 
 
-def linf_refinement_check(result, params, profile, rtol=0.02):
+def linf_refinement_check(result, params, rtol=0.02):
     """Re-solve with n doubled from the interpolated coarse solution and
     compare sup norms; returns (relative change, fine result)."""
     sup_coarse = np.abs(result.u.values).max()
@@ -193,7 +193,7 @@ def linf_refinement_check(result, params, profile, rtol=0.02):
         return 0.0, result
     fine_params = dataclasses.replace(params, n=2 * params.n)
     seed = refine(result.u, 2 * params.n)
-    fine = solve_ground(fine_params, profile, seed)
+    fine = solve_ground(fine_params, seed)
     sup_fine = np.abs(fine.u.values).max()
     change = abs(sup_coarse - sup_fine) / sup_fine
     if change >= rtol:
@@ -251,8 +251,7 @@ def profile_from_csv(path):
     sigma, kappa, c1, c2, d_sigma = (float(v) for v in rows[1])
     nodes, phi, dphi = np.array([[float(v) for v in r]
                                  for r in rows[3:]]).T
-    p = BesselProfile(sigma=sigma, nodes=nodes, phi=phi, dphi=dphi,
-                      d_sigma=d_sigma)
-    # the derived constants are written for readers, not read back
-    assert [kappa, c1, c2] == [p.kappa, p.c1, p.c2]
+    p = BesselProfile(sigma=sigma, nodes=nodes, phi=phi, dphi=dphi)
+    # the closed-form constants are written for readers, not read back
+    assert [kappa, c1, c2, d_sigma] == [p.kappa, p.c1, p.c2, p.d_sigma]
     return p

@@ -45,9 +45,9 @@ def decay_params(sigma, theta):
 
 
 @pytest.fixture(scope="module")
-def ground_state(profile_half):
+def ground_state():
     t0 = time.time()
-    best, results = multistart(ground_params(), profile_half, [11, 12, 13])
+    best, results = multistart(ground_params(), [11, 12, 13])
     return best, results, time.time() - t0
 
 
@@ -159,17 +159,15 @@ def test_criterion_6_ground_state(ground_state, profile_half, capsys):
             f"{elapsed:.1f}s")
 
 
-def test_criterion_7_level_ordering(ground_state, profile_half, capsys):
+def test_criterion_7_level_ordering(ground_state, capsys):
     best, _, _ = ground_state
-    c_star, c_inf, margin = compare_levels(ground_params(), profile_half,
-                                           best)
+    c_star, c_inf, margin = compare_levels(ground_params(), best)
     assert 0.0 < c_star < c_inf
     assert margin > 1e-3
     flat = ModelParams(sigma=0.5, m=1.0, dim=1, L=20.0, n=256,
                        potential=PotentialSpec(V_inf=1.0, A=0.0, w=4.0),
                        kernel=KernelSpec(a=0.0, b=1.0, w2=3.0))
-    e_star, e_inf, _ = compare_levels(flat, profile_half,
-                                      solve_ground(flat, profile_half))
+    e_star, e_inf, _ = compare_levels(flat, solve_ground(flat))
     agree = abs(e_star - e_inf) / e_inf
     assert agree < 1e-6
     verdict(capsys, 7, f"0 < c* = {c_star:.6f} < c_inf = {c_inf:.6f}, "
@@ -180,7 +178,7 @@ def test_criterion_7_level_ordering(ground_state, profile_half, capsys):
 def test_criterion_8_decay(profiles, sigma, theta, capsys):
     params = decay_params(sigma, theta)
     p = profiles[sigma]
-    res = solve_ground(params, p)
+    res = solve_ground(params)
     ext = lift(res.u, p, params.m, x_max=50.0, K_x=400)
     rep = decay_fit(ext, np.abs(res.u.values).max())
     assert rep.rate >= 0.95 * params.m
@@ -210,10 +208,10 @@ def test_criterion_9_hypotheses(capsys):
             f"hold for both nonlinearities ({elapsed:.2f}s)")
 
 
-def test_criterion_10_refinement(ground_state, profile_half, capsys):
+def test_criterion_10_refinement(ground_state, capsys):
     best, _, _ = ground_state
     t0 = time.time()
-    change, _ = linf_refinement_check(best, ground_params(), profile_half)
+    change, _ = linf_refinement_check(best, ground_params())
     assert change < 0.02
     verdict(capsys, 10, f"sup norm change {change:.1e} < 2e-2 under n -> 2n "
             f"({time.time() - t0:.1f}s)")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import hartreebox
 from hartreebox import cli, solver
+from hartreebox import profile as profile_mod
 from hartreebox.cli import build_parser, main
 from hartreebox.config import _SCHEMA, RunConfig, load_config
 from hartreebox.errors import (BracketError, ConfigError, ConvergenceError,
@@ -52,7 +53,7 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
 def assert_phase_times(out, *work_phases):
     manifest = json.loads((out / "manifest.json").read_text())
     phases = manifest["phase_s"]
-    assert set(phases) == {"config", "profile", *work_phases, "write"}
+    assert set(phases) == {"config", *work_phases, "write"}
     assert all(v >= 0.0 for v in phases.values())
     assert sum(phases.values()) <= manifest["wall_time_s"]
 
@@ -68,7 +69,7 @@ def test_profile_command(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["config_sha256"]) == 64
     assert "profile.csv" in manifest["outputs"]
-    assert_phase_times(out)
+    assert_phase_times(out, "profile")
 
 
 def test_solve_command(tmp_path, capsys):
@@ -123,7 +124,27 @@ def test_verify_command_after_solve(tmp_path, capsys):
         assert check in printed
     assert (vout / "decay.csv").exists()
     assert (vout / "dtn.csv").exists()
-    assert_phase_times(vout, "checks")
+    assert_phase_times(vout, "profile", "checks")
+
+
+def test_only_profile_and_verify_build_a_profile(tmp_path, capsys,
+                                                 monkeypatch):
+    # the solve path reads kappa from the closed form, not from a table
+    calls, build = [], profile_mod.build_profile
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(profile_mod, "build_profile", counted)
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    counts = []
+    for args in (["profile"], ["solve"],
+                 ["verify", "--field", str(out / "ground_state.csv")]):
+        calls.clear()
+        assert main(args + ["--config", cfg, "--out", str(out)]) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts == [1, 0, 1]
 
 
 def test_verify_runs_trace_check_when_m_not_one(tmp_path, capsys):

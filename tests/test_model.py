@@ -51,15 +51,15 @@ def interaction(u, params):
     return model_mod.nehari_phi(1.0, u.values, params, 1.0)[2][3]
 
 
-def project(u, params, profile):
+def project(u, params):
     """The Nehari scale of the field u and the core's terms at t u."""
-    return model_mod._project(u.values, params, profile)
+    return model_mod._project(u.values, params)
 
 
-def core_gradient(ev, params, profile):
+def core_gradient(ev, params):
     """The core's gradient at its point, as a grid array."""
     shape = params.grid.shape
-    return np.fft.irfftn(ev.gradient_spectrum(params, profile), s=shape,
+    return np.fft.irfftn(ev.gradient_spectrum(params), s=shape,
                          axes=tuple(range(len(shape))))
 
 
@@ -186,12 +186,13 @@ def test_spec_validation():
         SolverSettings(tol=0.0)
 
 
-def test_coercivity_validation(profile_half):
-    small_params().validate(profile_half)
-    deep = small_params(potential=PotentialSpec(V_inf=1.0, A=0.3, w=2.0))
-    deep.validate(profile_half)
-    with pytest.raises(DomainError, match="sigma"):
-        small_params(sigma=0.3).validate(profile_half)
+def test_coercivity_validation():
+    # min V + V0 kappa >= 0 with V0 = 0.9 min(1, m^2) min(A / V_inf, 1): at
+    # V_inf = m = 1 and sigma = 1/2 (kappa = 1) a well may reach min V = -0.9
+    small_params(potential=PotentialSpec(V_inf=1.0, A=1.9, w=2.0)).validate()
+    deep = small_params(potential=PotentialSpec(V_inf=1.0, A=1.91, w=2.0))
+    with pytest.raises(DomainError, match="coercivity"):
+        deep.validate()
 
 
 def test_kernel_is_radial_and_nonnegative():
@@ -206,9 +207,9 @@ def test_kernel_is_radial_and_nonnegative():
 # ---------------------------------------------------------------------------
 # Energy and gradient
 
-def test_energy_components(profile_half, rng):
+def test_energy_components(rng):
     params = small_params()
-    _, ev = project(bump(params, rng), params, profile_half)
+    _, ev = project(bump(params, rng), params)
     assert ev.level == 0.5 * ev.quad - ev.psi
     assert ev.quad > 0 and ev.psi > 0
 
@@ -218,17 +219,16 @@ def zero_field_terms(params):
     return model_mod.nehari_phi(1.0, np.zeros(params.n), params, 0.0)
 
 
-def test_energy_zero_field(profile_half):
+def test_energy_zero_field():
     params = small_params()
     z = np.zeros(params.n)
-    assert model_mod._quad_terms(params, profile_half, z,
-                                 np.fft.rfftn(z)) == (0.0, 0.0)
+    assert model_mod._quad_terms(params, z, np.fft.rfftn(z)) == (0.0, 0.0)
     phi, level, (_, conv, f, psi), _ = zero_field_terms(params)
     assert phi == 0.0 and level == 0.0 and psi == 0.0
     assert not np.any(conv) and not np.any(f)
 
 
-def test_interaction_homogeneity_pure_power(profile_half, rng):
+def test_interaction_homogeneity_pure_power(rng):
     params = small_params(nonlinearity=PURE_POWER)
     u = bump(params, rng)
     base = interaction(u, params)
@@ -242,7 +242,7 @@ def test_quadratic_part_coercive(profile_half, rng):
     params = small_params()
     for _ in range(10):
         u = TraceField(params.grid, rng.standard_normal(params.n))
-        _, ev = project(u, params, profile_half)
+        _, ev = project(u, params)
         v = TraceField(params.grid, ev.values)
         assert ev.quad > 0.5 * profile_half.kappa * v.norm_l2() ** 2
 
@@ -251,7 +251,7 @@ def test_gradient_matches_directional_derivative(profile_half, rng):
     # the core's gradient at a projected point against central differences
     # of the oracle energy
     params = small_params()
-    _, ev = project(bump(params, rng), params, profile_half)
+    _, ev = project(bump(params, rng), params)
     u = TraceField(params.grid, ev.values)
     v = TraceField(params.grid, rng.standard_normal(params.n))
     eps = 1e-5
@@ -260,29 +260,28 @@ def test_gradient_matches_directional_derivative(profile_half, rng):
           - oracles.level(TraceField(u.grid, u.values - eps * v.values),
                           params, profile_half)) / (2 * eps)
     pair = params.grid.cell_volume * np.sum(
-        core_gradient(ev, params, profile_half) * v.values)
+        core_gradient(ev, params) * v.values)
     assert abs(pair - fd) < 1e-5 * abs(fd)
 
 
-def test_gradient_zero_field(profile_half):
+def test_gradient_zero_field():
     params = small_params()
     _, _, (v, conv, f, psi), _ = zero_field_terms(params)
     ev = model_mod._Evaluation(v, np.fft.rfftn(v), 0.0, 0.0, psi, conv * f)
-    assert np.all(core_gradient(ev, params, profile_half) == 0.0)
+    assert np.all(core_gradient(ev, params) == 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Nehari projection
 
-def test_nehari_fixed_point_and_scaling(profile_half, rng):
+def test_nehari_fixed_point_and_scaling(rng):
     params = small_params()
     u = bump(params, rng)
-    t_u = project(u, params, profile_half)[0]
+    t_u = project(u, params)[0]
     assert t_u > 0
-    assert abs(project(scaled(t_u, u), params, profile_half)[0] - 1.0) \
-        < 1e-8
+    assert abs(project(scaled(t_u, u), params)[0] - 1.0) < 1e-8
     for c in (0.5, 2.0):
-        got = project(scaled(c, u), params, profile_half)[0]
+        got = project(scaled(c, u), params)[0]
         assert abs(got - t_u / c) < 1e-8 * t_u / c
 
 
@@ -305,18 +304,18 @@ def test_nehari_scale_matches_oracle(profile_half, rng, c):
     params = small_params()
     u = scaled(c, bump(params, rng))
     want = oracle_nehari_scale(u, params, profile_half)
-    assert abs(project(u, params, profile_half)[0] - want) < 1e-12 * want
+    assert abs(project(u, params)[0] - want) < 1e-12 * want
 
 
 @pytest.mark.parametrize("c", [1e-7, 1e7])
-def test_nehari_scale_root_outside_window(profile_half, rng, c):
+def test_nehari_scale_root_outside_window(rng, c):
     # the root scales like 1/c and leaves [1e-6, 1e6]
     params = small_params()
     with pytest.raises(BracketError, match="no sign change"):
-        project(scaled(c, bump(params, rng)), params, profile_half)
+        project(scaled(c, bump(params, rng)), params)
 
 
-def test_nehari_evaluations_per_projection(profile_half, monkeypatch):
+def test_nehari_evaluations_per_projection(monkeypatch):
     params = ground_params()
     counts = {"phi": 0, "projections": 0}
     phi, project = model_mod.nehari_phi, solver_mod._project
@@ -331,7 +330,7 @@ def test_nehari_evaluations_per_projection(profile_half, monkeypatch):
 
     monkeypatch.setattr(model_mod, "nehari_phi", counted_phi)
     monkeypatch.setattr(solver_mod, "_project", counted_project)
-    solve_ground(params, profile_half, random_seed_field(params, 11))
+    solve_ground(params, random_seed_field(params, 11))
     # the solve makes 75 projections from this start (2.76 evaluations
     # each); > 50 keeps the per-projection bound an average over many of
     # them
@@ -340,18 +339,16 @@ def test_nehari_evaluations_per_projection(profile_half, monkeypatch):
 
 
 @pytest.mark.parametrize("t0", [1.0, 2.5])
-def test_log_newton_reaches_power_root_in_one_step(profile_half, rng,
-                                                   monkeypatch, t0):
+def test_log_newton_reaches_power_root_in_one_step(rng, monkeypatch, t0):
     # for a power nonlinearity G(s) = ln(P / (Q t^2)) is linear in
     # s = ln t, so one Newton step in s from either side lands on the
     # closed-form root, and the second evaluation confirms it
     params = small_params(nonlinearity=PURE_POWER)
     u = bump(params, rng)
-    u = scaled(project(u, params, profile_half)[0] / 1.5, u)
-    want = project(u, params, profile_half)[0]
+    u = scaled(project(u, params)[0] / 1.5, u)
+    want = project(u, params)[0]
     assert abs(want - 1.5) < 1e-12
-    quad = model_mod._quad_terms(params, profile_half, u.values,
-                                 np.fft.rfftn(u.values))[1]
+    quad = model_mod._quad_terms(params, u.values, np.fft.rfftn(u.values))[1]
     calls, phi = [], model_mod.nehari_phi
 
     def counted_phi(*args):
@@ -387,8 +384,7 @@ def test_ray_levels_stay_below_projected_level(profile_half, rng,
         u = scaled(c, bump(params, rng, width=rng.uniform(0.5, 2.0)))
         levels.clear()
         starts.clear()
-        t, ev = model_mod._project(u.values, params, profile_half,
-                                   quad_ref=quad_ref)
+        t, ev = model_mod._project(u.values, params, quad_ref=quad_ref)
         assert bool(levels) == (spec is not PURE_POWER)
         if levels:
             assert (starts[0] == 1.0) == (quad_ref is None)
@@ -400,7 +396,7 @@ def test_ray_levels_stay_below_projected_level(profile_half, rng,
 
 
 @pytest.mark.parametrize("seed", [11, 13, 15])
-def test_early_rejection_keeps_the_solve(profile_half, monkeypatch, seed):
+def test_early_rejection_keeps_the_solve(monkeypatch, seed):
     # a projection that always runs to the root and leaves the Armijo test
     # to the level there gives the same solve, bit for bit; also from a
     # converged start under a tighter tolerance (a caller may pass one in),
@@ -409,20 +405,16 @@ def test_early_rejection_keeps_the_solve(profile_half, monkeypatch, seed):
     # until max_iter)
     params = ground_params()
     tight = dataclasses.replace(params, solver=SolverSettings(tol=1e-9))
-    fast = [solve_ground(params, profile_half,
-                         random_seed_field(params, seed))]
-    fast.append(solve_ground(tight, profile_half, fast[0].u))
+    fast = [solve_ground(params, random_seed_field(params, seed))]
+    fast.append(solve_ground(tight, fast[0].u))
     project = solver_mod._project
 
-    def full_project(u, params, profile, bound=np.inf, spectrum=None,
-                     quad_ref=None):
-        t, ev = project(u, params, profile, spectrum=spectrum,
-                        quad_ref=quad_ref)
+    def full_project(u, params, bound=np.inf, spectrum=None, quad_ref=None):
+        t, ev = project(u, params, spectrum=spectrum, quad_ref=quad_ref)
         return t, (ev if ev.level <= bound else None)
     monkeypatch.setattr(solver_mod, "_project", full_project)
-    full = [solve_ground(params, profile_half,
-                         random_seed_field(params, seed))]
-    full.append(solve_ground(tight, profile_half, full[0].u))
+    full = [solve_ground(params, random_seed_field(params, seed))]
+    full.append(solve_ground(tight, full[0].u))
     for a, b in zip(full, fast):
         assert a.history == b.history
         assert np.array_equal(a.u.values, b.u.values)
@@ -439,7 +431,7 @@ def test_projection_core_matches_oracles(spec, profile_half, rng):
         return abs(a - b) <= 1e-12 * abs(b)
     for _ in range(3):
         u = bump(params, rng, width=rng.uniform(0.5, 2.0))
-        t, ev = project(u, params, profile_half)
+        t, ev = project(u, params)
         v = scaled(t, u)
         assert np.array_equal(ev.values, v.values)
         assert close(ev.quad, oracles.quadratic_form(v, params, profile_half))
@@ -450,7 +442,7 @@ def test_projection_core_matches_oracles(spec, profile_half, rng):
         assert close(ev.psi, oracles.interaction(v, params))
         assert close(ev.level, oracles.level(v, params, profile_half))
         want = oracles.gradient(v, params, profile_half).values
-        assert np.max(np.abs(core_gradient(ev, params, profile_half)
+        assert np.max(np.abs(core_gradient(ev, params)
                               - want)) \
             <= 1e-12 * np.max(np.abs(want))
 
@@ -462,26 +454,26 @@ def test_nehari_pure_power_closed_form(profile_half, rng):
     want = (oracles.quadratic_form(u, params, profile_half)
             / (2 * theta * oracles.interaction(u, params))) \
         ** (1 / (2 * theta - 2))
-    assert abs(project(u, params, profile_half)[0] - want) < 1e-12 * want
+    assert abs(project(u, params)[0] - want) < 1e-12 * want
 
 
 def test_nehari_projected_field_is_critical(profile_half, rng):
     params = small_params()
     u = bump(params, rng)
-    w = scaled(project(u, params, profile_half)[0], u)
+    w = scaled(project(u, params)[0], u)
     pair = abs(w.grid.cell_volume * np.sum(
         oracles.gradient(w, params, profile_half).values * w.values))
     assert pair < 1e-10 * oracles.quadratic_form(w, params, profile_half)
 
 
-def test_nehari_requires_positive_part(profile_half, rng):
+def test_nehari_requires_positive_part(rng):
     params = small_params()
     neg = TraceField(params.grid, -np.abs(rng.standard_normal(params.n)))
     with pytest.raises(DomainError, match="Nehari projection undefined"):
-        project(neg, params, profile_half)
+        project(neg, params)
 
 
-def test_interaction_quartic_growth(profile_half, rng):
+def test_interaction_quartic_growth(rng):
     # Psi(t2 u)/Psi(t1 u) >= (t2/t1)^4 for t2 > t1 >= 1
     params = small_params()
     u = bump(params, rng)
@@ -506,7 +498,7 @@ def test_mountain_pass_geometry(profile_half, rng):
         assert vals[-1] < 0
 
 
-def test_pairing_consistency(profile_half, rng):
+def test_pairing_consistency(rng):
     # <Psi'(u), u> computed directly agrees with a finite difference of Psi
     params = small_params()
     u = bump(params, rng)

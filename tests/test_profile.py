@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicHermiteSpline
 from scipy.special import gamma, kv
 
+import hartreebox.profile as profile_mod
 from hartreebox.errors import DiagnosticError, DomainError
 from hartreebox.profile import (_S_MATCH, BesselProfile, build_profile,
                                 eval_profile, profile_to_csv)
@@ -126,8 +127,8 @@ def test_constants_match_gamma_formulas(sigma):
 
 @pytest.mark.parametrize("sigma", CONSTANT_SIGMAS)
 def test_kappa_matches_quadrature_of_the_energy(sigma):
-    # kappa (= d_sigma, from the series matching) against a fresh
-    # quadrature of the closed form's weighted Dirichlet energy
+    # kappa (= d_sigma, in closed form) against a fresh quadrature of the
+    # closed-form kernel's weighted Dirichlet energy
     p = build_profile(sigma)
     assert abs(p.kappa - weighted_energy(sigma)) < 1e-12 * p.kappa
 
@@ -180,6 +181,20 @@ def test_tiny_sigma_fails_the_matching_without_warnings():
         build_profile(1e-300)
 
 
+def test_matching_that_misses_the_closed_form_c1_is_rejected(monkeypatch):
+    # the matched c1 checks the table: a pivot derivative off by 1e-9 moves
+    # it by about that much, far past the 1e-12 the matching keeps
+    steps = profile_mod._taylor_steps
+
+    def perturbed(*args):
+        centres, rows, phi_m, dphi_m = steps(*args)
+        return centres, rows, phi_m, dphi_m * (1.0 + 1e-9)
+    monkeypatch.setattr(profile_mod, "_taylor_steps", perturbed)
+    with pytest.raises(DiagnosticError,
+                       match="disagrees with the closed form c1 = 1.0"):
+        build_profile(0.5)
+
+
 def test_build_validation():
     with pytest.raises(DomainError):
         build_profile(0.5, s_max=5.0)
@@ -221,16 +236,16 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 @st.composite
 def admissible_profiles(draw):
     """Tables with the properties build_profile guarantees: sigma in
-    (0, 1), 2-12 positive and strictly increasing nodes, finite phi and
-    dphi, a positive d_sigma."""
+    [1e-300, 1), where Gamma(sigma) and so the constants are finite
+    (build_profile rejects far larger sigma), 2-12 positive and strictly
+    increasing nodes, finite phi and dphi."""
     size = draw(st.integers(2, 12))
     nodes = np.sort(draw(arrays(np.float64, size, elements=POSITIVE,
                                 unique=True)))
     phi = draw(arrays(np.float64, size, elements=FINITE))
     dphi = draw(arrays(np.float64, size, elements=FINITE))
-    sigma = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    return BesselProfile(sigma=sigma, nodes=nodes, phi=phi, dphi=dphi,
-                         d_sigma=draw(POSITIVE))
+    sigma = draw(st.floats(1e-300, 1.0, exclude_max=True))
+    return BesselProfile(sigma=sigma, nodes=nodes, phi=phi, dphi=dphi)
 
 
 @given(p=admissible_profiles())

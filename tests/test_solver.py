@@ -26,8 +26,8 @@ def small_params(**kw):
 
 
 @pytest.fixture(scope="module")
-def base_result(profile_half):
-    return solve_ground(small_params(), profile_half)
+def base_result():
+    return solve_ground(small_params())
 
 
 def test_convergence_and_positivity(base_result, profile_half):
@@ -55,7 +55,7 @@ def stationarity(result, params, profile):
 def test_workload_starts_end_stationary(profile_half):
     # the three starts of the 1D n = 256 workload at config seed 11
     params = ground_params()
-    _, results = multistart(params, profile_half, [11, 12, 13])
+    _, results = multistart(params, [11, 12, 13])
     for res in results:
         assert res.stop_reason == "stationary"
         assert stationarity(res, params, profile_half) <= params.solver.tol
@@ -63,8 +63,8 @@ def test_workload_starts_end_stationary(profile_half):
     assert (max(levels) - min(levels)) / min(levels) < 1e-12
 
 
-def test_converged_start_stops_at_its_first_check(base_result, profile_half):
-    res = solve_ground(small_params(), profile_half, base_result.u)
+def test_converged_start_stops_at_its_first_check(base_result):
+    res = solve_ground(small_params(), base_result.u)
     assert res.iters == 0 and len(res.history) == 1
     assert res.stop_reason == "stationary"
     assert abs(res.level - base_result.level) <= 1e-14 * base_result.level
@@ -76,7 +76,7 @@ def test_converged_start_stops_at_its_first_check(base_result, profile_half):
                 nonlinearity=NonlinearitySpec("pure_power", 2.5),
                 potential=PotentialSpec(V_inf=1.0, A=0.3, w=4.0),
                 kernel=KernelSpec(a=0.0, b=1.0, w2=3.0))], ids=["1d", "3d"])
-def test_trial_spectra_track_their_fields(params, profile_half, monkeypatch):
+def test_trial_spectra_track_their_fields(params, monkeypatch):
     # each trial's spectrum is the current one plus the step times the
     # direction's, not a transform of the trial; after a whole solve the
     # last projected point's spectrum is still rfftn of its values
@@ -88,14 +88,14 @@ def test_trial_spectra_track_their_fields(params, profile_half, monkeypatch):
             accepted.append(ev)
         return t, ev
     monkeypatch.setattr(solver_mod, "_project", recorded)
-    res = solve_ground(params, profile_half, random_seed_field(params, 11))
+    res = solve_ground(params, random_seed_field(params, 11))
     ev = accepted[-1]
     assert np.array_equal(ev.values, res.u.values)
     want = np.fft.rfftn(ev.values)
     assert np.max(np.abs(ev.spectrum - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def a_zero_params(params, base_result, profile_half, monkeypatch):
+def a_zero_params(params, base_result, monkeypatch):
     """The parameter set of the one solve compare_levels makes."""
     solved, solve = [], solver_mod.solve_ground
 
@@ -103,26 +103,24 @@ def a_zero_params(params, base_result, profile_half, monkeypatch):
         solved.append(params)
         return solve(params, *args)
     monkeypatch.setattr(solver_mod, "solve_ground", recorded)
-    compare_levels(params, profile_half, base_result)
+    compare_levels(params, base_result)
     (flat,) = solved
     assert flat.potential.A == 0.0
     return flat
 
 
-def test_a_zero_problem_shares_the_grid(base_result, profile_half,
-                                        monkeypatch):
+def test_a_zero_problem_shares_the_grid(base_result, monkeypatch):
     params = small_params()
-    flat = a_zero_params(params, base_result, profile_half, monkeypatch)
+    flat = a_zero_params(params, base_result, monkeypatch)
     assert flat.grid is params.grid
 
 
-def test_a_zero_problem_shares_the_kernel_spectrum(base_result, profile_half,
-                                                   monkeypatch):
+def test_a_zero_problem_shares_the_kernel_spectrum(base_result, monkeypatch):
     # the kernel does not depend on the potential: no second sampling and
     # transform of W
     params = small_params()
     spectrum = params.kernel_spectrum   # as the ground solve of params made it
-    flat = a_zero_params(params, base_result, profile_half, monkeypatch)
+    flat = a_zero_params(params, base_result, monkeypatch)
     assert flat.kernel_spectrum is spectrum
     assert "kernel_values" not in vars(flat)
 
@@ -143,44 +141,41 @@ def test_weak_form_residual(base_result, profile_half, rng):
         assert abs(pair) / v.norm_l2() < 10 * params.solver.tol * scale
 
 
-def test_seeds_agree_on_level(profile_half):
+def test_seeds_agree_on_level():
     params = small_params()
-    best, results = multistart(params, profile_half, [5, 6])
+    best, results = multistart(params, [5, 6])
     a, b = (r.level for r in results)
     assert abs(a - b) < 1e-4 * min(a, b)
 
 
-def test_translation_invariance_without_well(profile_half):
+def test_translation_invariance_without_well():
     params = small_params(potential=PotentialSpec(V_inf=1.0, A=0.0, w=2.0))
-    centered = solve_ground(params, profile_half,
-                            gaussian_bump(params.grid, 1.0, 1.5))
-    shifted = solve_ground(params, profile_half,
+    centered = solve_ground(params, gaussian_bump(params.grid, 1.0, 1.5))
+    shifted = solve_ground(params,
                            gaussian_bump(params.grid, 1.0, 1.5, (3.0,)))
     assert abs(centered.level - shifted.level) < 1e-6 * centered.level
 
 
-def test_shifted_start_converges_under_rounding_perturbations(profile_half):
+def test_shifted_start_converges_under_rounding_perturbations():
     # from a shifted start at A = 0 the descent slides along the nearly flat
     # translation mode, where a step can show no positive curvature (s.y
     # <= 0); L-BFGS keeps no such pair (a Barzilai-Borwein descent that
     # fell back to a step of 1 there let about a third of starts perturbed
     # at 1e-15 crawl past max_iter)
     params = small_params(potential=PotentialSpec(V_inf=1.0, A=0.0, w=2.0))
-    centered = solve_ground(params, profile_half,
-                            gaussian_bump(params.grid, 1.0, 1.5))
+    centered = solve_ground(params, gaussian_bump(params.grid, 1.0, 1.5))
     shifted = gaussian_bump(params.grid, 1.0, 1.5, (3.0,)).values
     rng = np.random.default_rng(2026)
     for _ in range(3):
         seed = shifted * (1.0 + 1e-15 * rng.standard_normal(params.n))
-        res = solve_ground(params, profile_half,
-                           TraceField(params.grid, seed))
+        res = solve_ground(params, TraceField(params.grid, seed))
         assert abs(res.level - centered.level) < 1e-6 * centered.level
 
 
-def test_asymptotic_solution_symmetric(profile_half):
+def test_asymptotic_solution_symmetric():
     # the A = 0 problem compare_levels solves for c_inf
     params = small_params(potential=PotentialSpec(V_inf=1.0, A=0.0, w=2.0))
-    res = solve_ground(params, profile_half)
+    res = solve_ground(params)
     vals = res.u.values
     peak = int(np.argmax(vals))
     reflected = vals[(2 * peak - np.arange(params.n)) % params.n]
@@ -188,70 +183,65 @@ def test_asymptotic_solution_symmetric(profile_half):
     assert asym < 1e-3
 
 
-def test_asymptotic_ignores_well_depth(profile_half):
+def test_asymptotic_ignores_well_depth():
     deep = small_params(potential=PotentialSpec(V_inf=1.0, A=0.6, w=2.0))
     shallow = small_params(potential=PotentialSpec(V_inf=1.0, A=0.1, w=2.0))
     # the A = 0 solves start from the two different ground states
-    a = compare_levels(deep, profile_half,
-                       solve_ground(deep, profile_half))[1]
-    b = compare_levels(shallow, profile_half,
-                       solve_ground(shallow, profile_half))[1]
+    a = compare_levels(deep, solve_ground(deep))[1]
+    b = compare_levels(shallow, solve_ground(shallow))[1]
     assert abs(a - b) < 1e-8 * a
 
 
-def test_compare_levels_ordering(base_result, profile_half):
-    c_star, c_inf, margin = compare_levels(small_params(), profile_half,
-                                           base_result)
+def test_compare_levels_ordering(base_result):
+    c_star, c_inf, margin = compare_levels(small_params(), base_result)
     assert c_star == base_result.level
     assert 0 < c_star < c_inf
     assert margin > 0
 
 
-def test_compare_levels_equal_without_well(profile_half):
+def test_compare_levels_equal_without_well():
     params = small_params(potential=PotentialSpec(V_inf=1.0, A=0.0, w=2.0))
-    c_star, c_inf, margin = compare_levels(
-        params, profile_half, solve_ground(params, profile_half))
+    c_star, c_inf, margin = compare_levels(params, solve_ground(params))
     assert abs(c_star - c_inf) < 1e-6 * c_inf
 
 
-def test_margin_monotone_in_well_depth(profile_half):
+def test_margin_monotone_in_well_depth():
     margins = []
     for frac in (0.1, 0.2, 0.4):
         params = small_params(
             potential=PotentialSpec(V_inf=1.0, A=frac, w=2.0))
-        ground = solve_ground(params, profile_half)
-        margins.append(compare_levels(params, profile_half, ground)[2])
+        ground = solve_ground(params)
+        margins.append(compare_levels(params, ground)[2])
     assert margins[0] < margins[1] < margins[2]
 
 
-def test_refinement_check(base_result, profile_half):
-    change, fine = linf_refinement_check(base_result, small_params(),
-                                         profile_half)
+def test_refinement_check(base_result):
+    change, fine = linf_refinement_check(base_result, small_params())
     assert change < 0.02
     assert np.isfinite(np.abs(fine.u.values).max())
     with pytest.raises(VerificationError, match="grid refinement"):
-        linf_refinement_check(base_result, small_params(), profile_half,
+        linf_refinement_check(base_result, small_params(),
                               rtol=0.5 * change)
 
 
-def test_seed_on_another_grid(profile_half):
+def test_seed_on_another_grid():
     params = small_params()
     other = TraceField(Grid(1, 5.0, params.n), np.ones(params.n))
     with pytest.raises(DomainError, match="seed grid"):
-        solve_ground(params, profile_half, other)
+        solve_ground(params, other)
 
 
-def test_seed_without_positive_part(profile_half):
+def test_seed_without_positive_part():
     params = small_params()
     bad = TraceField(params.grid, -np.ones(params.n))
     with pytest.raises(DomainError, match="positive part"):
-        solve_ground(params, profile_half, bad)
+        solve_ground(params, bad)
 
 
-def test_iteration_budget_exhaustion(profile_half):
+def test_iteration_budget_exhaustion():
     params = small_params(solver=SolverSettings(tol=1e-8, max_iter=2))
     with pytest.raises(ConvergenceError) as exc:
-        solve_ground(params, profile_half)
+        solve_ground(params)
     history = exc.value.history
     assert [row[0] for row in history] == [0, 1, 2]
     # the message names the stop reason and reports the last row's
@@ -263,12 +253,12 @@ def test_iteration_budget_exhaustion(profile_half):
             ) == str(exc.value)
 
 
-def test_unreachable_tolerance_stops_on_the_line_search(profile_half):
+def test_unreachable_tolerance_stops_on_the_line_search():
     # below the rounding floor of the level no trial passes the Armijo test:
     # the solve stops at the first failed restart, not at max_iter
     params = small_params(solver=SolverSettings(tol=1e-16))
     with pytest.raises(ConvergenceError, match=r"\(line_search: ") as exc:
-        solve_ground(params, profile_half)
+        solve_ground(params)
     history = exc.value.history
     assert history[-1][4] == 0.0
     assert len(history) - 1 < params.solver.max_iter

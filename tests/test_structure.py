@@ -184,3 +184,16 @@ def test_readme_names_exactly_the_cli_options():
     section = text[start:text.index("\n## ", start + 1)]
     named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
     assert registered_options(build_parser()) == named
+
+
+def test_solve_path_takes_no_profile_table():
+    # the solve path reads kappa from the closed form profile.flux_constant;
+    # the tabulated kernel serves only the profile and verify commands
+    for name in ("model.py", "solver.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        from_profile = {alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom)
+                        and node.module == "profile" for alias in node.names}
+        assert from_profile <= {"flux_constant"}, name
+        assert not ({"BesselProfile", "build_profile"}
+                    & referenced_names(tree)), name
