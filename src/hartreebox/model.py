@@ -54,7 +54,13 @@ class NonlinearitySpec:
 # monomial the rule misses, -t^13 x^14 / 13, it gets wrong by 5.7e-9 t^13/13,
 # under 1e-17 of the integral (about t/3) there.
 _F_QUAD_BELOW = 0.2
-_F_QUAD_NODES, _F_QUAD_WEIGHTS = np.polynomial.legendre.leggauss(7)
+# leggauss(7) of numpy.polynomial.legendre, whose import costs 1.4-1.8 MB
+_F_QUAD_NODES, _F_QUAD_WEIGHTS = np.array([
+    [-0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+     0.4058451513773972, 0.7415311855993945, 0.9491079123427586],
+    [0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
+     0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+     0.12948496616886973]])
 # the rule on [0, 1], as columns: weight w_i x_i at node x_i
 _F_QUAD_NODES = 0.5 * (_F_QUAD_NODES[:, None] + 1.0)
 _F_QUAD_WEIGHTS = 0.5 * _F_QUAD_WEIGHTS[:, None] * _F_QUAD_NODES
@@ -232,7 +238,7 @@ class ModelParams:
     def potential_values(self) -> np.ndarray:
         return self.potential.sample(self.grid)
 
-    @cached_property
+    @property
     def kernel_values(self) -> np.ndarray:
         return self.kernel.sample(self.grid)
 

@@ -17,7 +17,7 @@ the complex conjugates of modes kept.
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +29,7 @@ _BIN_MAGIC = 0x46584248  # "HBXF" little-endian
 # the one format read: format 1 stored L rounded to 1e-6, format 2 stores
 # L's float64 bits
 _BIN_FORMAT = 2
+_CSV_BLOCK = 4096  # values per write or parse of a field CSV
 
 
 @dataclass(frozen=True)
@@ -66,15 +67,16 @@ class Grid:
 
     @cached_property
     def coords(self):
-        """Meshgrid of physical coordinates, one array per axis."""
-        return np.meshgrid(*([self.axis] * self.dim), indexing="ij")
+        """Open meshgrid of physical coordinates, one array per axis."""
+        return np.meshgrid(*([self.axis] * self.dim), indexing="ij",
+                           sparse=True)
 
-    @cached_property
+    @property
     def radius_sq(self):
         """|y|^2 with the origin at the box center (no wrap)."""
         return sum(c ** 2 for c in self.coords)
 
-    @cached_property
+    @property
     def displacement_radius(self):
         """Minimal-image |d| indexed by displacement (index 0 = zero shift).
 
@@ -82,18 +84,17 @@ class Grid:
         a kernel: entry i holds the distance of the periodic shift i*2L/n.
         """
         d_ax = (2.0 * self.L / self.n) * np.arange(self.n)
-        d_ax = np.minimum(d_ax, 2.0 * self.L - d_ax)
-        mesh = np.meshgrid(*([d_ax] * self.dim), indexing="ij")
-        return np.sqrt(sum(x ** 2 for x in mesh))
+        d_sq = np.minimum(d_ax, 2.0 * self.L - d_ax) ** 2
+        return np.sqrt(sum(np.meshgrid(*([d_sq] * self.dim), indexing="ij",
+                                       sparse=True)))
 
-    @cached_property
+    @property
     def xi_sq(self):
         """|xi|^2 on the rfftn half lattice."""
         d = 2.0 * self.L / self.n
-        axes = ([np.fft.fftfreq(self.n, d=d)] * (self.dim - 1)
-                + [np.fft.rfftfreq(self.n, d=d)])
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return sum(x ** 2 for x in mesh)
+        axes = ([np.fft.fftfreq(self.n, d=d) ** 2] * (self.dim - 1)
+                + [np.fft.rfftfreq(self.n, d=d) ** 2])
+        return sum(np.meshgrid(*axes, indexing="ij", sparse=True))
 
     @cached_property
     def k_sq(self) -> np.ndarray:
@@ -241,29 +242,36 @@ def sobolev_form(grid: Grid, spectrum: np.ndarray, m: float,
 
 def field_to_csv(h: TraceField, path) -> None:
     g = h.grid
+    values = h.values.ravel(order="C")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dim", "n", "L"])
-        w.writerow([g.dim, g.n, repr(float(g.L))])
-        w.writerow(["value"])
-        # one row per value, as csv.writer would write them, in one write
-        values = h.values.ravel(order="C").tolist()
-        fh.write("\r\n".join(map(repr, values)) + "\r\n")
+        # the rows csv.writer would write, one per value, a block per write
+        fh.write(f"dim,n,L\r\n{g.dim},{g.n},{float(g.L)!r}\r\nvalue\r\n")
+        for i in range(0, values.size, _CSV_BLOCK):
+            block = values[i:i + _CSV_BLOCK].tolist()
+            fh.write("\r\n".join(map(repr, block)) + "\r\n")
 
 
 def field_from_csv(path) -> TraceField:
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    try:
-        if lines[0] != "dim,n,L" or lines[2] != "value":
-            raise ValueError("bad header rows")
-        dim, n, L = lines[1].split(",")
-        grid = Grid(int(dim), float(L), int(n))
-        # a blank line fails the parse, a wrong count the reshape
-        vals = np.array(lines[3:], dtype=float)
-        return TraceField(grid, vals.reshape(grid.shape))
-    except (ValueError, IndexError, NumericError) as exc:
-        raise DomainError(f"unreadable field CSV {path}: {exc}") from exc
+        try:
+            head = [fh.readline() for _ in range(3)]
+            if head[0] != "dim,n,L\n" or head[2] != "value\n":
+                raise ValueError("bad header rows")
+            dim, n, L = head[1].split(",")
+            grid = Grid(int(dim), float(L), int(n))
+            # a block of rows per parse; a blank row fails it
+            vals = np.empty(grid.n ** grid.dim)
+            for i in range(0, vals.size, _CSV_BLOCK):
+                part = vals[i:i + _CSV_BLOCK]
+                block = list(itertools.islice(fh, part.size))
+                if len(block) < part.size:
+                    raise ValueError(f"fewer than {vals.size} values")
+                part[:] = block
+            if fh.readline():
+                raise ValueError(f"more than {vals.size} values")
+            return TraceField(grid, vals.reshape(grid.shape))
+        except (ValueError, NumericError) as exc:
+            raise DomainError(f"unreadable field CSV {path}: {exc}") from exc
 
 
 def field_from_binary(path) -> TraceField:

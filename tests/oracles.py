@@ -4,12 +4,14 @@ The package evaluates everything on the rfftn half lattice through one core
 (`model._project`).  The oracles here share none of that code: they work
 with dense DFT matrices and direct sums, or with complex `fftn`/`ifftn` on
 the full lattice, and compute each quantity afresh at the field given.
-The file writer and reader the package does not ship, but the round-trip
-tests need, sit at the end.
+The memory tracer the memory-bound tests share, and the file writer and
+reader the package does not ship, but the round-trip tests need, sit at the
+end.
 """
 
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 from scipy.integrate import quad
@@ -201,6 +203,20 @@ def linf_refinement_check(result, params, rtol=0.02):
             f"sup norm changed by {change:.2%} under grid refinement "
             f"(allowed {rtol:.0%})")
     return change, fine
+
+
+# ---------------------------------------------------------------------------
+# Memory
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory traced during the call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 # ---------------------------------------------------------------------------

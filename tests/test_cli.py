@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -22,7 +23,8 @@ from hartreebox.config import _SCHEMA, RunConfig, load_config
 from hartreebox.errors import (BracketError, ConfigError, ConvergenceError,
                                DiagnosticError, DomainError, HartreeboxError,
                                NumericError, VerificationError)
-from hartreebox.spectral import Grid, TraceField, field_to_csv
+from hartreebox.spectral import (Grid, TraceField, field_from_csv,
+                                 field_to_csv)
 
 from oracles import field_to_binary
 
@@ -413,6 +415,36 @@ def test_blank_line_in_field_csv_exits_1(tmp_path, capsys):
     rows = path.read_text().splitlines()
     path.write_text("\n".join(rows[:10] + [""] + rows[10:]) + "\n")
     rc = main(["verify", "--config", write_config(tmp_path), "--out",
+               str(tmp_path / "o"), "--field", str(path)])
+    assert rc == 1
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["blank row 4097", "one value too many",
+                                  "one value too few", "trailing blank",
+                                  "one row in the last block"])
+def test_bad_rows_at_csv_block_boundaries_exit_1(tmp_path, capsys, edit):
+    # 32^3 = 32768 values: eight blocks of 4096 rows for the reader, so
+    # each fault sits at the start or end of a block; a last block of one
+    # row would broadcast over the block if its count went unchecked
+    path = tmp_path / "field.csv"
+    field_to_csv(TraceField(Grid(3, 10.0, 32), np.ones((32,) * 3)), str(path))
+    rows = path.read_text().splitlines()
+    if edit == "blank row 4097":
+        rows.insert(3 + 4096, "")
+    elif edit == "one value too many":
+        rows.append(rows[-1])
+    elif edit == "one value too few":
+        rows.pop()
+    elif edit == "one row in the last block":
+        del rows[-4095:]
+    else:
+        rows.append("")
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DomainError, match=re.escape(str(path))):
+        field_from_csv(path)
+    cfg = BASE_CONFIG.replace("N = 1", "N = 3").replace("n = 64", "n = 32")
+    rc = main(["verify", "--config", write_config(tmp_path, cfg), "--out",
                str(tmp_path / "o"), "--field", str(path)])
     assert rc == 1
     assert str(path) in capsys.readouterr().err

@@ -1,6 +1,5 @@
 """Weighted half-space extension: lift, energy and trace identities, decay."""
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +16,7 @@ from hartreebox.spectral import Grid, TraceField, apply_multiplier
 
 from conftest import SIGMAS
 from oracles import (extension_values, full_multiplier, full_xi_sq,
-                     spectral_weights)
+                     spectral_weights, traced_peak)
 
 
 def random_field(rng, n=64, L=5.0, decay=2.0):
@@ -397,17 +396,6 @@ def test_modewise_checks_match_dense_extension(profiles, sigma, dim, n, rng):
     assert np.array_equal(mask, (weights >= 1e-6 * weights.sum())[half])
     dense = dense_neumann(h, values, x, p)[half][mask]
     assert np.all(np.abs(est - dense) <= 1e-7 * np.abs(target))
-
-
-def traced_peak(fn, *args):
-    """fn(*args) and the peak of the memory traced during the call."""
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return out, peak
 
 
 def test_lift_and_checks_memory_bounded(profile_half):

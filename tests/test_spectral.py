@@ -17,7 +17,7 @@ from hartreebox.spectral import (Grid, TraceField, apply_multiplier,
                                  inverse_spectrum, sobolev_form)
 
 from oracles import (dense_convolve, dense_frac_apply, field_to_binary,
-                     full_multiplier, refine, spectral_weights)
+                     full_multiplier, refine, spectral_weights, traced_peak)
 
 
 def kernel_params(g, **kernel):
@@ -189,6 +189,39 @@ def test_grid_validation():
             Grid(1, L, 8)
 
 
+def test_grid_coordinate_meshes_are_open():
+    # one axis of n values per dimension, broadcast where they combine
+    g = Grid(3, 10.0, 32)
+    assert [c.shape for c in g.coords] == [(32, 1, 1), (1, 32, 1), (1, 1, 32)]
+    assert np.array_equal(g.radius_sq, sum(
+        c ** 2 for c in np.meshgrid(*([g.axis] * 3), indexing="ij")))
+
+
+def cached_arrays(*objs):
+    """Every array held in the instance dicts of objs, one level into the
+    dicts and lists there."""
+    found = []
+    for value in (v for obj in objs for v in vars(obj).values()):
+        items = value.values() if isinstance(value, dict) else (
+            value if isinstance(value, (list, tuple)) else [value])
+        found += [a for a in items if isinstance(a, np.ndarray)]
+    return found
+
+
+def test_kernel_and_multiplier_cache_no_coordinate_mesh():
+    # the sampled kernel, the displacement radii and |xi|^2 feed one cached
+    # array each, the kernel spectrum and the multiplier, and are dropped;
+    # L = 9.75 gives a grid no other test shares
+    params = kernel_params(Grid(3, 9.75, 32))
+    g = params.grid
+    spectrum = params.kernel_spectrum
+    mult = g.multiplier(params.m, params.sigma)
+    rest = [a for a in cached_arrays(g, params)
+            if a is not spectrum and a is not mult]
+    assert all(a.size <= g.n for a in rest)
+    assert len(cached_arrays(g, params)) == len(rest) + 2
+
+
 def test_frac_apply_domain_errors():
     # sigma and m are checked where they enter the package: ModelParams
     # for the solver's operator; build_profile, a profile's one
@@ -266,6 +299,31 @@ def test_field_csv_roundtrip(tmp_path, rng):
     back = field_from_csv(path)
     assert back.grid == g
     assert np.array_equal(back.values, h.values)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 64), (3, 18)])
+def test_field_csv_roundtrip_across_blocks(tmp_path, rng, dim, n):
+    # the reader parses 4096 rows at a time: 64^2 values fill one block
+    # exactly, 18^3 = 5832 one block and part of a second
+    g = Grid(dim, 3.7, n)
+    h = TraceField(g, rng.standard_normal(g.shape))
+    path = tmp_path / "field.csv"
+    field_to_csv(h, path)
+    back = field_from_csv(path)
+    assert back.grid == g
+    assert back.values.tobytes() == h.values.tobytes()
+
+
+def test_field_csv_io_holds_a_block_at_a_time(tmp_path, rng):
+    # 3D n = 32: the field is 256 KiB and its rows 0.7 MB of text, which
+    # take 3 to 4 MiB to format or parse whole
+    g = Grid(3, 10.0, 32)
+    h = TraceField(g, rng.standard_normal(g.shape))
+    path = tmp_path / "field.csv"
+    assert traced_peak(field_to_csv, h, path)[1] < 2 ** 20
+    back, peak = traced_peak(field_from_csv, path)
+    assert peak < 1.5 * 2 ** 20
+    assert back.values.tobytes() == h.values.tobytes()
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (3, 8)])

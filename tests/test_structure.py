@@ -3,13 +3,19 @@
 import argparse
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 import hartreebox
 from hartreebox.cli import build_parser
 from hartreebox.config import _REQUIRED, _SCHEMA, load_config
 from hartreebox.extension import MIN_DECAY_LENGTHS, lift
+from hartreebox import model
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
                               PotentialSpec, SolverSettings)
 from hartreebox.profile import build_profile
@@ -197,3 +203,26 @@ def test_solve_path_takes_no_profile_table():
         assert from_profile <= {"flux_constant"}, name
         assert not ({"BesselProfile", "build_profile"}
                     & referenced_names(tree)), name
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # numpy.polynomial adds 1.4-1.8 MB to every command's resident memory;
+    # the package writes the one rule it needed from it as literals
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hartreebox.cli; "
+         "print('numpy.polynomial' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_log_linear_quadrature_is_leggauss_7():
+    # the literals are leggauss(7)'s nodes and weights bit for bit, mapped
+    # to [0, 1] as model maps them
+    x, w = np.polynomial.legendre.leggauss(7)
+    nodes = 0.5 * (x[:, None] + 1.0)
+    assert model._F_QUAD_NODES.shape == model._F_QUAD_WEIGHTS.shape == (7, 1)
+    assert model._F_QUAD_NODES.tobytes() == nodes.tobytes()
+    assert model._F_QUAD_WEIGHTS.tobytes() == (
+        0.5 * w[:, None] * nodes).tobytes()
