@@ -6,15 +6,13 @@ The kernel solves the modified-Bessel-type boundary value problem
     phi(0) = 1,    phi(s) -> 0  as  s -> infinity,
 
 for 0 < sigma < 1.  In closed form phi(s) = (2/Gamma(sigma)) (s/2)^sigma
-K_sigma(s); here it is tabulated by shooting on the decaying branch from
-s_max inward (the growing solution dies in that direction, so the branch is
-stable) and matching a Frobenius series about s = 0 at a small pivot.  The
-shooting sums the ODE's Taylor series about each step's start, at most half
-its radius (the distance to s = 0) away; it also gives the values in between.
+K_sigma(s) and phi'(s) = -(2/Gamma(sigma)) (s/2)^sigma K_(1-sigma)(s); here
+both are tabulated by the trapezoid rule on the integral representation of
+K_nu (build_profile).
 
 The flux constant d_sigma = -lim_{s->0+} s^(1-2*sigma) phi'(s) is the
-closed form 2^(1-2*sigma) Gamma(1-sigma) / Gamma(sigma) of flux_constant; the
-series matching checks the table against it.  The weighted Dirichlet energy
+closed form 2^(1-2*sigma) Gamma(1-sigma) / Gamma(sigma) of flux_constant.
+The weighted Dirichlet energy
 
     kappa = int_0^inf (phi^2 + phi'^2) s^(1-2*sigma) ds = d_sigma,
 
@@ -39,13 +37,11 @@ import numpy as np
 
 from .errors import DiagnosticError, DomainError
 
-_SERIES_TERMS = 40
 _SMALL_S_TERMS = 4       # eval_profile's series below s = 0.01
 _HANKEL_TERMS = 20       # eval_profile's Hankel series beyond s_max >= 20
-_TAYLOR_TERMS = 60      # terms per inward Taylor step (ratio |h|/c <= 1/2)
-_S_MATCH = 0.5          # pivot where the inward solve hands over to the series
-# Largest s_max: Taylor rows near the pivot reach e^s_max 2^59 (s_max/s)^(1/2),
-# which overflows (ln max float = 709.78) at s_max ~ 666; first seen at 667
+_QUAD_RTOL = 1e-17       # build_profile's sums stop at terms below this share
+# Largest s_max, short of where phi ~ e^-s underflows (the table's last value
+# reads 0 at s_max = 745); the bound also rejects inf and nan
 _S_MAX_LIMIT = 600.0
 
 
@@ -73,62 +69,14 @@ def _frobenius(sigma, terms):
     return branches
 
 
-def _series_basis(sigma, s):
-    """Both Frobenius branches, each as (u, u'), at s > 0."""
-    s = np.asarray(s, dtype=float)
-    branches = []
-    for q, a in _frobenius(sigma, _SERIES_TERMS):
-        u, du = np.zeros_like(s), np.zeros_like(s)
-        for qk, ak in zip(q, a):
-            u = u + ak * s ** qk
-            du = du + qk * ak * s ** (qk - 1.0)
-        branches.append((u, du))
-    return branches
-
-
-def _taylor_steps(sigma, s_max, s_match, phi0, dphi0):
-    """Step the kernel ODE from (phi0, dphi0) at s_max inward to s_match.
-
-    About a centre c, phi = sum a_k (s - c)^k with a_{k+2} = (c a_k + a_{k-1}
-    - (k+1)(k+1-2 sigma) a_{k+1}) / (c (k+1)(k+2)), convergent for |s-c| < c;
-    each step goes min(1, c/2).  Returns the centres (increasing), their
-    coefficient rows (each for the step down from its centre) and the pivot.
-    """
-    centres, rows = [], []
-    c, a0, a1 = s_max, phi0, dphi0
-    while c > s_match:
-        a = np.zeros(_TAYLOR_TERMS + 1)         # a[-1] = 0 stands for a_{-1}
-        a[0], a[1] = a0, a1
-        for j in range(_TAYLOR_TERMS - 2):
-            a[j + 2] = ((c * a[j] + a[j - 1]
-                         - (j + 1) * (j + 1 - 2.0 * sigma) * a[j + 1])
-                        / (c * (j + 1) * (j + 2)))
-        step = min(1.0, 0.5 * c, c - s_match)
-        a0, a1 = _horner(a.__getitem__, -step)
-        centres.append(c)
-        rows.append(a)
-        c = s_match if step == c - s_match else c - step
-    return np.array(centres[::-1]), np.array(rows[::-1]), a0, a1
-
-
-def _horner(coef, h):
-    """sum_k coef(k) h^k over k < _TAYLOR_TERMS, and its derivative in h."""
-    p = dp = 0.0
-    for k in range(_TAYLOR_TERMS - 1, -1, -1):
-        dp = dp * h + p
-        p = p * h + coef(k)
-    return p, dp
-
-
 @dataclass(frozen=True)
 class BesselProfile:
     """Tabulated extension kernel for one value of sigma.
 
     nodes are graded toward 0 (s_j = s_max * (j/M)^3) so the s^(1-2*sigma)
     weight is resolved.  phi/dphi are the kernel and its derivative at the
-    nodes.  d_sigma, kappa, c1 and c2 are closed forms in sigma, as in the
-    module docstring; build_profile, its one constructor, checks the table's
-    series matching against them.
+    nodes, from build_profile, its one constructor.  d_sigma, kappa, c1 and
+    c2 are closed forms in sigma, as in the module docstring.
     """
 
     sigma: float
@@ -158,11 +106,17 @@ class BesselProfile:
 
 
 def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselProfile:
-    """Tabulate the kernel by inward shooting plus series matching.
+    """Tabulate phi and dphi by the trapezoid rule on K_nu(s) = int_0^inf
+    e^(-s cosh t) cosh(nu t) dt (DLMF 10.32.9) for nu = sigma and 1 - sigma.
+
+    Each node's integrals are scaled by e^s and take steps h = 0.2 /
+    max(1, sqrt(s)); the rule converges exponentially for this analytic
+    integrand (Trefethen & Weideman, SIAM Rev. 56, 2014).  A node is done
+    once its latest terms are below _QUAD_RTOL of its sums.
 
     Raises DomainError for sigma, s_max or M out of range and
-    DiagnosticError when the decaying branch cannot be normalized or its
-    matched c1 disagrees with the closed form.
+    DiagnosticError for sums still open where every integrand is 0 in
+    floating point.
     """
     if not 0.0 < sigma < 1.0:
         raise DomainError("sigma out of (0,1)")
@@ -171,48 +125,33 @@ def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselPro
     if M < 1000:
         raise DomainError("M must be >= 1000")
 
-    s_match = min(_S_MATCH, s_max / 4.0)
-
-    # Decaying-branch start with one asymptotic correction; the overall scale
-    # is arbitrary and removed by the matching below.
-    p_exp = (2.0 * sigma - 1.0) / 2.0
-    mu1 = 4.0 * sigma ** 2 - 1.0
-    phi0 = 1.0
-    dphi0 = phi0 * (p_exp / s_max - 1.0
-                    - (mu1 / (8.0 * s_max ** 2)) / (1.0 + mu1 / (8.0 * s_max)))
-    centres, rows, phi_m, dphi_m = _taylor_steps(sigma, s_max, s_match,
-                                                 phi0, dphi0)
-    if not np.isfinite([phi_m, dphi_m]).all():
-        raise DiagnosticError("inward shooting solve failed: non-finite "
-                              f"value ({phi_m!r}, {dphi_m!r}) at the pivot")
-
-    (u1, du1), (u2, du2) = _series_basis(sigma, s_match)
-    det = u1 * du2 - du1 * u2
-    if not (np.isfinite(det) and det != 0.0):
-        raise DiagnosticError("shooting failed to bracket the decaying branch "
-                              f"(series Wronskian {float(det)!r})")
-    A = (phi_m * du2 - dphi_m * u2) / det
-    B = (dphi_m * u1 - phi_m * du1) / det
-    if not np.isfinite(A) or A <= 0.0:
-        raise DiagnosticError("shooting failed to bracket the decaying branch "
-                              f"(matched amplitude {A!r})")
-    # the table's self-check; measured gaps stay below 1.1e-15 of c1 over
-    # sigma in [1e-12, 1 - 1e-12], s_max in [20, 600] and M in {1000, 2000}
-    c1 = flux_constant(sigma) / (2.0 * sigma)
-    if not abs(-B / A - c1) <= 1e-12 * c1:
-        raise DiagnosticError(f"matched small-s coefficient {-B / A!r} "
-                              f"disagrees with the closed form c1 = {c1!r}")
-
-    # Frobenius series below the pivot, the inward Taylor steps above; the
-    # nodes increase, so the series takes a prefix of them
     nodes = s_max * (np.arange(1, M + 1) / M) ** 3
-    lo = nodes < s_match
-    (v1, dv1), (v2, dv2) = _series_basis(sigma, nodes[lo])
-    j = np.minimum(np.searchsorted(centres, nodes[~lo]), len(rows) - 1)
-    v, dv = _horner(lambda k: rows[j, k], nodes[~lo] - centres[j])
-    return BesselProfile(sigma=sigma, nodes=nodes,
-                         phi=np.concatenate([v1 - c1 * v2, v / A]),
-                         dphi=np.concatenate([dv1 - c1 * dv2, dv / A]))
+    h = 0.2 / np.sqrt(np.maximum(nodes, 1.0))
+    # e^(-746) is 0 in floating point, so past s (cosh t - 1) = 746 no term
+    # adds anything
+    steps = int(np.max(np.arccosh(1.0 + 746.0 / nodes) / h)) + 1
+    k_sigma, k_dual = np.full(M, 0.5), np.full(M, 0.5)    # the t = 0 terms
+    live = M      # the nodes past the last unconverged one are done
+    for k in range(1, steps + 1):
+        t = k * h[:live]
+        # e^(-s (cosh t - 1)), with cosh t - 1 = 2 sinh(t/2)^2 exact at small t
+        decay = np.exp(-2.0 * nodes[:live] * np.sinh(0.5 * t) ** 2)
+        a, b = decay * np.cosh(sigma * t), decay * np.cosh((1.0 - sigma) * t)
+        k_sigma[:live] += a
+        k_dual[:live] += b
+        open_ = np.flatnonzero(~((a < _QUAD_RTOL * k_sigma[:live])
+                                 & (b < _QUAD_RTOL * k_dual[:live])))
+        if not open_.size:
+            break
+        live = open_[-1] + 1
+    else:
+        raise DiagnosticError(f"Bessel quadrature did not converge in {steps} "
+                              "steps")
+    # 2/Gamma(sigma) as 2 sigma/Gamma(1 + sigma), which cannot overflow
+    scale = (2.0 * sigma / math.gamma(1.0 + sigma) * (nodes / 2.0) ** sigma
+             * np.exp(-nodes) * h)
+    return BesselProfile(sigma=sigma, nodes=nodes, phi=scale * k_sigma,
+                         dphi=-scale * k_dual)
 
 
 def small_s_energy_integral(s1, sigma, c1):

@@ -194,9 +194,9 @@ def test_sigma_out_of_range_exits_2(tmp_path, capsys):
     assert "sigma out of" in capsys.readouterr().err
 
 
-def test_s_max_beyond_the_shooting_range_exits_2(tmp_path, capsys):
-    # the shooting from s_max = 4000 used to overflow, printing numpy
-    # warnings before it failed at the pivot
+def test_s_max_beyond_600_exits_2(tmp_path, capsys):
+    # phi ~ e^-s underflows toward s = 745; s_max = 4000 is refused with
+    # the range message alone, before any numpy warning
     cfg = write_config(tmp_path, BASE_CONFIG + "profile.s_max = 4000.0\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")

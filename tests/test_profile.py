@@ -8,18 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicHermiteSpline
-from scipy.special import gamma, kv
+from scipy.special import gamma, kv, kve
 
 import hartreebox.profile as profile_mod
 from hartreebox.errors import DiagnosticError, DomainError
-from hartreebox.profile import (_S_MATCH, BesselProfile, build_profile,
-                                eval_profile, profile_to_csv)
+from hartreebox.profile import (BesselProfile, build_profile, eval_profile,
+                                profile_to_csv)
 
 from conftest import SIGMAS
 from oracles import profile_from_csv, weighted_energy
 
 # the constants are checked over the whole sigma range, ends included
 CONSTANT_SIGMAS = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95)
+# where ode_residual hands over from the table to the Frobenius series
+SERIES_PIVOT = 0.5
 
 
 def bessel_oracle(sigma, s):
@@ -49,7 +51,7 @@ def series_ddphi(sigma, c1s, s):
 def ode_residual(p):
     """Scaled ODE defect at the interior nodes of the profile table p.
 
-    Above the series pivot, phi'' is reconstructed from a local quartic fit
+    Above SERIES_PIVOT, phi'' is reconstructed from a local quartic fit
     of the tabulated dphi (independent of the ODE right-hand side); below
     it, the Frobenius series supplies phi''.  The defect is scaled by the
     largest participating term so the s -> 0 cancellation of the two huge
@@ -61,7 +63,7 @@ def ode_residual(p):
     n = len(s)
     ddphi = np.empty(n)
 
-    below = s < _S_MATCH
+    below = s < SERIES_PIVOT
     if below.any():
         ddphi[below] = series_ddphi(sigma, p.d_sigma / (2.0 * sigma), s[below])
 
@@ -84,8 +86,8 @@ def test_half_is_exponential(profile_half):
 
 
 def test_half_table_is_exponential_to_rounding(profile_half):
-    # at sigma = 1/2 the ODE is phi'' = phi and the start is exact, so the
-    # table carries only the stepping's rounding
+    # at sigma = 1/2 both Bessel orders are 1/2 and phi = e^-s, so the
+    # table carries only the quadrature's rounding
     p = profile_half
     decay = np.exp(-p.nodes)
     assert np.max(np.abs(p.phi - decay) / decay) < 1e-13
@@ -112,6 +114,26 @@ def test_matches_bessel_oracle(profiles, sigma):
     s = np.concatenate([np.logspace(-6, -1, 30), np.linspace(0.2, 35.0, 300)])
     phi = eval_profile(p, s)
     assert np.max(np.abs(phi - bessel_oracle(sigma, s))) < 1e-8
+    # relative to Phi, whose last table value is about 1e-17, over the
+    # Hermite interpolant's range
+    s = np.geomspace(0.011, 39.9, 3000)
+    want = bessel_oracle(sigma, s)
+    assert np.max(np.abs(eval_profile(p, s) - want) / want) < 1e-7
+
+
+@pytest.mark.parametrize("s_max, M", [(20.0, 2000), (20.0, 20000),
+                                      (40.0, 2000), (600.0, 2000)])
+def test_table_matches_scaled_bessel_k(s_max, M):
+    # phi = g K_sigma and dphi = -g K_(1-sigma) at every node, with
+    # g = (2/Gamma(sigma)) (s/2)^sigma (times e^-s, since kve = e^s K);
+    # M = 20000 puts the first node at 2.5e-12
+    for sigma in (1e-6, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 1.0 - 1e-6):
+        p = build_profile(sigma, s_max=s_max, M=M)
+        s = p.nodes
+        g = (2.0 / gamma(sigma)) * (s / 2.0) ** sigma * np.exp(-s)
+        for got, want in ((p.phi, g * kve(sigma, s)),
+                          (p.dphi, -g * kve(1.0 - sigma, s))):
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13, sigma
 
 
 @pytest.mark.parametrize("sigma", CONSTANT_SIGMAS)
@@ -174,24 +196,20 @@ def test_sigma_domain(bad):
         build_profile(bad)
 
 
-def test_tiny_sigma_fails_the_matching_without_warnings():
-    # at sigma = 1e-300 both series branches coincide, so their Wronskian
-    # is 0; RuntimeWarnings are errors in this suite
-    with pytest.raises(DiagnosticError, match="failed to bracket"):
-        build_profile(1e-300)
+def test_tiny_sigma_builds_a_finite_table_without_warnings():
+    # at sigma = 1e-300 the 2/Gamma(sigma) factor is 2e-300, so the table
+    # reaches subnormal values; RuntimeWarnings are errors in this suite
+    p = build_profile(1e-300)
+    assert np.isfinite(p.phi).all() and np.isfinite(p.dphi).all()
+    assert (p.phi >= 0.0).all() and (p.dphi <= 0.0).all()
+    assert p.phi.min() < np.finfo(float).tiny
 
 
-def test_matching_that_misses_the_closed_form_c1_is_rejected(monkeypatch):
-    # the matched c1 checks the table: a pivot derivative off by 1e-9 moves
-    # it by about that much, far past the 1e-12 the matching keeps
-    steps = profile_mod._taylor_steps
-
-    def perturbed(*args):
-        centres, rows, phi_m, dphi_m = steps(*args)
-        return centres, rows, phi_m, dphi_m * (1.0 + 1e-9)
-    monkeypatch.setattr(profile_mod, "_taylor_steps", perturbed)
-    with pytest.raises(DiagnosticError,
-                       match="disagrees with the closed form c1 = 1.0"):
+def test_quadrature_that_does_not_converge_is_rejected(monkeypatch):
+    # with a zero tolerance no term is ever small enough, so the sums run
+    # to the step at which every integrand is 0 and stop there
+    monkeypatch.setattr(profile_mod, "_QUAD_RTOL", 0.0)
+    with pytest.raises(DiagnosticError, match="did not converge"):
         build_profile(0.5)
 
 
@@ -203,9 +221,8 @@ def test_build_validation():
 
 
 @pytest.mark.parametrize("s_max", [600.5, 4000.0, np.inf, np.nan])
-def test_s_max_beyond_the_shooting_range_is_rejected(s_max):
-    # the inward shooting overflows from s_max ~ 667 on and never reaches
-    # the pivot from s_max = inf
+def test_s_max_beyond_600_is_rejected(s_max):
+    # phi ~ e^-s underflows toward s = 745, and inf and nan give no table
     with pytest.raises(DomainError, match=r"s_max must lie in \[20, 600\]"):
         build_profile(0.5, s_max=s_max)
 
