@@ -116,6 +116,7 @@ def cmd_solve(args) -> int:
         "level": best.level, "nehari_residual": best.nehari_residual,
         "grad_residual": best.grad_residual, "iters": best.iters,
         "stop_reason": best.stop_reason,
+        "translation_steps": best.translation_steps,
         "min_value": best.min_value, "beta": best.beta,
         "multistart_levels": levels, "multistart_spread": spread,
         "c_star": c_star, "c_inf": c_inf, "margin": margin,

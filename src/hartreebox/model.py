@@ -116,6 +116,15 @@ class PotentialSpec:
     def sample(self, grid: Grid) -> np.ndarray:
         return self.V_inf - self.A * np.exp(-grid.radius_sq / self.w ** 2)
 
+    def shift_derivatives(self, grid: Grid, well_density: np.ndarray):
+        """Per axis, (sum rho dV/dy_j, sum rho d^2V/dy_j^2) over the grid
+        from well_density = (V_inf - V) rho: dV/dy_j = c y_j (V_inf - V)
+        and d^2V/dy_j^2 = (c - c^2 y_j^2) (V_inf - V), c = 2 / w^2."""
+        c, total = 2.0 / self.w ** 2, well_density.sum()
+        return [(c * (well_density * y).sum(),
+                 c * total - c * c * (well_density * y * y).sum())
+                for y in grid.coords]
+
 
 @dataclass(frozen=True)
 class KernelSpec:

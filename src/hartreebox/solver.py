@@ -7,22 +7,31 @@ V_inf)^(-1), which removes the stiffness of the fractional operator.  Armijo
 backtracking keeps the energy monotone; the loop stops when r = sqrt(<g, P g>
 / Q) <= solver.tol.  It works on spectra scaled by Grid.pairing_weight, where
 the L^2 pairing is a plain sum.
+
+P misses the translations of a state in a weak well, a near-zero mode of
+the Hessian (Weinstein, SIAM J. Math. Anal. 16, 1985): on a resolved grid a
+Newton shift on the potential term, the one term a shift changes, follows it.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, VerificationError
-from .model import ModelParams, _project
-from .spectral import Grid, TraceField, inverse_spectrum
+from .model import _LEVEL_RTOL, ModelParams, _project
+from .spectral import Grid, TraceField, inverse_spectrum, phase_ramp
 
 # L-BFGS memory: 5 steps save 7 % of 1D iterations for 5/3 the memory
 _MEMORY = 3
+# Shift gate: at most _SHELL_TAIL of the mass on the shell |k| >= n/2 - 1 (a
+# grid that pins the field fails for good), and |v^| settled to _SHAPE_MOVE
+_SHELL_TAIL = 1e-6
+_SHAPE_MOVE = 0.1
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,7 @@ class GroundStateResult:
     beta: float                # smallest sigma-norm of any projected iterate
     history: tuple             # rows (iter, energy, nehari_res, grad_res, step)
     stop_reason: str           # "stationary": r <= solver.tol
+    translation_steps: int     # accepted shifts toward the well
 
 
 def gaussian_bump(grid: Grid, amplitude: float = 1.0, width: float = 1.0,
@@ -72,6 +82,42 @@ def _direction(grad, pairs, precond, work):
     return -(precond * grad)
 
 
+def _resolved_magnitude(ev, grid):
+    """|v^| of the point, scaled so that its squares sum to ||v||^2, or
+    None when more than _SHELL_TAIL of that sum lies on the outer shell."""
+    mag = np.abs(ev.spectrum)
+    mag *= grid.pairing_weight[::2]
+    power = mag * mag
+    tail = power[grid.k_sq >= (grid.n // 2 - 1) ** 2].sum()
+    return mag if tail <= _SHELL_TAIL * power.sum() else None
+
+
+def _shift(ev, params, gain, pairs):
+    """The point moved toward the well and projected, the pairs moved along
+    in place; None if that promises no more than `gain` or the level's
+    rounding, or does not lower the level.  Per axis, a Newton step on
+    E(s) = 1/2 int V(. + s) v^2, or w/2 down E' where E'' does not bound it."""
+    pot, grid = params.potential, params.grid
+    density = np.square(ev.values) * (pot.V_inf - params.potential_values)
+    reach, shift, promise = 0.5 * pot.w, [], 0.0
+    for g, h in pot.shift_derivatives(grid, density):
+        s = -g / h if h * reach > abs(g) else -math.copysign(reach, g)
+        shift.append(s)
+        promise -= grid.cell_volume * (0.5 * g + 0.25 * h * s) * s
+    if promise <= max(gain, _LEVEL_RTOL * ev.level):
+        return None
+    ramp = phase_ramp(grid, shift)
+    spectrum = ev.spectrum * ramp
+    _, cand = _project(inverse_spectrum(spectrum, grid.shape), params,
+                       ev.level, spectrum, ev.quad)
+    if cand is None or cand.level >= ev.level:
+        return None
+    # <s, y> keeps its value but on the Nyquist entries
+    for vec in (vec.view(np.complex128) for pair in pairs for vec in pair[:2]):
+        np.multiply(vec, ramp, out=vec)
+    return cand
+
+
 def solve_ground(params: ModelParams,
                  seed_field: TraceField | None = None) -> GroundStateResult:
     """Minimize I over the Nehari manifold from the given (or default) seed."""
@@ -105,7 +151,8 @@ def solve_ground(params: ModelParams,
     beta = np.sqrt(ev.form)
     history = [(0, ev.level, nehari, gnorm, 0.0)]
     pairs = collections.deque(maxlen=_MEMORY)
-    it, reason = 0, "max_iter"
+    it, reason, shifts, slack = 0, "max_iter", 0, 0.0
+    mag = _resolved_magnitude(ev, grid) if params.potential.A > 0 else None
     while stat > settings.tol and it < settings.max_iter:
         it += 1
         direction = _direction(grad, pairs, precond, work)
@@ -120,16 +167,23 @@ def solve_ground(params: ModelParams,
                 # Armijo: None once the projection finds the level above
                 # the bound; the root search starts where Q matches ev's
                 _, cand = _project(trial, params,
-                                   ev.level + 1e-4 * step * slope,
+                                   ev.level + 1e-4 * step * slope + slack,
                                    ev.spectrum + step * d_hat, ev.quad)
                 if cand is not None:
-                    break
+                    cand_state = state(cand)
+                    if not slack or cand_state[3] < stat:
+                        break
             step *= 0.5
         else:
             history.append((it, ev.level, nehari, gnorm, 0.0))
-            if not pairs:
+            if not pairs and slack:
                 reason = "line_search"
                 break
+            # once -P g fails too, the level is at its rounding floor: a
+            # trial may pass the bound by 2 eps of it if it lowers r (Shi,
+            # Xie, Byrd & Nocedal, SIAM J. Optim. 32, 2022)
+            if not pairs:
+                slack = 2.0 * np.finfo(float).eps * abs(ev.level)
             pairs.clear()
             continue
         # s and y take the buffers of ev's spectrum and gradient, which
@@ -137,12 +191,20 @@ def solve_ground(params: ModelParams,
         old = ev.spectrum.view(np.float64)
         s = np.subtract(cand.spectrum.view(np.float64), old, out=old)
         s *= weight
-        grad_old = grad
-        ev, (grad, nehari, gnorm, stat) = cand, state(cand)
+        grad_old, drop = grad, ev.level - cand.level
+        ev, (grad, nehari, gnorm, stat) = cand, cand_state
         y = np.subtract(grad, grad_old, out=grad_old)
         sy = _dot(s, y, work)
         if sy > 0.0:
             pairs.append((s, y, 1.0 / sy))
+        if mag is not None:
+            mag_old, mag = mag, _resolved_magnitude(ev, grid)
+            if mag is not None and (np.square(mag - mag_old).sum() <=
+                                    _SHAPE_MOVE ** 2 * np.square(mag).sum()):
+                shifted = _shift(ev, params, drop, pairs)
+                if shifted is not None:
+                    ev, (grad, nehari, gnorm, stat) = shifted, state(shifted)
+                    shifts += 1
         beta = min(beta, np.sqrt(ev.form))
         history.append((it, ev.level, nehari, gnorm, step))
     if stat <= settings.tol:
@@ -150,7 +212,8 @@ def solve_ground(params: ModelParams,
             u=TraceField(grid, ev.values), level=ev.level,
             nehari_residual=nehari, grad_residual=gnorm, iters=it,
             min_value=float(np.min(ev.values)), beta=float(beta),
-            history=tuple(history), stop_reason="stationary")
+            history=tuple(history), stop_reason="stationary",
+            translation_steps=shifts)
     raise ConvergenceError(
         f"no convergence in {it} iterations ({reason}: "
         f"nehari_residual={nehari:.3e}, grad_residual={gnorm:.3e})",

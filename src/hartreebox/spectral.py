@@ -88,13 +88,13 @@ class Grid:
         return np.sqrt(sum(np.meshgrid(*([d_sq] * self.dim), indexing="ij",
                                        sparse=True)))
 
-    @property
-    def xi_sq(self):
-        """|xi|^2 on the rfftn half lattice."""
+    @cached_property
+    def xi(self):
+        """Open meshgrid of the rfftn half lattice's frequencies k/(2L)."""
         d = 2.0 * self.L / self.n
-        axes = ([np.fft.fftfreq(self.n, d=d) ** 2] * (self.dim - 1)
-                + [np.fft.rfftfreq(self.n, d=d) ** 2])
-        return sum(np.meshgrid(*axes, indexing="ij", sparse=True))
+        axes = ([np.fft.fftfreq(self.n, d=d)] * (self.dim - 1)
+                + [np.fft.rfftfreq(self.n, d=d)])
+        return np.meshgrid(*axes, indexing="ij", sparse=True)
 
     @cached_property
     def k_sq(self) -> np.ndarray:
@@ -133,7 +133,8 @@ class Grid:
         key = (float(m), float(sigma))
         mult = self._multipliers.get(key)
         if mult is None:
-            mult = (m ** 2 + 4.0 * np.pi ** 2 * self.xi_sq) ** sigma
+            xi_sq = sum(x ** 2 for x in self.xi)
+            mult = (m ** 2 + 4.0 * np.pi ** 2 * xi_sq) ** sigma
             mult.flags.writeable = False
             self._multipliers[key] = mult
         return mult
@@ -203,6 +204,18 @@ def inverse_spectrum(spectrum: np.ndarray, shape, out=None,
     for ax, n in enumerate(shape[:-1], start=lead):
         np.fft.ifft(work, n, ax, out=work)
     return np.fft.irfft(work, shape[-1], -1, out=out)
+
+
+def phase_ramp(grid: Grid, shift) -> np.ndarray:
+    """exp(-2 pi i xi . shift) on the rfftn half lattice, the factor of
+    h -> h(. - shift); its real part on an axis's Nyquist entry, so that
+    the spectrum of a real field stays one."""
+    factor = 1.0
+    for xi, s in zip(grid.xi, shift):
+        ramp = np.exp(-2j * np.pi * s * xi)
+        ramp.flat[grid.n // 2] = ramp.flat[grid.n // 2].real
+        factor = factor * ramp
+    return factor
 
 
 def half_lattice_form(grid: Grid, mult: np.ndarray,

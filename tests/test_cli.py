@@ -110,6 +110,23 @@ def test_solve_solves_each_problem_once(tmp_path, capsys, monkeypatch):
                                 / report["c_inf"])
 
 
+def test_report_counts_the_best_starts_translation_steps(tmp_path, capsys,
+                                                        monkeypatch):
+    bests, multistart = [], solver.multistart
+
+    def recorded(*args):
+        best, results = multistart(*args)
+        bests.append(best)
+        return best, results
+    monkeypatch.setattr(solver, "multistart", recorded)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path), "--out",
+                 str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["translation_steps"] == bests[0].translation_steps > 0
+
+
 def test_verify_command_after_solve(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

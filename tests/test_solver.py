@@ -1,5 +1,7 @@
 """Ground-state solver on small instances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,16 +72,27 @@ def test_converged_start_stops_at_its_first_check(base_result):
     assert abs(res.level - base_result.level) <= 1e-14 * base_result.level
 
 
-@pytest.mark.parametrize("params", [
-    ground_params(),
-    ModelParams(sigma=0.5, m=1.0, dim=3, L=10.0, n=16,
-                nonlinearity=NonlinearitySpec("pure_power", 2.5),
-                potential=PotentialSpec(V_inf=1.0, A=0.3, w=4.0),
-                kernel=KernelSpec(a=0.0, b=1.0, w2=3.0))], ids=["1d", "3d"])
-def test_trial_spectra_track_their_fields(params, monkeypatch):
+def bench_physics(dim, L, n, kind):
+    """The benchmark's problem (sigma 1/2, theta 5/2, the A = 0.3, w = 4
+    well, the w2 = 3 Gaussian kernel) on another grid."""
+    return ModelParams(sigma=0.5, m=1.0, dim=dim, L=L, n=n,
+                       nonlinearity=NonlinearitySpec(kind, 2.5),
+                       potential=PotentialSpec(V_inf=1.0, A=0.3, w=4.0),
+                       kernel=KernelSpec(a=0.0, b=1.0, w2=3.0))
+
+
+# 3D n = 16 pins the field to lattice sites; 2D n = 64 resolves it, and at
+# seed 12 the gate opens (at seed 11 the seed's own tail, 1.4e-6, shuts it)
+@pytest.mark.parametrize("params, seed, moves", [
+    (ground_params(), 11, True),
+    (bench_physics(3, 10.0, 16, "pure_power"), 11, False),
+    (bench_physics(2, 10.0, 64, "pure_power"), 12, True)],
+    ids=["1d", "3d", "2d"])
+def test_trial_spectra_track_their_fields(params, seed, moves, monkeypatch):
     # each trial's spectrum is the current one plus the step times the
-    # direction's, not a transform of the trial; after a whole solve the
-    # last projected point's spectrum is still rfftn of its values
+    # direction's, and a shifted point's is the current one times the phase
+    # ramp, neither a transform of the field; after a whole solve the last
+    # projected point's spectrum is still rfftn of its values
     accepted, project = [], solver_mod._project
 
     def recorded(*args):
@@ -88,11 +101,82 @@ def test_trial_spectra_track_their_fields(params, monkeypatch):
             accepted.append(ev)
         return t, ev
     monkeypatch.setattr(solver_mod, "_project", recorded)
-    res = solve_ground(params, random_seed_field(params, 11))
+    res = solve_ground(params, random_seed_field(params, seed))
+    assert (res.translation_steps > 0) == moves
     ev = accepted[-1]
     assert np.array_equal(ev.values, res.u.values)
     want = np.fft.rfftn(ev.values)
     assert np.max(np.abs(ev.spectrum - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_resolved_start_shifts_to_the_well():
+    # the 1D workload's start at seed 11 lies 3.7 off the well; L-BFGS
+    # alone took 68 iterations to carry it there, with 5 shifts it takes 17
+    params = ground_params()
+    res = solve_ground(params, random_seed_field(params, 11))
+    centred = solve_ground(params)
+    assert res.stop_reason == "stationary"
+    assert res.iters <= 35
+    assert res.translation_steps >= 1
+    assert abs(res.level - centred.level) <= 1e-12 * centred.level
+
+
+@pytest.mark.parametrize("params", [
+    bench_physics(3, 10.0, 16, "pure_power"),
+    bench_physics(1, 20.0, 64, "log_linear"),
+    dataclasses.replace(ground_params(),
+                        potential=PotentialSpec(V_inf=1.0, A=0.0, w=4.0))],
+    ids=["3d-pinned", "1d-coarse", "1d-no-well"])
+def test_gate_keeps_unresolved_and_flat_solves(params, monkeypatch):
+    # on a grid that pins the field to its sites (3D n = 16), or leaves 5e-4
+    # of it on the outer shell (1D n = 64), and without a well, the gate
+    # never opens, and the solve is the one without the step, bit for bit
+    tried, shift = [], solver_mod._shift
+
+    def recorded(*args):
+        tried.append(args)
+        return shift(*args)
+    monkeypatch.setattr(solver_mod, "_shift", recorded)
+    seeds = [random_seed_field(params, seed) for seed in (11, 12)]
+    runs = [solve_ground(params, seed) for seed in seeds]
+    assert tried == []
+    monkeypatch.setattr(solver_mod, "_shift", lambda *args: None)
+    for seed, run in zip(seeds, runs):
+        bare = solve_ground(params, seed)
+        assert run.translation_steps == 0
+        assert run.history == bare.history
+        assert np.array_equal(run.u.values, bare.u.values)
+
+
+def test_workload_config_seeds_end_stationary():
+    # `solve` at the 1D workload's config seeds 0-19: three starts and the
+    # A = 0 solve each.  The solver runs at the rounding floor of the
+    # level, where a change in its rounding can stop a start on the line
+    # search
+    params = ground_params()
+    levels, flat_levels = [], []
+    for config_seed in range(20):
+        best, results = multistart(params, range(config_seed,
+                                                 config_seed + 3))
+        assert all(r.stop_reason == "stationary" for r in results)
+        levels += [r.level for r in results]
+        flat_levels.append(compare_levels(params, best)[1])
+    for values in (levels, flat_levels):
+        assert max(values) - min(values) <= 1e-9 * min(values)
+
+
+def test_tighter_resolves_pass_the_rounding_floor():
+    # at tol 1e-9 the Armijo decrease r^2 Q is about 1e-18 of the level,
+    # below its rounding; without the noise-tolerant rule at the floor,
+    # start 0 ended on the line search at tol 1e-8 already, and 4 of the
+    # other 19 re-solves did
+    params = ground_params()
+    tight = dataclasses.replace(params, solver=SolverSettings(tol=1e-9))
+    for seed in range(20):
+        start = solve_ground(params, random_seed_field(params, seed))
+        res = solve_ground(tight, start.u)
+        assert res.stop_reason == "stationary"
+        assert abs(res.level - start.level) <= 1e-13 * start.level
 
 
 def a_zero_params(params, base_result, monkeypatch):
@@ -260,8 +344,9 @@ def test_iteration_budget_exhaustion():
 
 
 def test_unreachable_tolerance_stops_on_the_line_search():
-    # below the rounding floor of the level no trial passes the Armijo test:
-    # the solve stops at the first failed restart, not at max_iter
+    # below the rounding floor of the level no trial passes the Armijo test,
+    # nor lowers r under the relaxed one: the solve stops at the first
+    # restart that fails both, not at max_iter
     params = small_params(solver=SolverSettings(tol=1e-16))
     with pytest.raises(ConvergenceError, match=r"\(line_search: ") as exc:
         solve_ground(params)
