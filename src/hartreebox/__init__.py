@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .errors import (BracketError, ConfigError, ConvergenceError,
                      DiagnosticError, DomainError, HartreeboxError,
                      NumericError, VerificationError)
-from .profile import BesselProfile, build_profile, profile_to_csv
+from .profile import BesselProfile, build_profile
 from .spectral import (Grid, TraceField, field_from_binary, field_from_csv,
                        field_to_csv, sobolev_form)
 from .model import (KernelSpec, ModelParams, NonlinearitySpec, PotentialSpec,

@@ -1,13 +1,15 @@
 """Command-line entry point: profile | solve | verify.
 
 Thin orchestration over the library: every number written to disk comes
-from a library call.  Exit codes: 0 success, 1 config/IO problems,
+from a library call, and every report file's format is set here, by
+_write_csv and _write_json.  Exit codes: 0 success, 1 config/IO problems,
 2 domain validation, 3 convergence failure, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
@@ -42,9 +44,25 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _write_csv(path, rows):
+    """One csv row per record: a float as repr(float(v)), which reads back
+    bit for bit, an int or a string as it is."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        for row in rows:
+            w.writerow([v if isinstance(v, (int, str)) else repr(float(v))
+                        for v in row])
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir, cfg: RunConfig, seeds, outputs, laps):
     """laps: (phase, perf_counter() at its end) after a ("start", t0)."""
-    manifest = {
+    _write_json(os.path.join(out_dir, "manifest.json"), {
         "config_sha256": hashlib.sha256(cfg.raw).hexdigest(),
         "version": __version__,
         "seeds": list(seeds),
@@ -52,43 +70,37 @@ def _write_manifest(out_dir, cfg: RunConfig, seeds, outputs, laps):
         "phase_s": {name: t - t_prev for (_, t_prev), (name, t)
                     in zip(laps, laps[1:])},
         "wall_time_s": time.perf_counter() - laps[0][1],
-    }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _build_profile(cfg: RunConfig):
-    from .profile import build_profile
-    return build_profile(cfg.params.sigma, **cfg.profile_kw)
+    })
 
 
 def cmd_profile(args) -> int:
-    from .profile import profile_to_csv
+    from .profile import build_profile
     laps = [("start", time.perf_counter())]
     cfg = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     laps.append(("config", time.perf_counter()))
-    prof = _build_profile(cfg)
+    prof = build_profile(cfg.params.sigma, **cfg.profile_kw)
     laps.append(("profile", time.perf_counter()))
+    constants = {"sigma": prof.sigma, "kappa": prof.kappa, "c1": prof.c1,
+                 "c2": prof.c2, "d_sigma": prof.d_sigma}
     csv_path = os.path.join(args.out, "profile.csv")
-    profile_to_csv(prof, csv_path)
+    _write_csv(csv_path, [list(constants), list(constants.values()),
+                          ["s", "phi", "dphi"],
+                          *zip(prof.nodes, prof.phi, prof.dphi)])
     fit_path = os.path.join(args.out, "asymptotics.json")
-    with open(fit_path, "w") as fh:
-        json.dump({"sigma": prof.sigma, "kappa": prof.kappa,
-                   "c1": prof.c1, "c2": prof.c2, "d_sigma": prof.d_sigma},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(fit_path, constants)
     laps.append(("write", time.perf_counter()))
     _write_manifest(args.out, cfg, [], [csv_path, fit_path], laps)
     log.info("profile written to %s", csv_path)
     return 0
 
 
+_HISTORY_HEADER = ["iter", "energy", "nehari_residual", "grad_residual",
+                   "step"]
+
+
 def cmd_solve(args) -> int:
-    from .solver import (compare_levels, history_to_csv, multistart)
+    from .solver import compare_levels, multistart
     from .spectral import field_to_csv
     laps = [("start", time.perf_counter())]
     cfg = load_config(args.config)
@@ -103,7 +115,7 @@ def cmd_solve(args) -> int:
         c_star, c_inf, margin = compare_levels(cfg.params, best)
     except ConvergenceError as exc:
         # the trace of the solve that failed, for diagnosis
-        history_to_csv(exc.history, iters_path)
+        _write_csv(iters_path, [_HISTORY_HEADER, *exc.history])
         raise
     levels = [r.level for r in results]
     spread = (max(levels) - min(levels)) / abs(min(levels))
@@ -111,8 +123,9 @@ def cmd_solve(args) -> int:
 
     field_path = os.path.join(args.out, "ground_state.csv")
     field_to_csv(best.u, field_path)
-    history_to_csv(best.history, iters_path)
-    report = {
+    _write_csv(iters_path, [_HISTORY_HEADER, *best.history])
+    report_path = os.path.join(args.out, "report.json")
+    _write_json(report_path, {
         "level": best.level, "nehari_residual": best.nehari_residual,
         "grad_residual": best.grad_residual, "iters": best.iters,
         "stop_reason": best.stop_reason,
@@ -120,11 +133,7 @@ def cmd_solve(args) -> int:
         "min_value": best.min_value, "beta": best.beta,
         "multistart_levels": levels, "multistart_spread": spread,
         "c_star": c_star, "c_inf": c_inf, "margin": margin,
-    }
-    report_path = os.path.join(args.out, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     laps.append(("write", time.perf_counter()))
     _write_manifest(args.out, cfg, seeds,
                     [field_path, iters_path, report_path], laps)
@@ -146,10 +155,10 @@ def _load_field(path):
 
 
 def cmd_verify(args) -> int:
-    import csv as csv_mod
-    from .extension import (decay_fit, decay_report_to_csv, dtn_check,
-                            dtn_report_to_csv, energy_identity_check, lift,
+    from .extension import (decay_fit, dtn_check, dtn_table,
+                            energy_identity_check, lift,
                             trace_inequality_check)
+    from .profile import build_profile
     laps = [("start", time.perf_counter())]
     cfg = load_config(args.config)
     h = _load_field(args.field)
@@ -158,7 +167,7 @@ def cmd_verify(args) -> int:
                           f"{cfg.params.grid}")
     os.makedirs(args.out, exist_ok=True)
     laps.append(("config", time.perf_counter()))
-    prof = _build_profile(cfg)
+    prof = build_profile(cfg.params.sigma, **cfg.profile_kw)
     laps.append(("profile", time.perf_counter()))
     ext = lift(h, prof, cfg.params.m, **cfg.lift_kw)
     h_norm = h.norm_l2()
@@ -182,22 +191,21 @@ def cmd_verify(args) -> int:
     def _decay():
         rep = decay_fit(ext, h_norm)
         path = os.path.join(args.out, "decay.csv")
-        decay_report_to_csv(ext, rep, h_norm, path)
+        _write_csv(path, [["x", "sup_abs", "envelope"],
+                          *zip(rep.x, rep.sup, rep.envelope)])
         outputs.append(path)
         return rep.rate
     run("decay", _decay)
 
     run("trace_inequality", lambda: trace_inequality_check(ext, h_norm))
-    dtn_report_to_csv(ext, dtn_path)
+    _write_csv(dtn_path, [["xi_abs", "estimate_re", "estimate_im",
+                           "target_re", "target_im", "rel_error"],
+                          *dtn_table(ext)])
     laps.append(("checks", time.perf_counter()))
 
     report_path = os.path.join(args.out, "verify_report.csv")
     outputs.append(report_path)
-    with open(report_path, "w", newline="") as fh:
-        w = csv_mod.writer(fh)
-        w.writerow(["check", "status", "value"])
-        for name, status, value in rows:
-            w.writerow([name, status, value])
+    _write_csv(report_path, [["check", "status", "value"], *rows])
     laps.append(("write", time.perf_counter()))
     _write_manifest(args.out, cfg, [], outputs, laps)
     for name, status, value in rows:

@@ -17,7 +17,6 @@ x-node at a time, so no check holds more than one field of n^N values.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -157,7 +156,7 @@ def _effective_abscissa(x1: float, x2: float, sigma: float) -> float:
 
 
 def _neumann_trace(ext: ExtensionField):
-    """The one Neumann-trace estimator behind dtn_check and dtn.csv.
+    """The one Neumann-trace estimator behind dtn_check and dtn_table.
 
     Over the half-lattice modes carrying at least _MASS_FLOOR of the
     spectral mass (none for a zero field), -x^(1-2 sigma) du/dx from
@@ -209,7 +208,7 @@ def dtn_check(ext: ExtensionField) -> float:
     Per mode carrying at least _MASS_FLOOR of the spectral mass, the
     extrapolated finite-difference estimate must match d_sigma c^(2 sigma)
     h-hat within _DTN_RTOL.  Returns the worst relative error (0 for a zero
-    field), the largest rel_error that dtn_report_to_csv writes.
+    field), the largest rel_error in dtn_table.
     """
     _, _, _, rel, monotone = _neumann_trace(ext)
     if not monotone:
@@ -220,6 +219,16 @@ def dtn_check(ext: ExtensionField) -> float:
         raise VerificationError(
             f"Neumann trace off by {err:.2%} (allowed {_DTN_RTOL:.0%})")
     return err
+
+
+def dtn_table(ext: ExtensionField) -> list:
+    """Rows (|xi|, estimate re, im, target re, im, relative error), one per
+    half-lattice mode that dtn_check judges (a mode's conjugate partner has
+    the conjugate estimate and the same error)."""
+    mask, extrap, target, rel, _ = _neumann_trace(ext)
+    xi_abs = np.sqrt(ext.grid.k_sq[mask]) / (2.0 * ext.grid.L)
+    return list(zip(xi_abs, extrap.real, extrap.imag, target.real,
+                    target.imag, rel))
 
 
 def _sup_abs(ext: ExtensionField, rows: np.ndarray) -> np.ndarray:
@@ -237,7 +246,8 @@ def _sup_abs(ext: ExtensionField, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecayFitReport:
-    """The fitted law, and its nodes x with sup = sup_y |u(x, .)| there."""
+    """The fitted law, and its nodes x with sup = sup_y |u(x, .)| there and
+    the envelope C_env h_norm x^((2 sigma - 1)/2) e^(-m x) above it."""
     rate: float
     poly_exp: float
     residual: float
@@ -245,6 +255,7 @@ class DecayFitReport:
     envelope_const: float
     x: np.ndarray
     sup: np.ndarray
+    envelope: np.ndarray
 
 
 def decay_fit(ext: ExtensionField, h_norm: float) -> DecayFitReport:
@@ -262,7 +273,8 @@ def decay_fit(ext: ExtensionField, h_norm: float) -> DecayFitReport:
     if not np.any(ext.spectrum):     # a zero field: no nodes to fit
         return DecayFitReport(rate=m, poly_exp=sigma - 0.5, residual=0.0,
                               window=(lo, hi), envelope_const=0.0,
-                              x=np.empty(0), sup=np.empty(0))
+                              x=np.empty(0), sup=np.empty(0),
+                              envelope=np.empty(0))
 
     rows = np.flatnonzero(x >= lo)
     xs, sup = x[rows], _sup_abs(ext, rows)
@@ -283,10 +295,12 @@ def decay_fit(ext: ExtensionField, h_norm: float) -> DecayFitReport:
                      / max(np.sqrt(np.mean(ys ** 2)), 1e-300))
     rate, poly_exp = float(coef[2]), float(coef[1])
 
-    env = sup / (h_norm * xs ** (sigma - 0.5) * np.exp(-m * xs))
-    report = DecayFitReport(rate=rate, poly_exp=poly_exp, residual=residual,
-                            window=(lo, hi),
-                            envelope_const=float(np.max(env)), x=xs, sup=sup)
+    power, decay = xs ** (sigma - 0.5), np.exp(-m * xs)
+    c_env = float(np.max(sup / (h_norm * power * decay)))
+    report = DecayFitReport(
+        rate=rate, poly_exp=poly_exp, residual=residual, window=(lo, hi),
+        envelope_const=c_env, x=xs, sup=sup,
+        envelope=c_env * h_norm * power * decay)
     if rate < m * (1.0 - _DECAY_RATE_RTOL):
         raise VerificationError(
             f"fitted decay rate {rate:.4f} below {1 - _DECAY_RATE_RTOL:.2f} "
@@ -307,35 +321,3 @@ def trace_inequality_check(ext: ExtensionField, h_norm: float) -> float:
     if slack < -1e-12 * max(norm_sq, 1.0):
         raise VerificationError(f"trace inequality violated: slack={slack:.3e}")
     return float(slack)
-
-
-# ---------------------------------------------------------------------------
-# Report CSVs
-
-def decay_report_to_csv(ext: ExtensionField, report: DecayFitReport,
-                        h_norm: float, path) -> None:
-    """One row per node of the fit: x, sup_y |u(x, .)| and its envelope."""
-    sigma, m = ext.profile.sigma, ext.m
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "sup_abs", "envelope"])
-        for xi, s in zip(report.x, report.sup):
-            env = (report.envelope_const * h_norm
-                   * xi ** (sigma - 0.5) * np.exp(-m * xi))
-            w.writerow([repr(float(xi)), repr(float(s)), repr(float(env))])
-
-
-def dtn_report_to_csv(ext: ExtensionField, path) -> None:
-    """Per-mode table of the extrapolated Neumann trace vs. its target:
-    one row per half-lattice mode that dtn_check judges (a mode's
-    conjugate partner has the conjugate estimate and the same error)."""
-    mask, extrap, target, rel, _ = _neumann_trace(ext)
-    xi_abs = np.sqrt(ext.grid.k_sq[mask]) / (2.0 * ext.grid.L)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["xi_abs", "estimate_re", "estimate_im",
-                    "target_re", "target_im", "rel_error"])
-        for q, e, t, r in zip(xi_abs, extrap, target, rel):
-            w.writerow([repr(float(q)), repr(float(e.real)),
-                        repr(float(e.imag)), repr(float(t.real)),
-                        repr(float(t.imag)), repr(float(r))])

@@ -14,7 +14,6 @@ field itself.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -179,10 +178,6 @@ class SolverSettings:
 # ---------------------------------------------------------------------------
 # Full parameter set
 
-_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_KERNEL_SPECTRA: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 @dataclass(frozen=True)
 class ModelParams:
     sigma: float
@@ -239,9 +234,7 @@ class ModelParams:
 
     @cached_property
     def grid(self) -> Grid:
-        """One live Grid per (dim, L, n): it is immutable, so shared."""
-        return _GRIDS.setdefault((self.dim, self.L, self.n),
-                                 Grid(self.dim, self.L, self.n))
+        return Grid(self.dim, self.L, self.n)
 
     @cached_property
     def potential_values(self) -> np.ndarray:
@@ -253,16 +246,9 @@ class ModelParams:
 
     @cached_property
     def kernel_spectrum(self) -> np.ndarray:
-        """cell_volume * rfftn(W): the multiplier of g -> W * g, transformed
-        once per kernel and grid while a parameter set holds it, so sets
-        that differ only in the potential, as the A = 0 problem of
-        compare_levels does, share one; read-only."""
-        key = (self.kernel, self.dim, self.L, self.n)
-        spec = _KERNEL_SPECTRA.get(key)
-        if spec is None:
-            spec = self.grid.cell_volume * half_spectrum(self.kernel_values)
-            spec.flags.writeable = False
-            _KERNEL_SPECTRA[key] = spec
+        """cell_volume * rfftn(W): the multiplier of g -> W * g; read-only."""
+        spec = self.grid.cell_volume * half_spectrum(self.kernel_values)
+        spec.flags.writeable = False
         return spec
 
     @cached_property
@@ -331,18 +317,6 @@ def _quad_terms(params: ModelParams, values: np.ndarray, spectrum: np.ndarray):
     return form, _check_finite(form + pot, "quadratic form")
 
 
-def _convolve_kernel(params: ModelParams, g: np.ndarray) -> np.ndarray:
-    """W * g on the grid, from the kernel spectrum cached on params."""
-    return apply_multiplier(params.kernel_spectrum, g, "convolve")
-
-
-def _nonlinear_terms(params: ModelParams, values: np.ndarray):
-    """(F(v), W * F(v), f(v)) at v = values: one transcendental pass and
-    two transforms."""
-    F, f = _nonlinearity(params.nonlinearity, values)[:2]
-    return F, _convolve_kernel(params, F), f
-
-
 def _interaction(params: ModelParams, F: np.ndarray,
                  conv: np.ndarray) -> float:
     """Psi = 1/2 int (W * F) F."""
@@ -364,7 +338,7 @@ def nehari_phi(t: float, u: np.ndarray, params: ModelParams,
     """
     v = t * u
     F, f, df = _nonlinearity(params.nonlinearity, v)
-    conv = _convolve_kernel(params, F)
+    conv = apply_multiplier(params.kernel_spectrum, F, "convolve")
     psi = _interaction(params, F, conv)
     dv = params.grid.cell_volume
     fv = f * v
@@ -372,7 +346,8 @@ def nehari_phi(t: float, u: np.ndarray, params: ModelParams,
 
     def dphi():
         slope = _check_finite(
-            dv * ((_convolve_kernel(params, fv) * fv).sum()
+            dv * ((apply_multiplier(params.kernel_spectrum, fv, "convolve")
+                   * fv).sum()
                   + (conv * df() * v * v).sum()), "Nehari derivative")
         return quad - slope / t ** 2
     return (t * quad - pairing / t, 0.5 * (t * t * quad) - psi,
@@ -487,7 +462,8 @@ def _project(u: np.ndarray, params: ModelParams, bound: float = np.inf,
         # I(tu) = t^2 Q/2 - t^(2 theta) Psi(u): the stationary t in closed
         # form; (W * F(tu)) f(tu) = t^(2 theta - 1) (W * F(u)) f(u), so f,
         # this call's own array, takes the whole factor in place
-        F, conv, f = _nonlinear_terms(params, u)
+        F, f = _nonlinearity(nl, u)[:2]
+        conv = apply_multiplier(params.kernel_spectrum, F, "convolve")
         psi = _interaction(params, F, conv)
         if psi <= 0:
             raise BracketError("interaction vanishes on this ray")

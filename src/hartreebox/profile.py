@@ -29,7 +29,6 @@ from the large-s asymptotics of K_sigma: all four constants are closed forms.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -202,20 +201,3 @@ def _hermite(x, y, dy, s):
     i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
     t = s - x[i]
     return y[i] + t * (dy[i] + t * (c2[i] + t * c3[i]))
-
-
-# ---------------------------------------------------------------------------
-# CSV output: header row with the scalar constants, then s/phi/dphi.
-
-def profile_to_csv(p: BesselProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sigma", "kappa", "c1", "c2", "d_sigma"])
-        w.writerow([repr(float(p.sigma)), repr(float(p.kappa)),
-                    repr(float(p.c1)), repr(float(p.c2)),
-                    repr(float(p.d_sigma))])
-        w.writerow(["s", "phi", "dphi"])
-        for s, phi, dphi in zip(p.nodes, p.phi, p.dphi):
-            w.writerow([repr(float(s)), repr(float(phi)),
-                        repr(float(dphi))])
-

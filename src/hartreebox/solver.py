@@ -254,6 +254,10 @@ def compare_levels(params: ModelParams, ground: GroundStateResult):
     """
     flat = dataclasses.replace(
         params, potential=dataclasses.replace(params.potential, A=0.0))
+    # only V differs: the A = 0 problem takes params' grid and transformed
+    # kernel, cached properties of a frozen dataclass, instead of its own
+    for name in ("grid", "kernel_spectrum"):
+        object.__setattr__(flat, name, getattr(params, name))
     c_star = ground.level
     c_inf = solve_ground(flat, ground.u).level
     margin = (c_inf - c_star) / c_inf
@@ -263,14 +267,3 @@ def compare_levels(params: ModelParams, ground: GroundStateResult):
                 f"level ordering violated: c_star={c_star:.6e}, "
                 f"c_inf={c_inf:.6e}")
     return c_star, c_inf, margin
-
-
-def history_to_csv(history, path) -> None:
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iter", "energy", "nehari_residual", "grad_residual",
-                    "step"])
-        for it, e, nr, gr, st in history:
-            w.writerow([it, repr(float(e)), repr(float(nr)),
-                        repr(float(gr)), repr(float(st))])

@@ -1,5 +1,6 @@
 """End-to-end command line runs in temporary directories."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hartreebox
-from hartreebox import cli, solver
+from hartreebox import cli, extension, solver
 from hartreebox import profile as profile_mod
 from hartreebox.cli import build_parser, main
 from hartreebox.config import _SCHEMA, RunConfig, load_config
@@ -200,6 +201,89 @@ def test_verify_manifest_lists_only_the_files_written(tmp_path, capsys):
     manifest = json.loads((vout / "manifest.json").read_text())
     assert manifest["outputs"] == ["dtn.csv", "verify_report.csv"]
     assert all((vout / name).exists() for name in manifest["outputs"])
+    capsys.readouterr()
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def assert_same_bits(rows, values):
+    """The floats written in rows are the table values, bit for bit."""
+    assert (np.array([[float(t) for t in r] for r in rows]).tobytes()
+            == np.asarray(values, dtype=float).tobytes())
+
+
+def test_report_tables_read_back_bit_for_bit(tmp_path, capsys, monkeypatch):
+    # every float of iterations.csv, dtn.csv, decay.csv, verify_report.csv
+    # and profile.csv, read back with csv.reader, is the library's value
+    made = {}
+    for module, name in ((solver, "multistart"), (extension, "lift"),
+                         (profile_mod, "build_profile")):
+        def recorded(*args, _fn=getattr(module, name), _name=name, **kw):
+            made[_name] = _fn(*args, **kw)
+            return made[_name]
+        monkeypatch.setattr(module, name, recorded)
+
+    cfg, out = write_config(tmp_path), tmp_path / "solve"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "iterations.csv")
+    history = made["multistart"][0].history
+    assert rows[0] == ["iter", "energy", "nehari_residual", "grad_residual",
+                       "step"]
+    assert [int(r[0]) for r in rows[1:]] == [row[0] for row in history]
+    assert_same_bits([r[1:] for r in rows[1:]], [row[1:] for row in history])
+
+    field = out / "ground_state.csv"
+    h_norm = field_from_csv(field).norm_l2()
+    for extra, code in (("", 0), ("extension.K_x = 8\n", 4)):
+        vcfg = write_config(tmp_path, BASE_CONFIG + extra)
+        vout = tmp_path / f"verify{code}"
+        assert main(["verify", "--config", vcfg, "--out", str(vout),
+                     "--field", str(field)]) == code
+        ext = made["lift"]
+        rows, table = read_rows(vout / "dtn.csv"), extension.dtn_table(ext)
+        assert rows[0] == ["xi_abs", "estimate_re", "estimate_im",
+                           "target_re", "target_im", "rel_error"]
+        assert len(rows) - 1 == len(table) > 0
+        assert_same_bits(rows[1:], table)
+
+        rows = read_rows(vout / "verify_report.csv")
+        assert rows[0] == ["check", "status", "value"]
+        checks = {"energy_identity": extension.energy_identity_check,
+                  "dtn": extension.dtn_check,
+                  "decay": lambda e: extension.decay_fit(e, h_norm).rate,
+                  "trace_inequality": lambda e: (
+                      extension.trace_inequality_check(e, h_norm))}
+        assert [r[0] for r in rows[1:]] == list(checks)
+        for name, status, text in rows[1:]:
+            try:
+                value = checks[name](ext)
+            except HartreeboxError as exc:
+                assert (status, text) == ("fail", str(exc))
+            else:
+                assert status == "pass"
+                assert_same_bits([[text]], [[value]])
+        if code:
+            assert "fail" in {r[1] for r in rows}
+            assert not (vout / "decay.csv").exists()
+        else:
+            rep = extension.decay_fit(ext, h_norm)
+            rows = read_rows(vout / "decay.csv")
+            assert rows[0] == ["x", "sup_abs", "envelope"]
+            assert_same_bits(rows[1:], np.column_stack(
+                [rep.x, rep.sup, rep.envelope]))
+
+    pout = tmp_path / "profile"
+    assert main(["profile", "--config", cfg, "--out", str(pout)]) == 0
+    prof, rows = made["build_profile"], read_rows(pout / "profile.csv")
+    assert rows[0] == ["sigma", "kappa", "c1", "c2", "d_sigma"]
+    assert_same_bits(rows[1:2], [[prof.sigma, prof.kappa, prof.c1, prof.c2,
+                                  prof.d_sigma]])
+    assert rows[2] == ["s", "phi", "dphi"]
+    assert_same_bits(rows[3:], np.column_stack([prof.nodes, prof.phi,
+                                                prof.dphi]))
     capsys.readouterr()
 
 

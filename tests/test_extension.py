@@ -5,14 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hartreebox.cli import main
 from hartreebox.errors import DomainError
 from hartreebox.extension import (DecayFitReport, _effective_abscissa,
                                   _extension_energy, _neumann_trace,
-                                  decay_fit, decay_report_to_csv, dtn_check,
-                                  dtn_report_to_csv, energy_identity_check,
-                                  graded_nodes, lift, trace_inequality_check)
+                                  decay_fit, dtn_check, dtn_table,
+                                  energy_identity_check, graded_nodes, lift,
+                                  trace_inequality_check)
 from hartreebox.profile import eval_profile, small_s_energy_integral
-from hartreebox.spectral import Grid, TraceField, apply_multiplier
+from hartreebox.spectral import (Grid, TraceField, apply_multiplier,
+                                 field_to_csv)
 
 from conftest import SIGMAS
 from oracles import (extension_values, full_multiplier, full_xi_sq,
@@ -210,6 +212,7 @@ def test_decay_envelope_holds_on_window(profiles, rng):
                                    & (x <= rep.window[1])])
     env = (rep.envelope_const * np.abs(h.values).max()
            * rep.x ** (p.sigma - 0.5) * np.exp(-1.0 * rep.x))
+    assert np.array_equal(rep.envelope, env)
     assert np.all(rep.sup <= env * (1 + 1e-12))
 
 
@@ -264,15 +267,21 @@ def test_trace_inequality_zero(profile_half):
 # ---------------------------------------------------------------------------
 # Report files
 
-def test_report_csvs(tmp_path, profiles, rng):
+def test_report_csvs(tmp_path, profiles, rng, capsys):
+    # decay.csv and dtn.csv as the verify command writes them for h
     p = profiles[0.5]
     h = random_field(rng)
+    field, config = tmp_path / "field.csv", tmp_path / "run.cfg"
+    field_to_csv(h, field)
+    config.write_text("sigma = 0.5\nm = 1.0\nN = 1\nL = 5.0\nn = 64\n"
+                      "extension.x_max = 12.0\nextension.K_x = 300\n")
+    assert main(["verify", "--config", str(config), "--field", str(field),
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
     ext = lift(h, p, 1.0, x_max=12.0, K_x=300)
-    rep = decay_fit(ext, np.abs(h.values).max())
+    rep = decay_fit(ext, h.norm_l2())
     assert isinstance(rep, DecayFitReport)
-    d_path = tmp_path / "decay.csv"
-    decay_report_to_csv(ext, rep, np.abs(h.values).max(), d_path)
-    lines = d_path.read_text().strip().splitlines()
+    lines = (tmp_path / "decay.csv").read_text().strip().splitlines()
     assert lines[0] == "x,sup_abs,envelope"
     # one row per node of the fit, each inside the window and under the
     # envelope
@@ -282,32 +291,25 @@ def test_report_csvs(tmp_path, profiles, rng):
     assert np.all((rows[:, 0] >= rep.window[0])
                   & (rows[:, 0] <= rep.window[1]))
     assert np.all(rows[:, 2] >= rows[:, 1] * (1 - 1e-12))
-    n_path = tmp_path / "dtn.csv"
-    dtn_report_to_csv(ext, n_path)
-    head = n_path.read_text().splitlines()[0]
+    head = (tmp_path / "dtn.csv").read_text().splitlines()[0]
     assert head.startswith("xi_abs,")
 
 
-def test_dtn_csv_reports_the_checked_estimates(tmp_path, profiles, rng):
+def test_dtn_csv_reports_the_checked_estimates(profiles, rng):
     # the verdict and the table come from the same estimator
     p = profiles[0.7]
     h = random_nd_field(rng, 3, 8)
     ext = lift(h, p, 1.0, x_max=12.0, K_x=400)
-    path = tmp_path / "dtn.csv"
-    dtn_report_to_csv(ext, path)
-    rows = path.read_text().splitlines()[1:]
-    assert max(float(r.split(",")[-1]) for r in rows) \
-        == dtn_check(ext)
+    rows = dtn_table(ext)
+    assert max(float(r[-1]) for r in rows) == dtn_check(ext)
 
 
-def test_dtn_zero_field_has_no_modes(tmp_path, profile_half):
+def test_dtn_zero_field_has_no_modes(profile_half):
     g = Grid(1, 5.0, 32)
     z = TraceField(g, np.zeros(32))
     ext = lift(z, profile_half, 1.0)
     assert dtn_check(ext) == 0.0
-    path = tmp_path / "dtn.csv"
-    dtn_report_to_csv(ext, path)
-    assert len(path.read_text().splitlines()) == 1
+    assert dtn_table(ext) == []
 
 
 # ---------------------------------------------------------------------------

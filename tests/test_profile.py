@@ -1,6 +1,7 @@
 """Profile ODE solution against closed forms and an independent oracle."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.special import gamma, kv, kve
 
 import hartreebox.profile as profile_mod
+from hartreebox.cli import main
 from hartreebox.errors import DiagnosticError, DomainError
-from hartreebox.profile import (BesselProfile, build_profile, eval_profile,
-                                profile_to_csv)
+from hartreebox.profile import BesselProfile, build_profile, eval_profile
 
 from conftest import SIGMAS
 from oracles import profile_from_csv, weighted_energy
@@ -235,11 +236,18 @@ def test_largest_s_max_builds_without_overflow(sigma):
     assert p.s_max == 600.0 and np.isfinite(p.kappa)
 
 
+def write_profile_csv(out, sigma=0.5):
+    """The profile CSV the profile command writes into out at sigma."""
+    config = out / "run.cfg"
+    config.write_text(f"sigma = {sigma!r}\nm = 1.0\nN = 1\nL = 10.0\n"
+                      "n = 64\n")
+    assert main(["profile", "--config", str(config), "--out", str(out)]) == 0
+    return out / "profile.csv"
+
+
 def test_csv_roundtrip(tmp_path, profiles):
     p = profiles[0.7]
-    path = tmp_path / "profile.csv"
-    profile_to_csv(p, path)
-    q = profile_from_csv(path)
+    q = profile_from_csv(write_profile_csv(tmp_path, 0.7))
     assert q.sigma == p.sigma
     assert q.kappa == p.kappa
     assert np.array_equal(q.nodes, p.nodes)
@@ -267,8 +275,9 @@ def admissible_profiles(draw):
 
 @given(p=admissible_profiles())
 def test_csv_roundtrip_exact(tmp_path_factory, p):
-    path = tmp_path_factory.getbasetemp() / "profile.csv"
-    profile_to_csv(p, path)
+    # the command writes the table build_profile returns, here p itself
+    with mock.patch.object(profile_mod, "build_profile", lambda *_: p):
+        path = write_profile_csv(tmp_path_factory.getbasetemp())
     q = profile_from_csv(path)
     for name in ("sigma", "kappa", "c1", "c2", "d_sigma", "nodes", "phi",
                  "dphi"):

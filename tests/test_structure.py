@@ -38,6 +38,42 @@ def test_only_spectral_calls_numpy_fft():
     assert offenders == []
 
 
+# a mode of open() that writes
+WRITE_MODE = re.compile(r"[wax+]")
+
+
+def file_output_lines(tree):
+    """Lines that import csv or json, or call open() with a write mode (or
+    one not written out) or Path.write_text/write_bytes."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ({node.module} if isinstance(node, ast.ImportFrom)
+                     else {alias.name for alias in node.names})
+            if names & {"csv", "json"}:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("write_text", "write_bytes")
+                or isinstance(node.func, ast.Name) and node.func.id == "open"
+                and any(not isinstance(mode, ast.Constant)
+                        or WRITE_MODE.search(mode.value)
+                        for mode in node.args[1:2] + [
+                            kw.value for kw in node.keywords
+                            if kw.arg == "mode"])):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_cli_and_spectral_write_files():
+    # cli owns the format of every report file: the library returns data.
+    # spectral keeps the field CSV, an input format it also reads back
+    offenders = [f"{p.name}:{n}" for p in sorted(PACKAGE.glob("*.py"))
+                 if p.name not in ("cli.py", "spectral.py")
+                 for n in file_output_lines(ast.parse(p.read_text()))]
+    assert offenders == []
+
+
 # numpy calls that reduce through BLAS, and the @ operator
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "einsum"}
 
@@ -66,24 +102,24 @@ def referenced_names(tree):
                if isinstance(node, ast.Attribute)})
 
 
-def public_definitions(path):
-    """module.name of every public module-level function and class."""
+def definitions(path):
+    """module.name of every module-level function and class."""
     return {f"{path.stem}.{node.name}"
             for node in ast.parse(path.read_text()).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 def test_every_exported_name_is_used_by_the_package():
-    # a name the package exports or defines in public but never reads
-    # itself serves only the tests; such helpers belong in tests/oracles.py
+    # a name the package exports or defines at module level, public or
+    # private, but never reads itself serves only the tests; such helpers
+    # belong in tests/oracles.py
     init = ast.parse((PACKAGE / "__init__.py").read_text())
     exported = {alias.asname or alias.name for node in ast.walk(init)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     used = set().union(*(referenced_names(ast.parse(p.read_text()))
                          for p in modules))
-    defined = set().union(*(public_definitions(p) for p in modules))
+    defined = set().union(*(definitions(p) for p in modules))
     assert sorted(exported - used) == []
     assert sorted(d for d in defined if d.partition(".")[2] not in used) == []
 
