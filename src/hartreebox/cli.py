@@ -170,6 +170,7 @@ def cmd_verify(args) -> int:
     prof = build_profile(cfg.params.sigma, **cfg.profile_kw)
     laps.append(("profile", time.perf_counter()))
     ext = lift(h, prof, cfg.params.m, **cfg.lift_kw)
+    laps.append(("lift", time.perf_counter()))
     h_norm = h.norm_l2()
 
     rows, failures = [], []

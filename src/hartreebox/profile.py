@@ -192,12 +192,23 @@ def eval_profile(p: BesselProfile, s) -> np.ndarray:
     return phi
 
 
+def _interval(x, s):
+    """Index, clipped to the table, of the node interval holding s, for
+    nodes x_i = x_max ((i + 1)/M)^3: floor(M cbrt(s/x_max)) - 1, then a
+    step each way where cbrt's rounding crossed a node."""
+    M = len(x)
+    i = np.floor(M * np.cbrt(s / x[-1])).astype(np.intp).clip(1, M - 1) - 1
+    i -= x[i] > s
+    i += x[i + 1] <= s
+    return i.clip(0, M - 2)
+
+
 def _hermite(x, y, dy, s):
-    """Cubic Hermite interpolant of (y, dy) on nodes x, at s."""
+    """Cubic Hermite interpolant of (y, dy) on the table nodes x, at s."""
     dx = np.diff(x)
     secant = np.diff(y) / dx
     c2 = (3.0 * secant - 2.0 * dy[:-1] - dy[1:]) / dx
     c3 = (dy[:-1] + dy[1:] - 2.0 * secant) / dx ** 2
-    i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
+    i = _interval(x, s)
     t = s - x[i]
     return y[i] + t * (dy[i] + t * (c2[i] + t * c3[i]))

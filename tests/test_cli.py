@@ -144,7 +144,7 @@ def test_verify_command_after_solve(tmp_path, capsys):
         assert check in printed
     assert (vout / "decay.csv").exists()
     assert (vout / "dtn.csv").exists()
-    assert_phase_times(vout, "profile", "checks")
+    assert_phase_times(vout, "profile", "lift", "checks")
 
 
 def test_only_profile_and_verify_build_a_profile(tmp_path, capsys,

@@ -14,7 +14,7 @@ from hartreebox.extension import (DecayFitReport, _effective_abscissa,
                                   trace_inequality_check)
 from hartreebox.profile import eval_profile, small_s_energy_integral
 from hartreebox.spectral import (Grid, TraceField, apply_multiplier,
-                                 field_to_csv)
+                                 field_to_csv, inverse_spectrum)
 
 from conftest import SIGMAS
 from oracles import (extension_values, full_multiplier, full_xi_sq,
@@ -162,6 +162,15 @@ def test_dtn_requires_boundary_node(profile_half):
 # ---------------------------------------------------------------------------
 # Decay in x
 
+def kept_rows(x, lo):
+    """The mesh rows decay_fit transforms: at most 32 of the window
+    [lo, x_max], evenly spaced in index, both window ends included."""
+    rows = np.flatnonzero(x >= lo)
+    if rows.size <= 32:
+        return rows
+    return rows[np.arange(32) * (rows.size - 1) // 31]
+
+
 def test_decay_zero_mode_rate(profile_half):
     # constant trace at sigma = 1/2 decays exactly like e^(-m x)
     g = Grid(1, 5.0, 32)
@@ -208,8 +217,8 @@ def test_decay_envelope_holds_on_window(profiles, rng):
     ext = lift(h, p, 1.0, x_max=12.0, K_x=300)
     rep = decay_fit(ext, np.abs(h.values).max())
     x = ext.x_nodes
-    assert np.array_equal(rep.x, x[(x >= rep.window[0])
-                                   & (x <= rep.window[1])])
+    assert np.array_equal(rep.x, x[kept_rows(x, rep.window[0])])
+    assert np.all((rep.x >= rep.window[0]) & (rep.x <= rep.window[1]))
     env = (rep.envelope_const * np.abs(h.values).max()
            * rep.x ** (p.sigma - 0.5) * np.exp(-1.0 * rep.x))
     assert np.array_equal(rep.envelope, env)
@@ -387,9 +396,11 @@ def test_modewise_checks_match_dense_extension(profiles, sigma, dim, n, rng):
     want = dense_energy(h, values, x, p, 1.0)
     assert abs(_extension_energy(ext) - want) <= 1e-12 * want
 
-    # sup_y |u| at the decay window's nodes, the only ones it is formed at
+    # sup_y |u| at the decay fit's nodes, the only ones it is formed at
     rep = decay_fit(ext, h.norm_l2())
-    sup = np.max(np.abs(values[x >= 2.0]), axis=tuple(range(1, dim + 1)))
+    rows = kept_rows(x, 2.0)
+    assert np.array_equal(rep.x, x[rows])
+    sup = np.max(np.abs(values[rows]), axis=tuple(range(1, dim + 1)))
     assert np.all(np.abs(rep.sup - sup) <= 1e-12 * sup)
 
     mask, est, target, _, _ = _neumann_trace(ext)
@@ -435,5 +446,41 @@ def test_sup_abs_holds_one_field_at_a_time(profile_half):
     ext = lift(h, profile_half, 1.0, K_x=400)
     rep, peak = traced_peak(decay_fit, ext, h.norm_l2())
     assert peak < 2 ** 20
-    first = int(np.searchsorted(ext.x_nodes, rep.x[0]))
-    assert rep.sup[0] == np.max(np.abs(extension_values(ext, first)))
+    # bit for bit numpy's irfftn of the same node, at every kept node
+    rows = kept_rows(ext.x_nodes, rep.window[0])
+    assert np.array_equal(rep.x, ext.x_nodes[rows])
+    sup = np.max(np.abs(extension_values(ext, rows)), axis=(1, 2, 3))
+    assert np.array_equal(rep.sup, sup)
+
+
+@pytest.mark.parametrize("K_x", [40, 300])
+def test_decay_fit_keeps_at_most_32_window_nodes(profile_half, rng, K_x):
+    # a window of 18 rows (K_x = 40) keeps them all; one of 135 keeps 32
+    h = random_field(rng)
+    ext = lift(h, profile_half, 1.0, x_max=12.0, K_x=K_x)
+    rep = decay_fit(ext, h.norm_l2())
+    window = ext.x_nodes[ext.x_nodes >= 2.0]
+    assert rep.x.size == min(window.size, 32)
+    assert rep.x[0] == window[0] and rep.x[-1] == window[-1]
+    assert np.all(np.isin(rep.x, window)) and np.all(np.diff(rep.x) > 0)
+
+
+def test_decay_fit_cost_does_not_grow_with_K_x(profile_half, monkeypatch):
+    # 3D n = 32: as many nodes and inverse transforms at K_x = 1600 as at
+    # K_x = 400
+    from hartreebox import extension
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inverse_spectrum(*args, **kwargs)
+    monkeypatch.setattr(extension, "inverse_spectrum", counted)
+    g = Grid(3, 10.0, 32)
+    h = TraceField(g, np.exp(-g.radius_sq / 4.0))
+    sizes = []
+    for K_x in (400, 1600):
+        ext = lift(h, profile_half, 1.0, K_x=K_x)
+        calls.clear()
+        sizes.append(decay_fit(ext, h.norm_l2()).x.size)
+        assert len(calls) <= 32
+    assert sizes == [32, 32]

@@ -105,6 +105,19 @@ def test_hermite_interpolant_matches_scipy(profiles, sigma):
     assert np.max(np.abs(phi - ref) / np.abs(ref)) < 1e-14
 
 
+@pytest.mark.parametrize("s_max, M", [(20.0, 1000), (40.0, 2000),
+                                      (600.0, 2000), (20.0, 20000)])
+def test_interval_index_matches_searchsorted(s_max, M):
+    # the closed-form index of the table nodes s_max (j/M)^3 against a
+    # binary search, at every node, both float neighbours of every node and
+    # 1e5 random points of the table
+    x = build_profile(0.5, s_max=s_max, M=M).nodes
+    s = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf),
+                        np.random.default_rng(M).uniform(0.0, s_max, 10 ** 5)])
+    want = np.clip(np.searchsorted(x, s, side="right") - 1, 0, M - 2)
+    assert np.array_equal(profile_mod._interval(x, s), want)
+
+
 def test_half_kappa_is_one(profile_half):
     assert abs(profile_half.kappa - 1.0) < 1e-6
 
