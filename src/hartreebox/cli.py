@@ -82,7 +82,7 @@ def cmd_profile(args) -> int:
     prof = build_profile(cfg.params.sigma, **cfg.profile_kw)
     laps.append(("profile", time.perf_counter()))
     constants = {"sigma": prof.sigma, "kappa": prof.kappa, "c1": prof.c1,
-                 "c2": prof.c2, "d_sigma": prof.d_sigma}
+                 "c2": prof.c2, "d_sigma": prof.kappa}
     csv_path = os.path.join(args.out, "profile.csv")
     _write_csv(csv_path, [list(constants), list(constants.values()),
                           ["s", "phi", "dphi"],
@@ -217,13 +217,11 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low; anything else is a usage error."""
-    def integer(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}: {text}")
-        return int(text)
-    return integer
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer >= 0; anything else is a usage error."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
         if name == "solve":
-            p.add_argument("--seed", type=_int_at_least(0), default=None)
+            p.add_argument("--seed", type=_nonnegative_int, default=None)
         if name == "verify":
             p.add_argument("--field", required=True)
         p.set_defaults(func=fn)

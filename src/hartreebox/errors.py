@@ -36,12 +36,10 @@ class VerificationError(HartreeboxError, RuntimeError):
 
 
 class ConfigError(HartreeboxError):
-    """Config file problem, with 1-based line/column of the offending token."""
+    """Config file problem; the message names its 1-based line/column."""
 
     def __init__(self, message, line=None, col=None):
         loc = ""
         if line is not None:
             loc = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
         super().__init__(message + loc)
-        self.line = line
-        self.col = col

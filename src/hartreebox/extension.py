@@ -26,7 +26,7 @@ from .errors import DiagnosticError, DomainError, NumericError, \
     VerificationError
 from .profile import BesselProfile, eval_profile, small_s_energy_integral
 from .spectral import (Grid, TraceField, half_spectrum, inverse_spectrum,
-                       mode_power, sobolev_form)
+                       sobolev_form)
 
 # lift's floor on x_max, in decay lengths 1/m of the slowest mode
 MIN_DECAY_LENGTHS = 10
@@ -108,8 +108,8 @@ def _extension_energy(ext: ExtensionField) -> float:
     sigma = ext.profile.sigma
     x = ext.x_nodes
     c = ext.rates
-    power, count = mode_power(ext.grid, ext.spectrum)
-    mass = np.bincount(ext.mode_class.ravel(), weights=(power * count).ravel(),
+    power = np.abs(ext.spectrum) ** 2 * ext.grid.mode_weight
+    mass = np.bincount(ext.mode_class.ravel(), weights=power.ravel(),
                        minlength=c.size)
 
     table, buf = ext.profile_table, np.square(ext.profile_table)
@@ -163,7 +163,7 @@ def _neumann_trace(ext: ExtensionField):
     spectral mass (none for a zero field), -x^(1-2 sigma) du/dx from
     two-point slopes at power-adapted abscissae, extrapolated to x -> 0 by
     one Richardson step at order 2-2 sigma.  Returns (mask, estimate,
-    target = d_sigma c^(2 sigma) h-hat, relative error, monotone), where
+    target = kappa c^(2 sigma) h-hat, relative error, monotone), where
     monotone says whether the first three slope estimates approach their
     limit without the growing, direction-flipping increments of an x-mesh
     too coarse for the boundary layer.
@@ -172,11 +172,12 @@ def _neumann_trace(ext: ExtensionField):
     x = ext.x_nodes
     if x.size < 5 or x[0] != 0.0:
         raise DomainError("extension mesh must start at 0 with >= 5 nodes")
-    power, count = mode_power(ext.grid, ext.spectrum)
-    mask = (power >= _MASS_FLOOR * float(np.sum(power * count))) & (power > 0)
+    power, weight = np.abs(ext.spectrum) ** 2, ext.grid.mode_weight
+    floor = _MASS_FLOOR * float(np.sum(power * weight))
+    mask = (weight[0] * power >= floor) & (power > 0)
     hhat = ext.spectrum[mask]
     cls = ext.mode_class[mask]
-    target = ext.profile.d_sigma * ext.rates[cls] ** (2.0 * sigma) * hhat
+    target = ext.profile.kappa * ext.rates[cls] ** (2.0 * sigma) * hhat
 
     # Phi at the five smallest nodes; differencing the real profile before
     # scaling by h-hat keeps the O(x_1^(2 sigma)) increments free of the
@@ -207,7 +208,7 @@ def dtn_check(ext: ExtensionField) -> float:
     """Neumann trace -x^(1-2 sigma) du/dx at x -> 0 vs. the multiplier.
 
     Per mode carrying at least _MASS_FLOOR of the spectral mass, the
-    extrapolated finite-difference estimate must match d_sigma c^(2 sigma)
+    extrapolated finite-difference estimate must match kappa c^(2 sigma)
     h-hat within _DTN_RTOL.  Returns the worst relative error (0 for a zero
     field), the largest rel_error in dtn_table.
     """

@@ -240,20 +240,17 @@ class ModelParams:
     def potential_values(self) -> np.ndarray:
         return self.potential.sample(self.grid)
 
-    @property
-    def kernel_values(self) -> np.ndarray:
-        return self.kernel.sample(self.grid)
-
     @cached_property
     def kernel_spectrum(self) -> np.ndarray:
         """cell_volume * rfftn(W): the multiplier of g -> W * g; read-only."""
-        spec = self.grid.cell_volume * half_spectrum(self.kernel_values)
+        spec = self.grid.cell_volume * half_spectrum(
+            self.kernel.sample(self.grid))
         spec.flags.writeable = False
         return spec
 
     @cached_property
     def kappa(self) -> float:
-        """The extension constant d_sigma of (m^2 - Lap)^sigma."""
+        """The extension constant of (m^2 - Lap)^sigma."""
         return flux_constant(self.sigma)
 
     def validate(self) -> None:

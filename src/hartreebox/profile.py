@@ -23,7 +23,7 @@ the boundary term at s = 0 remains).  The endpoint expansions are
     phi(s) ~ 1 - c1 * s^(2*sigma)                (s -> 0),
     phi(s) ~ c2 * s^((2*sigma-1)/2) * exp(-s)    (s -> infinity),
 
-with c1 = d_sigma / (2*sigma) and c2 = sqrt(pi) 2^(1/2-sigma) / Gamma(sigma)
+with c1 = kappa / (2*sigma) and c2 = sqrt(pi) 2^(1/2-sigma) / Gamma(sigma)
 from the large-s asymptotics of K_sigma: all four constants are closed forms.
 """
 
@@ -53,18 +53,18 @@ def flux_constant(sigma: float) -> float:
 
 
 def _frobenius(sigma, terms):
-    """Exponents q and coefficients a, `terms` of each, of the Frobenius
-    pair of the kernel ODE about s = 0: u1 = 1 + sum a_k s^(2k) (regular)
-    and u2 = s^(2*sigma) * (1 + ...) (singular derivative), both entire.
-    Term k has q = 2k + e, with e = 0 for u1 and 2 sigma for u2, and
-    coefficient ratio 1 / (q (q - 2 sigma)) to term k - 1.
+    """Coefficients a, `terms` of each, of the Frobenius pair of the kernel
+    ODE about s = 0: u1 = 1 + sum a_k s^(2k) (regular) and
+    u2 = s^(2*sigma) * (1 + ...) (singular derivative), both entire.
+    Term k has exponent q = 2k + e, with e = 0 for u1 and 2 sigma for u2,
+    and coefficient ratio 1 / (q (q - 2 sigma)) to term k - 1.
     """
     branches = []
     for e, e_shift in ((0.0, -2.0 * sigma), (2.0 * sigma, 0.0)):
-        q, a = 2.0 * np.arange(terms) + e, np.ones(terms)
+        a = np.ones(terms)
         for k in range(1, terms):
-            a[k] = a[k - 1] / (q[k] * (2.0 * k + e_shift))
-        branches.append((q, a))
+            a[k] = a[k - 1] / ((2.0 * k + e) * (2.0 * k + e_shift))
+        branches.append(a)
     return branches
 
 
@@ -74,8 +74,8 @@ class BesselProfile:
 
     nodes are graded toward 0 (s_j = s_max * (j/M)^3) so the s^(1-2*sigma)
     weight is resolved.  phi/dphi are the kernel and its derivative at the
-    nodes, from build_profile, its one constructor.  d_sigma, kappa, c1 and
-    c2 are closed forms in sigma, as in the module docstring.
+    nodes, from build_profile, its one constructor.  kappa, c1 and c2
+    are closed forms in sigma, as in the module docstring.
     """
 
     sigma: float
@@ -91,11 +91,9 @@ class BesselProfile:
     def kappa(self):
         return flux_constant(self.sigma)
 
-    d_sigma = kappa
-
     @property
     def c1(self):
-        return self.d_sigma / (2.0 * self.sigma)
+        return self.kappa / (2.0 * self.sigma)
 
     @property
     def c2(self):
@@ -181,7 +179,7 @@ def eval_profile(p: BesselProfile, s) -> np.ndarray:
     lo, hi = s < 1e-2, s > p.s_max
     mid = ~(lo | hi)
     sl, sh = s[lo], s[hi]
-    (_, a1), (_, a2) = _frobenius(sigma, _SMALL_S_TERMS)
+    a1, a2 = _frobenius(sigma, _SMALL_S_TERMS)
     phi[lo] = (np.polyval(a1[::-1], sl ** 2) - p.c1 * sl ** (2.0 * sigma)
                * np.polyval(a2[::-1], sl ** 2))
     phi[mid] = _hermite(p.nodes, p.phi, p.dphi, s[mid])

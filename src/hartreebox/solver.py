@@ -4,9 +4,9 @@ Limited-memory BFGS (Liu & Nocedal, Math. Program. 45, 1989) with the Nehari
 projection as retraction (Huang, Gallivan & Absil, SIAM J. Optim. 25, 2015)
 and initial inverse Hessian gamma P, P = (kappa (m^2 + 4 pi^2 |xi|^2)^sigma +
 V_inf)^(-1), which removes the stiffness of the fractional operator.  Armijo
-backtracking keeps the energy monotone; the loop stops when r = sqrt(<g, P g>
-/ Q) <= solver.tol.  It works on spectra scaled by Grid.pairing_weight, where
-the L^2 pairing is a plain sum.
+backtracking keeps the energy monotone up to its rounding; the loop stops
+when r = sqrt(<g, P g> / Q) <= solver.tol.  It works on spectra scaled by
+Grid.pairing_weight, where the L^2 pairing is a plain sum.
 
 P misses the translations of a state in a weak well, a near-zero mode of
 the Hessian (Weinstein, SIAM J. Math. Anal. 16, 1985): on a resolved grid a
@@ -151,7 +151,7 @@ def solve_ground(params: ModelParams,
     beta = np.sqrt(ev.form)
     history = [(0, ev.level, nehari, gnorm, 0.0)]
     pairs = collections.deque(maxlen=_MEMORY)
-    it, reason, shifts, slack = 0, "max_iter", 0, 0.0
+    it, reason, shifts = 0, "max_iter", 0
     mag = _resolved_magnitude(ev, grid) if params.potential.A > 0 else None
     while stat > settings.tol and it < settings.max_iter:
         it += 1
@@ -159,31 +159,29 @@ def solve_ground(params: ModelParams,
         slope = _dot(grad, direction, work)
         d_hat = np.divide(direction, weight, out=direction).view(np.complex128)
         d_vals = inverse_spectrum(d_hat, grid.shape)
+        # Armijo, but a level within 2 eps of the bound, its rounding,
+        # passes only if it lowers r (Shi, Xie, Byrd & Nocedal, SIAM J.
+        # Optim. 32, 2022); the projection gives None above bound + noise
+        noise = 2.0 * np.finfo(float).eps * abs(ev.level)
         step = 1.0
         for _ in range(40):
             np.multiply(d_vals, step, out=trial)
             trial += ev.values
             if trial.max() > 0.0:
-                # Armijo: None once the projection finds the level above
-                # the bound; the root search starts where Q matches ev's
-                _, cand = _project(trial, params,
-                                   ev.level + 1e-4 * step * slope + slack,
+                # the root search starts where Q matches ev's
+                bound = ev.level + 1e-4 * step * slope
+                _, cand = _project(trial, params, bound + noise,
                                    ev.spectrum + step * d_hat, ev.quad)
                 if cand is not None:
                     cand_state = state(cand)
-                    if not slack or cand_state[3] < stat:
+                    if cand.level < bound - noise or cand_state[3] < stat:
                         break
             step *= 0.5
         else:
             history.append((it, ev.level, nehari, gnorm, 0.0))
-            if not pairs and slack:
+            if not pairs:               # a search from -P g failed
                 reason = "line_search"
                 break
-            # once -P g fails too, the level is at its rounding floor: a
-            # trial may pass the bound by 2 eps of it if it lowers r (Shi,
-            # Xie, Byrd & Nocedal, SIAM J. Optim. 32, 2022)
-            if not pairs:
-                slack = 2.0 * np.finfo(float).eps * abs(ev.level)
             pairs.clear()
             continue
         # s and y take the buffers of ev's spectrum and gradient, which

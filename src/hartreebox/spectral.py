@@ -56,10 +56,6 @@ class Grid:
     def cell_volume(self):
         return (2.0 * self.L / self.n) ** self.dim
 
-    @property
-    def box_volume(self):
-        return (2.0 * self.L) ** self.dim
-
     @cached_property
     def axis(self):
         """Physical coordinates along one axis, y_i = -L + i * 2L/n."""
@@ -107,16 +103,20 @@ class Grid:
         return out
 
     @cached_property
-    def _partner_count(self) -> np.ndarray:
-        """Modes per half-lattice mode: 1 on the planes 0 and n/2, else 2."""
-        return np.where(np.arange(self.n // 2 + 1) % (self.n // 2), 2.0, 1.0)
+    def mode_weight(self) -> np.ndarray:
+        """count cell_volume / n^N along the last half-lattice axis, count
+        1 on the planes 0 and n/2 and 2 elsewhere, the modes each stands
+        for: sum |rfftn(h)|^2 mode_weight = int |h|^2; read-only."""
+        count = np.where(np.arange(self.n // 2 + 1) % (self.n // 2), 2.0, 1.0)
+        out = count * self.cell_volume / self.n ** self.dim
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def pairing_weight(self) -> np.ndarray:
-        """sqrt(count cell_volume / n^N) along spectrum.view(float); so
-        scaled, two spectra sum to the L^2 pairing of their fields."""
-        count = np.repeat(self._partner_count, 2)
-        out = np.sqrt(count * self.cell_volume / self.n ** self.dim)
+        """sqrt(mode_weight) along spectrum.view(float); so scaled, two
+        spectra sum to the L^2 pairing of their fields."""
+        out = np.sqrt(np.repeat(self.mode_weight, 2))
         out.flags.writeable = False
         return out
 
@@ -221,19 +221,9 @@ def phase_ramp(grid: Grid, shift) -> np.ndarray:
 def half_lattice_form(grid: Grid, mult: np.ndarray,
                       spectrum: np.ndarray) -> float:
     """sum_k mult |hat(h)(xi_k)|^2 dxi^N over the full lattice, from the
-    half-lattice spectrum rfftn(h) and an even multiplier, each mode counted
-    as in Grid.pairing_weight."""
+    half-lattice spectrum rfftn(h) and an even multiplier."""
     terms = mult * (spectrum.real ** 2 + spectrum.imag ** 2)
-    return float((terms * grid.pairing_weight[::2] ** 2).sum())
-
-
-def mode_power(grid: Grid, spectrum: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Plancherel summands |hat(h)|^2 dxi^N per half-lattice mode of the
-    spectrum rfftn(h), and the modes each stands for, along the last axis."""
-    power = np.abs(spectrum) ** 2 * (grid.box_volume
-                                     / grid.n ** (2 * grid.dim))
-    return power, grid._partner_count
+    return float((terms * grid.mode_weight).sum())
 
 
 def sobolev_form(grid: Grid, spectrum: np.ndarray, m: float,

@@ -43,7 +43,7 @@ def spectral_weights(h):
     the Plancherel sum."""
     g = h.grid
     return (np.abs(np.fft.fftn(h.values)) ** 2
-            * g.box_volume / g.n ** (2 * g.dim))
+            * (2.0 * g.L) ** g.dim / g.n ** (2 * g.dim))
 
 
 def dense_frac_apply(h, sigma, m):
@@ -84,7 +84,7 @@ def kernel_convolve(params, g):
     """W * g, the periodic convolution with the sampled kernel of params,
     by complex transforms on the full lattice."""
     return params.grid.cell_volume * np.fft.ifftn(
-        np.fft.fftn(params.kernel_values) * np.fft.fftn(g)).real
+        np.fft.fftn(params.kernel.sample(params.grid)) * np.fft.fftn(g)).real
 
 
 # ---------------------------------------------------------------------------
@@ -269,5 +269,5 @@ def profile_from_csv(path):
                                  for r in rows[3:]]).T
     p = BesselProfile(sigma=sigma, nodes=nodes, phi=phi, dphi=dphi)
     # the closed-form constants are written for readers, not read back
-    assert [kappa, c1, c2, d_sigma] == [p.kappa, p.c1, p.c2, p.d_sigma]
+    assert [kappa, c1, c2, d_sigma] == [p.kappa, p.c1, p.c2, p.kappa]
     return p

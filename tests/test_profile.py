@@ -66,7 +66,7 @@ def ode_residual(p):
 
     below = s < SERIES_PIVOT
     if below.any():
-        ddphi[below] = series_ddphi(sigma, p.d_sigma / (2.0 * sigma), s[below])
+        ddphi[below] = series_ddphi(sigma, p.kappa / (2.0 * sigma), s[below])
 
     for j in np.nonzero(~below)[0]:
         i0 = min(max(j - 2, 0), n - 5)
@@ -156,7 +156,7 @@ def test_constants_match_gamma_formulas(sigma):
     c1_exact = gamma(1.0 - sigma) / (sigma * gamma(sigma) * 4.0 ** sigma)
     c2_exact = np.sqrt(np.pi) * 2.0 ** (0.5 - sigma) / gamma(sigma)
     d_exact = 2.0 * sigma * c1_exact
-    for value, exact in ((p.kappa, d_exact), (p.d_sigma, d_exact),
+    for value, exact in ((p.kappa, d_exact),
                          (p.c1, c1_exact), (p.c2, c2_exact)):
         assert abs(value - exact) / exact < 1e-12
 
@@ -292,8 +292,7 @@ def test_csv_roundtrip_exact(tmp_path_factory, p):
     with mock.patch.object(profile_mod, "build_profile", lambda *_: p):
         path = write_profile_csv(tmp_path_factory.getbasetemp())
     q = profile_from_csv(path)
-    for name in ("sigma", "kappa", "c1", "c2", "d_sigma", "nodes", "phi",
-                 "dphi"):
+    for name in ("sigma", "kappa", "c1", "c2", "nodes", "phi", "dphi"):
         assert (np.asarray(getattr(q, name)).tobytes()
                 == np.asarray(getattr(p, name)).tobytes()), name
 

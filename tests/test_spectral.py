@@ -45,8 +45,13 @@ def test_pairing_weight_gives_the_l2_pairing(dim, rng):
     want = g.cell_volume * np.sum(a * b)
     scale = g.cell_volume * np.sqrt(np.sum(a * a) * np.sum(b * b))
     assert abs(np.sum(sa * sb) - want) <= 1e-14 * scale
-    assert abs(np.sum(sa * sa) - g.cell_volume * np.sum(a * a)) \
-        <= 1e-14 * g.cell_volume * np.sum(a * a)
+    norm_sq = g.cell_volume * np.sum(a * a)
+    assert abs(np.sum(sa * sa) - norm_sq) <= 1e-14 * norm_sq
+    # Parseval with the per-mode weight, and the pairing weight its root
+    power = np.abs(np.fft.rfftn(a)) ** 2
+    assert abs(np.sum(power * g.mode_weight) - norm_sq) <= 1e-13 * norm_sq
+    assert g.pairing_weight.tobytes() == np.sqrt(
+        np.repeat(g.mode_weight, 2)).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -62,7 +67,7 @@ def test_frac_apply_matches_dense_oracle(dim, rng):
 def test_convolve_matches_dense_oracle(dim, rng):
     g = Grid(dim, 1.3, 8)
     params = kernel_params(g)
-    k = TraceField(g, params.kernel_values)
+    k = TraceField(g, params.kernel.sample(params.grid))
     f = TraceField(g, rng.standard_normal(g.shape))
     got = apply_multiplier(params.kernel_spectrum, f.values, "convolve")
     want = dense_convolve(k, f)
@@ -79,7 +84,7 @@ def half_and_full_multipliers(dim, kind):
     g = params.grid
     if kind == "kernel":
         return (params.kernel_spectrum,
-                g.cell_volume * np.fft.fftn(params.kernel_values))
+                g.cell_volume * np.fft.fftn(params.kernel.sample(params.grid)))
     if kind == "fractional":
         return g.multiplier(1.3, 0.5), full_multiplier(g, 1.3, 0.5)
     kappa, v_inf = 0.9, 1.2            # the solver's preconditioner
@@ -161,7 +166,7 @@ def test_young_inequality(rng):
             g, a=rng.uniform(0.0, 1.0), mu=rng.uniform(0.0, 0.9),
             R_c=rng.uniform(0.2, 2.0), b=rng.uniform(0.0, 1.0),
             w2=rng.uniform(0.2, 2.0))
-        w_l1 = g.cell_volume * np.abs(params.kernel_values).sum()
+        w_l1 = g.cell_volume * np.abs(params.kernel.sample(params.grid)).sum()
         f = TraceField(g, rng.standard_normal(g.n))
         lhs = TraceField(g, apply_multiplier(params.kernel_spectrum,
                                              f.values, "convolve")).norm_l2()
@@ -172,7 +177,8 @@ def test_sobolev_form_constant_closed_form(profile_half):
     g = Grid(1, 5.0, 32)
     a, m, sigma = 0.7, 1.4, 0.5
     h = TraceField(g, np.full(g.shape, a))
-    want = profile_half.kappa * m ** (2 * sigma) * a ** 2 * g.box_volume
+    want = (profile_half.kappa * m ** (2 * sigma) * a ** 2
+            * (2.0 * g.L) ** g.dim)
     got = sobolev_form(g, half_spectrum(h.values), m, profile_half)
     assert abs(got - want) < 1e-12 * want
 

@@ -29,7 +29,7 @@ FFT_USE = re.compile(r"\b(?:np|numpy)\.fft\b|from\s+numpy\s+import[^\n]*\bfft\b"
 
 def test_only_spectral_calls_numpy_fft():
     # spectral owns the rfftn half lattice: every transform, the |k|^2 mesh
-    # and the partner-count rule; other modules go through its functions
+    # and the mode weight; other modules go through its functions
     modules = sorted(PACKAGE.glob("*.py"))
     assert "spectral.py" in [p.name for p in modules]
     offenders = [f"{p.name}:{n}" for p in modules if p.name != "spectral.py"
@@ -122,6 +122,39 @@ def test_every_exported_name_is_used_by_the_package():
     defined = set().union(*(definitions(p) for p in modules))
     assert sorted(exported - used) == []
     assert sorted(d for d in defined if d.partition(".")[2] not in used) == []
+
+
+def class_members(tree):
+    """Class.name of every method, property and class-level alias of the
+    module's classes and of every attribute a method sets on self; dunder
+    methods, which Python calls itself, aside."""
+    members = set()
+    for cls in (node for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)):
+        names = {node.name for node in cls.body
+                 if isinstance(node, ast.FunctionDef)}
+        names |= {target.id for node in cls.body
+                  if isinstance(node, ast.Assign)
+                  for target in node.targets if isinstance(target, ast.Name)}
+        names |= {node.attr for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "self"}
+        members |= {f"{cls.name}.{name}" for name in names
+                    if not name.startswith("__")}
+    return members
+
+
+def test_every_class_member_is_read_by_the_package():
+    # a method, property, alias or attribute that the package never reads
+    # as obj.name serves only the tests
+    trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    members = set().union(*(class_members(tree) for tree in trees))
+    assert sorted(m for m in members if m.partition(".")[2] not in read) == []
 
 
 # The owner of each config section: a key `section.name` is the keyword
