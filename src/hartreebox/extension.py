@@ -5,14 +5,15 @@ The extension of h is diagonal in frequency: per lattice mode,
 u-hat(x, xi) = h-hat(xi) * Phi(c x) with c = sqrt(m^2 + 4 pi^2 |xi|^2).
 `lift` keeps it in that form on a graded x-mesh x_j = x_max (j/K_x)^3
 (dense near the degenerate boundary): the half-lattice spectrum rfftn(h),
-the |k|^2 class of every mode, and Phi(x_j c) once per distinct rate c.
-The checks then compare it against independent discretizations, per rate
-class where they can: graded-quadrature energy vs. the spectral quadratic
-form, finite-difference Neumann traces vs. the fractional multiplier, and
-the sup-norm decay law in x.  Each check reads the profile, m and spectrum
-from the lifted field.  Only sup_y |u(x, .)| needs physical space, and only
-on at most 32 nodes of the decay fit's window [2/m, x_max], one x-node at
-a time, so no check holds more than one field of n^N values.
+the |k|^2 class of every mode and the distinct rates c, but no table of
+Phi(x_j c): each check evaluates Phi on the x-rows it reads, a few at a
+time, and compares against an independent discretization, per rate class
+where it can: graded-quadrature energy vs. the spectral quadratic form,
+finite-difference Neumann traces vs. the fractional multiplier, and the
+sup-norm decay law in x.  Only sup_y |u(x, .)| needs physical space, and
+only on at most 32 nodes of the decay fit's window [2/m, x_max], one
+x-node at a time, so no check holds more than one field of n^N values, and
+memory does not grow with K_x.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ _MASS_FLOOR = 1e-6
 _DECAY_RATE_RTOL = 0.05
 _DECAY_RESIDUAL_TOL = 0.05
 _DECAY_NODES = 32   # most window nodes the decay fit transforms
-_BLOCK = 16     # profile-table rows per eval_profile or np.gradient call
+_BLOCK = 16     # x-rows of Phi per eval_profile call
+_SUP_ROWS = 8   # the same in _sup_abs, whose two n^N buffers stay live
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,10 @@ class ExtensionField:
 
     profile and m are those the trace was lifted with.  spectrum is rfftn(h)
     on the half lattice, mode_class the index of each half-lattice mode's
-    |k|^2 among the distinct values, rates the rate c of each class and
-    profile_table[j, u] = Phi(x_nodes[j] rates[u]), so
-    u-hat(x_j, k) = profile_table[j, mode_class[k]] spectrum[k].
-    lift is its one constructor.
+    |k|^2 among the distinct values and rates the rate c of each class, so
+    u-hat(x_j, k) = Phi(x_j rates[mode_class[k]]) spectrum[k].  Phi is not
+    stored; profile_rows evaluates it for the rows a check reads.  lift is
+    its one constructor.
     """
 
     grid: Grid
@@ -61,7 +63,11 @@ class ExtensionField:
     spectrum: np.ndarray
     mode_class: np.ndarray
     rates: np.ndarray
-    profile_table: np.ndarray
+
+    def profile_rows(self, rows) -> np.ndarray:
+        """Phi(x_nodes[rows] (x) rates): x-rows by rate classes."""
+        return eval_profile(self.profile,
+                            np.multiply.outer(self.x_nodes[rows], self.rates))
 
 
 def graded_nodes(x_max: float, K_x: int) -> np.ndarray:
@@ -84,16 +90,11 @@ def lift(h: TraceField, profile: BesselProfile, m: float,
     class_k_sq, mode_class = np.unique(grid.k_sq, return_inverse=True)
     xi_sq = class_k_sq / (2.0 * grid.L) ** 2
     rates = np.sqrt(m ** 2 + 4.0 * np.pi ** 2 * xi_sq)
-    x = graded_nodes(x_max, K_x)
-    # Phi once per (x-node, distinct rate), _BLOCK rows at a time
-    table = np.empty((x.size, rates.size))
-    for i in range(0, x.size, _BLOCK):
-        table[i:i + _BLOCK] = eval_profile(
-            profile, np.multiply.outer(x[i:i + _BLOCK], rates))
-    return ExtensionField(grid=grid, x_nodes=x, profile=profile, m=m,
+    return ExtensionField(grid=grid, x_nodes=graded_nodes(x_max, K_x),
+                          profile=profile, m=m,
                           spectrum=half_spectrum(h.values),
                           mode_class=mode_class.reshape(grid.k_sq.shape),
-                          rates=rates, profile_table=table)
+                          rates=rates)
 
 
 def _extension_energy(ext: ExtensionField) -> float:
@@ -101,9 +102,9 @@ def _extension_energy(ext: ExtensionField) -> float:
 
     Finite differences in x and spectral derivatives in y on the graded
     mesh; by Parseval both parts are sums over rate classes weighted by the
-    class's spectral mass.  np.gradient, being linear, acts on the profile
-    table alone, _BLOCK rows at a time from windows a row wider per side;
-    Phi's series gives the [0, x_1] head, where the weight is 0 or singular.
+    class's spectral mass.  np.gradient, being linear, acts on Phi alone,
+    _BLOCK rows at a time from windows a row wider per side; Phi's series
+    gives the [0, x_1] head, where the weight is 0 or singular.
     """
     sigma = ext.profile.sigma
     x = ext.x_nodes
@@ -112,14 +113,14 @@ def _extension_energy(ext: ExtensionField) -> float:
     mass = np.bincount(ext.mode_class.ravel(), weights=power.ravel(),
                        minlength=c.size)
 
-    table, buf = ext.profile_table, np.square(ext.profile_table)
-    y_part = np.multiply(buf, c ** 2, out=buf) @ mass
+    parts = np.empty(x.size)    # the y part plus the x part, per x-row
     for i in range(0, x.size, _BLOCK):
         rows = slice(max(i - 1, 0), i + _BLOCK + 1)
-        grad = np.gradient(table[rows], x[rows], axis=0)
-        buf[i:i + _BLOCK] = grad[i - rows.start:][:_BLOCK]
-    x_part = np.square(buf, out=buf) @ mass
-    integrand = (y_part[1:] + x_part[1:]) * x[1:] ** (1.0 - 2.0 * sigma)
+        phi = ext.profile_rows(rows)
+        grad = np.gradient(phi, x[rows], axis=0)
+        part = (np.square(phi) * c ** 2) @ mass + np.square(grad) @ mass
+        parts[i:i + _BLOCK] = part[i - rows.start:][:_BLOCK]
+    integrand = parts[1:] * x[1:] ** (1.0 - 2.0 * sigma)
     body = np.trapezoid(integrand, x[1:])
 
     head = float(np.sum(mass * c ** (2.0 * sigma)
@@ -182,7 +183,7 @@ def _neumann_trace(ext: ExtensionField):
     # Phi at the five smallest nodes; differencing the real profile before
     # scaling by h-hat keeps the O(x_1^(2 sigma)) increments free of the
     # spectrum's rounding
-    phi = ext.profile_table[:5, cls]
+    phi = ext.profile_rows(slice(0, 5))[:, cls]
     ests, xeffs = [], []
     for j in range(1, 4):
         xe = _effective_abscissa(x[j], x[j + 1], sigma)
@@ -238,11 +239,12 @@ def _sup_abs(ext: ExtensionField, rows: np.ndarray) -> np.ndarray:
     transformed in place into two buffers reused across the nodes."""
     hat, u = np.empty_like(ext.spectrum), np.empty(ext.grid.shape)
     sup = np.empty(rows.size)
-    for i, j in enumerate(rows):
-        np.multiply(ext.profile_table[j, ext.mode_class], ext.spectrum,
-                    out=hat)
-        inverse_spectrum(hat, u.shape, out=u, overwrite=True)
-        sup[i] = max(u.max(), -u.min())
+    for start in range(0, rows.size, _SUP_ROWS):
+        phi = ext.profile_rows(rows[start:start + _SUP_ROWS])
+        for i, row in enumerate(phi, start):
+            np.multiply(row[ext.mode_class], ext.spectrum, out=hat)
+            inverse_spectrum(hat, u.shape, out=u, overwrite=True)
+            sup[i] = max(u.max(), -u.min())
     return sup
 
 

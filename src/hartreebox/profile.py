@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,14 @@ class BesselProfile:
         # 1/Gamma(sigma) as sigma/Gamma(1 + sigma), which cannot overflow
         return (math.sqrt(math.pi) * 2.0 ** (0.5 - self.sigma)
                 * self.sigma / math.gamma(1.0 + self.sigma))
+
+    @cached_property
+    def _cubic(self):
+        """eval_profile's Hermite coefficients (c2, c3) per node interval."""
+        dx = np.diff(self.nodes)
+        secant = np.diff(self.phi) / dx
+        return ((3.0 * secant - 2.0 * self.dphi[:-1] - self.dphi[1:]) / dx,
+                (self.dphi[:-1] + self.dphi[1:] - 2.0 * secant) / dx ** 2)
 
 
 def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselProfile:
@@ -178,15 +187,21 @@ def eval_profile(p: BesselProfile, s) -> np.ndarray:
     phi = np.empty_like(s)
     lo, hi = s < 1e-2, s > p.s_max
     mid = ~(lo | hi)
-    sl, sh = s[lo], s[hi]
-    a1, a2 = _frobenius(sigma, _SMALL_S_TERMS)
-    phi[lo] = (np.polyval(a1[::-1], sl ** 2) - p.c1 * sl ** (2.0 * sigma)
-               * np.polyval(a2[::-1], sl ** 2))
-    phi[mid] = _hermite(p.nodes, p.phi, p.dphi, s[mid])
-    tail = 1.0
-    for k in range(_HANKEL_TERMS - 1, 0, -1):
-        tail = 1.0 + (4 * sigma ** 2 - (2 * k - 1) ** 2) / (8 * k) * tail / sh
-    phi[hi] = p.c2 * sh ** ((2.0 * sigma - 1.0) / 2.0) * np.exp(-sh) * tail
+    c2, c3 = p._cubic
+    sm = s[mid]
+    i = _interval(p.nodes, sm)
+    t = sm - p.nodes[i]
+    phi[mid] = p.phi[i] + t * (p.dphi[i] + t * (c2[i] + t * c3[i]))
+    if lo.any():
+        sl = s[lo]
+        a1, a2 = _frobenius(sigma, _SMALL_S_TERMS)
+        phi[lo] = (np.polyval(a1[::-1], sl ** 2) - p.c1 * sl ** (2.0 * sigma)
+                   * np.polyval(a2[::-1], sl ** 2))
+    if hi.any():
+        sh, tail, nu_sq = s[hi], 1.0, 4 * sigma ** 2
+        for k in range(_HANKEL_TERMS - 1, 0, -1):
+            tail = 1.0 + (nu_sq - (2 * k - 1) ** 2) / (8 * k) * tail / sh
+        phi[hi] = p.c2 * sh ** ((2.0 * sigma - 1.0) / 2.0) * np.exp(-sh) * tail
     return phi
 
 
@@ -200,13 +215,3 @@ def _interval(x, s):
     i += x[i + 1] <= s
     return i.clip(0, M - 2)
 
-
-def _hermite(x, y, dy, s):
-    """Cubic Hermite interpolant of (y, dy) on the table nodes x, at s."""
-    dx = np.diff(x)
-    secant = np.diff(y) / dx
-    c2 = (3.0 * secant - 2.0 * dy[:-1] - dy[1:]) / dx
-    c3 = (dy[:-1] + dy[1:] - 2.0 * secant) / dx ** 2
-    i = _interval(x, s)
-    t = s - x[i]
-    return y[i] + t * (dy[i] + t * (c2[i] + t * c3[i]))

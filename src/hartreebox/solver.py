@@ -32,6 +32,7 @@ _MEMORY = 3
 # grid that pins the field fails for good), and |v^| settled to _SHAPE_MOVE
 _SHELL_TAIL = 1e-6
 _SHAPE_MOVE = 0.1
+_R_DECREASE = 1e-3  # share of r a trial at the level's rounding must cut
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,8 @@ def solve_ground(params: ModelParams,
         slope = _dot(grad, direction, work)
         d_hat = np.divide(direction, weight, out=direction).view(np.complex128)
         d_vals = inverse_spectrum(d_hat, grid.shape)
-        # Armijo, but a level within 2 eps of the bound, its rounding,
-        # passes only if it lowers r (Shi, Xie, Byrd & Nocedal, SIAM J.
+        # Armijo, but a level within 2 eps of the bound, its rounding, must
+        # lower r by _R_DECREASE of it (Shi, Xie, Byrd & Nocedal, SIAM J.
         # Optim. 32, 2022); the projection gives None above bound + noise
         noise = 2.0 * np.finfo(float).eps * abs(ev.level)
         step = 1.0
@@ -174,7 +175,8 @@ def solve_ground(params: ModelParams,
                                    ev.spectrum + step * d_hat, ev.quad)
                 if cand is not None:
                     cand_state = state(cand)
-                    if cand.level < bound - noise or cand_state[3] < stat:
+                    if (cand.level < bound - noise
+                            or cand_state[3] < (1.0 - _R_DECREASE) * stat):
                         break
             step *= 0.5
         else:

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.special import gamma, kv
 
 from hartreebox.errors import DomainError, VerificationError
-from hartreebox.profile import BesselProfile
+from hartreebox.profile import BesselProfile, eval_profile
 from hartreebox.solver import solve_ground
 from hartreebox.spectral import Grid, TraceField
 
@@ -93,10 +93,12 @@ def kernel_convolve(params, g):
 def extension_values(ext, rows=slice(None)):
     """u(x_j, y) of a lifted field at the x-nodes x_nodes[rows] (an index or
     a slice), shape x_nodes[rows].shape + grid.shape: its mode-wise form
-    Phi(x_j c) rfftn(h) put on every node at once and inverted by numpy's
-    own irfftn."""
+    Phi(x_j c) rfftn(h), with Phi from eval_profile on every node and rate
+    at once, inverted by numpy's own irfftn."""
     g = ext.grid
-    table = ext.profile_table[rows][..., ext.mode_class]
+    phi = eval_profile(ext.profile,
+                       np.multiply.outer(ext.x_nodes[rows], ext.rates))
+    table = phi[..., ext.mode_class]
     return np.fft.irfftn(table * ext.spectrum, s=g.shape,
                          axes=tuple(range(-g.dim, 0)))
 

@@ -27,7 +27,7 @@ from hartreebox.errors import (BracketError, ConfigError, ConvergenceError,
 from hartreebox.spectral import (Grid, TraceField, field_from_csv,
                                  field_to_csv)
 
-from oracles import field_to_binary
+from oracles import field_to_binary, traced_peak
 
 BASE_CONFIG = """\
 # small ground-state instance
@@ -181,6 +181,22 @@ def test_verify_runs_trace_check_when_m_not_one(tmp_path, capsys):
     assert "trace_inequality,pass" in report
     assert "energy_identity,pass" in report
     capsys.readouterr()
+
+
+def test_verify_command_peak_memory_is_bounded(tmp_path, capsys):
+    # 3D n = 32, K_x = 400: the whole command, the field file, dtn_table and
+    # the report writers included, traces a peak of about 1.9 MiB; a kept
+    # 401 x 464 table of Phi and its square would take it to 4.1 MiB
+    cfg = BASE_CONFIG.replace("N = 1", "N = 3").replace("n = 64", "n = 32")
+    grid = Grid(3, 10.0, 32)
+    field = tmp_path / "field.csv"
+    field_to_csv(TraceField(grid, np.exp(-grid.radius_sq / 4.0)), str(field))
+    rc, peak = traced_peak(main, [
+        "verify", "--config", write_config(tmp_path, cfg), "--out",
+        str(tmp_path / "verify"), "--field", str(field)])
+    capsys.readouterr()
+    assert rc == 0
+    assert peak < 2.5 * 2 ** 20
 
 
 def test_verify_manifest_lists_only_the_files_written(tmp_path, capsys):

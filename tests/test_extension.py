@@ -153,8 +153,8 @@ def test_dtn_requires_boundary_node(profile_half):
     g = Grid(1, 5.0, 32)
     h = TraceField(g, np.ones(32))
     ext = lift(h, profile_half, 1.0, K_x=100)
-    shifted = replace(ext, x_nodes=ext.x_nodes[1:],
-                      profile_table=ext.profile_table[1:])
+    # the same field on the mesh without its node x = 0
+    shifted = replace(ext, x_nodes=ext.x_nodes[1:])
     with pytest.raises(DomainError, match="start at 0"):
         dtn_check(shifted)
 
@@ -412,8 +412,8 @@ def test_modewise_checks_match_dense_extension(profiles, sigma, dim, n, rng):
 
 
 def test_lift_and_checks_memory_bounded(profile_half):
-    # 3D n = 32, K_x = 400: the materialized extension alone is 105 MB, the
-    # profile table 1.4 MB (401 x 464)
+    # 3D n = 32, K_x = 400: the materialized extension alone is 105 MB, a
+    # table of Phi 1.4 MB (401 x 464)
     g = Grid(3, 10.0, 32)
     h = TraceField(g, np.exp(-g.radius_sq / 4.0))
 
@@ -425,22 +425,40 @@ def test_lift_and_checks_memory_bounded(profile_half):
     assert traced_peak(lift_and_check)[1] < 5 * 2 ** 20
 
 
-def test_lift_and_energy_identity_hold_about_one_table(profile_half):
-    # lift fills the table in row blocks, and the energy quadrature forms
-    # its two table-sized terms in one buffer
+def test_lift_and_energy_identity_hold_no_profile_table(profile_half):
+    # lift keeps no Phi table (401 x 464, 1.4 MB), and the energy quadrature
+    # evaluates Phi in row blocks, adding up its two parts block by block
     g = Grid(3, 10.0, 32)
     h = TraceField(g, np.exp(-g.radius_sq / 4.0))
     ext, peak = traced_peak(lift, h, profile_half, 1.0, None, 400)
-    assert peak < 3 * 2 ** 20
-    assert np.array_equal(ext.profile_table, eval_profile(
-        profile_half, np.multiply.outer(ext.x_nodes, ext.rates)))
-    assert traced_peak(energy_identity_check, ext)[1] < 2.5 * 2 ** 20
+    assert peak < 1.5 * 2 ** 20
+    rows = slice(100, 140)
+    assert np.array_equal(ext.profile_rows(rows), eval_profile(
+        profile_half, np.multiply.outer(ext.x_nodes[rows], ext.rates)))
+    assert traced_peak(energy_identity_check, ext)[1] < 1.5 * 2 ** 20
+
+
+def test_lift_and_checks_memory_does_not_grow_with_K_x(profile_half):
+    # 3D n = 32: a table of Phi would grow from 1.4 MB at K_x = 400 to
+    # 5.6 MB at K_x = 1600
+    g = Grid(3, 10.0, 32)
+    h = TraceField(g, np.exp(-g.radius_sq / 4.0))
+
+    def lift_and_check(K_x):
+        ext = lift(h, profile_half, 1.0, K_x=K_x)
+        energy_identity_check(ext)
+        dtn_check(ext)
+        decay_fit(ext, h.norm_l2())
+    lift_and_check(100)     # the grid's cached arrays, built once
+    peaks = [traced_peak(lift_and_check, K_x)[1] for K_x in (400, 1600)]
+    assert max(peaks) <= 1.1 * min(peaks)
 
 
 def test_sup_abs_holds_one_field_at_a_time(profile_half):
     # 3D n = 32: the decay fit forms sup_y |u| node by node in two reused
-    # buffers (half-lattice spectrum 272 KB, field 256 KB) plus one
-    # profile-table column per node (139 KB), however many nodes there are
+    # buffers (half-lattice spectrum 272 KB, field 256 KB) plus Phi on a
+    # few nodes and one node's Phi per mode (139 KB), however many nodes
+    # there are
     g = Grid(3, 10.0, 32)
     h = TraceField(g, np.exp(-g.radius_sq / 4.0))
     ext = lift(h, profile_half, 1.0, K_x=400)

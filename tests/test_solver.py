@@ -355,6 +355,21 @@ def test_unreachable_tolerance_stops_on_the_line_search():
     assert len(history) - 1 < params.solver.max_iter
 
 
+def test_no_start_below_the_rounding_floor_creeps_to_max_iter():
+    # tol 1e-16 is below the rounding floor of r: every start of seeds 0-19
+    # stops stationary or on a failed line search, none by lowering r a
+    # rounding's worth per step until max_iter
+    params = small_params(solver=SolverSettings(tol=1e-16))
+    reasons = []
+    for seed in range(20):
+        try:
+            solve_ground(params, random_seed_field(params, seed))
+            reasons.append("stationary")
+        except ConvergenceError as exc:
+            reasons.append(str(exc).split("(")[1].split(":")[0])
+    assert set(reasons) <= {"stationary", "line_search"}, reasons
+
+
 def test_history_schema(base_result):
     it, e, nr, gr, step = base_result.history[-1]
     assert it == base_result.iters
