@@ -2,8 +2,8 @@
 
 Thin orchestration over the library: every number written to disk comes
 from a library call, and every report file's format is set here, by
-_write_csv and _write_json.  Exit codes: 0 success, 1 config/IO problems,
-2 domain validation, 3 convergence failure, 4 verification failure.
+_write_csv and _write_json.  A command exits 0, or with the `exit_code` of
+its error's class (errors.py); an OSError exits as a ConfigError.
 """
 
 from __future__ import annotations
@@ -23,19 +23,6 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
                      HartreeboxError, VerificationError)
 
 log = logging.getLogger("hartreebox")
-
-EXIT_CONFIG = 1
-EXIT_DOMAIN = 2
-EXIT_CONVERGENCE = 3
-EXIT_VERIFICATION = 4
-
-# (exception class, exit code): the first class the error is an instance of
-# decides; the base HartreeboxError (DiagnosticError, NumericError) is last
-_EXIT_CODES = ((ConfigError, EXIT_CONFIG),
-               (ConvergenceError, EXIT_CONVERGENCE),
-               (VerificationError, EXIT_VERIFICATION),
-               (DomainError, EXIT_DOMAIN), (OSError, EXIT_CONFIG),
-               (HartreeboxError, EXIT_DOMAIN))
 
 
 def _setup_logging():
@@ -172,33 +159,27 @@ def cmd_verify(args) -> int:
     ext = lift(h, prof, cfg.params.m, **cfg.lift_kw)
     laps.append(("lift", time.perf_counter()))
     h_norm = h.norm_l2()
-
-    rows, failures = [], []
-
-    def run(name, fn):
-        try:
-            value = fn()
-            rows.append((name, "pass", value))
-        except HartreeboxError as exc:
-            rows.append((name, "fail", str(exc)))
-            failures.append(f"{name}: {exc}")
-
-    run("energy_identity", lambda: energy_identity_check(ext))
-    run("dtn", lambda: dtn_check(ext))
-
     dtn_path = os.path.join(args.out, "dtn.csv")
     outputs = [dtn_path]
 
-    def _decay():
+    def decay():
         rep = decay_fit(ext, h_norm)
         path = os.path.join(args.out, "decay.csv")
         _write_csv(path, [["x", "sup_abs", "envelope"],
                           *zip(rep.x, rep.sup, rep.envelope)])
         outputs.append(path)
         return rep.rate
-    run("decay", _decay)
 
-    run("trace_inequality", lambda: trace_inequality_check(ext, h_norm))
+    rows = []   # (check, "pass", value) or (check, "fail", message)
+    for name, check in (
+            ("energy_identity", lambda: energy_identity_check(ext)),
+            ("dtn", lambda: dtn_check(ext)), ("decay", decay),
+            ("trace_inequality",
+             lambda: trace_inequality_check(ext, h_norm))):
+        try:
+            rows.append((name, "pass", check()))
+        except HartreeboxError as exc:
+            rows.append((name, "fail", str(exc)))
     _write_csv(dtn_path, [["xi_abs", "estimate_re", "estimate_im",
                            "target_re", "target_im", "rel_error"],
                           *dtn_table(ext)])
@@ -211,9 +192,11 @@ def cmd_verify(args) -> int:
     _write_manifest(args.out, cfg, [], outputs, laps)
     for name, status, value in rows:
         print(f"{name:18s} {status:4s}  {value}")
-    if failures:
-        print("failed checks: " + "; ".join(failures), file=sys.stderr)
-        return EXIT_VERIFICATION
+    failed = "; ".join(f"{name}: {value}" for name, status, value in rows
+                       if status == "fail")
+    if failed:
+        print("failed checks: " + failed, file=sys.stderr)
+        return VerificationError.exit_code
     return 0
 
 
@@ -251,8 +234,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (HartreeboxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for cls, code in _EXIT_CODES
-                    if isinstance(exc, cls))
+        return (exc.exit_code if isinstance(exc, HartreeboxError)
+                else ConfigError.exit_code)
 
 
 if __name__ == "__main__":

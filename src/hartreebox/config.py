@@ -76,7 +76,9 @@ def parse_pairs(text: str) -> dict:
             raise ConfigError("expected `key = value`", line=lineno, col=1)
         key, value = stripped.split("=", 1)
         key, value = key.strip(), value.strip()
-        col = line.index("=") + 2
+        # 1-based column of the value's first character
+        after = line[line.index("=") + 1:]
+        col = len(line) - len(after.lstrip()) + 1
         if not key:
             raise ConfigError("empty key", line=lineno, col=1)
         if key not in _SCHEMA:

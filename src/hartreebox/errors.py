@@ -1,8 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each carries in `exit_code`
+the command line's exit status for it, 2 unless a subclass sets its own."""
 
 
 class HartreeboxError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class DomainError(HartreeboxError, ValueError):
@@ -26,6 +29,8 @@ class ConvergenceError(HartreeboxError, RuntimeError):
     in the rows of GroundStateResult.history, whose last row holds the last
     residuals."""
 
+    exit_code = 3
+
     def __init__(self, message, history=()):
         super().__init__(message)
         self.history = history
@@ -34,9 +39,13 @@ class ConvergenceError(HartreeboxError, RuntimeError):
 class VerificationError(HartreeboxError, RuntimeError):
     """A structural check ran to completion and its assertion failed."""
 
+    exit_code = 4
+
 
 class ConfigError(HartreeboxError):
     """Config file problem; the message names its 1-based line/column."""
+
+    exit_code = 1
 
     def __init__(self, message, line=None, col=None):
         loc = ""

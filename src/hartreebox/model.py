@@ -335,7 +335,7 @@ def nehari_phi(t: float, u: np.ndarray, params: ModelParams,
     """
     v = t * u
     F, f, df = _nonlinearity(params.nonlinearity, v)
-    conv = apply_multiplier(params.kernel_spectrum, F, "convolve")
+    conv = apply_multiplier(params.kernel_spectrum, F)
     psi = _interaction(params, F, conv)
     dv = params.grid.cell_volume
     fv = f * v
@@ -343,8 +343,7 @@ def nehari_phi(t: float, u: np.ndarray, params: ModelParams,
 
     def dphi():
         slope = _check_finite(
-            dv * ((apply_multiplier(params.kernel_spectrum, fv, "convolve")
-                   * fv).sum()
+            dv * ((apply_multiplier(params.kernel_spectrum, fv) * fv).sum()
                   + (conv * df() * v * v).sum()), "Nehari derivative")
         return quad - slope / t ** 2
     return (t * quad - pairing / t, 0.5 * (t * t * quad) - psi,
@@ -460,7 +459,7 @@ def _project(u: np.ndarray, params: ModelParams, bound: float = np.inf,
         # form; (W * F(tu)) f(tu) = t^(2 theta - 1) (W * F(u)) f(u), so f,
         # this call's own array, takes the whole factor in place
         F, f = _nonlinearity(nl, u)[:2]
-        conv = apply_multiplier(params.kernel_spectrum, F, "convolve")
+        conv = apply_multiplier(params.kernel_spectrum, F)
         psi = _interaction(params, F, conv)
         if psi <= 0:
             raise BracketError("interaction vanishes on this ray")

@@ -170,19 +170,17 @@ def half_spectrum(values: np.ndarray) -> np.ndarray:
     return spectrum
 
 
-def apply_multiplier(mult: np.ndarray, values: np.ndarray,
-                     what: str) -> np.ndarray:
+def apply_multiplier(mult: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Apply the Fourier multiplier `mult` (rfftn half lattice) to a real
     grid array: irfftn(mult * rfftn(values)).
 
     Every multiplier and periodic convolution in the package goes through
-    here.  `what` names the caller in the NumericError raised when `mult`
-    is not on the half lattice of `values`.
+    here; a `mult` off the half lattice of `values` is a NumericError.
     """
     spectrum = half_spectrum(values)
     if mult.shape != spectrum.shape:
-        raise NumericError(f"{what}: multiplier of shape {mult.shape} is not "
-                           f"on the half lattice {spectrum.shape}")
+        raise NumericError(f"multiplier of shape {mult.shape} is not on the "
+                           f"half lattice {spectrum.shape}")
     # mult first, as in mult * spectrum: the product's rounding depends on
     # the operand order when both are complex
     return inverse_spectrum(np.multiply(mult, spectrum, out=spectrum),
@@ -262,7 +260,8 @@ def field_from_csv(path) -> TraceField:
                 raise ValueError("bad header rows")
             dim, n, L = head[1].split(",")
             grid = Grid(int(dim), float(L), int(n))
-            # a block of rows per parse; a blank row fails it
+            # a block of rows per parse; a blank row fails it.  A header
+            # grid too large to allocate is a MemoryError, raised at once
             vals = np.empty(grid.n ** grid.dim)
             for i in range(0, vals.size, _CSV_BLOCK):
                 part = vals[i:i + _CSV_BLOCK]
@@ -273,7 +272,7 @@ def field_from_csv(path) -> TraceField:
             if fh.readline():
                 raise ValueError(f"more than {vals.size} values")
             return TraceField(grid, vals.reshape(grid.shape))
-        except (ValueError, NumericError) as exc:
+        except (ValueError, NumericError, MemoryError) as exc:
             raise DomainError(f"unreadable field CSV {path}: {exc}") from exc
 
 

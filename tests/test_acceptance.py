@@ -80,11 +80,11 @@ def test_criterion_2_spectral_oracles(rng, capsys):
         g = params.grid
         h = TraceField(g, rng.standard_normal(g.shape))
         k = TraceField(g, params.kernel.sample(params.grid))
-        got = apply_multiplier(g.multiplier(1.7, 0.6), h.values, "frac")
+        got = apply_multiplier(g.multiplier(1.7, 0.6), h.values)
         want = dense_frac_apply(h, 0.6, 1.7)
         worst = max(worst, float(np.max(np.abs(got - want))
                                  / np.max(np.abs(want))))
-        got_c = apply_multiplier(params.kernel_spectrum, h.values, "conv")
+        got_c = apply_multiplier(params.kernel_spectrum, h.values)
         want_c = dense_convolve(k, h)
         worst = max(worst, float(np.max(np.abs(got_c - want_c))
                                  / np.max(np.abs(want_c))))

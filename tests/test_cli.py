@@ -220,6 +220,27 @@ def test_verify_manifest_lists_only_the_files_written(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_failure_line_names_the_failed_rows(tmp_path, capsys):
+    # the field of the test above, whose decay fit fails: stderr has one
+    # `failed checks:` line, naming the report's fail rows in their order
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("L = 10.0", "L = 5.0"))
+    grid = Grid(1, 5.0, 64)
+    h = TraceField(grid, 1e-12 + np.cos(2.0 * np.pi * 12.0 * grid.axis
+                                        / (2.0 * grid.L)))
+    field = tmp_path / "field.csv"
+    field_to_csv(h, str(field))
+    vout = tmp_path / "verify"
+    rc = main(["verify", "--config", cfg, "--out", str(vout),
+               "--field", str(field)])
+    assert rc == 4
+    failed = [f"{name}: {value}" for name, status, value
+              in read_rows(vout / "verify_report.csv")[1:] if status == "fail"]
+    assert "decay" in [f.split(":")[0] for f in failed]
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("failed checks:")]
+    assert lines == ["failed checks: " + "; ".join(failed)]
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -372,6 +393,17 @@ def test_non_finite_value_exits_1(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert f"non-finite value for '{key}'" in err
     assert f"(line {len(lines)}, col " in err
+
+
+@pytest.mark.parametrize("line,col", [("m = nan", 5), ("m =    abc", 8),
+                                      ("m=abc", 3)])
+def test_config_error_names_the_value_column(tmp_path, line, col):
+    # the column is that of the value's first character
+    lineno = BASE_CONFIG.splitlines().index("m = 1.0") + 1
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("m = 1.0", line))
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"(line {lineno}, col {col})")):
+        load_config(cfg)
 
 
 def test_default_x_max_overflow_exits_1(tmp_path, capsys):
@@ -531,6 +563,17 @@ def test_blank_line_in_field_csv_exits_1(tmp_path, capsys):
     field_to_csv(TraceField(Grid(1, 10.0, 64), np.ones(64)), str(path))
     rows = path.read_text().splitlines()
     path.write_text("\n".join(rows[:10] + [""] + rows[10:]) + "\n")
+    rc = main(["verify", "--config", write_config(tmp_path), "--out",
+               str(tmp_path / "o"), "--field", str(path)])
+    assert rc == 1
+    assert str(path) in capsys.readouterr().err
+
+
+def test_field_csv_header_of_an_impossible_grid_exits_1(tmp_path, capsys):
+    # 200000^3 values would take 56.8 PiB, more than the address space, so
+    # the reader's allocation fails at once and touches no memory
+    path = tmp_path / "field.csv"
+    path.write_text("dim,n,L\n3,200000,10.0\nvalue\n1.0\n")
     rc = main(["verify", "--config", write_config(tmp_path), "--out",
                str(tmp_path / "o"), "--field", str(path)])
     assert rc == 1

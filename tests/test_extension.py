@@ -145,7 +145,7 @@ def test_dtn_matches_fractional_multiplier(profiles, sigma, rng):
     assert err < 0.02
     # cross-check the target itself: the fractional multiplier on the
     # retained modes
-    frac = apply_multiplier(h.grid.multiplier(1.0, sigma), h.values, "dtn")
+    frac = apply_multiplier(h.grid.multiplier(1.0, sigma), h.values)
     assert np.all(np.isfinite(frac))
 
 

@@ -31,8 +31,7 @@ def kernel_params(g, **kernel):
 def frac_apply(h, sigma, m):
     """(m^2 - Lap)^sigma h along the package's path: apply_multiplier with
     the grid's cached multiplier."""
-    return apply_multiplier(h.grid.multiplier(m, sigma), h.values,
-                            "fractional")
+    return apply_multiplier(h.grid.multiplier(m, sigma), h.values)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -69,7 +68,7 @@ def test_convolve_matches_dense_oracle(dim, rng):
     params = kernel_params(g)
     k = TraceField(g, params.kernel.sample(params.grid))
     f = TraceField(g, rng.standard_normal(g.shape))
-    got = apply_multiplier(params.kernel_spectrum, f.values, "convolve")
+    got = apply_multiplier(params.kernel_spectrum, f.values)
     want = dense_convolve(k, f)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
@@ -97,11 +96,11 @@ def half_and_full_multipliers(dim, kind):
 def test_apply_multiplier_matches_full_lattice_oracle(dim, kind, rng):
     half, full = half_and_full_multipliers(dim, kind)
     v = rng.standard_normal(full.shape)
-    got = apply_multiplier(half, v, "probe")
+    got = apply_multiplier(half, v)
     want = np.fft.ifftn(full * np.fft.fftn(v)).real
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    with pytest.raises(NumericError, match="probe: multiplier"):
-        apply_multiplier(full, v, "probe")
+    with pytest.raises(NumericError, match="multiplier of shape"):
+        apply_multiplier(full, v)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -169,7 +168,7 @@ def test_young_inequality(rng):
         w_l1 = g.cell_volume * np.abs(params.kernel.sample(params.grid)).sum()
         f = TraceField(g, rng.standard_normal(g.n))
         lhs = TraceField(g, apply_multiplier(params.kernel_spectrum,
-                                             f.values, "convolve")).norm_l2()
+                                             f.values)).norm_l2()
         assert lhs <= w_l1 * f.norm_l2() * (1 + 1e-12)
 
 
