@@ -8,7 +8,7 @@ from .errors import (BracketError, ConfigError, ConvergenceError,
                      NumericError, VerificationError)
 from .profile import BesselProfile, build_profile
 from .spectral import (Grid, TraceField, field_from_binary, field_from_csv,
-                       field_to_csv, sobolev_form)
+                       field_to_csv)
 from .model import (KernelSpec, ModelParams, NonlinearitySpec, PotentialSpec,
                     SolverSettings)
 from .solver import (GroundStateResult, compare_levels, gaussian_bump,

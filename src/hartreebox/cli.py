@@ -202,9 +202,12 @@ def cmd_verify(args) -> int:
 
 def _nonnegative_int(text: str) -> int:
     """argparse type: an integer >= 0; anything else is a usage error."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {text}")
-    return int(text)
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 0: {text}")
 
 
 def build_parser() -> argparse.ArgumentParser:

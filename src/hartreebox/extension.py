@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import DiagnosticError, DomainError, NumericError, \
     VerificationError
-from .profile import BesselProfile, eval_profile, small_s_energy_integral
-from .spectral import (Grid, TraceField, half_spectrum, inverse_spectrum,
-                       sobolev_form)
+from .profile import (BesselProfile, eval_profile, graded_nodes,
+                      small_s_energy_integral)
+from .spectral import Grid, TraceField, half_spectrum, inverse_spectrum
 
 # lift's floor on x_max, in decay lengths 1/m of the slowest mode
 MIN_DECAY_LENGTHS = 10
@@ -50,10 +50,11 @@ class ExtensionField:
 
     profile and m are those the trace was lifted with.  spectrum is rfftn(h)
     on the half lattice, mode_class the index of each half-lattice mode's
-    |k|^2 among the distinct values and rates the rate c of each class, so
-    u-hat(x_j, k) = Phi(x_j rates[mode_class[k]]) spectrum[k].  Phi is not
-    stored; profile_rows evaluates it for the rows a check reads.  lift is
-    its one constructor.
+    |k|^2 among the distinct values, rates the rate c of each class and
+    mass its spectral mass, the sum of |rfftn(h)|^2 mode_weight over its
+    modes, so u-hat(x_j, k) = Phi(x_j rates[mode_class[k]]) spectrum[k].
+    Phi is not stored; profile_rows evaluates it for the rows a check
+    reads.  lift is its one constructor.
     """
 
     grid: Grid
@@ -63,16 +64,12 @@ class ExtensionField:
     spectrum: np.ndarray
     mode_class: np.ndarray
     rates: np.ndarray
+    mass: np.ndarray
 
     def profile_rows(self, rows) -> np.ndarray:
         """Phi(x_nodes[rows] (x) rates): x-rows by rate classes."""
         return eval_profile(self.profile,
                             np.multiply.outer(self.x_nodes[rows], self.rates))
-
-
-def graded_nodes(x_max: float, K_x: int) -> np.ndarray:
-    """x_j = x_max (j/K_x)^3, j = 0..K_x; cubic grading toward x = 0."""
-    return x_max * (np.arange(K_x + 1) / K_x) ** 3
 
 
 def lift(h: TraceField, profile: BesselProfile, m: float,
@@ -90,11 +87,14 @@ def lift(h: TraceField, profile: BesselProfile, m: float,
     class_k_sq, mode_class = np.unique(grid.k_sq, return_inverse=True)
     xi_sq = class_k_sq / (2.0 * grid.L) ** 2
     rates = np.sqrt(m ** 2 + 4.0 * np.pi ** 2 * xi_sq)
+    spectrum = half_spectrum(h.values)
+    power = np.abs(spectrum) ** 2 * grid.mode_weight
+    mass = np.bincount(mode_class.ravel(), weights=power.ravel(),
+                       minlength=rates.size)
     return ExtensionField(grid=grid, x_nodes=graded_nodes(x_max, K_x),
-                          profile=profile, m=m,
-                          spectrum=half_spectrum(h.values),
+                          profile=profile, m=m, spectrum=spectrum,
                           mode_class=mode_class.reshape(grid.k_sq.shape),
-                          rates=rates)
+                          rates=rates, mass=mass)
 
 
 def _extension_energy(ext: ExtensionField) -> float:
@@ -108,10 +108,7 @@ def _extension_energy(ext: ExtensionField) -> float:
     """
     sigma = ext.profile.sigma
     x = ext.x_nodes
-    c = ext.rates
-    power = np.abs(ext.spectrum) ** 2 * ext.grid.mode_weight
-    mass = np.bincount(ext.mode_class.ravel(), weights=power.ravel(),
-                       minlength=c.size)
+    c, mass = ext.rates, ext.mass
 
     parts = np.empty(x.size)    # the y part plus the x part, per x-row
     for i in range(0, x.size, _BLOCK):
@@ -129,6 +126,13 @@ def _extension_energy(ext: ExtensionField) -> float:
     return body + head
 
 
+def _sigma_form(ext: ExtensionField) -> float:
+    """kappa sum (m^2 + 4 pi^2 |xi|^2)^sigma |hat(h)|^2 dxi^N of the
+    lifted trace h, per rate class: kappa mass . rates^(2 sigma)."""
+    return float(ext.profile.kappa
+                 * (ext.mass @ ext.rates ** (2.0 * ext.profile.sigma)))
+
+
 def energy_identity_check(ext: ExtensionField) -> float:
     """Weighted extension energy vs. the spectral quadratic form.
 
@@ -137,7 +141,7 @@ def energy_identity_check(ext: ExtensionField) -> float:
     the relative discrepancy and asserts it is below _ENERGY_RTOL.
     """
     lhs = _extension_energy(ext)
-    rhs = sobolev_form(ext.grid, ext.spectrum, ext.m, ext.profile)
+    rhs = _sigma_form(ext)
     if not np.isfinite(lhs):
         raise NumericError("extension energy quadrature is non-finite")
     if rhs == 0.0:
@@ -173,9 +177,9 @@ def _neumann_trace(ext: ExtensionField):
     x = ext.x_nodes
     if x.size < 5 or x[0] != 0.0:
         raise DomainError("extension mesh must start at 0 with >= 5 nodes")
-    power, weight = np.abs(ext.spectrum) ** 2, ext.grid.mode_weight
-    floor = _MASS_FLOOR * float(np.sum(power * weight))
-    mask = (weight[0] * power >= floor) & (power > 0)
+    power = np.abs(ext.spectrum) ** 2
+    floor = _MASS_FLOOR * float(ext.mass.sum())
+    mask = (ext.grid.mode_weight[0] * power >= floor) & (power > 0)
     hhat = ext.spectrum[mask]
     cls = ext.mode_class[mask]
     target = ext.profile.kappa * ext.rates[cls] ** (2.0 * sigma) * hhat
@@ -323,7 +327,7 @@ def trace_inequality_check(ext: ExtensionField, h_norm: float) -> float:
     """Slack of m^(2 sigma) |h|_2^2 <= (1/kappa) ||u||_sigma^2 for the
     trace h of ext, with h_norm = |h|_2; nonnegative at every m because the
     multiplier (m^2 + 4 pi^2 |xi|^2)^sigma is at least m^(2 sigma)."""
-    norm_sq = sobolev_form(ext.grid, ext.spectrum, ext.m, ext.profile)
+    norm_sq = _sigma_form(ext)
     slack = (norm_sq / ext.profile.kappa
              - ext.m ** (2.0 * ext.profile.sigma) * h_norm ** 2)
     if slack < -1e-12 * max(norm_sq, 1.0):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BracketError, DiagnosticError, DomainError, NumericError
 from .profile import flux_constant
-from .spectral import Grid, apply_multiplier, half_spectrum, sobolev_form
+from .spectral import Grid, apply_multiplier, half_lattice_form, half_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +249,14 @@ class ModelParams:
         return spec
 
     @cached_property
+    def multiplier(self) -> np.ndarray:
+        """(m^2 + 4 pi^2 |xi|^2)^sigma on the rfftn half lattice; read-only."""
+        xi_sq = sum(x ** 2 for x in self.grid.xi)
+        mult = (self.m ** 2 + 4.0 * np.pi ** 2 * xi_sq) ** self.sigma
+        mult.flags.writeable = False
+        return mult
+
+    @cached_property
     def kappa(self) -> float:
         """The extension constant of (m^2 - Lap)^sigma."""
         return flux_constant(self.sigma)
@@ -299,8 +307,7 @@ class _Evaluation:
         f(v): one forward transform, the sigma part from the spectrum."""
         out = half_spectrum(params.potential_values * self.values
                             - self.psi_grad)
-        out += (params.kappa * self.spectrum) * params.grid.multiplier(
-            params.m, params.sigma)
+        out += (params.kappa * self.spectrum) * params.multiplier
         if not np.all(np.isfinite(out)):
             raise NumericError("non-finite value in gradient")
         return out
@@ -308,7 +315,8 @@ class _Evaluation:
 
 def _quad_terms(params: ModelParams, values: np.ndarray, spectrum: np.ndarray):
     """(sigma-form, Q) of the field `values` with rfftn `spectrum`."""
-    form = sobolev_form(params.grid, spectrum, params.m, params)
+    form = params.kappa * half_lattice_form(params.grid, params.multiplier,
+                                            spectrum)
     pot = params.grid.cell_volume * (params.potential_values
                                      * values ** 2).sum()
     return form, _check_finite(form + pot, "quadratic form")

@@ -73,10 +73,10 @@ def _frobenius(sigma, terms):
 class BesselProfile:
     """Tabulated extension kernel for one value of sigma.
 
-    nodes are graded toward 0 (s_j = s_max * (j/M)^3) so the s^(1-2*sigma)
-    weight is resolved.  phi/dphi are the kernel and its derivative at the
-    nodes, from build_profile, its one constructor.  kappa, c1 and c2
-    are closed forms in sigma, as in the module docstring.
+    nodes are graded toward 0 (graded_nodes(s_max, M) without s_0 = 0) so
+    the s^(1-2*sigma) weight is resolved.  phi/dphi are the kernel and its
+    derivative at the nodes, from build_profile, its one constructor.
+    kappa, c1 and c2 are closed forms in sigma, as in the module docstring.
     """
 
     sigma: float
@@ -111,6 +111,11 @@ class BesselProfile:
                 (self.dphi[:-1] + self.dphi[1:] - 2.0 * secant) / dx ** 2)
 
 
+def graded_nodes(x_max: float, K: int) -> np.ndarray:
+    """x_j = x_max (j/K)^3, j = 0..K; cubic grading toward x = 0."""
+    return x_max * (np.arange(K + 1) / K) ** 3
+
+
 def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselProfile:
     """Tabulate phi and dphi by the trapezoid rule on K_nu(s) = int_0^inf
     e^(-s cosh t) cosh(nu t) dt (DLMF 10.32.9) for nu = sigma and 1 - sigma.
@@ -131,7 +136,7 @@ def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselPro
     if M < 1000:
         raise DomainError("M must be >= 1000")
 
-    nodes = s_max * (np.arange(1, M + 1) / M) ** 3
+    nodes = graded_nodes(s_max, M)[1:]
     h = 0.2 / np.sqrt(np.maximum(nodes, 1.0))
     # e^(-746) is 0 in floating point, so past s (cosh t - 1) = 746 no term
     # adds anything
@@ -206,9 +211,10 @@ def eval_profile(p: BesselProfile, s) -> np.ndarray:
 
 
 def _interval(x, s):
-    """Index, clipped to the table, of the node interval holding s, for
-    nodes x_i = x_max ((i + 1)/M)^3: floor(M cbrt(s/x_max)) - 1, then a
-    step each way where cbrt's rounding crossed a node."""
+    """Index, clipped to the table, of the node interval holding s, for the
+    nodes graded_nodes(x_max, M)[1:], x_i = x_max ((i + 1)/M)^3:
+    floor(M cbrt(s/x_max)) - 1, then a step each way where cbrt's rounding
+    crossed a node."""
     M = len(x)
     i = np.floor(M * np.cbrt(s / x[-1])).astype(np.intp).clip(1, M - 1) - 1
     i -= x[i] > s

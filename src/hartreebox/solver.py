@@ -6,7 +6,7 @@ and initial inverse Hessian gamma P, P = (kappa (m^2 + 4 pi^2 |xi|^2)^sigma +
 V_inf)^(-1), which removes the stiffness of the fractional operator.  Armijo
 backtracking keeps the energy monotone up to its rounding; the loop stops
 when r = sqrt(<g, P g> / Q) <= solver.tol.  It works on spectra scaled by
-Grid.pairing_weight, where the L^2 pairing is a plain sum.
+sqrt(Grid.mode_weight), where the L^2 pairing is a plain sum.
 
 P misses the translations of a state in a weak well, a near-zero mode of
 the Hessian (Weinstein, SIAM J. Math. Anal. 16, 1985): on a resolved grid a
@@ -87,7 +87,7 @@ def _resolved_magnitude(ev, grid):
     """|v^| of the point, scaled so that its squares sum to ||v||^2, or
     None when more than _SHELL_TAIL of that sum lies on the outer shell."""
     mag = np.abs(ev.spectrum)
-    mag *= grid.pairing_weight[::2]
+    mag *= np.sqrt(grid.mode_weight)
     power = mag * mag
     tail = power[grid.k_sq >= (grid.n // 2 - 1) ** 2].sum()
     return mag if tail <= _SHELL_TAIL * power.sum() else None
@@ -130,9 +130,9 @@ def solve_ground(params: ModelParams,
         raise DomainError("seed grid does not match params grid")
 
     settings, grid = params.solver, params.grid
-    weight = grid.pairing_weight
-    precond = np.repeat(1.0 / (params.kappa * grid.multiplier(
-        params.m, params.sigma) + params.potential.V_inf), 2, axis=-1)
+    weight = np.sqrt(np.repeat(grid.mode_weight, 2))
+    precond = np.repeat(1.0 / (params.kappa * params.multiplier
+                               + params.potential.V_inf), 2, axis=-1)
 
     work = np.empty_like(precond)
     trial = np.empty(grid.shape)
@@ -254,9 +254,9 @@ def compare_levels(params: ModelParams, ground: GroundStateResult):
     """
     flat = dataclasses.replace(
         params, potential=dataclasses.replace(params.potential, A=0.0))
-    # only V differs: the A = 0 problem takes params' grid and transformed
-    # kernel, cached properties of a frozen dataclass, instead of its own
-    for name in ("grid", "kernel_spectrum"):
+    # only V differs: the A = 0 problem takes params' grid, multiplier and
+    # kernel spectrum, cached properties of a frozen dataclass, not its own
+    for name in ("grid", "multiplier", "kernel_spectrum"):
         object.__setattr__(flat, name, getattr(params, name))
     c_star = ground.level
     c_inf = solve_ground(flat, ground.u).level

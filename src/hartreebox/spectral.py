@@ -112,33 +112,6 @@ class Grid:
         out.flags.writeable = False
         return out
 
-    @cached_property
-    def pairing_weight(self) -> np.ndarray:
-        """sqrt(mode_weight) along spectrum.view(float); so scaled, two
-        spectra sum to the L^2 pairing of their fields."""
-        out = np.sqrt(np.repeat(self.mode_weight, 2))
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def _multipliers(self) -> dict:
-        return {}
-
-    def multiplier(self, m: float, sigma: float) -> np.ndarray:
-        """(m^2 + 4 pi^2 |xi|^2)^sigma on the rfftn half lattice.
-
-        Computed once per (m, sigma) and grid; the array is read-only
-        because every caller shares it.
-        """
-        key = (float(m), float(sigma))
-        mult = self._multipliers.get(key)
-        if mult is None:
-            xi_sq = sum(x ** 2 for x in self.xi)
-            mult = (m ** 2 + 4.0 * np.pi ** 2 * xi_sq) ** sigma
-            mult.flags.writeable = False
-            self._multipliers[key] = mult
-        return mult
-
 
 @dataclass(frozen=True)
 class TraceField:
@@ -189,8 +162,8 @@ def apply_multiplier(mult: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def inverse_spectrum(spectrum: np.ndarray, shape, out=None,
                      overwrite: bool = False) -> np.ndarray:
-    """irfftn(spectrum) over the trailing len(shape) axes, bit for bit: the
-    one inverse transform.  Leading axes stack spectra, one field each.
+    """irfftn(spectrum) on a grid of the given shape, bit for bit: the one
+    inverse transform.
 
     The ifft passes run over the same axes in the same order as irfftn's,
     but in one complex work array: the spectrum itself when `overwrite`
@@ -198,8 +171,7 @@ def inverse_spectrum(spectrum: np.ndarray, shape, out=None,
     `out` when it is given.
     """
     work = spectrum if overwrite else spectrum.copy()
-    lead = work.ndim - len(shape)
-    for ax, n in enumerate(shape[:-1], start=lead):
+    for ax, n in enumerate(shape[:-1]):
         np.fft.ifft(work, n, ax, out=work)
     return np.fft.irfft(work, shape[-1], -1, out=out)
 
@@ -222,17 +194,6 @@ def half_lattice_form(grid: Grid, mult: np.ndarray,
     half-lattice spectrum rfftn(h) and an even multiplier."""
     terms = mult * (spectrum.real ** 2 + spectrum.imag ** 2)
     return float((terms * grid.mode_weight).sum())
-
-
-def sobolev_form(grid: Grid, spectrum: np.ndarray, m: float,
-                 profile) -> float:
-    """kappa sum (m^2 + 4 pi^2 |xi|^2)^sigma |hat(h)|^2 dxi^N of the field
-    with half-lattice spectrum rfftn(h), with sigma and kappa those of
-    `profile`: anything that has both, as ModelParams and BesselProfile do."""
-    if m <= 0.0:
-        raise DomainError("m must be positive")
-    return profile.kappa * half_lattice_form(
-        grid, grid.multiplier(m, profile.sigma), spectrum)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,12 @@ def full_multiplier(g, m, sigma):
     return (m ** 2 + 4.0 * np.pi ** 2 * full_xi_sq(g)) ** sigma
 
 
+def half_multiplier(g, m, sigma):
+    """full_multiplier on the rfftn half lattice, at any (m, sigma), for the
+    tests that apply it without a ModelParams."""
+    return full_multiplier(g, m, sigma)[..., :g.n // 2 + 1]
+
+
 def spectral_weights(h):
     """|hat(h)(xi_k)|^2 * dxi^N on the full lattice, i.e. the summands of
     the Plancherel sum."""

@@ -71,16 +71,17 @@ def test_criterion_1_profile_exactness(profiles, profile_half, capsys):
 
 def test_criterion_2_spectral_oracles(rng, capsys):
     # the solver's two multiplier applications: the fractional operator
-    # from the grid's multiplier and W * g from the kernel spectrum
+    # from the parameters' multiplier and W * g from the kernel spectrum
     worst = 0.0
     for dim in (1, 2):
-        params = ModelParams(sigma=0.5, m=1.0, dim=dim, L=1.3, n=8,
+        params = ModelParams(sigma=0.6, m=1.7, dim=dim, L=1.3, n=8,
+                             nonlinearity=NonlinearitySpec(theta=3.0),
                              kernel=KernelSpec(a=0.5, mu=0.4, R_c=1.0,
                                                b=1.0, w2=0.8))
         g = params.grid
         h = TraceField(g, rng.standard_normal(g.shape))
         k = TraceField(g, params.kernel.sample(params.grid))
-        got = apply_multiplier(g.multiplier(1.7, 0.6), h.values)
+        got = apply_multiplier(params.multiplier, h.values)
         want = dense_frac_apply(h, 0.6, 1.7)
         worst = max(worst, float(np.max(np.abs(got - want))
                                  / np.max(np.abs(want))))

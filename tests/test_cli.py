@@ -428,7 +428,8 @@ def test_solve_flags_are_usage_errors_elsewhere(tmp_path, capsys, command,
     assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value,bound", [("--seed", "-1", ">= 0")])
+@pytest.mark.parametrize("flag,value,bound", [("--seed", "-1", ">= 0"),
+                                              ("--seed", "abc", ">= 0")])
 def test_solve_flag_out_of_range_is_usage_error(tmp_path, capsys, flag,
                                                 value, bound):
     argv = ["solve", "--config", write_config(tmp_path), "--out",
@@ -436,7 +437,7 @@ def test_solve_flag_out_of_range_is_usage_error(tmp_path, capsys, flag,
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"argument {flag}: must be {bound}: {value}" \
+    assert f"argument {flag}: must be an integer {bound}: {value}" \
         in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
     args = build_parser().parse_args(["solve", "--config", "c", "--seed", "0"])

@@ -194,9 +194,11 @@ def a_zero_params(params, base_result, monkeypatch):
 
 
 def test_a_zero_problem_shares_the_grid(base_result, monkeypatch):
+    # the grid and the multiplier on it, which only m and sigma shape
     params = small_params()
     flat = a_zero_params(params, base_result, monkeypatch)
-    assert flat.grid is params.grid
+    for name in ("grid", "multiplier"):
+        assert getattr(flat, name) is getattr(params, name), name
 
 
 def test_a_zero_problem_shares_the_kernel_spectrum(base_result, monkeypatch):

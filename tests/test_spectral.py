@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hartreebox.errors import DomainError, NumericError
+from hartreebox.extension import _sigma_form, lift
 from hartreebox.model import KernelSpec, ModelParams
-from hartreebox.profile import build_profile
 from hartreebox.spectral import (Grid, TraceField, apply_multiplier,
                                  field_from_binary, field_from_csv,
                                  field_to_csv, half_spectrum,
-                                 inverse_spectrum, sobolev_form)
+                                 inverse_spectrum)
 
 from oracles import (dense_convolve, dense_frac_apply, field_to_binary,
-                     full_multiplier, refine, spectral_weights, traced_peak)
+                     full_multiplier, half_multiplier, refine,
+                     spectral_weights, traced_peak)
 
 
 def kernel_params(g, **kernel):
@@ -30,27 +31,26 @@ def kernel_params(g, **kernel):
 
 def frac_apply(h, sigma, m):
     """(m^2 - Lap)^sigma h along the package's path: apply_multiplier with
-    the grid's cached multiplier."""
-    return apply_multiplier(h.grid.multiplier(m, sigma), h.values)
+    the multiplier on the half lattice."""
+    return apply_multiplier(half_multiplier(h.grid, m, sigma), h.values)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_pairing_weight_gives_the_l2_pairing(dim, rng):
-    # the solver pairs fields through their scaled half-lattice spectra
+    # the solver pairs fields through their half-lattice spectra, scaled
+    # by the root of the mode weight on each (re, im) pair
     g = Grid(dim, 1.3, 8)
     a, b = rng.standard_normal((2,) + g.shape)
-    sa, sb = (g.pairing_weight * half_spectrum(v).view(np.float64)
-              for v in (a, b))
+    weight = np.sqrt(np.repeat(g.mode_weight, 2))
+    sa, sb = (weight * half_spectrum(v).view(np.float64) for v in (a, b))
     want = g.cell_volume * np.sum(a * b)
     scale = g.cell_volume * np.sqrt(np.sum(a * a) * np.sum(b * b))
     assert abs(np.sum(sa * sb) - want) <= 1e-14 * scale
     norm_sq = g.cell_volume * np.sum(a * a)
     assert abs(np.sum(sa * sa) - norm_sq) <= 1e-14 * norm_sq
-    # Parseval with the per-mode weight, and the pairing weight its root
+    # Parseval with the per-mode weight
     power = np.abs(np.fft.rfftn(a)) ** 2
     assert abs(np.sum(power * g.mode_weight) - norm_sq) <= 1e-13 * norm_sq
-    assert g.pairing_weight.tobytes() == np.sqrt(
-        np.repeat(g.mode_weight, 2)).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -85,9 +85,9 @@ def half_and_full_multipliers(dim, kind):
         return (params.kernel_spectrum,
                 g.cell_volume * np.fft.fftn(params.kernel.sample(params.grid)))
     if kind == "fractional":
-        return g.multiplier(1.3, 0.5), full_multiplier(g, 1.3, 0.5)
+        return params.multiplier, full_multiplier(g, 1.3, 0.5)
     kappa, v_inf = 0.9, 1.2            # the solver's preconditioner
-    return (1.0 / (kappa * g.multiplier(1.3, 0.5) + v_inf),
+    return (1.0 / (kappa * params.multiplier + v_inf),
             1.0 / (kappa * full_multiplier(g, 1.3, 0.5) + v_inf))
 
 
@@ -109,10 +109,10 @@ def test_half_spectrum_is_rfftn(dim, rng):
     assert np.array_equal(half_spectrum(v), np.fft.rfftn(v))
 
 
-@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("lead", [()])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_inverse_spectrum_is_irfftn(dim, lead, rng):
-    # bit for bit, for one spectrum or a stack on leading axes, into a new
+    # bit for bit, for one field's spectrum (no leading axes), into a new
     # array or into out, in a copy or in place
     g = Grid(dim, 2.0, 8)
     axes = tuple(range(-dim, 0))
@@ -173,12 +173,13 @@ def test_young_inequality(rng):
 
 
 def test_sobolev_form_constant_closed_form(profile_half):
+    # the extension checks' sigma-form, from the lifted field's class mass
     g = Grid(1, 5.0, 32)
     a, m, sigma = 0.7, 1.4, 0.5
     h = TraceField(g, np.full(g.shape, a))
     want = (profile_half.kappa * m ** (2 * sigma) * a ** 2
             * (2.0 * g.L) ** g.dim)
-    got = sobolev_form(g, half_spectrum(h.values), m, profile_half)
+    got = _sigma_form(lift(h, profile_half, m))
     assert abs(got - want) < 1e-12 * want
 
 
@@ -220,7 +221,7 @@ def test_kernel_and_multiplier_cache_no_coordinate_mesh():
     params = kernel_params(Grid(3, 9.75, 32))
     g = params.grid
     spectrum = params.kernel_spectrum
-    mult = g.multiplier(params.m, params.sigma)
+    mult = params.multiplier
     rest = [a for a in cached_arrays(g, params)
             if a is not spectrum and a is not mult]
     assert all(a.size <= g.n for a in rest)
@@ -229,15 +230,11 @@ def test_kernel_and_multiplier_cache_no_coordinate_mesh():
 
 def test_frac_apply_domain_errors():
     # sigma and m are checked where they enter the package: ModelParams
-    # for the solver's operator; build_profile, a profile's one
-    # constructor, (sigma) and sobolev_form (m) for the extension checks
-    g = Grid(1, 1.0, 8)
-    spectrum = half_spectrum(np.ones(8))
+    # for the solver's operator; build_profile (sigma) and lift (m) for the
+    # extension checks, tested with them
     for sigma, m in ((1.2, 1.0), (0.5, 0.0)):
         with pytest.raises(DomainError):
             ModelParams(sigma=sigma, m=m, dim=1, L=1.0, n=8)
-        with pytest.raises(DomainError):
-            sobolev_form(g, spectrum, m, build_profile(sigma))
 
 
 def test_field_validation(rng):
