@@ -3,7 +3,8 @@
 Thin orchestration over the library: every number written to disk comes
 from a library call, and every report file's format is set here, by
 _write_csv and _write_json.  A command exits 0, or with the `exit_code` of
-its error's class (errors.py); an OSError exits as a ConfigError.
+its error's class (errors.py); an OSError, or a size too large to
+allocate (MemoryError), exits as a ConfigError.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import sys
 import time
 
-from . import __version__
+from . import __version__, extension, profile, solver, spectral
 from .config import RunConfig, load_config
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      HartreeboxError, VerificationError)
@@ -61,12 +62,11 @@ def _write_manifest(out_dir, cfg: RunConfig, seeds, outputs, laps):
 
 
 def cmd_profile(args) -> int:
-    from .profile import build_profile
     laps = [("start", time.perf_counter())]
     cfg = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     laps.append(("config", time.perf_counter()))
-    prof = build_profile(cfg.params.sigma, **cfg.profile_kw)
+    prof = profile.build_profile(cfg.params.sigma, **cfg.profile_kw)
     laps.append(("profile", time.perf_counter()))
     constants = {"sigma": prof.sigma, "kappa": prof.kappa, "c1": prof.c1,
                  "c2": prof.c2, "d_sigma": prof.kappa}
@@ -87,8 +87,6 @@ _HISTORY_HEADER = ["iter", "energy", "nehari_residual", "grad_residual",
 
 
 def cmd_solve(args) -> int:
-    from .solver import compare_levels, multistart
-    from .spectral import field_to_csv
     laps = [("start", time.perf_counter())]
     cfg = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
@@ -98,8 +96,8 @@ def cmd_solve(args) -> int:
 
     iters_path = os.path.join(args.out, "iterations.csv")
     try:
-        best, results = multistart(cfg.params, seeds)
-        c_star, c_inf, margin = compare_levels(cfg.params, best)
+        best, results = solver.multistart(cfg.params, seeds)
+        c_star, c_inf, margin = solver.compare_levels(cfg.params, best)
     except ConvergenceError as exc:
         # the trace of the solve that failed, for diagnosis
         _write_csv(iters_path, [_HISTORY_HEADER, *exc.history])
@@ -109,7 +107,7 @@ def cmd_solve(args) -> int:
     laps.append(("solve", time.perf_counter()))
 
     field_path = os.path.join(args.out, "ground_state.csv")
-    field_to_csv(best.u, field_path)
+    spectral.field_to_csv(best.u, field_path)
     _write_csv(iters_path, [_HISTORY_HEADER, *best.history])
     report_path = os.path.join(args.out, "report.json")
     _write_json(report_path, {
@@ -130,22 +128,15 @@ def cmd_solve(args) -> int:
 
 
 def _load_field(path):
-    from .spectral import field_from_binary, field_from_csv
-    if not os.path.exists(path):
-        raise ConfigError(f"field file not found: {path}")
     try:
         if path.endswith(".bin"):
-            return field_from_binary(path)
-        return field_from_csv(path)
+            return spectral.field_from_binary(path)
+        return spectral.field_from_csv(path)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def cmd_verify(args) -> int:
-    from .extension import (decay_fit, dtn_check, dtn_table,
-                            energy_identity_check, lift,
-                            trace_inequality_check)
-    from .profile import build_profile
     laps = [("start", time.perf_counter())]
     cfg = load_config(args.config)
     h = _load_field(args.field)
@@ -154,16 +145,16 @@ def cmd_verify(args) -> int:
                           f"{cfg.params.grid}")
     os.makedirs(args.out, exist_ok=True)
     laps.append(("config", time.perf_counter()))
-    prof = build_profile(cfg.params.sigma, **cfg.profile_kw)
+    prof = profile.build_profile(cfg.params.sigma, **cfg.profile_kw)
     laps.append(("profile", time.perf_counter()))
-    ext = lift(h, prof, cfg.params.m, **cfg.lift_kw)
+    ext = extension.lift(h, prof, cfg.params.m, **cfg.lift_kw)
     laps.append(("lift", time.perf_counter()))
     h_norm = h.norm_l2()
     dtn_path = os.path.join(args.out, "dtn.csv")
     outputs = [dtn_path]
 
     def decay():
-        rep = decay_fit(ext, h_norm)
+        rep = extension.decay_fit(ext, h_norm)
         path = os.path.join(args.out, "decay.csv")
         _write_csv(path, [["x", "sup_abs", "envelope"],
                           *zip(rep.x, rep.sup, rep.envelope)])
@@ -172,17 +163,17 @@ def cmd_verify(args) -> int:
 
     rows = []   # (check, "pass", value) or (check, "fail", message)
     for name, check in (
-            ("energy_identity", lambda: energy_identity_check(ext)),
-            ("dtn", lambda: dtn_check(ext)), ("decay", decay),
+            ("energy_identity", lambda: extension.energy_identity_check(ext)),
+            ("dtn", lambda: extension.dtn_check(ext)), ("decay", decay),
             ("trace_inequality",
-             lambda: trace_inequality_check(ext, h_norm))):
+             lambda: extension.trace_inequality_check(ext, h_norm))):
         try:
             rows.append((name, "pass", check()))
         except HartreeboxError as exc:
             rows.append((name, "fail", str(exc)))
     _write_csv(dtn_path, [["xi_abs", "estimate_re", "estimate_im",
                            "target_re", "target_im", "rel_error"],
-                          *dtn_table(ext)])
+                          *extension.dtn_table(ext)])
     laps.append(("checks", time.perf_counter()))
 
     report_path = os.path.join(args.out, "verify_report.csv")
@@ -235,7 +226,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (HartreeboxError, OSError) as exc:
+    except (HartreeboxError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (exc.exit_code if isinstance(exc, HartreeboxError)
                 else ConfigError.exit_code)

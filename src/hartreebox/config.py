@@ -31,7 +31,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .extension import MIN_DECAY_LENGTHS
 from .model import (KernelSpec, ModelParams, NonlinearitySpec, PotentialSpec,
                     SolverSettings)
 
@@ -136,9 +135,5 @@ def load_config(path) -> RunConfig:
         potential=PotentialSpec(**kw["potential"]),
         kernel=KernelSpec(**kw["kernel"]),
         solver=SolverSettings(**kw["solver"]))
-    x_max = kw["extension"].get("x_max", MIN_DECAY_LENGTHS / params.m)
-    if not math.isfinite(x_max):    # a value the file sets is finite
-        raise ConfigError(f"the default extension.x_max = {MIN_DECAY_LENGTHS}"
-                          "/m overflows; set extension.x_max", *pairs["m"][1:])
     return RunConfig(params=params, seed=seed, profile_kw=kw["profile"],
                      lift_kw=kw["extension"], raw=raw)

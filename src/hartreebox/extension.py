@@ -18,7 +18,7 @@ memory does not grow with K_x.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +79,9 @@ def lift(h: TraceField, profile: BesselProfile, m: float,
         raise DomainError("m must be positive")
     if x_max is None:
         x_max = MIN_DECAY_LENGTHS / m
-    if x_max < MIN_DECAY_LENGTHS / m:
-        raise DomainError(f"x_max must be at least {MIN_DECAY_LENGTHS}/m")
+    if not MIN_DECAY_LENGTHS / m <= x_max < np.inf:
+        raise DomainError("x_max must be finite and at least "
+                          f"{MIN_DECAY_LENGTHS}/m")
     if K_x < 8:
         raise DomainError("K_x too small")
     grid = h.grid
@@ -293,8 +294,9 @@ def decay_fit(ext: ExtensionField, h_norm: float) -> DecayFitReport:
     sel = sup > 0.0
     if not np.all(sel):
         hi = float(np.max(xs[sel])) if np.any(sel) else lo
-        warnings.warn("field underflows inside the decay window; "
-                      f"shrinking to [{lo:.3g}, {hi:.3g}]")
+        logging.getLogger(__name__).warning(
+            "field underflows inside the decay window; shrinking to "
+            "[%.3g, %.3g]", lo, hi)
     if np.count_nonzero(sel) < 8:
         raise DomainError("too few usable nodes in the decay window")
 

@@ -53,6 +53,14 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
     return str(path)
 
 
+def gaussian_field(tmp_path):
+    """A Gaussian trace on the grid of BASE_CONFIG, written as a CSV."""
+    grid = Grid(1, 10.0, 64)
+    path = tmp_path / "field.csv"
+    field_to_csv(TraceField(grid, np.exp(-grid.axis ** 2)), str(path))
+    return str(path)
+
+
 def assert_phase_times(out, *work_phases):
     manifest = json.loads((out / "manifest.json").read_text())
     phases = manifest["phase_s"]
@@ -181,6 +189,28 @@ def test_verify_runs_trace_check_when_m_not_one(tmp_path, capsys):
     assert "trace_inequality,pass" in report
     assert "energy_identity,pass" in report
     capsys.readouterr()
+
+
+def test_verify_logs_the_shrunk_decay_window(tmp_path, capsys, caplog):
+    # at x_max = 800 a 1D n = 16 Gaussian's extension underflows inside the
+    # decay window, which shrinks to [2, 730]; the notice is a record of the
+    # hartreebox logger, not a warning
+    cfg = BASE_CONFIG.replace("n = 64", "n = 16") + "extension.x_max = 800\n"
+    grid = Grid(1, 10.0, 16)
+    field = tmp_path / "field.csv"
+    field_to_csv(TraceField(grid, np.exp(-grid.axis ** 2)), str(field))
+    vout = tmp_path / "verify"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "--config", write_config(tmp_path, cfg),
+                   "--out", str(vout), "--field", str(field)])
+    capsys.readouterr()
+    assert rc == 0
+    assert [status for _, status, _ in
+            read_rows(vout / "verify_report.csv")[1:]] == ["pass"] * 4
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] \
+        == [("hartreebox.extension", "WARNING", "field underflows inside "
+             "the decay window; shrinking to [2, 730]")]
 
 
 def test_verify_command_peak_memory_is_bounded(tmp_path, capsys):
@@ -396,9 +426,11 @@ def test_non_finite_value_exits_1(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("line,col", [("m = nan", 5), ("m =    abc", 8),
-                                      ("m=abc", 3)])
+                                      ("m=abc", 3), ("= 1.0", 1),
+                                      ("sigma = 0.5", 1)])
 def test_config_error_names_the_value_column(tmp_path, line, col):
-    # the column is that of the value's first character
+    # the column is that of the value's first character; an empty or
+    # duplicate key is reported at column 1
     lineno = BASE_CONFIG.splitlines().index("m = 1.0") + 1
     cfg = write_config(tmp_path, BASE_CONFIG.replace("m = 1.0", line))
     with pytest.raises(ConfigError,
@@ -406,13 +438,56 @@ def test_config_error_names_the_value_column(tmp_path, line, col):
         load_config(cfg)
 
 
-def test_default_x_max_overflow_exits_1(tmp_path, capsys):
-    # a subnormal m is admissible, but extension.x_max = 10/m is not finite
+def test_default_x_max_overflow_fails_only_the_lift(tmp_path, capsys):
+    # a subnormal m is admissible, but lift's default x_max = 10/m is not
+    # finite: profile, which never lifts, runs; verify exits 2 naming x_max
     cfg = write_config(tmp_path, BASE_CONFIG.replace("m = 1.0", "m = 1e-310"))
     rc = main(["profile", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "v"),
+               "--field", gaussian_field(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: x_max must be finite and at least 10/m\n"
+
+
+@pytest.mark.parametrize("command,edit", [
+    ("verify", "extension.K_x = 1000000000000000"),
+    ("profile", "profile.M = 1000000000000000"),
+    ("solve", "n = 1000000000000000")])
+def test_size_too_large_to_allocate_exits_1(tmp_path, capsys, command, edit):
+    # each size asks for 7.11 PiB, more than the address space, so the
+    # allocation fails at once and touches no memory
+    key = edit.split(" = ")[0]
+    cfg = "".join(line + "\n" for line in BASE_CONFIG.splitlines()
+                  if not line.startswith(key + " = ")) + edit + "\n"
+    argv = [command, "--config", write_config(tmp_path, cfg), "--out",
+            str(tmp_path / "o")]
+    if command == "verify":
+        argv += ["--field", gaussian_field(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 7.11 PiB")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", ["config not UTF-8", "missing field"])
+def test_unreadable_input_exits_1_before_any_output(tmp_path, capsys, bad):
+    # one error line naming the file, and no output directory
+    cfg, field = write_config(tmp_path), gaussian_field(tmp_path)
+    if bad == "config not UTF-8":
+        Path(cfg).write_bytes(BASE_CONFIG.encode() + b"# \xff\n")
+        message = f"error: config {cfg} is not valid text: "
+    else:
+        field = str(tmp_path / "nope.csv")
+        message = f"error: [Errno 2] No such file or directory: '{field}'\n"
+    out = tmp_path / "o"
+    rc = main(["verify", "--config", cfg, "--out", str(out), "--field",
+               field])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "extension.x_max" in err and "(line 3, col " in err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--seed"])

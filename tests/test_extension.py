@@ -85,6 +85,16 @@ def test_lift_validation(profile_half):
         lift(h, profile_half, 0.0)
 
 
+@pytest.mark.parametrize("m,x_max", [(1.0, np.nan), (1.0, np.inf),
+                                     (1e-310, None)])
+def test_lift_rejects_a_non_finite_x_max(profile_half, m, x_max):
+    # None stands for 10/m, which overflows at a subnormal m
+    h = TraceField(Grid(1, 5.0, 32), np.ones(32))
+    with pytest.raises(DomainError,
+                       match="x_max must be finite and at least 10/m"):
+        lift(h, profile_half, m, x_max=x_max)
+
+
 def test_graded_nodes_shape():
     x = graded_nodes(8.0, 100)
     assert x[0] == 0.0 and x[-1] == 8.0

@@ -157,6 +157,27 @@ def test_every_class_member_is_read_by_the_package():
     assert sorted(m for m in members if m.partition(".")[2] not in read) == []
 
 
+def test_config_imports_only_errors_and_model():
+    # config hands each key to its owner; a bound the owner checks, such
+    # as lift's x_max >= 10/m, is not decided again here
+    tree = ast.parse((PACKAGE / "config.py").read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported == {"errors", "model"}
+
+
+def test_no_module_imports_inside_a_function():
+    # the cli calls the library as module attributes, looked up at call
+    # time, so a patched module function binds without a local import
+    offenders = [f"{p.name}:{node.lineno}"
+                 for p in sorted(PACKAGE.glob("*.py"))
+                 for fn in ast.walk(ast.parse(p.read_text()))
+                 if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert offenders == []
+
+
 # The owner of each config section: a key `section.name` is the keyword
 # argument `name` of it.  The top-level keys are ModelParams arguments, but
 # for those RENAMED redirects and the config's own seed.
