@@ -34,7 +34,10 @@ def _setup_logging():
 
 def _write_csv(path, rows):
     """One csv row per record: a float as repr(float(v)), which reads back
-    bit for bit, an int or a string as it is."""
+    bit for bit, an int or a string as it is.  Like _write_json, it makes
+    the output directory, so a command that fails before its first write
+    leaves none."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         for row in rows:
@@ -43,6 +46,7 @@ def _write_csv(path, rows):
 
 
 def _write_json(path, obj):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -64,9 +68,8 @@ def _write_manifest(out_dir, cfg: RunConfig, seeds, outputs, laps):
 def cmd_profile(args) -> int:
     laps = [("start", time.perf_counter())]
     cfg = load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
     laps.append(("config", time.perf_counter()))
-    prof = profile.build_profile(cfg.params.sigma, **cfg.profile_kw)
+    prof = profile.build_profile(cfg.params.sigma)
     laps.append(("profile", time.perf_counter()))
     constants = {"sigma": prof.sigma, "kappa": prof.kappa, "c1": prof.c1,
                  "c2": prof.c2, "d_sigma": prof.kappa}
@@ -89,10 +92,8 @@ _HISTORY_HEADER = ["iter", "energy", "nehari_residual", "grad_residual",
 def cmd_solve(args) -> int:
     laps = [("start", time.perf_counter())]
     cfg = load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
     laps.append(("config", time.perf_counter()))
-    seed = cfg.seed if args.seed is None else args.seed
-    seeds = [seed, seed + 1, seed + 2]
+    seeds = [cfg.seed, cfg.seed + 1, cfg.seed + 2]
 
     iters_path = os.path.join(args.out, "iterations.csv")
     try:
@@ -106,9 +107,9 @@ def cmd_solve(args) -> int:
     spread = (max(levels) - min(levels)) / abs(min(levels))
     laps.append(("solve", time.perf_counter()))
 
+    _write_csv(iters_path, [_HISTORY_HEADER, *best.history])
     field_path = os.path.join(args.out, "ground_state.csv")
     spectral.field_to_csv(best.u, field_path)
-    _write_csv(iters_path, [_HISTORY_HEADER, *best.history])
     report_path = os.path.join(args.out, "report.json")
     _write_json(report_path, {
         "level": best.level, "nehari_residual": best.nehari_residual,
@@ -143,9 +144,8 @@ def cmd_verify(args) -> int:
     if h.grid != cfg.params.grid:
         raise DomainError(f"field grid {h.grid} does not match config grid "
                           f"{cfg.params.grid}")
-    os.makedirs(args.out, exist_ok=True)
     laps.append(("config", time.perf_counter()))
-    prof = profile.build_profile(cfg.params.sigma, **cfg.profile_kw)
+    prof = profile.build_profile(cfg.params.sigma)
     laps.append(("profile", time.perf_counter()))
     ext = extension.lift(h, prof, cfg.params.m, **cfg.lift_kw)
     laps.append(("lift", time.perf_counter()))
@@ -191,16 +191,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0; anything else is a usage error."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= 0: {text}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hartreebox",
@@ -213,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        if name == "solve":
-            p.add_argument("--seed", type=_nonnegative_int, default=None)
         if name == "verify":
             p.add_argument("--field", required=True)
         p.set_defaults(func=fn)

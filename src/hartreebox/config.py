@@ -35,9 +35,9 @@ from .model import (KernelSpec, ModelParams, NonlinearitySpec, PotentialSpec,
                     SolverSettings)
 
 # key -> type.  A dotted key is the keyword argument after the dot of its
-# section's owner: NonlinearitySpec, PotentialSpec, KernelSpec, SolverSettings,
-# build_profile (profile) or lift (extension).  `seed` (default 0) is the
-# config's own; the other keys are ModelParams arguments, or as _RENAMED says.
+# section's owner: NonlinearitySpec, PotentialSpec, KernelSpec, SolverSettings
+# or lift (extension).  `seed` (default 0) is the config's own; the other
+# keys are ModelParams arguments, or as _RENAMED says.
 _SCHEMA = {
     "sigma": float, "m": float, "N": int, "L": float, "n": int,
     "theta": float, "seed": int,
@@ -46,7 +46,6 @@ _SCHEMA = {
     "kernel.a": float, "kernel.mu": float, "kernel.R_c": float,
     "kernel.b": float, "kernel.w2": float,
     "solver.tol": float, "solver.max_iter": int,
-    "profile.s_max": float, "profile.M": int,
     "extension.x_max": float, "extension.K_x": int,
 }
 
@@ -59,8 +58,7 @@ _REQUIRED = ("sigma", "m", "N", "L", "n")
 class RunConfig:
     params: ModelParams
     seed: int
-    profile_kw: dict    # the file's keyword arguments of build_profile
-    lift_kw: dict       # and of lift
+    lift_kw: dict       # the file's keyword arguments of lift
     raw: bytes          # exact config bytes, for the manifest hash
 
 
@@ -135,5 +133,5 @@ def load_config(path) -> RunConfig:
         potential=PotentialSpec(**kw["potential"]),
         kernel=KernelSpec(**kw["kernel"]),
         solver=SolverSettings(**kw["solver"]))
-    return RunConfig(params=params, seed=seed, profile_kw=kw["profile"],
-                     lift_kw=kw["extension"], raw=raw)
+    return RunConfig(params=params, seed=seed, lift_kw=kw["extension"],
+                     raw=raw)

@@ -258,10 +258,6 @@ class DecayFitReport:
     """The fitted law, and its nodes x with sup = sup_y |u(x, .)| there and
     the envelope C_env h_norm x^((2 sigma - 1)/2) e^(-m x) above it."""
     rate: float
-    poly_exp: float
-    residual: float
-    window: tuple
-    envelope_const: float
     x: np.ndarray
     sup: np.ndarray
     envelope: np.ndarray
@@ -272,18 +268,16 @@ def decay_fit(ext: ExtensionField, h_norm: float) -> DecayFitReport:
     nodes of the window [2/m, x_max], evenly spaced in index with both ends
     kept: the only nodes at which sup_y |u| is formed, however large K_x.
 
-    Asserts r >= m (1 - _DECAY_RATE_RTOL) and reports the envelope constant
-    C_env = max of sup / (h_norm x^((2 sigma - 1)/2) e^(-m x)) over the
-    window, which makes the decay-law envelope hold on the window by
-    construction.
+    Asserts r >= m (1 - _DECAY_RATE_RTOL) and reports the envelope at the
+    constant C_env = max of sup / (h_norm x^((2 sigma - 1)/2) e^(-m x))
+    over the window, which makes the decay-law envelope hold on the window
+    by construction.
     """
     sigma, m = ext.profile.sigma, ext.m
     x = ext.x_nodes
-    lo, hi = 2.0 / m, float(x[-1])
+    lo = 2.0 / m
     if not np.any(ext.spectrum):     # a zero field: no nodes to fit
-        return DecayFitReport(rate=m, poly_exp=sigma - 0.5, residual=0.0,
-                              window=(lo, hi), envelope_const=0.0,
-                              x=np.empty(0), sup=np.empty(0),
+        return DecayFitReport(rate=m, x=np.empty(0), sup=np.empty(0),
                               envelope=np.empty(0))
 
     rows = np.flatnonzero(x >= lo)
@@ -307,14 +301,12 @@ def decay_fit(ext: ExtensionField, h_norm: float) -> DecayFitReport:
     fitted = design @ coef
     residual = float(np.sqrt(np.mean((ys - fitted) ** 2))
                      / max(np.sqrt(np.mean(ys ** 2)), 1e-300))
-    rate, poly_exp = float(coef[2]), float(coef[1])
+    rate = float(coef[2])
 
     power, decay = xs ** (sigma - 0.5), np.exp(-m * xs)
     c_env = float(np.max(sup / (h_norm * power * decay)))
-    report = DecayFitReport(
-        rate=rate, poly_exp=poly_exp, residual=residual, window=(lo, hi),
-        envelope_const=c_env, x=xs, sup=sup,
-        envelope=c_env * h_norm * power * decay)
+    report = DecayFitReport(rate=rate, x=xs, sup=sup,
+                            envelope=c_env * h_norm * power * decay)
     if rate < m * (1.0 - _DECAY_RATE_RTOL):
         raise VerificationError(
             f"fitted decay rate {rate:.4f} below {1 - _DECAY_RATE_RTOL:.2f} "

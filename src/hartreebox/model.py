@@ -221,11 +221,8 @@ class ModelParams:
         if self.kernel.a == 0:
             return
         th = self.nonlinearity.theta
+        # positive inside the theta window, which _check_theta_window holds
         bound = self.dim * (2.0 - th) + 2.0 * self.sigma * th
-        if bound <= 0:
-            raise DomainError(
-                "power-core kernel inadmissible: N(2-theta) + 2 sigma theta "
-                f"= {bound:.6g} <= 0")
         if self.kernel.mu >= min(self.dim, bound):
             raise DomainError(
                 f"kernel exponent mu={self.kernel.mu} too large; need "

@@ -37,12 +37,10 @@ import numpy as np
 
 from .errors import DiagnosticError, DomainError
 
+_S_MAX, _M = 40.0, 2000  # the table's nodes, graded_nodes(_S_MAX, _M)[1:]
 _SMALL_S_TERMS = 4       # eval_profile's series below s = 0.01
-_HANKEL_TERMS = 20       # eval_profile's Hankel series beyond s_max >= 20
+_HANKEL_TERMS = 20       # eval_profile's Hankel series beyond _S_MAX
 _QUAD_RTOL = 1e-17       # build_profile's sums stop at terms below this share
-# Largest s_max, short of where phi ~ e^-s underflows (the table's last value
-# reads 0 at s_max = 745); the bound also rejects inf and nan
-_S_MAX_LIMIT = 600.0
 
 
 def flux_constant(sigma: float) -> float:
@@ -73,9 +71,9 @@ def _frobenius(sigma, terms):
 class BesselProfile:
     """Tabulated extension kernel for one value of sigma.
 
-    nodes are graded toward 0 (graded_nodes(s_max, M) without s_0 = 0) so
-    the s^(1-2*sigma) weight is resolved.  phi/dphi are the kernel and its
-    derivative at the nodes, from build_profile, its one constructor.
+    nodes are graded toward 0 (graded_nodes(_S_MAX, _M) without s_0 = 0)
+    so the s^(1-2*sigma) weight is resolved.  phi/dphi are the kernel and
+    its derivative at the nodes, from build_profile, its one constructor.
     kappa, c1 and c2 are closed forms in sigma, as in the module docstring.
     """
 
@@ -83,10 +81,6 @@ class BesselProfile:
     nodes: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
-
-    @property
-    def s_max(self):
-        return float(self.nodes[-1])
 
     @property
     def kappa(self):
@@ -116,7 +110,7 @@ def graded_nodes(x_max: float, K: int) -> np.ndarray:
     return x_max * (np.arange(K + 1) / K) ** 3
 
 
-def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselProfile:
+def build_profile(sigma: float) -> BesselProfile:
     """Tabulate phi and dphi by the trapezoid rule on K_nu(s) = int_0^inf
     e^(-s cosh t) cosh(nu t) dt (DLMF 10.32.9) for nu = sigma and 1 - sigma.
 
@@ -125,24 +119,19 @@ def build_profile(sigma: float, s_max: float = 40.0, M: int = 2000) -> BesselPro
     integrand (Trefethen & Weideman, SIAM Rev. 56, 2014).  A node is done
     once its latest terms are below _QUAD_RTOL of its sums.
 
-    Raises DomainError for sigma, s_max or M out of range and
-    DiagnosticError for sums still open where every integrand is 0 in
-    floating point.
+    Raises DomainError for sigma out of (0, 1) and DiagnosticError for sums
+    still open where every integrand is 0 in floating point.
     """
     if not 0.0 < sigma < 1.0:
         raise DomainError("sigma out of (0,1)")
-    if not 20.0 <= s_max <= _S_MAX_LIMIT:
-        raise DomainError(f"s_max must lie in [20, {_S_MAX_LIMIT:g}]")
-    if M < 1000:
-        raise DomainError("M must be >= 1000")
 
-    nodes = graded_nodes(s_max, M)[1:]
+    nodes = graded_nodes(_S_MAX, _M)[1:]
     h = 0.2 / np.sqrt(np.maximum(nodes, 1.0))
     # e^(-746) is 0 in floating point, so past s (cosh t - 1) = 746 no term
     # adds anything
     steps = int(np.max(np.arccosh(1.0 + 746.0 / nodes) / h)) + 1
-    k_sigma, k_dual = np.full(M, 0.5), np.full(M, 0.5)    # the t = 0 terms
-    live = M      # the nodes past the last unconverged one are done
+    k_sigma, k_dual = np.full(_M, 0.5), np.full(_M, 0.5)  # the t = 0 terms
+    live = _M     # the nodes past the last unconverged one are done
     for k in range(1, steps + 1):
         t = k * h[:live]
         # e^(-s (cosh t - 1)), with cosh t - 1 = 2 sinh(t/2)^2 exact at small t
@@ -180,8 +169,8 @@ def eval_profile(p: BesselProfile, s) -> np.ndarray:
 
     For s < 0.01 the Frobenius series u1 - c1 u2 is summed to
     _SMALL_S_TERMS terms per branch, by Horner in s^2; a cubic interpolant
-    cannot follow the s^(2 sigma) cusp there.  On [0.01, s_max] the Hermite
-    interpolant of the tabulated (phi, dphi) applies, and beyond s_max the
+    cannot follow the s^(2 sigma) cusp there.  On [0.01, _S_MAX] the Hermite
+    interpolant of the tabulated (phi, dphi) applies, and beyond _S_MAX the
     Hankel series of K_sigma, c2 s^((2*sigma-1)/2) e^-s (1 + ...), by Horner.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -190,7 +179,7 @@ def eval_profile(p: BesselProfile, s) -> np.ndarray:
 
     sigma = p.sigma
     phi = np.empty_like(s)
-    lo, hi = s < 1e-2, s > p.s_max
+    lo, hi = s < 1e-2, s > _S_MAX
     mid = ~(lo | hi)
     c2, c3 = p._cubic
     sm = s[mid]

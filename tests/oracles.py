@@ -109,6 +109,19 @@ def extension_values(ext, rows=slice(None)):
                          axes=tuple(range(-g.dim, 0)))
 
 
+def decay_law(x, sup):
+    """(p, residual) of the least-squares law sup ~ C x^p e^(-r x), the
+    fit decay_fit makes, refitted from its nodes x and their sup: the
+    design [1, ln x, -x] against ln sup, and the root-mean-square residual
+    relative to that of ln sup."""
+    ys = np.log(sup)
+    design = np.column_stack([np.ones_like(x), np.log(x), -x])
+    coef = np.linalg.lstsq(design, ys, rcond=None)[0]
+    residual = (np.sqrt(np.mean((ys - design @ coef) ** 2))
+                / np.sqrt(np.mean(ys ** 2)))
+    return coef[1], residual
+
+
 # ---------------------------------------------------------------------------
 # The nonlinearity, from its closed forms
 

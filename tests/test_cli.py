@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import hartreebox
 from hartreebox import cli, extension, solver
 from hartreebox import profile as profile_mod
-from hartreebox.cli import build_parser, main
+from hartreebox.cli import main
 from hartreebox.config import _SCHEMA, RunConfig, load_config
 from hartreebox.errors import (BracketError, ConfigError, ConvergenceError,
                                DiagnosticError, DomainError, HartreeboxError,
@@ -51,6 +51,14 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def edited_config(edit):
+    """BASE_CONFIG with the line `key = value` of edit in place of the
+    key's own line, if it has one."""
+    key = edit.split(" = ")[0]
+    return "".join(line + "\n" for line in BASE_CONFIG.splitlines()
+                   if not line.startswith(key + " = ")) + edit + "\n"
 
 
 def gaussian_field(tmp_path):
@@ -97,6 +105,9 @@ def test_solve_command(tmp_path, capsys):
     assert (out / "ground_state.csv").exists()
     assert (out / "iterations.csv").exists()
     assert_phase_times(out, "solve")
+    # the three starts: the config's seed = 3 and the next two
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seeds"] == [3, 4, 5]
 
 
 def test_solve_solves_each_problem_once(tmp_path, capsys, monkeypatch):
@@ -362,17 +373,17 @@ def test_sigma_out_of_range_exits_2(tmp_path, capsys):
     assert "sigma out of" in capsys.readouterr().err
 
 
-def test_s_max_beyond_600_exits_2(tmp_path, capsys):
-    # phi ~ e^-s underflows toward s = 745; s_max = 4000 is refused with
-    # the range message alone, before any numpy warning
-    cfg = write_config(tmp_path, BASE_CONFIG + "profile.s_max = 4000.0\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = main(["profile", "--config", cfg, "--out",
-                   str(tmp_path / "o")])
-    assert rc == 2
+@pytest.mark.parametrize("key", ["profile.s_max", "profile.M"])
+def test_profile_table_keys_are_unknown_keys(tmp_path, capsys, key):
+    # the table's extent and resolution are library constants, s_max = 40
+    # and M = 2000; a config that sets either exits 1 naming its line
+    cfg = write_config(tmp_path, BASE_CONFIG + f"{key} = 4000\n")
+    out = tmp_path / "o"
+    assert main(["profile", "--config", cfg, "--out", str(out)]) == 1
+    line = len(BASE_CONFIG.splitlines()) + 1
     assert capsys.readouterr().err == \
-        "error: s_max must lie in [20, 600]\n"
+        f"error: unknown key {key!r} (line {line}, col 1)\n"
+    assert not out.exists()
 
 
 def test_missing_config_exits_1(tmp_path, capsys):
@@ -453,16 +464,12 @@ def test_default_x_max_overflow_fails_only_the_lift(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,edit", [
     ("verify", "extension.K_x = 1000000000000000"),
-    ("profile", "profile.M = 1000000000000000"),
     ("solve", "n = 1000000000000000")])
 def test_size_too_large_to_allocate_exits_1(tmp_path, capsys, command, edit):
     # each size asks for 7.11 PiB, more than the address space, so the
     # allocation fails at once and touches no memory
-    key = edit.split(" = ")[0]
-    cfg = "".join(line + "\n" for line in BASE_CONFIG.splitlines()
-                  if not line.startswith(key + " = ")) + edit + "\n"
-    argv = [command, "--config", write_config(tmp_path, cfg), "--out",
-            str(tmp_path / "o")]
+    argv = [command, "--config", write_config(tmp_path, edited_config(edit)),
+            "--out", str(tmp_path / "o")]
     if command == "verify":
         argv += ["--field", gaussian_field(tmp_path)]
     assert main(argv) == 1
@@ -490,33 +497,40 @@ def test_unreadable_input_exits_1_before_any_output(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,edit,message", [
+    ("verify", "extension.K_x = 4", "K_x too small"),
+    ("solve", "potential.A = 5.0", "coercivity bound")])
+def test_failure_before_the_first_write_leaves_no_output(tmp_path, capsys,
+                                                         command, edit,
+                                                         message):
+    # lift and the solve's coercivity check fail after the config loads
+    # and before any file is written
+    out = tmp_path / "o"
+    argv = [command, "--config", write_config(tmp_path, edited_config(edit)),
+            "--out", str(out)]
+    if command == "verify":
+        argv += ["--field", gaussian_field(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--seed"])
-@pytest.mark.parametrize("command", ["profile", "verify"])
+@pytest.mark.parametrize("command", ["profile", "solve", "verify"])
 def test_solve_flags_are_usage_errors_elsewhere(tmp_path, capsys, command,
                                                  flag):
-    argv = [command, "--config", write_config(tmp_path), flag, "2"]
+    # --seed, once solve's, is no command's: the starts' seeds come from
+    # the config's `seed` alone
+    argv = [command, "--config", write_config(tmp_path), "--out",
+            str(tmp_path / "o"), flag, "2"]
     if command == "verify":
         argv += ["--field", str(tmp_path / "field.csv")]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag,value,bound", [("--seed", "-1", ">= 0"),
-                                              ("--seed", "abc", ">= 0")])
-def test_solve_flag_out_of_range_is_usage_error(tmp_path, capsys, flag,
-                                                value, bound):
-    argv = ["solve", "--config", write_config(tmp_path), "--out",
-            str(tmp_path / "o"), flag, value]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"argument {flag}: must be an integer {bound}: {value}" \
-        in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-    args = build_parser().parse_args(["solve", "--config", "c", "--seed", "0"])
-    assert args.seed == 0
 
 
 def test_threads_is_a_usage_error(tmp_path, capsys):
@@ -607,7 +621,7 @@ def test_config_parser_fuzz(tmp_path_factory, text):
     assert cfg.seed >= 0
     for name, value in dataclass_floats(cfg):
         assert math.isfinite(value), name
-    for name, value in {**cfg.profile_kw, **cfg.lift_kw}.items():
+    for name, value in cfg.lift_kw.items():
         assert isinstance(value, int) or math.isfinite(value), name
 
 

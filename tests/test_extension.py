@@ -18,8 +18,9 @@ from hartreebox.spectral import (Grid, TraceField, apply_multiplier,
                                  field_to_csv, inverse_spectrum)
 
 from conftest import SIGMAS
-from oracles import (extension_values, full_multiplier, full_xi_sq,
-                     half_multiplier, spectral_weights, traced_peak)
+from oracles import (decay_law, extension_values, full_multiplier,
+                     full_xi_sq, half_multiplier, spectral_weights,
+                     traced_peak)
 
 
 def random_field(rng, n=64, L=5.0, decay=2.0):
@@ -190,8 +191,9 @@ def test_decay_zero_mode_rate(profile_half):
     ext = lift(h, profile_half, m, x_max=14.0, K_x=300)
     rep = decay_fit(ext, np.abs(h.values).max())
     assert abs(rep.rate - m) < 1e-6
-    assert abs(rep.poly_exp) < 1e-4
-    assert rep.residual < 1e-6
+    poly_exp, residual = decay_law(rep.x, rep.sup)
+    assert abs(poly_exp) < 1e-4
+    assert residual < 1e-6
 
 
 def test_decay_single_mode_rate(profile_half):
@@ -218,22 +220,24 @@ def test_decay_zero_field_vacuous(profile_half):
     z = TraceField(g, np.zeros(32))
     ext = lift(z, profile_half, 1.0, x_max=12.0, K_x=100)
     rep = decay_fit(ext, 0.0)
-    assert rep.envelope_const == 0.0 and rep.residual == 0.0
-    assert rep.x.size == rep.sup.size == 0
+    assert rep.rate == 1.0
+    assert rep.x.size == rep.sup.size == rep.envelope.size == 0
 
 
 def test_decay_envelope_holds_on_window(profiles, rng):
     p = profiles[0.3]
     h = random_field(rng)
     ext = lift(h, p, 1.0, x_max=12.0, K_x=300)
-    rep = decay_fit(ext, np.abs(h.values).max())
+    h_norm = np.abs(h.values).max()
+    rep = decay_fit(ext, h_norm)
     x = ext.x_nodes
-    assert np.array_equal(rep.x, x[kept_rows(x, rep.window[0])])
-    assert np.all((rep.x >= rep.window[0]) & (rep.x <= rep.window[1]))
-    env = (rep.envelope_const * np.abs(h.values).max()
-           * rep.x ** (p.sigma - 0.5) * np.exp(-1.0 * rep.x))
-    assert np.array_equal(rep.envelope, env)
-    assert np.all(rep.sup <= env * (1 + 1e-12))
+    # the window [2/m, x_max] at m = 1
+    assert np.array_equal(rep.x, x[kept_rows(x, 2.0)])
+    assert np.all((rep.x >= 2.0) & (rep.x <= 12.0))
+    power, decay = rep.x ** (p.sigma - 0.5), np.exp(-1.0 * rep.x)
+    c_env = np.max(rep.sup / (h_norm * power * decay))
+    assert np.array_equal(rep.envelope, c_env * h_norm * power * decay)
+    assert np.all(rep.sup <= rep.envelope * (1 + 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +312,7 @@ def test_report_csvs(tmp_path, profiles, rng, capsys):
     rows = np.array([[float(v) for v in r.split(",")] for r in lines[1:]])
     assert np.array_equal(rows[:, 0], rep.x)
     assert np.array_equal(rows[:, 1], rep.sup)
-    assert np.all((rows[:, 0] >= rep.window[0])
-                  & (rows[:, 0] <= rep.window[1]))
+    assert np.all((rows[:, 0] >= 2.0) & (rows[:, 0] <= 12.0))
     assert np.all(rows[:, 2] >= rows[:, 1] * (1 - 1e-12))
     head = (tmp_path / "dtn.csv").read_text().splitlines()[0]
     assert head.startswith("xi_abs,")
@@ -476,7 +479,7 @@ def test_sup_abs_holds_one_field_at_a_time(profile_half):
     rep, peak = traced_peak(decay_fit, ext, h.norm_l2())
     assert peak < 2 ** 20
     # bit for bit numpy's irfftn of the same node, at every kept node
-    rows = kept_rows(ext.x_nodes, rep.window[0])
+    rows = kept_rows(ext.x_nodes, 2.0)
     assert np.array_equal(rep.x, ext.x_nodes[rows])
     sup = np.max(np.abs(extension_values(ext, rows)), axis=(1, 2, 3))
     assert np.array_equal(rep.sup, sup)

@@ -176,14 +176,20 @@ def test_kernel_exponent_bound():
 
 
 def test_spec_validation():
-    with pytest.raises(DomainError):
-        PotentialSpec(V_inf=0.0)
-    with pytest.raises(DomainError):
-        PotentialSpec(A=-0.1)
-    with pytest.raises(DomainError):
-        KernelSpec(a=0.0, b=0.0)
-    with pytest.raises(DomainError):
-        SolverSettings(tol=0.0)
+    for make, message in (
+            (lambda: PotentialSpec(V_inf=0.0), "V_inf must be positive"),
+            (lambda: PotentialSpec(A=-0.1), "well depth A"),
+            (lambda: PotentialSpec(w=0.0), "well width w"),
+            (lambda: KernelSpec(a=-0.1), "amplitudes must be nonnegative"),
+            (lambda: KernelSpec(b=-0.1), "amplitudes must be nonnegative"),
+            (lambda: KernelSpec(a=0.0, b=0.0), "identically zero"),
+            (lambda: KernelSpec(mu=-0.1), "exponent mu"),
+            (lambda: KernelSpec(R_c=0.0), "ranges must be positive"),
+            (lambda: KernelSpec(w2=0.0), "ranges must be positive"),
+            (lambda: SolverSettings(tol=0.0), "solver settings"),
+            (lambda: SolverSettings(max_iter=0), "solver settings")):
+        with pytest.raises(DomainError, match=message):
+            make()
 
 
 def test_coercivity_validation():

@@ -1,6 +1,5 @@
 """Profile ODE solution against closed forms and an independent oracle."""
 
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -14,7 +13,8 @@ from scipy.special import gamma, kv, kve
 import hartreebox.profile as profile_mod
 from hartreebox.cli import main
 from hartreebox.errors import DiagnosticError, DomainError
-from hartreebox.profile import BesselProfile, build_profile, eval_profile
+from hartreebox.profile import (BesselProfile, build_profile, eval_profile,
+                                graded_nodes)
 
 from conftest import SIGMAS
 from oracles import profile_from_csv, weighted_energy
@@ -99,7 +99,7 @@ def test_half_table_is_exponential_to_rounding(profile_half):
 def test_hermite_interpolant_matches_scipy(profiles, sigma):
     p = profiles[sigma]
     spline = CubicHermiteSpline(p.nodes, p.phi, p.dphi)
-    s = np.concatenate([np.geomspace(0.01, p.s_max, 5000),
+    s = np.concatenate([np.geomspace(0.01, p.nodes[-1], 5000),
                         p.nodes[p.nodes >= 0.01]])
     phi, ref = eval_profile(p, s), spline(s)
     assert np.max(np.abs(phi - ref) / np.abs(ref)) < 1e-14
@@ -108,10 +108,10 @@ def test_hermite_interpolant_matches_scipy(profiles, sigma):
 @pytest.mark.parametrize("s_max, M", [(20.0, 1000), (40.0, 2000),
                                       (600.0, 2000), (20.0, 20000)])
 def test_interval_index_matches_searchsorted(s_max, M):
-    # the closed-form index of the table nodes s_max (j/M)^3 against a
+    # the closed-form index of the nodes s_max (j/M)^3, j >= 1, against a
     # binary search, at every node, both float neighbours of every node and
-    # 1e5 random points of the table
-    x = build_profile(0.5, s_max=s_max, M=M).nodes
+    # 1e5 random points of the nodes' range
+    x = graded_nodes(s_max, M)[1:]
     s = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf),
                         np.random.default_rng(M).uniform(0.0, s_max, 10 ** 5)])
     want = np.clip(np.searchsorted(x, s, side="right") - 1, 0, M - 2)
@@ -135,14 +135,11 @@ def test_matches_bessel_oracle(profiles, sigma):
     assert np.max(np.abs(eval_profile(p, s) - want) / want) < 1e-7
 
 
-@pytest.mark.parametrize("s_max, M", [(20.0, 2000), (20.0, 20000),
-                                      (40.0, 2000), (600.0, 2000)])
-def test_table_matches_scaled_bessel_k(s_max, M):
+def test_table_matches_scaled_bessel_k():
     # phi = g K_sigma and dphi = -g K_(1-sigma) at every node, with
-    # g = (2/Gamma(sigma)) (s/2)^sigma (times e^-s, since kve = e^s K);
-    # M = 20000 puts the first node at 2.5e-12
+    # g = (2/Gamma(sigma)) (s/2)^sigma (times e^-s, since kve = e^s K)
     for sigma in (1e-6, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 1.0 - 1e-6):
-        p = build_profile(sigma, s_max=s_max, M=M)
+        p = build_profile(sigma)
         s = p.nodes
         g = (2.0 / gamma(sigma)) * (s / 2.0) ** sigma * np.exp(-s)
         for got, want in ((p.phi, g * kve(sigma, s)),
@@ -189,14 +186,14 @@ def test_boundary_values(profile_half):
 
 
 def test_far_field_asymptote():
-    # beyond s_max the envelope times the Hankel series; the envelope
-    # alone is up to 1.8e-2 off at s_max = 20
+    # beyond the table's last node, s_max = 40, the envelope times the
+    # Hankel series
     for sigma in (0.1, 0.3, 0.9, 0.999):
-        for s_max in (20.0, 40.0):
-            p = build_profile(sigma, s_max=s_max)
-            s = np.linspace(s_max, 3.0 * s_max, 201)[1:]
-            want = bessel_oracle(sigma, s)
-            assert np.max(np.abs(eval_profile(p, s) - want) / want) <= 1e-14
+        p = build_profile(sigma)
+        s_max = p.nodes[-1]
+        s = np.linspace(s_max, 3.0 * s_max, 201)[1:]
+        want = bessel_oracle(sigma, s)
+        assert np.max(np.abs(eval_profile(p, s) - want) / want) <= 1e-14
 
 
 def test_negative_argument_rejected(profile_half):
@@ -225,28 +222,6 @@ def test_quadrature_that_does_not_converge_is_rejected(monkeypatch):
     monkeypatch.setattr(profile_mod, "_QUAD_RTOL", 0.0)
     with pytest.raises(DiagnosticError, match="did not converge"):
         build_profile(0.5)
-
-
-def test_build_validation():
-    with pytest.raises(DomainError):
-        build_profile(0.5, s_max=5.0)
-    with pytest.raises(DomainError):
-        build_profile(0.5, M=100)
-
-
-@pytest.mark.parametrize("s_max", [600.5, 4000.0, np.inf, np.nan])
-def test_s_max_beyond_600_is_rejected(s_max):
-    # phi ~ e^-s underflows toward s = 745, and inf and nan give no table
-    with pytest.raises(DomainError, match=r"s_max must lie in \[20, 600\]"):
-        build_profile(0.5, s_max=s_max)
-
-
-@pytest.mark.parametrize("sigma", [0.01, 0.5, 0.99])
-def test_largest_s_max_builds_without_overflow(sigma):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        p = build_profile(sigma, s_max=600.0)
-    assert p.s_max == 600.0 and np.isfinite(p.kappa)
 
 
 def write_profile_csv(out, sigma=0.5):

@@ -18,7 +18,6 @@ from hartreebox.extension import MIN_DECAY_LENGTHS, lift
 from hartreebox import model
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
                               PotentialSpec, SolverSettings)
-from hartreebox.profile import build_profile
 
 PACKAGE = Path(hartreebox.__file__).resolve().parent
 README = PACKAGE.parents[1] / "README.md"
@@ -125,9 +124,10 @@ def test_every_exported_name_is_used_by_the_package():
 
 
 def class_members(tree):
-    """Class.name of every method, property and class-level alias of the
-    module's classes and of every attribute a method sets on self; dunder
-    methods, which Python calls itself, aside."""
+    """Class.name of every method, property, class-level alias and
+    annotated field (a dataclass field) of the module's classes and of
+    every attribute a method sets on self; dunder methods, which Python
+    calls itself, aside."""
     members = set()
     for cls in (node for node in ast.walk(tree)
                 if isinstance(node, ast.ClassDef)):
@@ -136,6 +136,9 @@ def class_members(tree):
         names |= {target.id for node in cls.body
                   if isinstance(node, ast.Assign)
                   for target in node.targets if isinstance(target, ast.Name)}
+        names |= {node.target.id for node in cls.body
+                  if isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)}
         names |= {node.attr for node in ast.walk(cls)
                   if isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Store)
@@ -147,8 +150,8 @@ def class_members(tree):
 
 
 def test_every_class_member_is_read_by_the_package():
-    # a method, property, alias or attribute that the package never reads
-    # as obj.name serves only the tests
+    # a method, property, alias, field or attribute that the package never
+    # reads as obj.name serves only the tests
     trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
     read = {node.attr for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
@@ -183,8 +186,7 @@ def test_no_module_imports_inside_a_function():
 # for those RENAMED redirects and the config's own seed.
 OWNERS = {"": ModelParams, "nonlinearity": NonlinearitySpec,
           "potential": PotentialSpec, "kernel": KernelSpec,
-          "solver": SolverSettings, "profile": build_profile,
-          "extension": lift}
+          "solver": SolverSettings, "extension": lift}
 RENAMED = {"N": "dim", "theta": "nonlinearity.theta"}
 MINIMAL_CONFIG = "sigma = 0.5\nm = 1.0\nN = 1\nL = 10.0\nn = 64\n"
 
@@ -196,8 +198,6 @@ def owner_parameter(key):
 
 def loaded_value(cfg, key):
     section, name, _ = owner_parameter(key)
-    if section == "profile":
-        return cfg.profile_kw[name]
     if section == "extension":
         return cfg.lift_kw[name]
     return getattr(getattr(cfg.params, section) if section else cfg.params,
@@ -259,7 +259,7 @@ def test_readme_key_defaults_are_the_library_defaults(tmp_path):
 def test_required_keys_alone_take_every_library_default(tmp_path):
     cfg = load_text(tmp_path, MINIMAL_CONFIG)
     assert cfg.params == ModelParams(sigma=0.5, m=1.0, dim=1, L=10.0, n=64)
-    assert cfg.profile_kw == {} and cfg.lift_kw == {}
+    assert cfg.lift_kw == {}
 
 
 def registered_options(parser):
