@@ -4,7 +4,7 @@ Thin orchestration over the library: every number written to disk comes
 from a library call, and every report file's format is set here, by
 _write_csv and _write_json.  A command exits 0, or with the `exit_code` of
 its error's class (errors.py); an OSError, or a size too large to
-allocate (MemoryError), exits as a ConfigError.
+allocate (MemoryError, named with the size keys), exits as a ConfigError.
 """
 
 from __future__ import annotations
@@ -214,7 +214,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (HartreeboxError, OSError, MemoryError) as exc:
+    except MemoryError as exc:
+        print(f"error: {args.config}: n (at N) or extension.K_x is too "
+              f"large to allocate: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
+    except (HartreeboxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (exc.exit_code if isinstance(exc, HartreeboxError)
                 else ConfigError.exit_code)

@@ -5,8 +5,8 @@ projection as retraction (Huang, Gallivan & Absil, SIAM J. Optim. 25, 2015)
 and initial inverse Hessian gamma P, P = (kappa (m^2 + 4 pi^2 |xi|^2)^sigma +
 V_inf)^(-1), which removes the stiffness of the fractional operator.  Armijo
 backtracking keeps the energy monotone up to its rounding; the loop stops
-when r = sqrt(<g, P g> / Q) <= solver.tol.  It works on spectra scaled by
-sqrt(Grid.mode_weight), where the L^2 pairing is a plain sum.
+when r = sqrt(<g, P g> / Q) <= tol (solver.tol by default).  It works on
+spectra scaled by sqrt(Grid.mode_weight), where the L^2 pairing is a sum.
 
 P misses the translations of a state in a weak well, a near-zero mode of
 the Hessian (Weinstein, SIAM J. Math. Anal. 16, 1985): on a resolved grid a
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import logging
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,9 @@ _MEMORY = 3
 _SHELL_TAIL = 1e-6
 _SHAPE_MOVE = 0.1
 _R_DECREASE = 1e-3  # share of r a trial at the level's rounding must cut
+_SCREEN_TOL = 1e-3  # r of a screened start: in 1D its level within 2e-5
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,9 @@ class GroundStateResult:
     min_value: float
     beta: float                # smallest sigma-norm of any projected iterate
     history: tuple             # rows (iter, energy, nehari_res, grad_res, step)
-    stop_reason: str           # "stationary": r <= solver.tol
+    stop_reason: str           # "stationary": r <= the solve's tol
     translation_steps: int     # accepted shifts toward the well
+    stationarity: float        # r = sqrt(<g, P g> / Q) at u
 
 
 def gaussian_bump(grid: Grid, amplitude: float = 1.0, width: float = 1.0,
@@ -119,9 +124,10 @@ def _shift(ev, params, gain, pairs):
     return cand
 
 
-def solve_ground(params: ModelParams,
-                 seed_field: TraceField | None = None) -> GroundStateResult:
-    """Minimize I over the Nehari manifold from the given (or default) seed."""
+def solve_ground(params: ModelParams, seed_field: TraceField | None = None,
+                 *, tol: float | None = None) -> GroundStateResult:
+    """Minimize I over the Nehari manifold from the given (or default) seed,
+    to r <= tol (default solver.tol)."""
     params.validate()
     if seed_field is None:
         seed_field = gaussian_bump(params.grid, 1.0,
@@ -130,6 +136,7 @@ def solve_ground(params: ModelParams,
         raise DomainError("seed grid does not match params grid")
 
     settings, grid = params.solver, params.grid
+    tol = settings.tol if tol is None else tol
     weight = np.sqrt(np.repeat(grid.mode_weight, 2))
     precond = np.repeat(1.0 / (params.kappa * params.multiplier
                                + params.potential.V_inf), 2, axis=-1)
@@ -154,7 +161,7 @@ def solve_ground(params: ModelParams,
     pairs = collections.deque(maxlen=_MEMORY)
     it, reason, shifts = 0, "max_iter", 0
     mag = _resolved_magnitude(ev, grid) if params.potential.A > 0 else None
-    while stat > settings.tol and it < settings.max_iter:
+    while stat > tol and it < settings.max_iter:
         it += 1
         direction = _direction(grad, pairs, precond, work)
         slope = _dot(grad, direction, work)
@@ -207,13 +214,13 @@ def solve_ground(params: ModelParams,
                     shifts += 1
         beta = min(beta, np.sqrt(ev.form))
         history.append((it, ev.level, nehari, gnorm, step))
-    if stat <= settings.tol:
+    if stat <= tol:
         return GroundStateResult(
             u=TraceField(grid, ev.values), level=ev.level,
             nehari_residual=nehari, grad_residual=gnorm, iters=it,
             min_value=float(np.min(ev.values)), beta=float(beta),
             history=tuple(history), stop_reason="stationary",
-            translation_steps=shifts)
+            translation_steps=shifts, stationarity=stat)
     raise ConvergenceError(
         f"no convergence in {it} iterations ({reason}: "
         f"nehari_residual={nehari:.3e}, grad_residual={gnorm:.3e})",
@@ -234,12 +241,26 @@ def multistart(params: ModelParams, seeds):
     """Solve from several random seeds, in order; returns (best_result,
     all_results).
 
-    The best result is the first with the lowest level, so it is
-    deterministic for a fixed seed list.
+    Each start is screened to r <= max(_SCREEN_TOL, solver.tol); only the
+    first with the lowest screened level is polished on to solver.tol, with
+    a fresh memory (Rinnooy Kan & Timmer, 1987), its result covering both.
     """
-    results = [solve_ground(params, random_seed_field(params, s))
-               for s in seeds]
+    seeds, tol = list(seeds), max(_SCREEN_TOL, params.solver.tol)
+    results = [solve_ground(params, random_seed_field(params, seed), tol=tol)
+               for seed in seeds]
     best = min(range(len(results)), key=lambda i: results[i].level)
+    screen = results[best]
+    polish = solve_ground(params, screen.u)
+    for phase, seed, res in ([("screened", *sr) for sr in zip(seeds, results)]
+                             + [("polished", seeds[best], polish)]):
+        log.info("%s start %d: level %.12g, %d iterations, r %.2e", phase,
+                 seed, res.level, res.iters, res.stationarity)
+    results[best] = dataclasses.replace(
+        polish, iters=screen.iters + polish.iters,
+        beta=min(screen.beta, polish.beta),
+        history=screen.history + tuple((screen.iters + it, *row) for it, *row
+                                       in polish.history[1:]),
+        translation_steps=screen.translation_steps + polish.translation_steps)
     return results[best], results
 
 

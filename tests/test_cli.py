@@ -111,23 +111,77 @@ def test_solve_command(tmp_path, capsys):
 
 
 def test_solve_solves_each_problem_once(tmp_path, capsys, monkeypatch):
-    # three starts with the well, then the A = 0 problem from the best; the
-    # best start's level is c_star itself
+    # three starts with the well, the best polished, then the A = 0 problem
+    # from the best; the best start's level is c_star itself
     wells, solve_ground = [], solver.solve_ground
 
-    def counted(params, *args):
-        wells.append(params.potential.A)
-        return solve_ground(params, *args)
+    def counted(params, *args, **kw):
+        wells.append((params.potential.A, kw.get("tol")))
+        return solve_ground(params, *args, **kw)
     monkeypatch.setattr(solver, "solve_ground", counted)
     out = tmp_path / "out"
     assert main(["solve", "--config", write_config(tmp_path), "--out",
                  str(out)]) == 0
     capsys.readouterr()
-    assert wells == [0.3, 0.3, 0.3, 0.0]
+    # three screens, the polish of the best, and the A = 0 solve
+    assert [a for a, _ in wells] == [0.3, 0.3, 0.3, 0.3, 0.0]
+    assert [tol for _, tol in wells] == [solver._SCREEN_TOL] * 3 + [None] * 2
     report = json.loads((out / "report.json").read_text())
     assert report["c_star"] == report["level"]
     assert report["margin"] == ((report["c_inf"] - report["level"])
                                 / report["c_inf"])
+
+
+WORKLOAD_CONFIG = """\
+sigma = 0.5
+m = 1.0
+N = 1
+L = 20.0
+n = 256
+theta = 2.5
+potential.V_inf = 1.0
+potential.A = 0.3
+potential.w = 4.0
+kernel.b = 1.0
+kernel.w2 = 3.0
+seed = 11
+"""
+
+
+def test_solve_reports_screened_levels_close_to_the_best(tmp_path, capsys):
+    # the 1D workload at config seed 11: two of the three levels are
+    # screened at r <= 1e-3, and all lie within 1e-4 of the best
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, WORKLOAD_CONFIG),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["multistart_levels"]) == 3
+    assert report["level"] in report["multistart_levels"]
+    assert report["multistart_spread"] < 1e-4
+
+
+def run_solve_logged(tmp_path, **extra):
+    """stderr of `solve` on BASE_CONFIG in a fresh interpreter."""
+    src = str(Path(hartreebox.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "HARTREE_LOG"}
+    env.update(PYTHONPATH=src, **extra)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from hartreebox.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "solve", "--config",
+         write_config(tmp_path), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr
+
+
+def test_solve_logs_its_starts_only_at_info(tmp_path):
+    assert run_solve_logged(tmp_path) == ""
+    lines = run_solve_logged(tmp_path, HARTREE_LOG="INFO").splitlines()
+    assert [line.split(":")[0] for line in lines] == \
+        ["INFO hartreebox.solver"] * 4
+    assert [line.split()[2:4] for line in lines] == [
+        ["screened", "start"]] * 3 + [["polished", "start"]]
 
 
 def test_report_counts_the_best_starts_translation_steps(tmp_path, capsys,
@@ -467,14 +521,16 @@ def test_default_x_max_overflow_fails_only_the_lift(tmp_path, capsys):
     ("solve", "n = 1000000000000000")])
 def test_size_too_large_to_allocate_exits_1(tmp_path, capsys, command, edit):
     # each size asks for 7.11 PiB, more than the address space, so the
-    # allocation fails at once and touches no memory
-    argv = [command, "--config", write_config(tmp_path, edited_config(edit)),
-            "--out", str(tmp_path / "o")]
+    # allocation fails at once and touches no memory; the one error line
+    # names the config and the keys that size the arrays
+    cfg = write_config(tmp_path, edited_config(edit))
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
     if command == "verify":
         argv += ["--field", gaussian_field(tmp_path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate 7.11 PiB")
+    assert err.startswith(f"error: {cfg}: n (at N) or extension.K_x is too "
+                          "large to allocate: Unable to allocate 7.11 PiB")
     assert err.count("\n") == 1
 
 

@@ -1,6 +1,7 @@
 """Ground-state solver on small instances."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -55,14 +56,80 @@ def stationarity(result, params, profile):
 
 
 def test_workload_starts_end_stationary(profile_half):
-    # the three starts of the 1D n = 256 workload at config seed 11
+    # the three starts of the 1D n = 256 workload at config seed 11, each
+    # solved to solver.tol (multistart drives only the best one that far)
     params = ground_params()
-    _, results = multistart(params, [11, 12, 13])
+    results = [solve_ground(params, random_seed_field(params, seed))
+               for seed in (11, 12, 13)]
     for res in results:
         assert res.stop_reason == "stationary"
         assert stationarity(res, params, profile_half) <= params.solver.tol
     levels = [res.level for res in results]
     assert (max(levels) - min(levels)) / min(levels) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def workload_multistart():
+    # `solve`'s three starts on the 1D workload at config seed 11
+    return multistart(ground_params(), [11, 12, 13])
+
+
+def test_multistart_polishes_only_the_best_start(workload_multistart,
+                                                 profile_half):
+    # the best start alone reaches solver.tol, at the level a full-tol
+    # solve of the same start reaches, and its result covers the screen
+    # and the polish from the screened field
+    params = ground_params()
+    best, results = workload_multistart
+    start = random_seed_field(params, 11 + [r is best for r in results]
+                              .index(True))
+    assert best.stop_reason == "stationary"
+    assert stationarity(best, params, profile_half) <= params.solver.tol
+    full = solve_ground(params, start)
+    assert abs(best.level - full.level) <= 1e-12 * full.level
+    screen = solve_ground(params, start, tol=solver_mod._SCREEN_TOL)
+    polish = solve_ground(params, screen.u)
+    assert best.history[:len(screen.history)] == screen.history
+    assert [row[0] for row in best.history] == list(range(best.iters + 1))
+    assert best.iters == screen.iters + polish.iters > screen.iters
+    assert best.translation_steps == (screen.translation_steps
+                                      + polish.translation_steps)
+    assert best.beta == min(screen.beta, polish.beta)
+
+
+def test_multistart_screens_the_other_starts(workload_multistart,
+                                             profile_half):
+    # the other two stop at r <= _SCREEN_TOL, short of solver.tol, within
+    # 1e-4 of the best level
+    params = ground_params()
+    best, results = workload_multistart
+    screened = [r for r in results if r is not best]
+    assert len(screened) == 2
+    for res in screened:
+        assert res.stop_reason == "stationary"
+        assert params.solver.tol < res.stationarity <= solver_mod._SCREEN_TOL
+        r = stationarity(res, params, profile_half)
+        assert r <= solver_mod._SCREEN_TOL
+        assert abs(r - res.stationarity) <= 1e-6 * r
+        assert 0.0 < (res.level - best.level) / best.level < 1e-4
+
+
+def test_multistart_logs_each_start(caplog):
+    # one INFO line per screened start, then one for the polish of the best
+    params = small_params()
+    with caplog.at_level(logging.INFO, logger="hartreebox.solver"):
+        best, results = multistart(params, [5, 6])
+    screens = [solve_ground(params, random_seed_field(params, seed),
+                            tol=solver_mod._SCREEN_TOL) for seed in (5, 6)]
+    k = [r is best for r in results].index(True)
+    lines = [f"screened start {seed}: level {r.level:.12g}, {r.iters} "
+             f"iterations, r {r.stationarity:.2e}"
+             for seed, r in zip((5, 6), screens)]
+    lines.append(f"polished start {5 + k}: level {best.level:.12g}, "
+                 f"{best.iters - screens[k].iters} iterations, "
+                 f"r {best.stationarity:.2e}")
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] \
+        == [("hartreebox.solver", "INFO", line) for line in lines]
 
 
 def test_converged_start_stops_at_its_first_check(base_result):
@@ -149,17 +216,19 @@ def test_gate_keeps_unresolved_and_flat_solves(params, monkeypatch):
 
 
 def test_workload_config_seeds_end_stationary():
-    # `solve` at the 1D workload's config seeds 0-19: three starts and the
-    # A = 0 solve each.  The solver runs at the rounding floor of the
-    # level, where a change in its rounding can stop a start on the line
-    # search
+    # the 60 starts of `solve` at the 1D workload's config seeds 0-19, each
+    # solved to solver.tol, and the A = 0 solve from the best of each three.
+    # The solver runs at the rounding floor of the level, where a change in
+    # its rounding can stop a start on the line search
     params = ground_params()
+    solved = {seed: solve_ground(params, random_seed_field(params, seed))
+              for seed in range(22)}
     levels, flat_levels = [], []
     for config_seed in range(20):
-        best, results = multistart(params, range(config_seed,
-                                                 config_seed + 3))
+        results = [solved[s] for s in range(config_seed, config_seed + 3)]
         assert all(r.stop_reason == "stationary" for r in results)
         levels += [r.level for r in results]
+        best = min(results, key=lambda r: r.level)
         flat_levels.append(compare_levels(params, best)[1])
     for values in (levels, flat_levels):
         assert max(values) - min(values) <= 1e-9 * min(values)
