@@ -114,7 +114,7 @@ def cmd_solve(args) -> int:
     _write_json(report_path, {
         "level": best.level, "nehari_residual": best.nehari_residual,
         "grad_residual": best.grad_residual, "iters": best.iters,
-        "stop_reason": best.stop_reason,
+        "stationarity": best.stationarity,
         "translation_steps": best.translation_steps,
         "min_value": best.min_value, "beta": best.beta,
         "multistart_levels": levels, "multistart_spread": spread,
@@ -154,7 +154,7 @@ def cmd_verify(args) -> int:
     outputs = [dtn_path]
 
     def decay():
-        rep = extension.decay_fit(ext, h_norm)
+        rep = extension.decay_fit(ext)
         path = os.path.join(args.out, "decay.csv")
         _write_csv(path, [["x", "sup_abs", "envelope"],
                           *zip(rep.x, rep.sup, rep.envelope)])

@@ -256,20 +256,20 @@ def _sup_abs(ext: ExtensionField, rows: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DecayFitReport:
     """The fitted law, and its nodes x with sup = sup_y |u(x, .)| there and
-    the envelope C_env h_norm x^((2 sigma - 1)/2) e^(-m x) above it."""
+    the envelope C_env x^((2 sigma - 1)/2) e^(-m x) above it."""
     rate: float
     x: np.ndarray
     sup: np.ndarray
     envelope: np.ndarray
 
 
-def decay_fit(ext: ExtensionField, h_norm: float) -> DecayFitReport:
+def decay_fit(ext: ExtensionField) -> DecayFitReport:
     """Fit sup_y |u(x, .)| ~ C x^p e^(-r x) on at most _DECAY_NODES mesh
     nodes of the window [2/m, x_max], evenly spaced in index with both ends
     kept: the only nodes at which sup_y |u| is formed, however large K_x.
 
     Asserts r >= m (1 - _DECAY_RATE_RTOL) and reports the envelope at the
-    constant C_env = max of sup / (h_norm x^((2 sigma - 1)/2) e^(-m x))
+    constant C_env = max of sup / (x^((2 sigma - 1)/2) e^(-m x))
     over the window, which makes the decay-law envelope hold on the window
     by construction.
     """
@@ -304,9 +304,9 @@ def decay_fit(ext: ExtensionField, h_norm: float) -> DecayFitReport:
     rate = float(coef[2])
 
     power, decay = xs ** (sigma - 0.5), np.exp(-m * xs)
-    c_env = float(np.max(sup / (h_norm * power * decay)))
+    c_env = float(np.max(sup / (power * decay)))
     report = DecayFitReport(rate=rate, x=xs, sup=sup,
-                            envelope=c_env * h_norm * power * decay)
+                            envelope=c_env * power * decay)
     if rate < m * (1.0 - _DECAY_RATE_RTOL):
         raise VerificationError(
             f"fitted decay rate {rate:.4f} below {1 - _DECAY_RATE_RTOL:.2f} "

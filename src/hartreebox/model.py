@@ -360,8 +360,6 @@ def nehari_phi(t: float, u: np.ndarray, params: ModelParams,
 # the interaction sums, so the root is found to about 1e-13 relative.
 _T_MIN, _T_MAX = 1e-6, 1e6
 _NEWTON_RTOL = 1e-13
-# A Newton step in ln t longer than the window's span leaves every bracket
-_LOG_SPAN = math.log(_T_MAX / _T_MIN)
 # Relative rounding by which an iterate's computed level may exceed the one
 # computed at the root (test_ray_levels_stay_below_projected_level holds it
 # at field scales 1e-3 to 1e3)
@@ -382,13 +380,13 @@ def _nehari_root(u: np.ndarray, params: ModelParams, quad: float,
     = (phi - t phi') / (t Q - phi), and the step is t exp(-G / G').  G is
     linear for a power nonlinearity and nearly so for log_linear, so the
     step lands close to the root from afar.  Under (f3) P / t^2 is
-    increasing, so G' > 0, phi > 0 below the root and phi <= 0 above it,
-    and every evaluation moves one end of a bracket [lo, hi] around the
-    root.  Until both ends are known, the open end grows by doubling or
-    halving inside [1e-6, 1e6]; a Newton step that leaves the bracket, or
-    a G' that is not positive and finite, is replaced by that doubling,
-    halving or bisection."""
-    lo = hi = None                      # phi(lo) > 0 >= phi(hi)
+    increasing, so G' > 0, phi > 0 below the root and phi <= 0 above it:
+    the window [1e-6, 1e6] is a bracket [lo, hi] around the root, and every
+    evaluation moves one of its ends to t.  A Newton step outside
+    (lo, hi), tested in ln t so that exp stays finite, gives way to the
+    bisection sqrt(lo hi) (Press et al., Numerical Recipes, 3rd ed., 2007,
+    sec. 9.4), and the search ends once no step is strictly inside."""
+    lo, hi = _T_MIN, _T_MAX             # phi(lo) > 0 >= phi(hi) once set
     t = min(max(t0, _T_MIN), _T_MAX)
     best_t, best_res, best_terms = t, np.inf, None
     for _ in range(100):
@@ -405,31 +403,20 @@ def _nehari_root(u: np.ndarray, params: ModelParams, quad: float,
             lo = t
         else:
             hi = t
-        if (lo is not None and lo >= _T_MAX) or (hi is not None
-                                                 and hi <= _T_MIN):
-            raise BracketError("no sign change of the Nehari function on "
-                               "[1e-6, 1e6]")
-        if hi is None:                  # root above lo: double
-            a, b = lo, min(2.0 * lo, _T_MAX)
-            fallback = b
-        elif lo is None:                # root below hi: halve
-            a, b = max(0.5 * hi, _T_MIN), hi
-            fallback = a
-        else:
-            a, b = lo, hi
-            fallback = 0.5 * (lo + hi)
-        step = np.nan
+        t_next = math.sqrt(lo * hi)
         if rel < 1.0:                   # P > 0, so G is finite
             g_prime = (rel - dphi() / quad) / (1.0 - rel)
-            if 0.0 < g_prime < np.inf:
+            if g_prime > 0.0:
                 ds = -math.log1p(-rel) / g_prime
-                if abs(ds) < _LOG_SPAN:
-                    step = t * math.exp(ds)
-        t_next = step if a < step < b else fallback
-        if t_next in (lo, hi):          # the bracket cannot shrink further
+                if math.log(lo / t) < ds < math.log(hi / t):
+                    t_next = t * math.exp(ds)
+        if not lo < t_next < hi:        # the bracket cannot shrink further
             break
         t = t_next
     if best_res >= 1e-10:
+        if lo == _T_MIN or hi == _T_MAX:
+            raise BracketError("no sign change of the Nehari function on "
+                               "[1e-6, 1e6]")
         raise DiagnosticError("Nehari root residual exceeds 1e-10 of the "
                               "quadratic scale")
     return float(best_t), best_terms

@@ -49,16 +49,13 @@ class GroundStateResult:
     min_value: float
     beta: float                # smallest sigma-norm of any projected iterate
     history: tuple             # rows (iter, energy, nehari_res, grad_res, step)
-    stop_reason: str           # "stationary": r <= the solve's tol
     translation_steps: int     # accepted shifts toward the well
     stationarity: float        # r = sqrt(<g, P g> / Q) at u
 
 
-def gaussian_bump(grid: Grid, amplitude: float = 1.0, width: float = 1.0,
-                  center=None) -> TraceField:
-    """Centered (or shifted) Gaussian seed of the given sup amplitude."""
-    if center is None:
-        center = (0.0,) * grid.dim
+def gaussian_bump(grid: Grid, amplitude: float, width: float,
+                  center) -> TraceField:
+    """Gaussian seed of the given sup amplitude, width and center."""
     r2 = sum((c - c0) ** 2 for c, c0 in zip(grid.coords, center))
     return TraceField(grid, amplitude * np.exp(-r2 / width ** 2))
 
@@ -124,14 +121,11 @@ def _shift(ev, params, gain, pairs):
     return cand
 
 
-def solve_ground(params: ModelParams, seed_field: TraceField | None = None,
-                 *, tol: float | None = None) -> GroundStateResult:
-    """Minimize I over the Nehari manifold from the given (or default) seed,
-    to r <= tol (default solver.tol)."""
+def solve_ground(params: ModelParams, seed_field: TraceField, *,
+                 tol: float | None = None) -> GroundStateResult:
+    """Minimize I over the Nehari manifold from the seed, to r <= tol
+    (default solver.tol)."""
     params.validate()
-    if seed_field is None:
-        seed_field = gaussian_bump(params.grid, 1.0,
-                                   max(1.0, params.potential.w))
     if seed_field.grid != params.grid:
         raise DomainError("seed grid does not match params grid")
 
@@ -219,8 +213,8 @@ def solve_ground(params: ModelParams, seed_field: TraceField | None = None,
             u=TraceField(grid, ev.values), level=ev.level,
             nehari_residual=nehari, grad_residual=gnorm, iters=it,
             min_value=float(np.min(ev.values)), beta=float(beta),
-            history=tuple(history), stop_reason="stationary",
-            translation_steps=shifts, stationarity=stat)
+            history=tuple(history), translation_steps=shifts,
+            stationarity=stat)
     raise ConvergenceError(
         f"no convergence in {it} iterations ({reason}: "
         f"nehari_residual={nehari:.3e}, grad_residual={gnorm:.3e})",
@@ -250,7 +244,14 @@ def multistart(params: ModelParams, seeds):
                for seed in seeds]
     best = min(range(len(results)), key=lambda i: results[i].level)
     screen = results[best]
-    polish = solve_ground(params, screen.u)
+
+    def joined(history):    # the screen's rows, then the polish's after them
+        return screen.history + tuple((screen.iters + it, *row)
+                                      for it, *row in history[1:])
+    try:
+        polish = solve_ground(params, screen.u)
+    except ConvergenceError as exc:     # its trace starts with the screen's
+        raise ConvergenceError(str(exc), joined(exc.history)) from exc
     for phase, seed, res in ([("screened", *sr) for sr in zip(seeds, results)]
                              + [("polished", seeds[best], polish)]):
         log.info("%s start %d: level %.12g, %d iterations, r %.2e", phase,
@@ -258,8 +259,7 @@ def multistart(params: ModelParams, seeds):
     results[best] = dataclasses.replace(
         polish, iters=screen.iters + polish.iters,
         beta=min(screen.beta, polish.beta),
-        history=screen.history + tuple((screen.iters + it, *row) for it, *row
-                                       in polish.history[1:]),
+        history=joined(polish.history),
         translation_steps=screen.translation_steps + polish.translation_steps)
     return results[best], results
 

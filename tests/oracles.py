@@ -19,7 +19,7 @@ from scipy.special import gamma, kv
 
 from hartreebox.errors import DomainError, VerificationError
 from hartreebox.profile import BesselProfile, eval_profile
-from hartreebox.solver import solve_ground
+from hartreebox.solver import gaussian_bump, solve_ground
 from hartreebox.spectral import Grid, TraceField
 
 
@@ -206,6 +206,12 @@ def refine(h, n_new):
         cpad[tuple(idx_hi)] = cpad[tuple(idx_lo)]
     vals = np.fft.ifftn(np.fft.ifftshift(cpad)).real * (n_new / g.n) ** g.dim
     return TraceField(fine, vals)
+
+
+def centred_seed(params):
+    """The centred Gaussian start of sup 1 and width max(1, potential.w)."""
+    return gaussian_bump(params.grid, 1.0, max(1.0, params.potential.w),
+                         (0.0,) * params.grid.dim)
 
 
 def linf_refinement_check(result, params, rtol=0.02):

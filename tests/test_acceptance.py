@@ -17,8 +17,8 @@ from hartreebox.solver import compare_levels, multistart, solve_ground
 from hartreebox.spectral import Grid, TraceField, apply_multiplier
 
 from conftest import SIGMAS
-from oracles import (decay_law, dense_convolve, dense_frac_apply,
-                     linf_refinement_check, quadratic_form)
+from oracles import (centred_seed, decay_law, dense_convolve,
+                     dense_frac_apply, linf_refinement_check, quadratic_form)
 from test_profile import ode_residual
 
 
@@ -168,7 +168,8 @@ def test_criterion_7_level_ordering(ground_state, capsys):
     flat = ModelParams(sigma=0.5, m=1.0, dim=1, L=20.0, n=256,
                        potential=PotentialSpec(V_inf=1.0, A=0.0, w=4.0),
                        kernel=KernelSpec(a=0.0, b=1.0, w2=3.0))
-    e_star, e_inf, _ = compare_levels(flat, solve_ground(flat))
+    e_star, e_inf, _ = compare_levels(flat,
+                                      solve_ground(flat, centred_seed(flat)))
     agree = abs(e_star - e_inf) / e_inf
     assert agree < 1e-6
     verdict(capsys, 7, f"0 < c* = {c_star:.6f} < c_inf = {c_inf:.6f}, "
@@ -179,9 +180,9 @@ def test_criterion_7_level_ordering(ground_state, capsys):
 def test_criterion_8_decay(profiles, sigma, theta, capsys):
     params = decay_params(sigma, theta)
     p = profiles[sigma]
-    res = solve_ground(params)
+    res = solve_ground(params, centred_seed(params))
     ext = lift(res.u, p, params.m, x_max=50.0, K_x=400)
-    rep = decay_fit(ext, np.abs(res.u.values).max())
+    rep = decay_fit(ext)
     assert rep.rate >= 0.95 * params.m
     target = (2 * sigma - 1) / 2
     poly_exp = decay_law(rep.x, rep.sup)[0]

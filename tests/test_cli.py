@@ -102,6 +102,7 @@ def test_solve_command(tmp_path, capsys):
     assert report["min_value"] > 0
     assert 0 < report["c_star"] < report["c_inf"]
     assert report["multistart_spread"] < 1e-4
+    assert report["stationarity"] <= load_config(cfg).params.solver.tol
     assert (out / "ground_state.csv").exists()
     assert (out / "iterations.csv").exists()
     assert_phase_times(out, "solve")
@@ -385,7 +386,7 @@ def test_report_tables_read_back_bit_for_bit(tmp_path, capsys, monkeypatch):
         assert rows[0] == ["check", "status", "value"]
         checks = {"energy_identity": extension.energy_identity_check,
                   "dtn": extension.dtn_check,
-                  "decay": lambda e: extension.decay_fit(e, h_norm).rate,
+                  "decay": lambda e: extension.decay_fit(e).rate,
                   "trace_inequality": lambda e: (
                       extension.trace_inequality_check(e, h_norm))}
         assert [r[0] for r in rows[1:]] == list(checks)
@@ -401,7 +402,7 @@ def test_report_tables_read_back_bit_for_bit(tmp_path, capsys, monkeypatch):
             assert "fail" in {r[1] for r in rows}
             assert not (vout / "decay.csv").exists()
         else:
-            rep = extension.decay_fit(ext, h_norm)
+            rep = extension.decay_fit(ext)
             rows = read_rows(vout / "decay.csv")
             assert rows[0] == ["x", "sup_abs", "envelope"]
             assert_same_bits(rows[1:], np.column_stack(
@@ -690,6 +691,27 @@ def test_iteration_budget_exits_3(tmp_path, capsys):
     rows = (tmp_path / "o" / "iterations.csv").read_text().splitlines()
     assert rows[0] == "iter,energy,nehari_residual,grad_residual,step"
     assert [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2"]
+
+
+def test_failed_polish_trace_starts_with_the_screen(tmp_path, capsys):
+    # below the rounding floor of r (tol 1e-16) the 1D workload's three
+    # screens pass and the polish of the best ends on the line search: the
+    # trace is the screen's rows from its row 0, then the polish's after them
+    cfg = write_config(tmp_path, WORKLOAD_CONFIG + "solver.tol = 1e-16\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "(line_search: " in err
+    polish_iters = int(re.search(r"no convergence in (\d+) ", err)[1])
+    rows = (out / "iterations.csv").read_text().splitlines()[1:]
+    iters = [int(r.split(",")[0]) for r in rows]
+    assert iters == list(range(len(iters)))
+    assert iters[-1] > polish_iters
+    # row 0 is a start's projected seed field, not the screened point
+    params = load_config(cfg).params
+    starts = [solver.solve_ground(params, solver.random_seed_field(params, s),
+                                  tol=np.inf).history[0] for s in (11, 12, 13)]
+    assert tuple(float(v) for v in rows[0].split(",")) in starts
 
 
 def test_corrupted_field_exits_1(tmp_path, capsys):

@@ -189,7 +189,7 @@ def test_decay_zero_mode_rate(profile_half):
     m = 0.9
     h = TraceField(g, np.ones(32))
     ext = lift(h, profile_half, m, x_max=14.0, K_x=300)
-    rep = decay_fit(ext, np.abs(h.values).max())
+    rep = decay_fit(ext)
     assert abs(rep.rate - m) < 1e-6
     poly_exp, residual = decay_law(rep.x, rep.sup)
     assert abs(poly_exp) < 1e-4
@@ -203,7 +203,7 @@ def test_decay_single_mode_rate(profile_half):
     c = np.sqrt(m ** 2 + 4 * np.pi ** 2 * xi ** 2)
     h = TraceField(g, np.cos(2 * np.pi * xi * g.axis))
     ext = lift(h, profile_half, m, x_max=12.0, K_x=300)
-    rep = decay_fit(ext, np.abs(h.values).max())
+    rep = decay_fit(ext)
     assert abs(rep.rate - c) < 1e-4 * c
 
 
@@ -211,7 +211,7 @@ def test_decay_sup_monotone_single_mode(profile_half):
     g = Grid(1, 5.0, 64)
     h = TraceField(g, np.cos(np.pi * g.axis / g.L))
     ext = lift(h, profile_half, 1.0, x_max=12.0, K_x=200)
-    rep = decay_fit(ext, np.abs(h.values).max())
+    rep = decay_fit(ext)
     assert np.all(np.diff(rep.sup) < 0)
 
 
@@ -219,7 +219,7 @@ def test_decay_zero_field_vacuous(profile_half):
     g = Grid(1, 5.0, 32)
     z = TraceField(g, np.zeros(32))
     ext = lift(z, profile_half, 1.0, x_max=12.0, K_x=100)
-    rep = decay_fit(ext, 0.0)
+    rep = decay_fit(ext)
     assert rep.rate == 1.0
     assert rep.x.size == rep.sup.size == rep.envelope.size == 0
 
@@ -228,15 +228,14 @@ def test_decay_envelope_holds_on_window(profiles, rng):
     p = profiles[0.3]
     h = random_field(rng)
     ext = lift(h, p, 1.0, x_max=12.0, K_x=300)
-    h_norm = np.abs(h.values).max()
-    rep = decay_fit(ext, h_norm)
+    rep = decay_fit(ext)
     x = ext.x_nodes
     # the window [2/m, x_max] at m = 1
     assert np.array_equal(rep.x, x[kept_rows(x, 2.0)])
     assert np.all((rep.x >= 2.0) & (rep.x <= 12.0))
     power, decay = rep.x ** (p.sigma - 0.5), np.exp(-1.0 * rep.x)
-    c_env = np.max(rep.sup / (h_norm * power * decay))
-    assert np.array_equal(rep.envelope, c_env * h_norm * power * decay)
+    c_env = np.max(rep.sup / (power * decay))
+    assert np.array_equal(rep.envelope, c_env * power * decay)
     assert np.all(rep.sup <= rep.envelope * (1 + 1e-12))
 
 
@@ -303,7 +302,7 @@ def test_report_csvs(tmp_path, profiles, rng, capsys):
                  "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     ext = lift(h, p, 1.0, x_max=12.0, K_x=300)
-    rep = decay_fit(ext, h.norm_l2())
+    rep = decay_fit(ext)
     assert isinstance(rep, DecayFitReport)
     lines = (tmp_path / "decay.csv").read_text().strip().splitlines()
     assert lines[0] == "x,sup_abs,envelope"
@@ -411,7 +410,7 @@ def test_modewise_checks_match_dense_extension(profiles, sigma, dim, n, rng):
     assert abs(_extension_energy(ext) - want) <= 1e-12 * want
 
     # sup_y |u| at the decay fit's nodes, the only ones it is formed at
-    rep = decay_fit(ext, h.norm_l2())
+    rep = decay_fit(ext)
     rows = kept_rows(x, 2.0)
     assert np.array_equal(rep.x, x[rows])
     sup = np.max(np.abs(values[rows]), axis=tuple(range(1, dim + 1)))
@@ -435,7 +434,7 @@ def test_lift_and_checks_memory_bounded(profile_half):
         ext = lift(h, profile_half, 1.0, K_x=400)
         energy_identity_check(ext)
         dtn_check(ext)
-        decay_fit(ext, h.norm_l2())
+        decay_fit(ext)
     assert traced_peak(lift_and_check)[1] < 5 * 2 ** 20
 
 
@@ -462,7 +461,7 @@ def test_lift_and_checks_memory_does_not_grow_with_K_x(profile_half):
         ext = lift(h, profile_half, 1.0, K_x=K_x)
         energy_identity_check(ext)
         dtn_check(ext)
-        decay_fit(ext, h.norm_l2())
+        decay_fit(ext)
     lift_and_check(100)     # the grid's cached arrays, built once
     peaks = [traced_peak(lift_and_check, K_x)[1] for K_x in (400, 1600)]
     assert max(peaks) <= 1.1 * min(peaks)
@@ -476,7 +475,7 @@ def test_sup_abs_holds_one_field_at_a_time(profile_half):
     g = Grid(3, 10.0, 32)
     h = TraceField(g, np.exp(-g.radius_sq / 4.0))
     ext = lift(h, profile_half, 1.0, K_x=400)
-    rep, peak = traced_peak(decay_fit, ext, h.norm_l2())
+    rep, peak = traced_peak(decay_fit, ext)
     assert peak < 2 ** 20
     # bit for bit numpy's irfftn of the same node, at every kept node
     rows = kept_rows(ext.x_nodes, 2.0)
@@ -490,7 +489,7 @@ def test_decay_fit_keeps_at_most_32_window_nodes(profile_half, rng, K_x):
     # a window of 18 rows (K_x = 40) keeps them all; one of 135 keeps 32
     h = random_field(rng)
     ext = lift(h, profile_half, 1.0, x_max=12.0, K_x=K_x)
-    rep = decay_fit(ext, h.norm_l2())
+    rep = decay_fit(ext)
     window = ext.x_nodes[ext.x_nodes >= 2.0]
     assert rep.x.size == min(window.size, 32)
     assert rep.x[0] == window[0] and rep.x[-1] == window[-1]
@@ -513,6 +512,6 @@ def test_decay_fit_cost_does_not_grow_with_K_x(profile_half, monkeypatch):
     for K_x in (400, 1600):
         ext = lift(h, profile_half, 1.0, K_x=K_x)
         calls.clear()
-        sizes.append(decay_fit(ext, h.norm_l2()).x.size)
+        sizes.append(decay_fit(ext).x.size)
         assert len(calls) <= 32
     assert sizes == [32, 32]

@@ -367,6 +367,45 @@ def test_log_newton_reaches_power_root_in_one_step(rng, monkeypatch, t0):
     assert abs(t - want) < 1e-13 * want
 
 
+@pytest.mark.parametrize("factor", [0.01, 100.0])
+def test_log_newton_reaches_root_from_afar(monkeypatch, factor):
+    # on the 1D workload's start at seed 11, G is nearly linear in ln t, so
+    # Newton steps from a hundredth or a hundred times the root land on it
+    # in a few evaluations, with the window as the only bracket
+    params = ground_params()
+    u = random_seed_field(params, 11).values
+    want = model_mod._project(u, params)[0]
+    quad = model_mod._quad_terms(params, u, np.fft.rfftn(u))[1]
+    calls, phi = [], model_mod.nehari_phi
+
+    def counted_phi(*args):
+        calls.append(args[0])
+        return phi(*args)
+    monkeypatch.setattr(model_mod, "nehari_phi", counted_phi)
+    t, terms = model_mod._nehari_root(u, params, quad, np.inf, factor * want)
+    assert terms is not None
+    assert abs(t - want) < 1e-13 * want
+    assert len(calls) <= 6
+
+
+def test_bisection_alone_finds_the_root(profile_half, rng, monkeypatch):
+    # with G' = -1 < 0 from the slope nehari_phi hands back (phi' = Q), no
+    # Newton step is taken: every step bisects the bracket in ln t, from the
+    # window [1e-6, 1e6] down to the root
+    params = small_params()
+    u = bump(params, rng)
+    calls, phi = [], model_mod.nehari_phi
+
+    def flat_slope(t, v, params, quad):
+        calls.append(t)
+        return (*phi(t, v, params, quad)[:3], lambda: quad)
+    monkeypatch.setattr(model_mod, "nehari_phi", flat_slope)
+    t = project(u, params)[0]
+    assert calls[:2] in ([1.0, 1e-3], [1.0, 1e3])
+    want = oracle_nehari_scale(u, params, profile_half)
+    assert abs(t - want) < 1e-12 * want
+
+
 @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER])
 def test_ray_levels_stay_below_projected_level(profile_half, rng,

@@ -15,8 +15,8 @@ from hartreebox.solver import (compare_levels, gaussian_bump, multistart,
                                random_seed_field, solve_ground)
 from hartreebox.spectral import Grid, TraceField
 
-from oracles import (full_multiplier, gradient, linf_refinement_check,
-                     quadratic_form, spectral_weights)
+from oracles import (centred_seed, full_multiplier, gradient,
+                     linf_refinement_check, quadratic_form, spectral_weights)
 from test_acceptance import ground_params
 
 
@@ -30,7 +30,8 @@ def small_params(**kw):
 
 @pytest.fixture(scope="module")
 def base_result():
-    return solve_ground(small_params())
+    params = small_params()
+    return solve_ground(params, centred_seed(params))
 
 
 def test_convergence_and_positivity(base_result, profile_half):
@@ -62,7 +63,7 @@ def test_workload_starts_end_stationary(profile_half):
     results = [solve_ground(params, random_seed_field(params, seed))
                for seed in (11, 12, 13)]
     for res in results:
-        assert res.stop_reason == "stationary"
+        assert res.stationarity <= params.solver.tol
         assert stationarity(res, params, profile_half) <= params.solver.tol
     levels = [res.level for res in results]
     assert (max(levels) - min(levels)) / min(levels) < 1e-12
@@ -83,7 +84,7 @@ def test_multistart_polishes_only_the_best_start(workload_multistart,
     best, results = workload_multistart
     start = random_seed_field(params, 11 + [r is best for r in results]
                               .index(True))
-    assert best.stop_reason == "stationary"
+    assert best.stationarity <= params.solver.tol
     assert stationarity(best, params, profile_half) <= params.solver.tol
     full = solve_ground(params, start)
     assert abs(best.level - full.level) <= 1e-12 * full.level
@@ -106,7 +107,6 @@ def test_multistart_screens_the_other_starts(workload_multistart,
     screened = [r for r in results if r is not best]
     assert len(screened) == 2
     for res in screened:
-        assert res.stop_reason == "stationary"
         assert params.solver.tol < res.stationarity <= solver_mod._SCREEN_TOL
         r = stationarity(res, params, profile_half)
         assert r <= solver_mod._SCREEN_TOL
@@ -133,9 +133,10 @@ def test_multistart_logs_each_start(caplog):
 
 
 def test_converged_start_stops_at_its_first_check(base_result):
-    res = solve_ground(small_params(), base_result.u)
+    params = small_params()
+    res = solve_ground(params, base_result.u)
     assert res.iters == 0 and len(res.history) == 1
-    assert res.stop_reason == "stationary"
+    assert res.stationarity <= params.solver.tol
     assert abs(res.level - base_result.level) <= 1e-14 * base_result.level
 
 
@@ -181,8 +182,8 @@ def test_resolved_start_shifts_to_the_well():
     # alone took 68 iterations to carry it there, with 5 shifts it takes 17
     params = ground_params()
     res = solve_ground(params, random_seed_field(params, 11))
-    centred = solve_ground(params)
-    assert res.stop_reason == "stationary"
+    centred = solve_ground(params, centred_seed(params))
+    assert res.stationarity <= params.solver.tol
     assert res.iters <= 35
     assert res.translation_steps >= 1
     assert abs(res.level - centred.level) <= 1e-12 * centred.level
@@ -226,7 +227,7 @@ def test_workload_config_seeds_end_stationary():
     levels, flat_levels = [], []
     for config_seed in range(20):
         results = [solved[s] for s in range(config_seed, config_seed + 3)]
-        assert all(r.stop_reason == "stationary" for r in results)
+        assert all(r.stationarity <= params.solver.tol for r in results)
         levels += [r.level for r in results]
         best = min(results, key=lambda r: r.level)
         flat_levels.append(compare_levels(params, best)[1])
@@ -244,7 +245,7 @@ def test_tighter_resolves_pass_the_rounding_floor():
     for seed in range(20):
         start = solve_ground(params, random_seed_field(params, seed))
         res = solve_ground(tight, start.u)
-        assert res.stop_reason == "stationary"
+        assert res.stationarity <= tight.solver.tol
         assert abs(res.level - start.level) <= 1e-13 * start.level
 
 
@@ -311,7 +312,8 @@ def test_seeds_agree_on_level():
 
 def test_translation_invariance_without_well():
     params = small_params(potential=PotentialSpec(V_inf=1.0, A=0.0, w=2.0))
-    centered = solve_ground(params, gaussian_bump(params.grid, 1.0, 1.5))
+    centered = solve_ground(params,
+                            gaussian_bump(params.grid, 1.0, 1.5, (0.0,)))
     shifted = solve_ground(params,
                            gaussian_bump(params.grid, 1.0, 1.5, (3.0,)))
     assert abs(centered.level - shifted.level) < 1e-6 * centered.level
@@ -324,7 +326,8 @@ def test_shifted_start_converges_under_rounding_perturbations():
     # fell back to a step of 1 there let about a third of starts perturbed
     # at 1e-15 crawl past max_iter)
     params = small_params(potential=PotentialSpec(V_inf=1.0, A=0.0, w=2.0))
-    centered = solve_ground(params, gaussian_bump(params.grid, 1.0, 1.5))
+    centered = solve_ground(params,
+                            gaussian_bump(params.grid, 1.0, 1.5, (0.0,)))
     shifted = gaussian_bump(params.grid, 1.0, 1.5, (3.0,)).values
     rng = np.random.default_rng(2026)
     for _ in range(3):
@@ -336,7 +339,7 @@ def test_shifted_start_converges_under_rounding_perturbations():
 def test_asymptotic_solution_symmetric():
     # the A = 0 problem compare_levels solves for c_inf
     params = small_params(potential=PotentialSpec(V_inf=1.0, A=0.0, w=2.0))
-    res = solve_ground(params)
+    res = solve_ground(params, centred_seed(params))
     vals = res.u.values
     peak = int(np.argmax(vals))
     reflected = vals[(2 * peak - np.arange(params.n)) % params.n]
@@ -348,8 +351,9 @@ def test_asymptotic_ignores_well_depth():
     deep = small_params(potential=PotentialSpec(V_inf=1.0, A=0.6, w=2.0))
     shallow = small_params(potential=PotentialSpec(V_inf=1.0, A=0.1, w=2.0))
     # the A = 0 solves start from the two different ground states
-    a = compare_levels(deep, solve_ground(deep))[1]
-    b = compare_levels(shallow, solve_ground(shallow))[1]
+    a = compare_levels(deep, solve_ground(deep, centred_seed(deep)))[1]
+    b = compare_levels(shallow,
+                       solve_ground(shallow, centred_seed(shallow)))[1]
     assert abs(a - b) < 1e-8 * a
 
 
@@ -362,7 +366,8 @@ def test_compare_levels_ordering(base_result):
 
 def test_compare_levels_equal_without_well():
     params = small_params(potential=PotentialSpec(V_inf=1.0, A=0.0, w=2.0))
-    c_star, c_inf, margin = compare_levels(params, solve_ground(params))
+    c_star, c_inf, margin = compare_levels(
+        params, solve_ground(params, centred_seed(params)))
     assert abs(c_star - c_inf) < 1e-6 * c_inf
 
 
@@ -371,7 +376,7 @@ def test_margin_monotone_in_well_depth():
     for frac in (0.1, 0.2, 0.4):
         params = small_params(
             potential=PotentialSpec(V_inf=1.0, A=frac, w=2.0))
-        ground = solve_ground(params)
+        ground = solve_ground(params, centred_seed(params))
         margins.append(compare_levels(params, ground)[2])
     assert margins[0] < margins[1] < margins[2]
 
@@ -402,7 +407,7 @@ def test_seed_without_positive_part():
 def test_iteration_budget_exhaustion():
     params = small_params(solver=SolverSettings(tol=1e-8, max_iter=2))
     with pytest.raises(ConvergenceError) as exc:
-        solve_ground(params)
+        solve_ground(params, centred_seed(params))
     history = exc.value.history
     assert [row[0] for row in history] == [0, 1, 2]
     # the message names the stop reason and reports the last row's
@@ -420,7 +425,7 @@ def test_unreachable_tolerance_stops_on_the_line_search():
     # restart that fails both, not at max_iter
     params = small_params(solver=SolverSettings(tol=1e-16))
     with pytest.raises(ConvergenceError, match=r"\(line_search: ") as exc:
-        solve_ground(params)
+        solve_ground(params, centred_seed(params))
     history = exc.value.history
     assert history[-1][4] == 0.0
     assert len(history) - 1 < params.solver.max_iter
@@ -449,6 +454,6 @@ def test_history_schema(base_result):
 
 def test_gaussian_bump_shape():
     params = small_params()
-    b = gaussian_bump(params.grid, 2.0, 1.5)
+    b = gaussian_bump(params.grid, 2.0, 1.5, (0.0,))
     assert abs(np.abs(b.values).max() - 2.0) < 1e-12
     assert np.argmax(b.values) == params.n // 2
