@@ -9,8 +9,7 @@ from .errors import (BracketError, ConfigError, ConvergenceError,
 from .profile import BesselProfile, build_profile
 from .spectral import (Grid, TraceField, field_from_binary, field_from_csv,
                        field_to_csv)
-from .model import (KernelSpec, ModelParams, NonlinearitySpec, PotentialSpec,
-                    SolverSettings)
+from .model import KernelSpec, ModelParams, NonlinearitySpec, PotentialSpec
 from .solver import (GroundStateResult, compare_levels, gaussian_bump,
                      multistart, solve_ground)
 from .extension import (DecayFitReport, ExtensionField, decay_fit, dtn_check,

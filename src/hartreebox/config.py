@@ -31,13 +31,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import (KernelSpec, ModelParams, NonlinearitySpec, PotentialSpec,
-                    SolverSettings)
+from .model import KernelSpec, ModelParams, NonlinearitySpec, PotentialSpec
 
 # key -> type.  A dotted key is the keyword argument after the dot of its
-# section's owner: NonlinearitySpec, PotentialSpec, KernelSpec, SolverSettings
-# or lift (extension).  `seed` (default 0) is the config's own; the other
-# keys are ModelParams arguments, or as _RENAMED says.
+# section's owner: NonlinearitySpec, PotentialSpec, KernelSpec or lift
+# (extension).  `seed` (default 0) is the config's own; the other keys are
+# ModelParams arguments, or as _RENAMED says.
 _SCHEMA = {
     "sigma": float, "m": float, "N": int, "L": float, "n": int,
     "theta": float, "seed": int,
@@ -45,11 +44,11 @@ _SCHEMA = {
     "potential.V_inf": float, "potential.A": float, "potential.w": float,
     "kernel.a": float, "kernel.mu": float, "kernel.R_c": float,
     "kernel.b": float, "kernel.w2": float,
-    "solver.tol": float, "solver.max_iter": int,
+    "solver.tol": float,
     "extension.x_max": float, "extension.K_x": int,
 }
 
-_RENAMED = {"N": "dim", "theta": "nonlinearity.theta"}
+_RENAMED = {"N": "dim", "theta": "nonlinearity.theta", "solver.tol": "tol"}
 
 _REQUIRED = ("sigma", "m", "N", "L", "n")
 
@@ -131,7 +130,6 @@ def load_config(path) -> RunConfig:
     params = ModelParams(
         **kw[""], nonlinearity=NonlinearitySpec(**kw["nonlinearity"]),
         potential=PotentialSpec(**kw["potential"]),
-        kernel=KernelSpec(**kw["kernel"]),
-        solver=SolverSettings(**kw["solver"]))
+        kernel=KernelSpec(**kw["kernel"]))
     return RunConfig(params=params, seed=seed, lift_kw=kw["extension"],
                      raw=raw)

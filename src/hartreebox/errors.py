@@ -25,9 +25,9 @@ class NumericError(HartreeboxError, ArithmeticError):
 
 
 class ConvergenceError(HartreeboxError, RuntimeError):
-    """An iteration exhausted its budget; carries the iteration history,
-    in the rows of GroundStateResult.history, whose last row holds the last
-    residuals."""
+    """An iteration stopped short of its tolerance; carries the iteration
+    history, in the rows of GroundStateResult.history, whose last row holds
+    the last residuals, and from the solver the stop `reason`."""
 
     exit_code = 3
 

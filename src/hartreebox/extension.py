@@ -318,9 +318,10 @@ def decay_fit(ext: ExtensionField) -> DecayFitReport:
 
 
 def trace_inequality_check(ext: ExtensionField, h_norm: float) -> float:
-    """Slack of m^(2 sigma) |h|_2^2 <= (1/kappa) ||u||_sigma^2 for the
-    trace h of ext, with h_norm = |h|_2; nonnegative at every m because the
-    multiplier (m^2 + 4 pi^2 |xi|^2)^sigma is at least m^(2 sigma)."""
+    """Slack of m^(2 sigma) |h|_2^2 <= ||h||_sigma^2 / kappa, h_norm = |h|_2.
+    Through _sigma_form, with h_norm^2 = sum mass, it is sum mass (c^(2 sigma)
+    - m^(2 sigma)) >= 0 for every field, as every rate c is at least m: it
+    fails only if h_norm and the spectral mass disagree beyond rounding."""
     norm_sq = _sigma_form(ext)
     slack = (norm_sq / ext.profile.kappa
              - ext.m ** (2.0 * ext.profile.sigma) * h_norm ** 2)

@@ -165,16 +165,6 @@ class KernelSpec:
         return out
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    tol: float = 1e-8
-    max_iter: int = 2000
-
-    def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise DomainError("solver settings must be positive")
-
-
 # ---------------------------------------------------------------------------
 # Full parameter set
 
@@ -188,13 +178,15 @@ class ModelParams:
     nonlinearity: NonlinearitySpec = field(default_factory=NonlinearitySpec)
     potential: PotentialSpec = field(default_factory=PotentialSpec)
     kernel: KernelSpec = field(default_factory=KernelSpec)
-    solver: SolverSettings = field(default_factory=SolverSettings)
+    tol: float = 1e-8       # stationarity r at which a solve stops
 
     def __post_init__(self):
         if not 0.0 < self.sigma < 1.0:
             raise DomainError("sigma out of (0,1)")
         if self.m <= 0:
             raise DomainError("m must be positive")
+        if self.tol <= 0:
+            raise DomainError("solver tolerance must be positive")
         _ = self.grid  # validates dim, L, n
         self._check_theta_window()
         self._check_kernel_integrability()

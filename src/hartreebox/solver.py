@@ -5,7 +5,7 @@ projection as retraction (Huang, Gallivan & Absil, SIAM J. Optim. 25, 2015)
 and initial inverse Hessian gamma P, P = (kappa (m^2 + 4 pi^2 |xi|^2)^sigma +
 V_inf)^(-1), which removes the stiffness of the fractional operator.  Armijo
 backtracking keeps the energy monotone up to its rounding; the loop stops
-when r = sqrt(<g, P g> / Q) <= tol (solver.tol by default).  It works on
+when r = sqrt(<g, P g> / Q) <= tol (params.tol by default).  It works on
 spectra scaled by sqrt(Grid.mode_weight), where the L^2 pairing is a sum.
 
 P misses the translations of a state in a weak well, a near-zero mode of
@@ -35,6 +35,7 @@ _SHELL_TAIL = 1e-6
 _SHAPE_MOVE = 0.1
 _R_DECREASE = 1e-3  # share of r a trial at the level's rounding must cut
 _SCREEN_TOL = 1e-3  # r of a screened start: in 1D its level within 2e-5
+_MAX_ITER = 2000    # iteration budget, far above any measured solve's
 
 log = logging.getLogger(__name__)
 
@@ -121,16 +122,26 @@ def _shift(ev, params, gain, pairs):
     return cand
 
 
+def _no_convergence(reason, history):
+    """The ConvergenceError of a solve stopped on `reason`, with the count
+    and residuals of the trace's last row."""
+    it, _, nehari, gnorm, _ = history[-1]
+    exc = ConvergenceError(
+        f"no convergence in {it} iterations ({reason}: "
+        f"nehari_residual={nehari:.3e}, grad_residual={gnorm:.3e})", history)
+    exc.reason = reason
+    return exc
+
+
 def solve_ground(params: ModelParams, seed_field: TraceField, *,
                  tol: float | None = None) -> GroundStateResult:
     """Minimize I over the Nehari manifold from the seed, to r <= tol
-    (default solver.tol)."""
+    (default params.tol)."""
     params.validate()
     if seed_field.grid != params.grid:
         raise DomainError("seed grid does not match params grid")
 
-    settings, grid = params.solver, params.grid
-    tol = settings.tol if tol is None else tol
+    grid, tol = params.grid, (params.tol if tol is None else tol)
     weight = np.sqrt(np.repeat(grid.mode_weight, 2))
     precond = np.repeat(1.0 / (params.kappa * params.multiplier
                                + params.potential.V_inf), 2, axis=-1)
@@ -155,7 +166,7 @@ def solve_ground(params: ModelParams, seed_field: TraceField, *,
     pairs = collections.deque(maxlen=_MEMORY)
     it, reason, shifts = 0, "max_iter", 0
     mag = _resolved_magnitude(ev, grid) if params.potential.A > 0 else None
-    while stat > tol and it < settings.max_iter:
+    while stat > tol and it < _MAX_ITER:
         it += 1
         direction = _direction(grad, pairs, precond, work)
         slope = _dot(grad, direction, work)
@@ -215,10 +226,7 @@ def solve_ground(params: ModelParams, seed_field: TraceField, *,
             min_value=float(np.min(ev.values)), beta=float(beta),
             history=tuple(history), translation_steps=shifts,
             stationarity=stat)
-    raise ConvergenceError(
-        f"no convergence in {it} iterations ({reason}: "
-        f"nehari_residual={nehari:.3e}, grad_residual={gnorm:.3e})",
-        history=tuple(history))
+    raise _no_convergence(reason, tuple(history))
 
 
 def random_seed_field(params: ModelParams, seed: int) -> TraceField:
@@ -235,11 +243,11 @@ def multistart(params: ModelParams, seeds):
     """Solve from several random seeds, in order; returns (best_result,
     all_results).
 
-    Each start is screened to r <= max(_SCREEN_TOL, solver.tol); only the
-    first with the lowest screened level is polished on to solver.tol, with
+    Each start is screened to r <= max(_SCREEN_TOL, params.tol); only the
+    first with the lowest screened level is polished on to params.tol, with
     a fresh memory (Rinnooy Kan & Timmer, 1987), its result covering both.
     """
-    seeds, tol = list(seeds), max(_SCREEN_TOL, params.solver.tol)
+    seeds, tol = list(seeds), max(_SCREEN_TOL, params.tol)
     results = [solve_ground(params, random_seed_field(params, seed), tol=tol)
                for seed in seeds]
     best = min(range(len(results)), key=lambda i: results[i].level)
@@ -251,7 +259,7 @@ def multistart(params: ModelParams, seeds):
     try:
         polish = solve_ground(params, screen.u)
     except ConvergenceError as exc:     # its trace starts with the screen's
-        raise ConvergenceError(str(exc), joined(exc.history)) from exc
+        raise _no_convergence(exc.reason, joined(exc.history)) from exc
     for phase, seed, res in ([("screened", *sr) for sr in zip(seeds, results)]
                              + [("polished", seeds[best], polish)]):
         log.info("%s start %d: level %.12g, %d iterations, r %.2e", phase,

@@ -11,7 +11,7 @@ import hartreebox.model as model_mod
 import hartreebox.solver as solver_mod
 from hartreebox.errors import BracketError, DomainError
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
-                              PotentialSpec, SolverSettings)
+                              PotentialSpec)
 from hartreebox.solver import multistart, random_seed_field, solve_ground
 from hartreebox.spectral import TraceField
 
@@ -186,8 +186,8 @@ def test_spec_validation():
             (lambda: KernelSpec(mu=-0.1), "exponent mu"),
             (lambda: KernelSpec(R_c=0.0), "ranges must be positive"),
             (lambda: KernelSpec(w2=0.0), "ranges must be positive"),
-            (lambda: SolverSettings(tol=0.0), "solver settings"),
-            (lambda: SolverSettings(max_iter=0), "solver settings")):
+            (lambda: ModelParams(sigma=0.5, m=1.0, dim=1, L=5.0, n=8,
+                                 tol=0.0), "solver tolerance")):
         with pytest.raises(DomainError, match=message):
             make()
 
@@ -449,7 +449,7 @@ def test_early_rejection_keeps_the_solve(monkeypatch, seed):
     # seed 13, rejecting on the bare level > bound there stalls the solve
     # until max_iter)
     params = ground_params()
-    tight = dataclasses.replace(params, solver=SolverSettings(tol=1e-9))
+    tight = dataclasses.replace(params, tol=1e-9)
     fast = [solve_ground(params, random_seed_field(params, seed))]
     fast.append(solve_ground(tight, fast[0].u))
     project = solver_mod._project

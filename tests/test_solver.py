@@ -10,7 +10,7 @@ import hartreebox.solver as solver_mod
 from hartreebox.errors import (ConvergenceError, DomainError,
                                VerificationError)
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
-                              PotentialSpec, SolverSettings)
+                              PotentialSpec)
 from hartreebox.solver import (compare_levels, gaussian_bump, multistart,
                                random_seed_field, solve_ground)
 from hartreebox.spectral import Grid, TraceField
@@ -41,7 +41,7 @@ def test_convergence_and_positivity(base_result, profile_half):
     assert res.min_value > 0
     assert res.beta > 0
     quad = quadratic_form(res.u, params, profile_half)
-    assert res.nehari_residual < params.solver.tol * quad
+    assert res.nehari_residual < params.tol * quad
 
 
 def stationarity(result, params, profile):
@@ -63,8 +63,8 @@ def test_workload_starts_end_stationary(profile_half):
     results = [solve_ground(params, random_seed_field(params, seed))
                for seed in (11, 12, 13)]
     for res in results:
-        assert res.stationarity <= params.solver.tol
-        assert stationarity(res, params, profile_half) <= params.solver.tol
+        assert res.stationarity <= params.tol
+        assert stationarity(res, params, profile_half) <= params.tol
     levels = [res.level for res in results]
     assert (max(levels) - min(levels)) / min(levels) < 1e-12
 
@@ -84,8 +84,8 @@ def test_multistart_polishes_only_the_best_start(workload_multistart,
     best, results = workload_multistart
     start = random_seed_field(params, 11 + [r is best for r in results]
                               .index(True))
-    assert best.stationarity <= params.solver.tol
-    assert stationarity(best, params, profile_half) <= params.solver.tol
+    assert best.stationarity <= params.tol
+    assert stationarity(best, params, profile_half) <= params.tol
     full = solve_ground(params, start)
     assert abs(best.level - full.level) <= 1e-12 * full.level
     screen = solve_ground(params, start, tol=solver_mod._SCREEN_TOL)
@@ -107,7 +107,7 @@ def test_multistart_screens_the_other_starts(workload_multistart,
     screened = [r for r in results if r is not best]
     assert len(screened) == 2
     for res in screened:
-        assert params.solver.tol < res.stationarity <= solver_mod._SCREEN_TOL
+        assert params.tol < res.stationarity <= solver_mod._SCREEN_TOL
         r = stationarity(res, params, profile_half)
         assert r <= solver_mod._SCREEN_TOL
         assert abs(r - res.stationarity) <= 1e-6 * r
@@ -136,7 +136,7 @@ def test_converged_start_stops_at_its_first_check(base_result):
     params = small_params()
     res = solve_ground(params, base_result.u)
     assert res.iters == 0 and len(res.history) == 1
-    assert res.stationarity <= params.solver.tol
+    assert res.stationarity <= params.tol
     assert abs(res.level - base_result.level) <= 1e-14 * base_result.level
 
 
@@ -183,7 +183,7 @@ def test_resolved_start_shifts_to_the_well():
     params = ground_params()
     res = solve_ground(params, random_seed_field(params, 11))
     centred = solve_ground(params, centred_seed(params))
-    assert res.stationarity <= params.solver.tol
+    assert res.stationarity <= params.tol
     assert res.iters <= 35
     assert res.translation_steps >= 1
     assert abs(res.level - centred.level) <= 1e-12 * centred.level
@@ -227,7 +227,7 @@ def test_workload_config_seeds_end_stationary():
     levels, flat_levels = [], []
     for config_seed in range(20):
         results = [solved[s] for s in range(config_seed, config_seed + 3)]
-        assert all(r.stationarity <= params.solver.tol for r in results)
+        assert all(r.stationarity <= params.tol for r in results)
         levels += [r.level for r in results]
         best = min(results, key=lambda r: r.level)
         flat_levels.append(compare_levels(params, best)[1])
@@ -241,11 +241,11 @@ def test_tighter_resolves_pass_the_rounding_floor():
     # start 0 ended on the line search at tol 1e-8 already, and 4 of the
     # other 19 re-solves did
     params = ground_params()
-    tight = dataclasses.replace(params, solver=SolverSettings(tol=1e-9))
+    tight = dataclasses.replace(params, tol=1e-9)
     for seed in range(20):
         start = solve_ground(params, random_seed_field(params, seed))
         res = solve_ground(tight, start.u)
-        assert res.stationarity <= tight.solver.tol
+        assert res.stationarity <= tight.tol
         assert abs(res.level - start.level) <= 1e-13 * start.level
 
 
@@ -300,7 +300,7 @@ def test_weak_form_residual(base_result, profile_half, rng):
     for _ in range(10):
         v = TraceField(params.grid, rng.standard_normal(params.n))
         pair = params.grid.cell_volume * np.sum(g.values * v.values)
-        assert abs(pair) / v.norm_l2() < 10 * params.solver.tol * scale
+        assert abs(pair) / v.norm_l2() < 10 * params.tol * scale
 
 
 def test_seeds_agree_on_level():
@@ -404,8 +404,9 @@ def test_seed_without_positive_part():
         solve_ground(params, bad)
 
 
-def test_iteration_budget_exhaustion():
-    params = small_params(solver=SolverSettings(tol=1e-8, max_iter=2))
+def test_iteration_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(solver_mod, "_MAX_ITER", 2)
+    params = small_params()
     with pytest.raises(ConvergenceError) as exc:
         solve_ground(params, centred_seed(params))
     history = exc.value.history
@@ -423,19 +424,19 @@ def test_unreachable_tolerance_stops_on_the_line_search():
     # below the rounding floor of the level no trial passes the Armijo test,
     # nor lowers r under the relaxed one: the solve stops at the first
     # restart that fails both, not at max_iter
-    params = small_params(solver=SolverSettings(tol=1e-16))
+    params = small_params(tol=1e-16)
     with pytest.raises(ConvergenceError, match=r"\(line_search: ") as exc:
         solve_ground(params, centred_seed(params))
     history = exc.value.history
     assert history[-1][4] == 0.0
-    assert len(history) - 1 < params.solver.max_iter
+    assert len(history) - 1 < solver_mod._MAX_ITER
 
 
 def test_no_start_below_the_rounding_floor_creeps_to_max_iter():
     # tol 1e-16 is below the rounding floor of r: every start of seeds 0-19
     # stops stationary or on a failed line search, none by lowering r a
     # rounding's worth per step until max_iter
-    params = small_params(solver=SolverSettings(tol=1e-16))
+    params = small_params(tol=1e-16)
     reasons = []
     for seed in range(20):
         try:

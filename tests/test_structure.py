@@ -17,7 +17,7 @@ from hartreebox.config import _REQUIRED, _SCHEMA, load_config
 from hartreebox.extension import MIN_DECAY_LENGTHS, lift
 from hartreebox import model
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
-                              PotentialSpec, SolverSettings)
+                              PotentialSpec)
 
 PACKAGE = Path(hartreebox.__file__).resolve().parent
 README = PACKAGE.parents[1] / "README.md"
@@ -185,9 +185,8 @@ def test_no_module_imports_inside_a_function():
 # argument `name` of it.  The top-level keys are ModelParams arguments, but
 # for those RENAMED redirects and the config's own seed.
 OWNERS = {"": ModelParams, "nonlinearity": NonlinearitySpec,
-          "potential": PotentialSpec, "kernel": KernelSpec,
-          "solver": SolverSettings, "extension": lift}
-RENAMED = {"N": "dim", "theta": "nonlinearity.theta"}
+          "potential": PotentialSpec, "kernel": KernelSpec, "extension": lift}
+RENAMED = {"N": "dim", "theta": "nonlinearity.theta", "solver.tol": "tol"}
 MINIMAL_CONFIG = "sigma = 0.5\nm = 1.0\nN = 1\nL = 10.0\nn = 64\n"
 
 
@@ -280,6 +279,17 @@ def test_readme_names_exactly_the_cli_options():
     section = text[start:text.index("\n## ", start + 1)]
     named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
     assert registered_options(build_parser()) == named
+
+
+def test_readme_library_layout_has_one_row_per_module():
+    # every module but __init__ and errors, whose exit codes the Command
+    # line section covers, has exactly one row
+    text = README.read_text()
+    start = text.index("## Library layout")
+    section = text[start:text.index("\n## ", start + 1)]
+    rows = re.findall(r"^\| `hartreebox\.(\w+)` \|", section, flags=re.M)
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__", "errors"}
+    assert sorted(rows) == sorted(modules)
 
 
 def test_solve_path_takes_no_profile_table():
