@@ -3,9 +3,9 @@ Hartree-type equations on periodic boxes."""
 
 __version__ = "0.1.0"
 
-from .errors import (BracketError, ConfigError, ConvergenceError,
-                     DiagnosticError, DomainError, HartreeboxError,
-                     NumericError, VerificationError)
+from .errors import (ConfigError, ConvergenceError, DiagnosticError,
+                     DomainError, HartreeboxError, NumericError,
+                     VerificationError)
 from .profile import BesselProfile, build_profile
 from .spectral import (Grid, TraceField, field_from_binary, field_from_csv,
                        field_to_csv)

@@ -85,7 +85,7 @@ def cmd_profile(args) -> int:
     return 0
 
 
-_HISTORY_HEADER = ["iter", "energy", "nehari_residual", "grad_residual",
+_HISTORY_HEADER = ["iter", "energy", "nehari_residual", "stationarity",
                    "step"]
 
 
@@ -113,8 +113,7 @@ def cmd_solve(args) -> int:
     report_path = os.path.join(args.out, "report.json")
     _write_json(report_path, {
         "level": best.level, "nehari_residual": best.nehari_residual,
-        "grad_residual": best.grad_residual, "iters": best.iters,
-        "stationarity": best.stationarity,
+        "iters": best.iters, "stationarity": best.stationarity,
         "translation_steps": best.translation_steps,
         "min_value": best.min_value, "beta": best.beta,
         "multistart_levels": levels, "multistart_spread": spread,

@@ -16,10 +16,6 @@ class DiagnosticError(HartreeboxError, RuntimeError):
     """A numerical procedure finished but its self-check failed."""
 
 
-class BracketError(DiagnosticError):
-    """A root bracket could not be established."""
-
-
 class NumericError(HartreeboxError, ArithmeticError):
     """A computed quantity is NaN/Inf; the message names the component."""
 

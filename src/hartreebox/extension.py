@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,55 @@ class ExtensionField:
         """Phi(x_nodes[rows] (x) rates): x-rows by rate classes."""
         return eval_profile(self.profile,
                             np.multiply.outer(self.x_nodes[rows], self.rates))
+
+    @cached_property
+    def _neumann_trace(self):
+        """The one Neumann-trace estimator behind dtn_check and dtn_table,
+        formed on the first read, so `verify` forms it once.
+
+        Over the half-lattice modes carrying at least _MASS_FLOOR of the
+        spectral mass (none for a zero field), -x^(1-2 sigma) du/dx from
+        two-point slopes at power-adapted abscissae, extrapolated to x -> 0 by
+        one Richardson step at order 2-2 sigma.  Returns (mask, estimate,
+        target = kappa c^(2 sigma) h-hat, relative error, monotone), where
+        monotone says whether the first three slope estimates approach their
+        limit without the growing, direction-flipping increments of an x-mesh
+        too coarse for the boundary layer.
+        """
+        sigma = self.profile.sigma
+        x = self.x_nodes
+        if x.size < 5 or x[0] != 0.0:
+            raise DomainError("extension mesh must start at 0 with >= 5 nodes")
+        power = np.abs(self.spectrum) ** 2
+        floor = _MASS_FLOOR * float(self.mass.sum())
+        mask = (self.grid.mode_weight[0] * power >= floor) & (power > 0)
+        hhat = self.spectrum[mask]
+        cls = self.mode_class[mask]
+        target = self.profile.kappa * self.rates[cls] ** (2.0 * sigma) * hhat
+
+        # Phi at the five smallest nodes; differencing the real profile before
+        # scaling by h-hat keeps the O(x_1^(2 sigma)) increments free of the
+        # spectrum's rounding
+        phi = self.profile_rows(slice(0, 5))[:, cls]
+        ests, xeffs = [], []
+        for j in range(1, 4):
+            xe = _effective_abscissa(x[j], x[j + 1], sigma)
+            slope = (phi[j + 1] - phi[j]) / (x[j + 1] - x[j]) * hhat
+            ests.append(-xe ** (1.0 - 2.0 * sigma) * slope)
+            xeffs.append(xe)
+
+        d1 = np.abs(ests[1] - ests[0])
+        d2 = np.abs(ests[2] - ests[1])
+        flip = np.real((ests[1] - ests[0]) * np.conj(ests[2] - ests[1])) < 0
+        scale = np.abs(target) + 1e-300
+        noisy = (d1 < 1e-9 * scale) | (d2 < 1e-9 * scale)
+        monotone = not np.any(flip & (d2 > d1) & ~noisy)
+
+        p = 2.0 - 2.0 * sigma
+        r1, r2 = xeffs[0] ** p, xeffs[1] ** p
+        extrap = ests[0] + (ests[0] - ests[1]) * r1 / (r2 - r1)
+        rel = np.abs(extrap - target) / np.abs(target)
+        return mask, extrap, target, rel, monotone
 
 
 def lift(h: TraceField, profile: BesselProfile, m: float,
@@ -162,54 +212,6 @@ def _effective_abscissa(x1: float, x2: float, sigma: float) -> float:
     return val ** (1.0 / (2 * sigma - 1.0))
 
 
-def _neumann_trace(ext: ExtensionField):
-    """The one Neumann-trace estimator behind dtn_check and dtn_table.
-
-    Over the half-lattice modes carrying at least _MASS_FLOOR of the
-    spectral mass (none for a zero field), -x^(1-2 sigma) du/dx from
-    two-point slopes at power-adapted abscissae, extrapolated to x -> 0 by
-    one Richardson step at order 2-2 sigma.  Returns (mask, estimate,
-    target = kappa c^(2 sigma) h-hat, relative error, monotone), where
-    monotone says whether the first three slope estimates approach their
-    limit without the growing, direction-flipping increments of an x-mesh
-    too coarse for the boundary layer.
-    """
-    sigma = ext.profile.sigma
-    x = ext.x_nodes
-    if x.size < 5 or x[0] != 0.0:
-        raise DomainError("extension mesh must start at 0 with >= 5 nodes")
-    power = np.abs(ext.spectrum) ** 2
-    floor = _MASS_FLOOR * float(ext.mass.sum())
-    mask = (ext.grid.mode_weight[0] * power >= floor) & (power > 0)
-    hhat = ext.spectrum[mask]
-    cls = ext.mode_class[mask]
-    target = ext.profile.kappa * ext.rates[cls] ** (2.0 * sigma) * hhat
-
-    # Phi at the five smallest nodes; differencing the real profile before
-    # scaling by h-hat keeps the O(x_1^(2 sigma)) increments free of the
-    # spectrum's rounding
-    phi = ext.profile_rows(slice(0, 5))[:, cls]
-    ests, xeffs = [], []
-    for j in range(1, 4):
-        xe = _effective_abscissa(x[j], x[j + 1], sigma)
-        slope = (phi[j + 1] - phi[j]) / (x[j + 1] - x[j]) * hhat
-        ests.append(-xe ** (1.0 - 2.0 * sigma) * slope)
-        xeffs.append(xe)
-
-    d1 = np.abs(ests[1] - ests[0])
-    d2 = np.abs(ests[2] - ests[1])
-    flip = np.real((ests[1] - ests[0]) * np.conj(ests[2] - ests[1])) < 0
-    scale = np.abs(target) + 1e-300
-    noisy = (d1 < 1e-9 * scale) | (d2 < 1e-9 * scale)
-    monotone = not np.any(flip & (d2 > d1) & ~noisy)
-
-    p = 2.0 - 2.0 * sigma
-    r1, r2 = xeffs[0] ** p, xeffs[1] ** p
-    extrap = ests[0] + (ests[0] - ests[1]) * r1 / (r2 - r1)
-    rel = np.abs(extrap - target) / np.abs(target)
-    return mask, extrap, target, rel, monotone
-
-
 def dtn_check(ext: ExtensionField) -> float:
     """Neumann trace -x^(1-2 sigma) du/dx at x -> 0 vs. the multiplier.
 
@@ -218,7 +220,7 @@ def dtn_check(ext: ExtensionField) -> float:
     h-hat within _DTN_RTOL.  Returns the worst relative error (0 for a zero
     field), the largest rel_error in dtn_table.
     """
-    _, _, _, rel, monotone = _neumann_trace(ext)
+    _, _, _, rel, monotone = ext._neumann_trace
     if not monotone:
         raise DiagnosticError("Neumann-trace extrapolation non-monotone; "
                               "use a denser x-grading (larger K_x)")
@@ -233,7 +235,7 @@ def dtn_table(ext: ExtensionField) -> list:
     """Rows (|xi|, estimate re, im, target re, im, relative error), one per
     half-lattice mode that dtn_check judges (a mode's conjugate partner has
     the conjugate estimate and the same error)."""
-    mask, extrap, target, rel, _ = _neumann_trace(ext)
+    mask, extrap, target, rel, _ = ext._neumann_trace
     xi_abs = np.sqrt(ext.grid.k_sq[mask]) / (2.0 * ext.grid.L)
     return list(zip(xi_abs, extrap.real, extrap.imag, target.real,
                     target.imag, rel))

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BracketError, DiagnosticError, DomainError, NumericError
+from .errors import DiagnosticError, DomainError, NumericError
 from .profile import flux_constant
 from .spectral import Grid, apply_multiplier, half_lattice_form, half_spectrum
 
@@ -407,8 +407,8 @@ def _nehari_root(u: np.ndarray, params: ModelParams, quad: float,
         t = t_next
     if best_res >= 1e-10:
         if lo == _T_MIN or hi == _T_MAX:
-            raise BracketError("no sign change of the Nehari function on "
-                               "[1e-6, 1e6]")
+            raise DiagnosticError("no sign change of the Nehari function on "
+                                  "[1e-6, 1e6]")
         raise DiagnosticError("Nehari root residual exceeds 1e-10 of the "
                               "quadratic scale")
     return float(best_t), best_terms
@@ -446,7 +446,7 @@ def _project(u: np.ndarray, params: ModelParams, bound: float = np.inf,
         conv = apply_multiplier(params.kernel_spectrum, F)
         psi = _interaction(params, F, conv)
         if psi <= 0:
-            raise BracketError("interaction vanishes on this ray")
+            raise DiagnosticError("interaction vanishes on this ray")
         t = float((quad / (2.0 * nl.theta * psi))
                   ** (1.0 / (2.0 * nl.theta - 2.0)))
         f *= t ** (2.0 * nl.theta - 1.0)

@@ -45,11 +45,10 @@ class GroundStateResult:
     u: TraceField
     level: float
     nehari_residual: float
-    grad_residual: float
     iters: int
     min_value: float
     beta: float                # smallest sigma-norm of any projected iterate
-    history: tuple             # rows (iter, energy, nehari_res, grad_res, step)
+    history: tuple             # rows (iter, energy, nehari_res, r, step)
     translation_steps: int     # accepted shifts toward the well
     stationarity: float        # r = sqrt(<g, P g> / Q) at u
 
@@ -125,10 +124,10 @@ def _shift(ev, params, gain, pairs):
 def _no_convergence(reason, history):
     """The ConvergenceError of a solve stopped on `reason`, with the count
     and residuals of the trace's last row."""
-    it, _, nehari, gnorm, _ = history[-1]
+    it, _, nehari, stat, _ = history[-1]
     exc = ConvergenceError(
         f"no convergence in {it} iterations ({reason}: "
-        f"nehari_residual={nehari:.3e}, grad_residual={gnorm:.3e})", history)
+        f"nehari_residual={nehari:.3e}, stationarity={stat:.3e})", history)
     exc.reason = reason
     return exc
 
@@ -150,19 +149,19 @@ def solve_ground(params: ModelParams, seed_field: TraceField, *,
     trial = np.empty(grid.shape)
 
     def state(ev):
-        """Scaled spectrum of g, |<g, v>|, ||g|| and r, by Parseval."""
+        """Scaled spectrum of g, |<g, v>| and r, by Parseval."""
         grad = weight * ev.gradient_spectrum(params).view(np.float64)
         pos = np.multiply(ev.spectrum.view(np.float64), weight, out=work)
-        nehari, gg = abs(_dot(grad, pos, work)), _dot(grad, grad, work)
+        nehari = abs(_dot(grad, pos, work))
         gpg = _dot(np.multiply(grad, precond, out=work), grad, work)
-        return grad, nehari, gg ** 0.5, (gpg / ev.quad) ** 0.5
+        return grad, nehari, (gpg / ev.quad) ** 0.5
 
     # the loop works on arrays: every field it forms is finite by
     # construction, and the gradient's own check guards the rest
     _, ev = _project(seed_field.values, params)
-    grad, nehari, gnorm, stat = state(ev)
+    grad, nehari, stat = state(ev)
     beta = np.sqrt(ev.form)
-    history = [(0, ev.level, nehari, gnorm, 0.0)]
+    history = [(0, ev.level, nehari, stat, 0.0)]
     pairs = collections.deque(maxlen=_MEMORY)
     it, reason, shifts = 0, "max_iter", 0
     mag = _resolved_magnitude(ev, grid) if params.potential.A > 0 else None
@@ -188,11 +187,11 @@ def solve_ground(params: ModelParams, seed_field: TraceField, *,
                 if cand is not None:
                     cand_state = state(cand)
                     if (cand.level < bound - noise
-                            or cand_state[3] < (1.0 - _R_DECREASE) * stat):
+                            or cand_state[2] < (1.0 - _R_DECREASE) * stat):
                         break
             step *= 0.5
         else:
-            history.append((it, ev.level, nehari, gnorm, 0.0))
+            history.append((it, ev.level, nehari, stat, 0.0))
             if not pairs:               # a search from -P g failed
                 reason = "line_search"
                 break
@@ -204,7 +203,7 @@ def solve_ground(params: ModelParams, seed_field: TraceField, *,
         s = np.subtract(cand.spectrum.view(np.float64), old, out=old)
         s *= weight
         grad_old, drop = grad, ev.level - cand.level
-        ev, (grad, nehari, gnorm, stat) = cand, cand_state
+        ev, (grad, nehari, stat) = cand, cand_state
         y = np.subtract(grad, grad_old, out=grad_old)
         sy = _dot(s, y, work)
         if sy > 0.0:
@@ -215,17 +214,16 @@ def solve_ground(params: ModelParams, seed_field: TraceField, *,
                                     _SHAPE_MOVE ** 2 * np.square(mag).sum()):
                 shifted = _shift(ev, params, drop, pairs)
                 if shifted is not None:
-                    ev, (grad, nehari, gnorm, stat) = shifted, state(shifted)
+                    ev, (grad, nehari, stat) = shifted, state(shifted)
                     shifts += 1
         beta = min(beta, np.sqrt(ev.form))
-        history.append((it, ev.level, nehari, gnorm, step))
+        history.append((it, ev.level, nehari, stat, step))
     if stat <= tol:
         return GroundStateResult(
             u=TraceField(grid, ev.values), level=ev.level,
-            nehari_residual=nehari, grad_residual=gnorm, iters=it,
-            min_value=float(np.min(ev.values)), beta=float(beta),
-            history=tuple(history), translation_steps=shifts,
-            stationarity=stat)
+            nehari_residual=nehari, iters=it, beta=float(beta),
+            min_value=float(np.min(ev.values)), stationarity=stat,
+            history=tuple(history), translation_steps=shifts)
     raise _no_convergence(reason, tuple(history))
 
 

@@ -21,7 +21,7 @@ from hartreebox import cli, extension, solver
 from hartreebox import profile as profile_mod
 from hartreebox.cli import main
 from hartreebox.config import _SCHEMA, RunConfig, load_config
-from hartreebox.errors import (BracketError, ConfigError, ConvergenceError,
+from hartreebox.errors import (ConfigError, ConvergenceError,
                                DiagnosticError, DomainError, HartreeboxError,
                                NumericError, VerificationError)
 from hartreebox.spectral import (Grid, TraceField, field_from_csv,
@@ -279,6 +279,22 @@ def test_verify_logs_the_shrunk_decay_window(tmp_path, capsys, caplog):
              "the decay window; shrinking to [2, 730]")]
 
 
+def test_verify_forms_the_neumann_trace_once(tmp_path, capsys, monkeypatch):
+    # dtn_check and dtn_table read one estimate; a second evaluation would
+    # form each of its slopes' abscissae again
+    pairs, abscissa = [], extension._effective_abscissa
+
+    def recorded(x1, x2, sigma):
+        pairs.append((x1, x2))
+        return abscissa(x1, x2, sigma)
+    monkeypatch.setattr(extension, "_effective_abscissa", recorded)
+    field = gaussian_field(tmp_path)
+    assert main(["verify", "--config", write_config(tmp_path), "--out",
+                 str(tmp_path / "o"), "--field", field]) == 0
+    capsys.readouterr()
+    assert len(pairs) == len(set(pairs)) > 0
+
+
 def test_verify_command_peak_memory_is_bounded(tmp_path, capsys):
     # 3D n = 32, K_x = 400: the whole command, the field file, dtn_table and
     # the report writers included, traces a peak of about 1.9 MiB; a kept
@@ -363,7 +379,7 @@ def test_report_tables_read_back_bit_for_bit(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     rows = read_rows(out / "iterations.csv")
     history = made["multistart"][0].history
-    assert rows[0] == ["iter", "energy", "nehari_residual", "grad_residual",
+    assert rows[0] == ["iter", "energy", "nehari_residual", "stationarity",
                        "step"]
     assert [int(r[0]) for r in rows[1:]] == [row[0] for row in history]
     assert_same_bits([r[1:] for r in rows[1:]], [row[1:] for row in history])
@@ -689,11 +705,37 @@ def test_iteration_budget_exits_3(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 3
-    assert "no convergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no convergence" in err
     # the failed solve's trace: the start and two iterations
     rows = (tmp_path / "o" / "iterations.csv").read_text().splitlines()
-    assert rows[0] == "iter,energy,nehari_residual,grad_residual,step"
+    assert rows[0] == "iter,energy,nehari_residual,stationarity,step"
     assert [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2"]
+    # its last r, above solver.tol, is the one the message prints
+    last = float(rows[-1].split(",")[3])
+    assert last > load_config(cfg).params.tol
+    assert re.search(r"stationarity=(\S+)\)", err)[1] == f"{last:.3e}"
+
+
+# the benchmark's 3D pure_power problem at config seed 11
+POWER_3D_CONFIG = (WORKLOAD_CONFIG.replace("N = 1", "N = 3")
+                   .replace("L = 20.0", "L = 10.0")
+                   .replace("n = 256", "n = 32")
+                   + "nonlinearity.kind = pure_power\n")
+
+
+@pytest.mark.parametrize("text", [WORKLOAD_CONFIG, POWER_3D_CONFIG],
+                         ids=["1d", "3d-power"])
+def test_trace_ends_at_the_reported_stationarity(tmp_path, capsys, text):
+    # the stationarity column is r, the residual the stop tests: its last
+    # value is report.json's, bit for bit, and at most solver.tol
+    cfg, out = write_config(tmp_path, text), tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = read_rows(out / "iterations.csv")
+    last = float(rows[-1][rows[0].index("stationarity")])
+    report = json.loads((out / "report.json").read_text())
+    assert last == report["stationarity"] <= load_config(cfg).params.tol
 
 
 def test_failed_polish_trace_starts_with_the_screen(tmp_path, capsys):
@@ -812,8 +854,8 @@ def test_non_finite_field_file_exits_1(tmp_path, capsys, name, where, value):
 
 @pytest.mark.parametrize("error,code", [
     (ConfigError("e"), 1), (FileNotFoundError("e"), 1),
-    (DomainError("e"), 2), (DiagnosticError("e"), 2), (BracketError("e"), 2),
-    (NumericError("e"), 2), (HartreeboxError("e"), 2),
+    (DomainError("e"), 2), (DiagnosticError("e"), 2), (NumericError("e"), 2),
+    (HartreeboxError("e"), 2),
     (ConvergenceError("e"), 3), (VerificationError("e"), 4)])
 def test_exit_code_of_each_error(tmp_path, capsys, monkeypatch, error, code):
     def failing(args):

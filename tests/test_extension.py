@@ -8,9 +8,8 @@ import pytest
 from hartreebox.cli import main
 from hartreebox.errors import DomainError
 from hartreebox.extension import (DecayFitReport, _effective_abscissa,
-                                  _extension_energy, _neumann_trace,
-                                  decay_fit, dtn_check, dtn_table,
-                                  energy_identity_check, lift,
+                                  _extension_energy, decay_fit, dtn_check,
+                                  dtn_table, energy_identity_check, lift,
                                   trace_inequality_check)
 from hartreebox.profile import (eval_profile, graded_nodes,
                                 small_s_energy_integral)
@@ -416,7 +415,7 @@ def test_modewise_checks_match_dense_extension(profiles, sigma, dim, n, rng):
     sup = np.max(np.abs(values[rows]), axis=tuple(range(1, dim + 1)))
     assert np.all(np.abs(rep.sup - sup) <= 1e-12 * sup)
 
-    mask, est, target, _, _ = _neumann_trace(ext)
+    mask, est, target, _, _ = ext._neumann_trace
     weights = spectral_weights(h)
     half = (Ellipsis, slice(0, n // 2 + 1))
     assert np.array_equal(mask, (weights >= 1e-6 * weights.sum())[half])

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 import hartreebox.model as model_mod
 import hartreebox.solver as solver_mod
-from hartreebox.errors import BracketError, DomainError
+from hartreebox.errors import DiagnosticError, DomainError
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
                               PotentialSpec)
 from hartreebox.solver import multistart, random_seed_field, solve_ground
@@ -317,7 +317,7 @@ def test_nehari_scale_matches_oracle(profile_half, rng, c):
 def test_nehari_scale_root_outside_window(rng, c):
     # the root scales like 1/c and leaves [1e-6, 1e6]
     params = small_params()
-    with pytest.raises(BracketError, match="no sign change"):
+    with pytest.raises(DiagnosticError, match="no sign change"):
         project(scaled(c, bump(params, rng)), params)
 
 

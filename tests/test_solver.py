@@ -1,5 +1,6 @@
 """Ground-state solver on small instances."""
 
+import collections
 import dataclasses
 import logging
 
@@ -413,10 +414,10 @@ def test_iteration_budget_exhaustion(monkeypatch):
     assert [row[0] for row in history] == [0, 1, 2]
     # the message names the stop reason and reports the last row's
     # residuals
-    _, _, nehari, gnorm, _ = history[-1]
-    assert np.isfinite(nehari) and np.isfinite(gnorm)
+    _, _, nehari, stat, _ = history[-1]
+    assert np.isfinite(nehari) and np.isfinite(stat)
     assert (f"no convergence in 2 iterations (max_iter: "
-            f"nehari_residual={nehari:.3e}, grad_residual={gnorm:.3e})"
+            f"nehari_residual={nehari:.3e}, stationarity={stat:.3e})"
             ) == str(exc.value)
 
 
@@ -448,9 +449,48 @@ def test_no_start_below_the_rounding_floor_creeps_to_max_iter():
 
 
 def test_history_schema(base_result):
-    it, e, nr, gr, step = base_result.history[-1]
+    it, e, nr, r, step = base_result.history[-1]
     assert it == base_result.iters
     assert e == base_result.level
+    assert r == base_result.stationarity
+
+
+def dense_inverse_hessian(pairs, precond):
+    """The L-BFGS inverse Hessian as a matrix: H0 = gamma diag(P), gamma =
+    <s, y>/<y, P y> of the newest pair (1 with none), then one BFGS inverse
+    update H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T per pair,
+    oldest first."""
+    H = np.diag(precond)
+    if pairs:
+        s, y = pairs[-1]
+        H *= (s @ y) / (y @ (precond * y))
+    eye = np.eye(precond.size)
+    for s, y in pairs:
+        rho = 1.0 / (s @ y)
+        H = ((eye - rho * np.outer(s, y)) @ H @ (eye - rho * np.outer(y, s))
+             + rho * np.outer(s, s))
+    return H
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_direction_is_the_dense_bfgs_step(count, rng):
+    # with no pairs the step is -P g itself
+    size = 24
+    precond = rng.uniform(0.1, 1.0, size)
+    pairs = []
+    while len(pairs) < count:
+        s, y = rng.standard_normal(size), rng.standard_normal(size)
+        if s @ y > 0.0:
+            pairs.append((s, y))
+    g = rng.standard_normal(size)
+    want = dense_inverse_hessian(pairs, precond) @ g
+    memory = collections.deque(((s.copy(), y.copy(), 1.0 / (s @ y))
+                                for s, y in pairs), maxlen=solver_mod._MEMORY)
+    d = solver_mod._direction(g, memory, precond, np.empty(size))
+    assert np.linalg.norm(-d - want) <= 1e-12 * np.linalg.norm(want)
+    assert len(memory) == count
+    if not pairs:
+        assert np.array_equal(d, -(precond * g))
 
 
 def test_gaussian_bump_shape():

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import hartreebox
-from hartreebox.cli import build_parser
+from hartreebox.cli import build_parser, main
 from hartreebox.config import _REQUIRED, _SCHEMA, load_config
 from hartreebox.extension import MIN_DECAY_LENGTHS, lift
 from hartreebox import model
@@ -279,6 +280,23 @@ def test_readme_names_exactly_the_cli_options():
     section = text[start:text.index("\n## ", start + 1)]
     named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
     assert registered_options(build_parser()) == named
+
+
+def test_readme_names_every_solve_output(tmp_path, capsys):
+    # each iterations.csv column and report.json key that `solve` writes is
+    # named in backticks where the README describes the output files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL_CONFIG)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    columns = (out / "iterations.csv").read_text().splitlines()[0].split(",")
+    keys = json.loads((out / "report.json").read_text())
+    text = README.read_text()
+    section = text[text.index("## File formats"):]
+    named = set(re.findall(r"`(\w+)`", section))
+    assert sorted(set(columns) - named) == []
+    assert sorted(set(keys) - named) == []
 
 
 def test_readme_library_layout_has_one_row_per_module():
