@@ -854,8 +854,10 @@ def test_non_finite_field_file_exits_1(tmp_path, capsys, name, where, value):
 
 @pytest.mark.parametrize("error,code", [
     (ConfigError("e"), 1), (FileNotFoundError("e"), 1),
-    (DomainError("e"), 2), (DiagnosticError("e"), 2), (NumericError("e"), 2),
-    (HartreeboxError("e"), 2),
+    (DomainError("e"), 2), (DiagnosticError("e"), 2),
+    # a subclass that sets no exit_code of its own exits with its base's 2
+    (type("UnlistedError", (HartreeboxError,), {})("e"), 2),
+    (NumericError("e"), 2), (HartreeboxError("e"), 2),
     (ConvergenceError("e"), 3), (VerificationError("e"), 4)])
 def test_exit_code_of_each_error(tmp_path, capsys, monkeypatch, error, code):
     def failing(args):
