@@ -359,16 +359,16 @@ _LEVEL_RTOL = 1e-14
 
 
 def _nehari_root(u: np.ndarray, params: ModelParams, quad: float,
-                 bound: float, t0: float):
+                 bound: float):
     """The Nehari scale: the unique t > 0 with phi(t) = 0, and nehari_phi's
     terms there, or (t, None) at the first iterate t whose level I(tu)
     exceeds `bound` by more than the rounding that can put it above the
     level computed at the root (_LEVEL_RTOL).
 
     Safeguarded Newton iteration in s = ln t on
-    G(s) = ln(P(t) / (Q t^2)) = ln(1 - phi(t) / (t Q)), started at t0 (held
-    to [1e-6, 1e6]), where P = <Psi'(tu), tu> = t (t Q - phi) is the
-    pairing.  With S = t^2 (Q - phi'(t)), G'(s) = (S - P) / P
+    G(s) = ln(P(t) / (Q t^2)) = ln(1 - phi(t) / (t Q)), started at t = 1,
+    where P = <Psi'(tu), tu> = t (t Q - phi) is the pairing.  With
+    S = t^2 (Q - phi'(t)), G'(s) = (S - P) / P
     = (phi - t phi') / (t Q - phi), and the step is t exp(-G / G').  G is
     linear for a power nonlinearity and nearly so for log_linear, so the
     step lands close to the root from afar.  Under (f3) P / t^2 is
@@ -379,7 +379,7 @@ def _nehari_root(u: np.ndarray, params: ModelParams, quad: float,
     bisection sqrt(lo hi) (Press et al., Numerical Recipes, 3rd ed., 2007,
     sec. 9.4), and the search ends once no step is strictly inside."""
     lo, hi = _T_MIN, _T_MAX             # phi(lo) > 0 >= phi(hi) once set
-    t = min(max(t0, _T_MIN), _T_MAX)
+    t = 1.0
     best_t, best_res, best_terms = t, np.inf, None
     for _ in range(100):
         phi, level, terms, dphi = nehari_phi(t, u, params, quad)
@@ -415,14 +415,11 @@ def _nehari_root(u: np.ndarray, params: ModelParams, quad: float,
 
 
 def _project(u: np.ndarray, params: ModelParams, bound: float = np.inf,
-             spectrum: np.ndarray | None = None,
-             quad_ref: float | None = None):
+             spectrum: np.ndarray | None = None):
     """The Nehari scale t of the field u (an array on params.grid) and the
     core at v = t u, or (t, None) once a level I(t_k u) exceeds `bound`.
     `spectrum`, when given, is rfftn(u), and the projection takes it over.
-    The root search starts at t = 1, or, given a reference Q `quad_ref`
-    (that of a nearby point on the manifold), at the t with
-    Q(t u) = quad_ref, which costs no transform.
+    For log_linear the root search starts at t = 1.
 
     Under (f3), t is the unique maximizer of s -> I(s u), so every Newton
     iterate's level bounds I(t u) from below: a descent trial that fails
@@ -452,8 +449,7 @@ def _project(u: np.ndarray, params: ModelParams, bound: float = np.inf,
         f *= t ** (2.0 * nl.theta - 1.0)
         terms = (t * u, conv, f, t ** (2.0 * nl.theta) * psi)
     else:
-        t0 = 1.0 if quad_ref is None else math.sqrt(quad_ref / quad)
-        t, terms = _nehari_root(u, params, quad, bound, t0)
+        t, terms = _nehari_root(u, params, quad, bound)
         if terms is None:
             return t, None
     v, conv, f, psi = terms

@@ -112,7 +112,7 @@ def _shift(ev, params, gain, pairs):
     ramp = phase_ramp(grid, shift)
     spectrum = ev.spectrum * ramp
     _, cand = _project(inverse_spectrum(spectrum, grid.shape), params,
-                       ev.level, spectrum, ev.quad)
+                       ev.level, spectrum)
     if cand is None or cand.level >= ev.level:
         return None
     # <s, y> keeps its value but on the Nyquist entries
@@ -180,10 +180,9 @@ def solve_ground(params: ModelParams, seed_field: TraceField, *,
             np.multiply(d_vals, step, out=trial)
             trial += ev.values
             if trial.max() > 0.0:
-                # the root search starts where Q matches ev's
                 bound = ev.level + 1e-4 * step * slope
                 _, cand = _project(trial, params, bound + noise,
-                                   ev.spectrum + step * d_hat, ev.quad)
+                                   ev.spectrum + step * d_hat)
                 if cand is not None:
                     cand_state = state(cand)
                     if (cand.level < bound - noise
@@ -244,24 +243,29 @@ def multistart(params: ModelParams, seeds):
     Each start is screened to r <= max(_SCREEN_TOL, params.tol); only the
     first with the lowest screened level is polished on to params.tol, with
     a fresh memory (Rinnooy Kan & Timmer, 1987), its result covering both.
+    A screen that ran to params.tol itself is the result.
     """
     seeds, tol = list(seeds), max(_SCREEN_TOL, params.tol)
-    results = [solve_ground(params, random_seed_field(params, seed), tol=tol)
-               for seed in seeds]
+
+    def logged(phase, seed, res):
+        log.info("%s start %d: level %.12g, %d iterations, r %.2e", phase,
+                 seed, res.level, res.iters, res.stationarity)
+        return res
+    results = [logged("screened", seed, solve_ground(
+        params, random_seed_field(params, seed), tol=tol)) for seed in seeds]
     best = min(range(len(results)), key=lambda i: results[i].level)
     screen = results[best]
+    if tol == params.tol:
+        return screen, results
 
     def joined(history):    # the screen's rows, then the polish's after them
         return screen.history + tuple((screen.iters + it, *row)
                                       for it, *row in history[1:])
     try:
-        polish = solve_ground(params, screen.u)
+        polish = logged("polished", seeds[best],
+                        solve_ground(params, screen.u))
     except ConvergenceError as exc:     # its trace starts with the screen's
         raise _no_convergence(exc.reason, joined(exc.history)) from exc
-    for phase, seed, res in ([("screened", *sr) for sr in zip(seeds, results)]
-                             + [("polished", seeds[best], polish)]):
-        log.info("%s start %d: level %.12g, %d iterations, r %.2e", phase,
-                 seed, res.level, res.iters, res.stationarity)
     results[best] = dataclasses.replace(
         polish, iters=screen.iters + polish.iters,
         beta=min(screen.beta, polish.beta),

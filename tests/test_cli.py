@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import logging
 import math
 import os
 import re
@@ -131,6 +132,24 @@ def test_solve_solves_each_problem_once(tmp_path, capsys, monkeypatch):
     assert report["c_star"] == report["level"]
     assert report["margin"] == ((report["c_inf"] - report["level"])
                                 / report["c_inf"])
+
+
+def test_level_ordering_violation_exits_4(tmp_path, capsys, monkeypatch):
+    # an A = 0 solve that returns c_star's own level breaks c_star < c_inf
+    levels, solve_ground = [], solver.solve_ground
+
+    def flat_at_c_star(params, *args, **kw):
+        res = solve_ground(params, *args, **kw)
+        if params.potential.A > 0.0:
+            levels.append(res.level)    # the last is the polish's, c_star
+            return res
+        return dataclasses.replace(res, level=levels[-1])
+    monkeypatch.setattr(solver, "solve_ground", flat_at_c_star)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path), "--out",
+                 str(out)]) == 4
+    assert "level ordering violated" in capsys.readouterr().err
+    assert not out.exists()
 
 
 WORKLOAD_CONFIG = """\
@@ -738,13 +757,37 @@ def test_trace_ends_at_the_reported_stationarity(tmp_path, capsys, text):
     assert last == report["stationarity"] <= load_config(cfg).params.tol
 
 
-def test_failed_polish_trace_starts_with_the_screen(tmp_path, capsys):
+@pytest.mark.parametrize("tol", ["1e-3", "5e-3"])
+def test_screen_that_meets_solver_tol_is_the_report(tmp_path, capsys, tol):
+    # at solver.tol >= 1e-3 the screens run to solver.tol, and the best
+    # screen is the result: report.json's level, residuals and iterations
+    # are the trace's last row, bit for bit
+    cfg = write_config(tmp_path, WORKLOAD_CONFIG + f"solver.tol = {tol}\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    header, *rows = read_rows(out / "iterations.csv")
+    last = dict(zip(header, rows[-1]))
+    report = json.loads((out / "report.json").read_text())
+    assert int(last["iter"]) == report["iters"] == len(rows) - 1
+    for key, column in (("level", "energy"),
+                        ("nehari_residual", "nehari_residual"),
+                        ("stationarity", "stationarity")):
+        assert float(last[column]).hex() == float(report[key]).hex(), key
+
+
+def test_failed_polish_trace_starts_with_the_screen(tmp_path, capsys,
+                                                    caplog):
     # below the rounding floor of r (tol 1e-16) the 1D workload's three
     # screens pass and the polish of the best ends on the line search: the
     # trace is the screen's rows from its row 0, then the polish's after them
     cfg = write_config(tmp_path, WORKLOAD_CONFIG + "solver.tol = 1e-16\n")
     out = tmp_path / "o"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    with caplog.at_level(logging.INFO, logger="hartreebox.solver"):
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    # each screened start is logged before the polish that failed
+    assert [r.getMessage().split()[:3] for r in caplog.records] == [
+        ["screened", "start", f"{seed}:"] for seed in (11, 12, 13)]
     err = capsys.readouterr().err
     assert "(line_search: " in err
     count = int(re.search(r"no convergence in (\d+) ", err)[1])

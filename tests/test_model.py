@@ -344,16 +344,17 @@ def test_nehari_evaluations_per_projection(monkeypatch):
     assert counts["phi"] <= 3.5 * counts["projections"]
 
 
-@pytest.mark.parametrize("t0", [1.0, 2.5])
-def test_log_newton_reaches_power_root_in_one_step(rng, monkeypatch, t0):
+@pytest.mark.parametrize("c", [1.0, 2.5])
+def test_log_newton_reaches_power_root_in_one_step(rng, monkeypatch, c):
     # for a power nonlinearity G(s) = ln(P / (Q t^2)) is linear in
-    # s = ln t, so one Newton step in s from either side lands on the
-    # closed-form root, and the second evaluation confirms it
+    # s = ln t, so one Newton step in s from t = 1 lands on the closed-form
+    # root from either side (the field c u has its root at 1.5 / c), and
+    # the second evaluation confirms it
     params = small_params(nonlinearity=PURE_POWER)
     u = bump(params, rng)
-    u = scaled(project(u, params)[0] / 1.5, u)
+    u = scaled(c, scaled(project(u, params)[0] / 1.5, u))
     want = project(u, params)[0]
-    assert abs(want - 1.5) < 1e-12
+    assert abs(want - 1.5 / c) < 1e-12
     quad = model_mod._quad_terms(params, u.values, np.fft.rfftn(u.values))[1]
     calls, phi = [], model_mod.nehari_phi
 
@@ -361,8 +362,8 @@ def test_log_newton_reaches_power_root_in_one_step(rng, monkeypatch, t0):
         calls.append(args[0])
         return phi(*args)
     monkeypatch.setattr(model_mod, "nehari_phi", counted_phi)
-    t, terms = model_mod._nehari_root(u.values, params, quad, np.inf, t0)
-    assert calls[0] == t0 and len(calls) == 2
+    t, terms = model_mod._nehari_root(u.values, params, quad, np.inf)
+    assert calls[0] == 1.0 and len(calls) == 2
     assert terms is not None
     assert abs(t - want) < 1e-13 * want
 
@@ -370,11 +371,14 @@ def test_log_newton_reaches_power_root_in_one_step(rng, monkeypatch, t0):
 @pytest.mark.parametrize("factor", [0.01, 100.0])
 def test_log_newton_reaches_root_from_afar(monkeypatch, factor):
     # on the 1D workload's start at seed 11, G is nearly linear in ln t, so
-    # Newton steps from a hundredth or a hundred times the root land on it
-    # in a few evaluations, with the window as the only bracket
+    # Newton steps from t = 1 at a hundredth or a hundred times the root
+    # land on it in a few evaluations, with the window as the only bracket:
+    # the field c u, c = factor * t, has its root at t / c = 1 / factor
     params = ground_params()
     u = random_seed_field(params, 11).values
-    want = model_mod._project(u, params)[0]
+    c = factor * model_mod._project(u, params)[0]
+    want = 1.0 / factor
+    u = c * u
     quad = model_mod._quad_terms(params, u, np.fft.rfftn(u))[1]
     calls, phi = [], model_mod.nehari_phi
 
@@ -382,7 +386,7 @@ def test_log_newton_reaches_root_from_afar(monkeypatch, factor):
         calls.append(args[0])
         return phi(*args)
     monkeypatch.setattr(model_mod, "nehari_phi", counted_phi)
-    t, terms = model_mod._nehari_root(u, params, quad, np.inf, factor * want)
+    t, terms = model_mod._nehari_root(u, params, quad, np.inf)
     assert terms is not None
     assert abs(t - want) < 1e-13 * want
     assert len(calls) <= 6
@@ -413,8 +417,7 @@ def test_ray_levels_stay_below_projected_level(profile_half, rng,
     # the projected point maximizes I on its ray, so the level at every
     # Newton iterate, and anywhere on the ray, stays below the projected
     # level up to rounding; the projection's early rejection rests on this.
-    # The first field's root search starts at t = 1, the others' where Q
-    # matches the previous projected point, as a descent trial's does
+    # Every root search starts at t = 1
     params = small_params(nonlinearity=spec)
     levels, starts, phi = [], [], model_mod.nehari_phi
 
@@ -424,16 +427,13 @@ def test_ray_levels_stay_below_projected_level(profile_half, rng,
         levels.append(out[1])
         return out
     monkeypatch.setattr(model_mod, "nehari_phi", recorded_phi)
-    quad_ref = None
     for _ in range(3):
         u = scaled(c, bump(params, rng, width=rng.uniform(0.5, 2.0)))
         levels.clear()
         starts.clear()
-        t, ev = model_mod._project(u.values, params, quad_ref=quad_ref)
-        assert bool(levels) == (spec is not PURE_POWER)
-        if levels:
-            assert (starts[0] == 1.0) == (quad_ref is None)
-        quad_ref = ev.quad
+        t, ev = model_mod._project(u.values, params)
+        # pure_power's closed form makes no search
+        assert starts[:1] == ([] if spec is PURE_POWER else [1.0])
         levels += [oracles.level(scaled(s * t, u), params, profile_half)
                    for s in (0.5, 0.9, 0.999, 1.001, 1.1, 2.0)]
         assert ev.level > 0.0
@@ -454,8 +454,8 @@ def test_early_rejection_keeps_the_solve(monkeypatch, seed):
     fast.append(solve_ground(tight, fast[0].u))
     project = solver_mod._project
 
-    def full_project(u, params, bound=np.inf, spectrum=None, quad_ref=None):
-        t, ev = project(u, params, spectrum=spectrum, quad_ref=quad_ref)
+    def full_project(u, params, bound=np.inf, spectrum=None):
+        t, ev = project(u, params, spectrum=spectrum)
         return t, (ev if ev.level <= bound else None)
     monkeypatch.setattr(solver_mod, "_project", full_project)
     full = [solve_ground(params, random_seed_field(params, seed))]

@@ -288,6 +288,17 @@ def test_a_zero_problem_shares_the_kernel_spectrum(base_result, monkeypatch):
     assert samples == []
 
 
+@pytest.mark.parametrize("factor", [1.0, 0.5], ids=["at", "below"])
+def test_level_ordering_violation_raises(base_result, monkeypatch, factor):
+    # an A = 0 level at or below c_star breaks 0 < c_star < c_inf
+    def flat_solve(params, seed_field):
+        return dataclasses.replace(base_result,
+                                   level=factor * base_result.level)
+    monkeypatch.setattr(solver_mod, "solve_ground", flat_solve)
+    with pytest.raises(VerificationError, match="level ordering violated"):
+        compare_levels(small_params(), base_result)
+
+
 def test_energy_monotone_along_iterations(base_result):
     energies = [row[1] for row in base_result.history]
     assert all(b <= a + 1e-14 * abs(a)
@@ -491,6 +502,24 @@ def test_direction_is_the_dense_bfgs_step(count, rng):
     assert len(memory) == count
     if not pairs:
         assert np.array_equal(d, -(precond * g))
+
+
+def test_direction_resets_on_a_pair_that_does_not_descend(rng):
+    # with <s, y> < 0 both gamma P and the update are negative (semi)
+    # definite, so the two-loop step -H g ascends: _direction returns -P g
+    # and clears the pairs
+    size = 24
+    precond = rng.uniform(0.1, 1.0, size)
+    g = rng.standard_normal(size)
+    s, y = rng.standard_normal(size), rng.standard_normal(size)
+    if s @ y > 0.0:
+        y = -y
+    assert g @ (dense_inverse_hessian([(s, y)], precond) @ g) < 0.0
+    memory = collections.deque([(s, y, 1.0 / (s @ y))],
+                               maxlen=solver_mod._MEMORY)
+    d = solver_mod._direction(g, memory, precond, np.empty(size))
+    assert np.array_equal(d, -(precond * g))
+    assert len(memory) == 0
 
 
 def test_gaussian_bump_shape():

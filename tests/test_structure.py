@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import collections
 import inspect
 import json
 import os
@@ -344,3 +345,76 @@ def test_log_linear_quadrature_is_leggauss_7():
     assert model._F_QUAD_NODES.tobytes() == nodes.tobytes()
     assert model._F_QUAD_WEIGHTS.tobytes() == (
         0.5 * w[:, None] * nodes).tobytes()
+
+
+# modules whose defaulted parameters the package itself must pass
+DEFAULT_OWNERS = ("model", "solver", "extension", "spectral", "profile",
+                  "config")
+
+
+def decorator_names(node):
+    """Names of the decorators of a def, called (@dataclass(...)) or not."""
+    decorators = [d.func if isinstance(d, ast.Call) else d
+                  for d in node.decorator_list]
+    return {d.id for d in decorators if isinstance(d, ast.Name)}
+
+
+def defaulted_parameters(tree):
+    """(callee name, position or None, name) of every parameter that has a
+    default: of each function and method, the position counted as a call
+    passes it (a method's past self, None for keyword-only), and of each
+    dataclass, its defaulted fields in field order."""
+    out = []
+
+    def function(fn, bound):
+        args = fn.args.posonlyargs + fn.args.args
+        out.extend((fn.name, i - bound, a.arg) for i, a in
+                   enumerate(args) if i >= len(args) - len(fn.args.defaults))
+        out.extend((fn.name, None, a.arg) for a, d in
+                   zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            function(node, 0)
+        elif isinstance(node, ast.ClassDef):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)
+                      and isinstance(f.target, ast.Name)]
+            if "dataclass" in decorator_names(node):
+                out.extend((node.name, i, f.target.id)
+                           for i, f in enumerate(fields) if f.value)
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    function(fn, "staticmethod" not in decorator_names(fn))
+    return out
+
+
+def passes(call, position, name):
+    """Whether the call passes the parameter at `position` (None: keyword
+    only) named `name`; *args passes every position, **kw every name."""
+    if position is not None and (
+            position < len(call.args)
+            or any(isinstance(a, ast.Starred) for a in call.args)):
+        return True
+    return any(kw.arg in (None, name) for kw in call.keywords)
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    # a default that no call inside the package overrides serves only the
+    # tests: the parameter is a constant, or public API only they use
+    calls = collections.defaultdict(list)
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = (func.id if isinstance(func, ast.Name) else
+                          func.attr if isinstance(func, ast.Attribute)
+                          else None)
+                calls[callee].append(node)
+    params = [(f"{module}.{callee}", position, name)
+              for module in DEFAULT_OWNERS
+              for callee, position, name in defaulted_parameters(
+                  ast.parse((PACKAGE / f"{module}.py").read_text()))]
+    assert params
+    assert sorted(f"{qualified}({name})"
+                  for qualified, position, name in params
+                  if not any(passes(call, position, name) for call in
+                             calls[qualified.partition(".")[2]])) == []
