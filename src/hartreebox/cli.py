@@ -72,7 +72,7 @@ def cmd_profile(args) -> int:
     prof = profile.build_profile(cfg.params.sigma)
     laps.append(("profile", time.perf_counter()))
     constants = {"sigma": prof.sigma, "kappa": prof.kappa, "c1": prof.c1,
-                 "c2": prof.c2, "d_sigma": prof.kappa}
+                 "c2": prof.c2}
     csv_path = os.path.join(args.out, "profile.csv")
     _write_csv(csv_path, [list(constants), list(constants.values()),
                           ["s", "phi", "dphi"],
@@ -170,8 +170,7 @@ def cmd_verify(args) -> int:
             rows.append((name, "pass", check()))
         except HartreeboxError as exc:
             rows.append((name, "fail", str(exc)))
-    _write_csv(dtn_path, [["xi_abs", "estimate_re", "estimate_im",
-                           "target_re", "target_im", "rel_error"],
+    _write_csv(dtn_path, [["rate", "estimate", "target", "rel_error"],
                           *extension.dtn_table(ext)])
     laps.append(("checks", time.perf_counter()))
 

@@ -7,13 +7,13 @@ u-hat(x, xi) = h-hat(xi) * Phi(c x) with c = sqrt(m^2 + 4 pi^2 |xi|^2).
 (dense near the degenerate boundary): the half-lattice spectrum rfftn(h),
 the |k|^2 class of every mode and the distinct rates c, but no table of
 Phi(x_j c): each check evaluates Phi on the x-rows it reads, a few at a
-time, and compares against an independent discretization, per rate class
-where it can: graded-quadrature energy vs. the spectral quadratic form,
-finite-difference Neumann traces vs. the fractional multiplier, and the
-sup-norm decay law in x.  Only sup_y |u(x, .)| needs physical space, and
-only on at most 32 nodes of the decay fit's window [2/m, x_max], one
-x-node at a time, so no check holds more than one field of n^N values, and
-memory does not grow with K_x.
+time, and compares against an independent discretization: per rate class,
+graded-quadrature energy vs. the spectral quadratic form and
+finite-difference Neumann traces vs. the multiplier kappa c^(2 sigma); on
+the field, the sup-norm decay law in x.  Only sup_y |u(x, .)| needs
+physical space, and only on at most 32 nodes of the decay fit's window
+[2/m, x_max], one x-node at a time, so no check holds more than one field
+of n^N values, and memory does not grow with K_x.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DiagnosticError, DomainError, NumericError, \
-    VerificationError
+from .errors import DomainError, NumericError, VerificationError
 from .profile import (BesselProfile, eval_profile, graded_nodes,
                       small_s_energy_integral)
 from .spectral import Grid, TraceField, half_spectrum, inverse_spectrum
@@ -33,8 +32,8 @@ from .spectral import Grid, TraceField, half_spectrum, inverse_spectrum
 # lift's floor on x_max, in decay lengths 1/m of the slowest mode
 MIN_DECAY_LENGTHS = 10
 
-# check bounds; a mode is judged by the Neumann trace when it carries at
-# least _MASS_FLOOR of the spectral mass
+# check bounds; a rate class is judged by the Neumann trace when it carries
+# at least _MASS_FLOOR of the spectral mass
 _ENERGY_RTOL = 0.01
 _DTN_RTOL = 0.02
 _MASS_FLOOR = 1e-6
@@ -54,8 +53,10 @@ class ExtensionField:
     |k|^2 among the distinct values, rates the rate c of each class and
     mass its spectral mass, the sum of |rfftn(h)|^2 mode_weight over its
     modes, so u-hat(x_j, k) = Phi(x_j rates[mode_class[k]]) spectrum[k].
-    Phi is not stored; profile_rows evaluates it for the rows a check
-    reads.  lift is its one constructor.
+    The energy and Neumann checks read only rates and mass; spectrum and
+    mode_class serve the decay fit's sup_y |u|.  Phi is not stored;
+    profile_rows evaluates it for the rows a check reads.  lift is its one
+    constructor.
     """
 
     grid: Grid
@@ -77,49 +78,31 @@ class ExtensionField:
         """The one Neumann-trace estimator behind dtn_check and dtn_table,
         formed on the first read, so `verify` forms it once.
 
-        Over the half-lattice modes carrying at least _MASS_FLOOR of the
-        spectral mass (none for a zero field), -x^(1-2 sigma) du/dx from
-        two-point slopes at power-adapted abscissae, extrapolated to x -> 0 by
-        one Richardson step at order 2-2 sigma.  Returns (mask, estimate,
-        target = kappa c^(2 sigma) h-hat, relative error, monotone), where
-        monotone says whether the first three slope estimates approach their
-        limit without the growing, direction-flipping increments of an x-mesh
-        too coarse for the boundary layer.
+        A mode's Neumann trace and its target are its class's times h-hat,
+        so the estimate runs per rate class c, over the classes carrying at
+        least _MASS_FLOOR of the spectral mass (none for a zero field):
+        -x^(1-2 sigma) d Phi(c x)/dx from two-point slopes of the real Phi
+        at power-adapted abscissae, extrapolated to x -> 0 by one Richardson
+        step at order 2-2 sigma.  Returns (classes, estimate, target =
+        kappa c^(2 sigma), relative error).
         """
         sigma = self.profile.sigma
         x = self.x_nodes
-        if x.size < 5 or x[0] != 0.0:
-            raise DomainError("extension mesh must start at 0 with >= 5 nodes")
-        power = np.abs(self.spectrum) ** 2
-        floor = _MASS_FLOOR * float(self.mass.sum())
-        mask = (self.grid.mode_weight[0] * power >= floor) & (power > 0)
-        hhat = self.spectrum[mask]
-        cls = self.mode_class[mask]
-        target = self.profile.kappa * self.rates[cls] ** (2.0 * sigma) * hhat
-
-        # Phi at the five smallest nodes; differencing the real profile before
-        # scaling by h-hat keeps the O(x_1^(2 sigma)) increments free of the
-        # spectrum's rounding
-        phi = self.profile_rows(slice(0, 5))[:, cls]
-        ests, xeffs = [], []
-        for j in range(1, 4):
+        if x.size < 4 or x[0] != 0.0:
+            raise DomainError("extension mesh must start at 0 with >= 4 nodes")
+        classes = np.flatnonzero((self.mass > 0) & (
+            self.mass >= _MASS_FLOOR * float(self.mass.sum())))
+        target = self.profile.kappa * self.rates[classes] ** (2.0 * sigma)
+        phi = self.profile_rows(slice(0, 4))[:, classes]
+        ests, powers = [], []
+        for j in (1, 2):
             xe = _effective_abscissa(x[j], x[j + 1], sigma)
-            slope = (phi[j + 1] - phi[j]) / (x[j + 1] - x[j]) * hhat
+            slope = (phi[j + 1] - phi[j]) / (x[j + 1] - x[j])
             ests.append(-xe ** (1.0 - 2.0 * sigma) * slope)
-            xeffs.append(xe)
-
-        d1 = np.abs(ests[1] - ests[0])
-        d2 = np.abs(ests[2] - ests[1])
-        flip = np.real((ests[1] - ests[0]) * np.conj(ests[2] - ests[1])) < 0
-        scale = np.abs(target) + 1e-300
-        noisy = (d1 < 1e-9 * scale) | (d2 < 1e-9 * scale)
-        monotone = not np.any(flip & (d2 > d1) & ~noisy)
-
-        p = 2.0 - 2.0 * sigma
-        r1, r2 = xeffs[0] ** p, xeffs[1] ** p
-        extrap = ests[0] + (ests[0] - ests[1]) * r1 / (r2 - r1)
-        rel = np.abs(extrap - target) / np.abs(target)
-        return mask, extrap, target, rel, monotone
+            powers.append(xe ** (2.0 - 2.0 * sigma))
+        r1, r2 = powers
+        estimate = ests[0] + (ests[0] - ests[1]) * r1 / (r2 - r1)
+        return classes, estimate, target, np.abs(estimate - target) / target
 
 
 def lift(h: TraceField, profile: BesselProfile, m: float,
@@ -215,16 +198,13 @@ def _effective_abscissa(x1: float, x2: float, sigma: float) -> float:
 def dtn_check(ext: ExtensionField) -> float:
     """Neumann trace -x^(1-2 sigma) du/dx at x -> 0 vs. the multiplier.
 
-    Per mode carrying at least _MASS_FLOOR of the spectral mass, the
+    Per rate class carrying at least _MASS_FLOOR of the spectral mass, the
     extrapolated finite-difference estimate must match kappa c^(2 sigma)
-    h-hat within _DTN_RTOL.  Returns the worst relative error (0 for a zero
-    field), the largest rel_error in dtn_table.
+    within _DTN_RTOL; every mode of the class has that relative error.
+    Returns the worst relative error (0 for a zero field), the largest
+    rel_error in dtn_table.
     """
-    _, _, _, rel, monotone = ext._neumann_trace
-    if not monotone:
-        raise DiagnosticError("Neumann-trace extrapolation non-monotone; "
-                              "use a denser x-grading (larger K_x)")
-    err = float(np.max(rel, initial=0.0))
+    err = float(np.max(ext._neumann_trace[3], initial=0.0))
     if err >= _DTN_RTOL:
         raise VerificationError(
             f"Neumann trace off by {err:.2%} (allowed {_DTN_RTOL:.0%})")
@@ -232,13 +212,11 @@ def dtn_check(ext: ExtensionField) -> float:
 
 
 def dtn_table(ext: ExtensionField) -> list:
-    """Rows (|xi|, estimate re, im, target re, im, relative error), one per
-    half-lattice mode that dtn_check judges (a mode's conjugate partner has
-    the conjugate estimate and the same error)."""
-    mask, extrap, target, rel, _ = ext._neumann_trace
-    xi_abs = np.sqrt(ext.grid.k_sq[mask]) / (2.0 * ext.grid.L)
-    return list(zip(xi_abs, extrap.real, extrap.imag, target.real,
-                    target.imag, rel))
+    """Rows (rate c, estimate, target, relative error), one per rate class
+    that dtn_check judges; a mode's Neumann trace and target are its
+    class's times its h-hat."""
+    classes, estimate, target, rel = ext._neumann_trace
+    return list(zip(ext.rates[classes], estimate, target, rel))
 
 
 def _sup_abs(ext: ExtensionField, rows: np.ndarray) -> np.ndarray:

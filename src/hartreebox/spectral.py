@@ -77,10 +77,12 @@ class Grid:
         """Minimal-image |d| indexed by displacement (index 0 = zero shift).
 
         This is the sampling convention FFT circular convolution expects for
-        a kernel: entry i holds the distance of the periodic shift i*2L/n.
+        a kernel: entry i holds the distance of the periodic shift i*2L/n,
+        formed from the integer min(i, n - i), so that it is even to the
+        last bit and so is every kernel sampled on it.
         """
-        d_ax = (2.0 * self.L / self.n) * np.arange(self.n)
-        d_sq = np.minimum(d_ax, 2.0 * self.L - d_ax) ** 2
+        j = np.arange(self.n)
+        d_sq = ((2.0 * self.L / self.n) * np.minimum(j, self.n - j)) ** 2
         return np.sqrt(sum(np.meshgrid(*([d_sq] * self.dim), indexing="ij",
                                        sparse=True)))
 

@@ -289,12 +289,12 @@ def profile_from_csv(path):
     their values, an s/phi/dphi header and one row per node."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["sigma", "kappa", "c1", "c2", "d_sigma"]
+    assert rows[0] == ["sigma", "kappa", "c1", "c2"]
     assert rows[2] == ["s", "phi", "dphi"]
-    sigma, kappa, c1, c2, d_sigma = (float(v) for v in rows[1])
+    sigma, kappa, c1, c2 = (float(v) for v in rows[1])
     nodes, phi, dphi = np.array([[float(v) for v in r]
                                  for r in rows[3:]]).T
     p = BesselProfile(sigma=sigma, nodes=nodes, phi=phi, dphi=dphi)
     # the closed-form constants are written for readers, not read back
-    assert [kappa, c1, c2, d_sigma] == [p.kappa, p.c1, p.c2, p.kappa]
+    assert [kappa, c1, c2] == [p.kappa, p.c1, p.c2]
     return p

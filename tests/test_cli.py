@@ -86,6 +86,7 @@ def test_profile_command(tmp_path):
     fit = json.loads((out / "asymptotics.json").read_text())
     assert abs(fit["sigma"] - 0.5) < 1e-15
     assert abs(fit["kappa"] - 1.0) < 1e-6
+    assert sorted(fit) == ["c1", "c2", "kappa", "sigma"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["config_sha256"]) == 64
     assert "profile.csv" in manifest["outputs"]
@@ -179,6 +180,20 @@ def test_solve_reports_screened_levels_close_to_the_best(tmp_path, capsys):
     assert len(report["multistart_levels"]) == 3
     assert report["level"] in report["multistart_levels"]
     assert report["multistart_spread"] < 1e-4
+
+
+def test_power_core_kernel_solves_in_3d(tmp_path, capsys):
+    # 3D L = 4, n = 24, a power core cut at R_c = 1, three cells: a radius
+    # that differs between y and -y in its last bit keeps one of each pair
+    # at R_c, the gradient is no longer the energy's, and the solve exits 3
+    # (line_search)
+    cfg = (WORKLOAD_CONFIG.replace("N = 1", "N = 3")
+           .replace("L = 20.0", "L = 4.0").replace("n = 256", "n = 24")
+           + "nonlinearity.kind = pure_power\nkernel.a = 1.0\n"
+             "kernel.mu = 0.5\nkernel.R_c = 1.0\n")
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    capsys.readouterr()
 
 
 def run_solve_logged(tmp_path, **extra):
@@ -412,8 +427,7 @@ def test_report_tables_read_back_bit_for_bit(tmp_path, capsys, monkeypatch):
                      "--field", str(field)]) == code
         ext = made["lift"]
         rows, table = read_rows(vout / "dtn.csv"), extension.dtn_table(ext)
-        assert rows[0] == ["xi_abs", "estimate_re", "estimate_im",
-                           "target_re", "target_im", "rel_error"]
+        assert rows[0] == ["rate", "estimate", "target", "rel_error"]
         assert len(rows) - 1 == len(table) > 0
         assert_same_bits(rows[1:], table)
 
@@ -446,9 +460,8 @@ def test_report_tables_read_back_bit_for_bit(tmp_path, capsys, monkeypatch):
     pout = tmp_path / "profile"
     assert main(["profile", "--config", cfg, "--out", str(pout)]) == 0
     prof, rows = made["build_profile"], read_rows(pout / "profile.csv")
-    assert rows[0] == ["sigma", "kappa", "c1", "c2", "d_sigma"]
-    assert_same_bits(rows[1:2], [[prof.sigma, prof.kappa, prof.c1, prof.c2,
-                                  prof.kappa]])
+    assert rows[0] == ["sigma", "kappa", "c1", "c2"]
+    assert_same_bits(rows[1:2], [[prof.sigma, prof.kappa, prof.c1, prof.c2]])
     assert rows[2] == ["s", "phi", "dphi"]
     assert_same_bits(rows[3:], np.column_stack([prof.nodes, prof.phi,
                                                 prof.dphi]))

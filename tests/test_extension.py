@@ -160,6 +160,23 @@ def test_dtn_matches_fractional_multiplier(profiles, sigma, rng):
     assert np.all(np.isfinite(frac))
 
 
+@pytest.mark.parametrize("sigma", [0.5, 0.7])
+def test_dtn_passes_a_fine_mesh_within_its_bound(tmp_path, sigma, capsys):
+    # a width-2 Gaussian at K_x = 6400: the Neumann trace is off by 4.1e-7
+    # (sigma 0.5) and 1.6e-3 (0.7), inside the 2 % bound, so verify passes
+    g = Grid(1, 10.0, 64)
+    field, config = tmp_path / "field.csv", tmp_path / "run.cfg"
+    field_to_csv(TraceField(g, np.exp(-g.axis ** 2 / 4.0)), field)
+    config.write_text(f"sigma = {sigma}\nm = 1.0\nN = 1\nL = 10.0\n"
+                      "n = 64\nextension.K_x = 6400\n")
+    assert main(["verify", "--config", str(config), "--field", str(field),
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    report = (tmp_path / "out" / "verify_report.csv").read_text()
+    name, status, value = report.splitlines()[2].split(",")
+    assert (name, status) == ("dtn", "pass") and float(value) < 2e-2
+
+
 def test_dtn_requires_boundary_node(profile_half):
     g = Grid(1, 5.0, 32)
     h = TraceField(g, np.ones(32))
@@ -313,7 +330,7 @@ def test_report_csvs(tmp_path, profiles, rng, capsys):
     assert np.all((rows[:, 0] >= 2.0) & (rows[:, 0] <= 12.0))
     assert np.all(rows[:, 2] >= rows[:, 1] * (1 - 1e-12))
     head = (tmp_path / "dtn.csv").read_text().splitlines()[0]
-    assert head.startswith("xi_abs,")
+    assert head == "rate,estimate,target,rel_error"
 
 
 def test_dtn_csv_reports_the_checked_estimates(profiles, rng):
@@ -323,6 +340,10 @@ def test_dtn_csv_reports_the_checked_estimates(profiles, rng):
     ext = lift(h, p, 1.0, x_max=12.0, K_x=400)
     rows = dtn_table(ext)
     assert max(float(r[-1]) for r in rows) == dtn_check(ext)
+    # one row per judged rate class, its target the multiplier at its rate
+    rates = ext.rates[ext._neumann_trace[0]]
+    assert np.array_equal([r[0] for r in rows], rates)
+    assert np.array_equal([r[2] for r in rows], p.kappa * rates ** 1.4)
 
 
 def test_dtn_zero_field_has_no_modes(profile_half):
@@ -415,12 +436,23 @@ def test_modewise_checks_match_dense_extension(profiles, sigma, dim, n, rng):
     sup = np.max(np.abs(values[rows]), axis=tuple(range(1, dim + 1)))
     assert np.all(np.abs(rep.sup - sup) <= 1e-12 * sup)
 
-    mask, est, target, _, _ = ext._neumann_trace
-    weights = spectral_weights(h)
-    half = (Ellipsis, slice(0, n // 2 + 1))
-    assert np.array_equal(mask, (weights >= 1e-6 * weights.sum())[half])
-    dense = dense_neumann(h, values, x, p)[half][mask]
-    assert np.all(np.abs(est - dense) <= 1e-7 * np.abs(target))
+    # the judged rate classes: those whose spectral mass, summed over the
+    # full lattice, clears 1e-6 of the total
+    k_sq = np.rint(full_xi_sq(h.grid) * (2.0 * h.grid.L) ** 2)
+    mode_class = np.unique(k_sq, return_inverse=True)[1].reshape(k_sq.shape)
+    mass = np.bincount(mode_class.ravel(),
+                       weights=spectral_weights(h).ravel())
+    classes, est, target, _ = ext._neumann_trace
+    assert np.array_equal(classes, np.flatnonzero(mass >= 1e-6 * mass.sum()))
+    # on every mode of a judged class, the dense estimate is the class's
+    # estimate times h-hat
+    per_class = np.zeros((2, mass.size))
+    per_class[:, classes] = est, target
+    hhat = np.fft.fftn(h.values.astype(np.longdouble))
+    est_mode, target_mode = per_class[:, mode_class] * hhat
+    judged = np.isin(mode_class, classes)
+    err = np.abs(est_mode - dense_neumann(h, values, x, p))
+    assert np.all((err <= 1e-7 * np.abs(target_mode))[judged])
 
 
 def test_lift_and_checks_memory_bounded(profile_half):

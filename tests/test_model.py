@@ -210,6 +210,20 @@ def test_kernel_is_radial_and_nonnegative():
     assert np.allclose(vals[1:], vals[1:][::-1])
 
 
+@pytest.mark.parametrize("dim,L,n,R_c", [
+    (1, 20.0, 256, 1.25), (1, 4.0, 24, 1.0), (2, 10.0, 64, 1.25),
+    (2, 4.0, 24, 1.0), (3, 10.0, 32, 1.25), (3, 4.0, 24, 1.0),
+    (3, 4.0, 48, 1.0)])
+def test_kernel_spectrum_is_real(dim, L, n, R_c):
+    # the power core is cut at a lattice distance R_c, where a radius that
+    # differs between y and -y in its last bit keeps one of the pair: W is
+    # even only if the radius is, and then its spectrum is real to rounding
+    params = small_params(dim=dim, L=L, n=n, kernel=KernelSpec(
+        a=1.0, mu=0.5, R_c=R_c, b=1.0, w2=3.0))
+    spec = params.kernel_spectrum
+    assert np.max(np.abs(spec.imag)) <= 1e-13 * np.max(np.abs(spec.real))
+
+
 # ---------------------------------------------------------------------------
 # Energy and gradient
 

@@ -300,6 +300,29 @@ def test_readme_names_every_solve_output(tmp_path, capsys):
     assert sorted(set(keys) - named) == []
 
 
+def test_readme_names_every_csv_header(tmp_path, capsys):
+    # every header row of a CSV that a command writes is named in the File
+    # formats section as one span in backticks, its columns joined by ", "
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL_CONFIG)
+    field = tmp_path / "solve" / "ground_state.csv"
+    for command in (["solve"], ["verify", "--field", str(field)],
+                    ["profile"]):
+        assert main([*command, "--config", str(cfg), "--out",
+                     str(tmp_path / command[0])]) == 0
+    capsys.readouterr()
+    text = README.read_text()
+    named = set(re.findall(r"`([^`]*)`", text[text.index("## File formats"):]))
+    for name, row in (("solve/ground_state.csv", 0),
+                      ("solve/ground_state.csv", 2),
+                      ("solve/iterations.csv", 0),
+                      ("verify/verify_report.csv", 0),
+                      ("verify/dtn.csv", 0), ("verify/decay.csv", 0),
+                      ("profile/profile.csv", 0), ("profile/profile.csv", 2)):
+        header = (tmp_path / name).read_text().splitlines()[row]
+        assert header.replace(",", ", ") in named, (name, header)
+
+
 def test_readme_library_layout_has_one_row_per_module():
     # every module but __init__ and errors, whose exit codes the Command
     # line section covers, has exactly one row
