@@ -77,10 +77,8 @@ def cmd_profile(args) -> int:
     _write_csv(csv_path, [list(constants), list(constants.values()),
                           ["s", "phi", "dphi"],
                           *zip(prof.nodes, prof.phi, prof.dphi)])
-    fit_path = os.path.join(args.out, "asymptotics.json")
-    _write_json(fit_path, constants)
     laps.append(("write", time.perf_counter()))
-    _write_manifest(args.out, cfg, [], [csv_path, fit_path], laps)
+    _write_manifest(args.out, cfg, [], [csv_path], laps)
     log.info("profile written to %s", csv_path)
     return 0
 
@@ -115,7 +113,7 @@ def cmd_solve(args) -> int:
         "level": best.level, "nehari_residual": best.nehari_residual,
         "iters": best.iters, "stationarity": best.stationarity,
         "translation_steps": best.translation_steps,
-        "min_value": best.min_value, "beta": best.beta,
+        "min_value": best.min_value,
         "multistart_levels": levels, "multistart_spread": spread,
         "c_star": c_star, "c_inf": c_inf, "margin": margin,
     })

@@ -110,7 +110,7 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        text = raw.decode()
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not valid text: {exc}") from exc
 

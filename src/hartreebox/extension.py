@@ -88,8 +88,6 @@ class ExtensionField:
         """
         sigma = self.profile.sigma
         x = self.x_nodes
-        if x.size < 4 or x[0] != 0.0:
-            raise DomainError("extension mesh must start at 0 with >= 4 nodes")
         classes = np.flatnonzero((self.mass > 0) & (
             self.mass >= _MASS_FLOOR * float(self.mass.sum())))
         target = self.profile.kappa * self.rates[classes] ** (2.0 * sigma)

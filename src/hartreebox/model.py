@@ -264,8 +264,8 @@ class ModelParams:
 # Energy, first variation, Nehari projection
 #
 # One evaluation core, entered through _project: it forms rfftn(v), F(v),
-# W * F(v) and f(v) once per field v and derives Q, the sigma-form, Psi, I
-# and the gradient from them.
+# W * F(v) and f(v) once per field v and derives Q, Psi, I and the
+# gradient from them.
 
 def _check_finite(value: float, component: str) -> float:
     if not np.isfinite(value):
@@ -276,12 +276,10 @@ def _check_finite(value: float, component: str) -> float:
 @dataclass(frozen=True)
 class _Evaluation:
     """The core's terms at one field v: its half-lattice spectrum rfftn(v),
-    the sigma-form kappa <(m^2 - Lap)^sigma v, v>, Q(v), Psi(v) and the
-    L^2 gradient of Psi, (W * F(v)) f(v)."""
+    Q(v), Psi(v) and the L^2 gradient of Psi, (W * F(v)) f(v)."""
 
     values: np.ndarray
     spectrum: np.ndarray
-    form: float
     quad: float
     psi: float
     psi_grad: np.ndarray
@@ -303,12 +301,13 @@ class _Evaluation:
 
 
 def _quad_terms(params: ModelParams, values: np.ndarray, spectrum: np.ndarray):
-    """(sigma-form, Q) of the field `values` with rfftn `spectrum`."""
+    """Q, the sigma-form plus int V v^2, of the field v = `values` with
+    rfftn `spectrum`."""
     form = params.kappa * half_lattice_form(params.grid, params.multiplier,
                                             spectrum)
     pot = params.grid.cell_volume * (params.potential_values
                                      * values ** 2).sum()
-    return form, _check_finite(form + pot, "quadratic form")
+    return _check_finite(form + pot, "quadratic form")
 
 
 def _interaction(params: ModelParams, F: np.ndarray,
@@ -323,7 +322,7 @@ def nehari_phi(t: float, u: np.ndarray, params: ModelParams,
     """phi(t) = <I'(tu), tu>/t = t*Q(u) - (1/t) <Psi'(tu), tu> and the level
     I(tu) = t^2 Q(u)/2 - Psi(tu), from F(v), W * F(v) and f(v) at v = tu.
 
-    phi'(t) costs one more transform, so it is formed on demand: with W
+    phi'(t) costs one more convolution, so it is formed on demand: with W
     even, so that int (W * a) b = int a (W * b),
     phi'(t) = Q(u) - (int (W * (f(v) v)) f(v) v
                       + int (W * F(v)) f'(v) v^2) / t^2.
@@ -432,7 +431,7 @@ def _project(u: np.ndarray, params: ModelParams, bound: float = np.inf,
         raise DomainError("Nehari projection undefined: field has no "
                           "positive part")
     spectrum = half_spectrum(u) if spectrum is None else spectrum
-    form, quad = _quad_terms(params, u, spectrum)
+    quad = _quad_terms(params, u, spectrum)
 
     nl = params.nonlinearity
     if nl.kind == "pure_power":
@@ -454,5 +453,5 @@ def _project(u: np.ndarray, params: ModelParams, bound: float = np.inf,
             return t, None
     v, conv, f, psi = terms
     spectrum *= t
-    ev = _Evaluation(v, spectrum, t * t * form, t * t * quad, psi, conv * f)
+    ev = _Evaluation(v, spectrum, t * t * quad, psi, conv * f)
     return t, (ev if ev.level <= bound else None)

@@ -47,7 +47,6 @@ class GroundStateResult:
     nehari_residual: float
     iters: int
     min_value: float
-    beta: float                # smallest sigma-norm of any projected iterate
     history: tuple             # rows (iter, energy, nehari_res, r, step)
     translation_steps: int     # accepted shifts toward the well
     stationarity: float        # r = sqrt(<g, P g> / Q) at u
@@ -160,7 +159,6 @@ def solve_ground(params: ModelParams, seed_field: TraceField, *,
     # construction, and the gradient's own check guards the rest
     _, ev = _project(seed_field.values, params)
     grad, nehari, stat = state(ev)
-    beta = np.sqrt(ev.form)
     history = [(0, ev.level, nehari, stat, 0.0)]
     pairs = collections.deque(maxlen=_MEMORY)
     it, reason, shifts = 0, "max_iter", 0
@@ -215,12 +213,11 @@ def solve_ground(params: ModelParams, seed_field: TraceField, *,
                 if shifted is not None:
                     ev, (grad, nehari, stat) = shifted, state(shifted)
                     shifts += 1
-        beta = min(beta, np.sqrt(ev.form))
         history.append((it, ev.level, nehari, stat, step))
     if stat <= tol:
         return GroundStateResult(
             u=TraceField(grid, ev.values), level=ev.level,
-            nehari_residual=nehari, iters=it, beta=float(beta),
+            nehari_residual=nehari, iters=it,
             min_value=float(np.min(ev.values)), stationarity=stat,
             history=tuple(history), translation_steps=shifts)
     raise _no_convergence(reason, tuple(history))
@@ -268,7 +265,6 @@ def multistart(params: ModelParams, seeds):
         raise _no_convergence(exc.reason, joined(exc.history)) from exc
     results[best] = dataclasses.replace(
         polish, iters=screen.iters + polish.iters,
-        beta=min(screen.beta, polish.beta),
         history=joined(polish.history),
         translation_steps=screen.translation_steps + polish.translation_steps)
     return results[best], results

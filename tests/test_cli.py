@@ -82,14 +82,15 @@ def test_profile_command(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["profile", "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "profile.csv").exists()
-    fit = json.loads((out / "asymptotics.json").read_text())
+    header, values = (out / "profile.csv").read_text().splitlines()[:2]
+    fit = dict(zip(header.split(","), map(float, values.split(","))))
     assert abs(fit["sigma"] - 0.5) < 1e-15
     assert abs(fit["kappa"] - 1.0) < 1e-6
     assert sorted(fit) == ["c1", "c2", "kappa", "sigma"]
+    assert not (out / "asymptotics.json").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["config_sha256"]) == 64
-    assert "profile.csv" in manifest["outputs"]
+    assert manifest["outputs"] == ["profile.csv"]
     assert_phase_times(out, "profile")
 
 

@@ -1,7 +1,5 @@
 """Weighted half-space extension: lift, energy and trace identities, decay."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -175,16 +173,6 @@ def test_dtn_passes_a_fine_mesh_within_its_bound(tmp_path, sigma, capsys):
     report = (tmp_path / "out" / "verify_report.csv").read_text()
     name, status, value = report.splitlines()[2].split(",")
     assert (name, status) == ("dtn", "pass") and float(value) < 2e-2
-
-
-def test_dtn_requires_boundary_node(profile_half):
-    g = Grid(1, 5.0, 32)
-    h = TraceField(g, np.ones(32))
-    ext = lift(h, profile_half, 1.0, K_x=100)
-    # the same field on the mesh without its node x = 0
-    shifted = replace(ext, x_nodes=ext.x_nodes[1:])
-    with pytest.raises(DomainError, match="start at 0"):
-        dtn_check(shifted)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hartreebox.errors import DiagnosticError, DomainError
 from hartreebox.model import (KernelSpec, ModelParams, NonlinearitySpec,
                               PotentialSpec)
 from hartreebox.solver import multistart, random_seed_field, solve_ground
-from hartreebox.spectral import TraceField
+from hartreebox.spectral import TraceField, half_lattice_form
 
 import oracles
 from test_acceptance import ground_params
@@ -242,7 +242,7 @@ def zero_field_terms(params):
 def test_energy_zero_field():
     params = small_params()
     z = np.zeros(params.n)
-    assert model_mod._quad_terms(params, z, np.fft.rfftn(z)) == (0.0, 0.0)
+    assert model_mod._quad_terms(params, z, np.fft.rfftn(z)) == 0.0
     phi, level, (_, conv, f, psi), _ = zero_field_terms(params)
     assert phi == 0.0 and level == 0.0 and psi == 0.0
     assert not np.any(conv) and not np.any(f)
@@ -287,7 +287,7 @@ def test_gradient_matches_directional_derivative(profile_half, rng):
 def test_gradient_zero_field():
     params = small_params()
     _, _, (v, conv, f, psi), _ = zero_field_terms(params)
-    ev = model_mod._Evaluation(v, np.fft.rfftn(v), 0.0, 0.0, psi, conv * f)
+    ev = model_mod._Evaluation(v, np.fft.rfftn(v), 0.0, psi, conv * f)
     assert np.all(core_gradient(ev, params) == 0.0)
 
 
@@ -369,7 +369,7 @@ def test_log_newton_reaches_power_root_in_one_step(rng, monkeypatch, c):
     u = scaled(c, scaled(project(u, params)[0] / 1.5, u))
     want = project(u, params)[0]
     assert abs(want - 1.5 / c) < 1e-12
-    quad = model_mod._quad_terms(params, u.values, np.fft.rfftn(u.values))[1]
+    quad = model_mod._quad_terms(params, u.values, np.fft.rfftn(u.values))
     calls, phi = [], model_mod.nehari_phi
 
     def counted_phi(*args):
@@ -393,7 +393,7 @@ def test_log_newton_reaches_root_from_afar(monkeypatch, factor):
     c = factor * model_mod._project(u, params)[0]
     want = 1.0 / factor
     u = c * u
-    quad = model_mod._quad_terms(params, u, np.fft.rfftn(u))[1]
+    quad = model_mod._quad_terms(params, u, np.fft.rfftn(u))
     calls, phi = [], model_mod.nehari_phi
 
     def counted_phi(*args):
@@ -481,9 +481,10 @@ def test_early_rejection_keeps_the_solve(monkeypatch, seed):
 
 @pytest.mark.parametrize("spec", [LOG_LINEAR, PURE_POWER])
 def test_projection_core_matches_oracles(spec, profile_half, rng):
-    # the solver reads Q, the sigma-form, Psi, the level and the gradient
-    # at the projected point from the projection's terms; the full-lattice
-    # oracles compute them afresh from t u
+    # the solver reads Q, Psi, the level and the gradient at the projected
+    # point from the projection's terms, and Q holds the sigma-form of the
+    # projected spectrum; the full-lattice oracles compute them afresh from
+    # t u
     params = small_params(nonlinearity=spec)
 
     def close(a, b):
@@ -497,7 +498,8 @@ def test_projection_core_matches_oracles(spec, profile_half, rng):
         form = profile_half.kappa * np.sum(
             oracles.full_multiplier(v.grid, params.m, params.sigma)
             * oracles.spectral_weights(v))
-        assert close(ev.form, form)
+        assert close(params.kappa * half_lattice_form(
+            params.grid, params.multiplier, ev.spectrum), form)
         assert close(ev.psi, oracles.interaction(v, params))
         assert close(ev.level, oracles.level(v, params, profile_half))
         want = oracles.gradient(v, params, profile_half).values

@@ -40,7 +40,6 @@ def test_convergence_and_positivity(base_result, profile_half):
     res = base_result
     assert res.level > 0
     assert res.min_value > 0
-    assert res.beta > 0
     quad = quadratic_form(res.u, params, profile_half)
     assert res.nehari_residual < params.tol * quad
 
@@ -96,7 +95,6 @@ def test_multistart_polishes_only_the_best_start(workload_multistart,
     assert best.iters == screen.iters + polish.iters > screen.iters
     assert best.translation_steps == (screen.translation_steps
                                       + polish.translation_steps)
-    assert best.beta == min(screen.beta, polish.beta)
 
 
 def test_multistart_screens_the_other_starts(workload_multistart,

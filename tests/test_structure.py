@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hartreebox
 from hartreebox.cli import build_parser, main
@@ -263,6 +264,19 @@ def test_required_keys_alone_take_every_library_default(tmp_path):
     assert cfg.lift_kw == {}
 
 
+def test_config_with_a_byte_order_mark_loads_as_without(tmp_path, capsys):
+    # an editor's UTF-8 byte-order mark is not part of the first key
+    plain = load_text(tmp_path, MINIMAL_CONFIG)
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + MINIMAL_CONFIG.encode())
+    cfg = load_config(path)
+    assert (cfg.params, cfg.seed, cfg.lift_kw) == (plain.params, plain.seed,
+                                                   plain.lift_kw)
+    assert main(["solve", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+
+
 def registered_options(parser):
     """Option strings of the parser and of every subcommand, but help."""
     options = set()
@@ -283,43 +297,57 @@ def test_readme_names_exactly_the_cli_options():
     assert registered_options(build_parser()) == named
 
 
-def test_readme_names_every_solve_output(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def command_outputs(tmp_path_factory):
+    """The directory holding solve/, verify/ and profile/, each command's
+    output on MINIMAL_CONFIG; verify checks the solved ground state."""
+    tmp = tmp_path_factory.mktemp("commands")
+    cfg = tmp / "run.cfg"
+    cfg.write_text(MINIMAL_CONFIG)
+    field = tmp / "solve" / "ground_state.csv"
+    for command in (["solve"], ["verify", "--field", str(field)],
+                    ["profile"]):
+        assert main([*command, "--config", str(cfg), "--out",
+                     str(tmp / command[0])]) == 0
+    return tmp
+
+
+def file_formats_section():
+    text = README.read_text()
+    return text[text.index("## File formats"):]
+
+
+def test_readme_names_exactly_the_output_files(command_outputs):
+    # the File formats section names in backticks each file a command
+    # writes, and no other; manifest.json is the Command line section's
+    named = set(re.findall(r"`([\w.]+\.(?:csv|json))`",
+                           file_formats_section()))
+    written = {path.name for path in command_outputs.glob("*/*")}
+    assert named == written - {"manifest.json"}
+
+
+def test_readme_names_every_solve_output(command_outputs):
     # each iterations.csv column and report.json key that `solve` writes is
     # named in backticks where the README describes the output files
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(MINIMAL_CONFIG)
-    out = tmp_path / "out"
-    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-    capsys.readouterr()
+    out = command_outputs / "solve"
     columns = (out / "iterations.csv").read_text().splitlines()[0].split(",")
     keys = json.loads((out / "report.json").read_text())
-    text = README.read_text()
-    section = text[text.index("## File formats"):]
-    named = set(re.findall(r"`(\w+)`", section))
+    named = set(re.findall(r"`(\w+)`", file_formats_section()))
     assert sorted(set(columns) - named) == []
     assert sorted(set(keys) - named) == []
 
 
-def test_readme_names_every_csv_header(tmp_path, capsys):
+def test_readme_names_every_csv_header(command_outputs):
     # every header row of a CSV that a command writes is named in the File
     # formats section as one span in backticks, its columns joined by ", "
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(MINIMAL_CONFIG)
-    field = tmp_path / "solve" / "ground_state.csv"
-    for command in (["solve"], ["verify", "--field", str(field)],
-                    ["profile"]):
-        assert main([*command, "--config", str(cfg), "--out",
-                     str(tmp_path / command[0])]) == 0
-    capsys.readouterr()
-    text = README.read_text()
-    named = set(re.findall(r"`([^`]*)`", text[text.index("## File formats"):]))
+    named = set(re.findall(r"`([^`]*)`", file_formats_section()))
     for name, row in (("solve/ground_state.csv", 0),
                       ("solve/ground_state.csv", 2),
                       ("solve/iterations.csv", 0),
                       ("verify/verify_report.csv", 0),
                       ("verify/dtn.csv", 0), ("verify/decay.csv", 0),
                       ("profile/profile.csv", 0), ("profile/profile.csv", 2)):
-        header = (tmp_path / name).read_text().splitlines()[row]
+        header = (command_outputs / name).read_text().splitlines()[row]
         assert header.replace(",", ", ") in named, (name, header)
 
 
